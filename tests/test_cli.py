@@ -99,6 +99,15 @@ class TestExitCodes:
         assert code == 1
         assert "client_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_nonpositive_bins_names_field(self, features_dir, tmp_path, capsys, bins):
+        code = dispatch([
+            "analyze", "--features", str(features_dir / "features.csv"),
+            "--bins", bins, "--out", str(tmp_path / "het"),
+        ])
+        assert code == 1
+        assert f"bins must be a positive integer, got {bins}" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
         assert dispatch(["train", "--help"]) == 0

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedcharge import heterogeneity
 from fedcharge.heterogeneity import (
     HistogramDensity,
     LN2,
@@ -18,6 +21,7 @@ from fedcharge.heterogeneity import (
     weighted_js,
 )
 from fedcharge.partition import partition_by_station
+from fedcharge.seeding import STREAM_PERM, rng_from
 
 
 def hist(probs, edges=None):
@@ -54,6 +58,11 @@ class TestHistogram:
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError):
             fit_histogram([], np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_nonpositive_bins_rejected(self, bins):
+        with pytest.raises(ValueError, match=f"bins must be a positive integer, got {bins}"):
+            global_bin_edges([1.0, 2.0], bins)
 
 
 class TestKl:
@@ -210,3 +219,139 @@ class TestAnalyzePartition:
                                    n_permutations=100, seed=0)
         assert report.classification == "non-IID"
         assert report.js_weighted > report.tau_iid
+
+
+def reference_analysis(targets, indices, n_permutations, seed, n_bins):
+    """The per-client loop the vectorized kernel replaced: one fit_histogram
+    and one js_divergence per client, weighted and summed in client order.
+
+    Returns (per-client JS of the clients' index lists, (mu, sigma, tau)).
+    """
+    arr = np.asarray(targets, dtype=float)
+    sizes = np.array([len(idx) for idx in indices])
+    edges = global_bin_edges(arr, n_bins)
+    global_hist = fit_histogram(arr, edges)
+
+    def per_client(index_lists):
+        return [
+            js_divergence(fit_histogram(arr[list(idx)], edges), global_hist)
+            for idx in index_lists
+        ]
+
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    weights = sizes / sizes.sum()
+    rng = rng_from(seed, STREAM_PERM)
+    values = np.empty(n_permutations)
+    for i in range(n_permutations):
+        perm = rng.permutation(arr.size)
+        total = 0.0
+        for w, js in zip(weights, per_client(
+            perm[bounds[k]:bounds[k + 1]] for k in range(sizes.size)
+        )):
+            total += w * js
+        values[i] = total
+    mu = float(values.mean())
+    sigma = float(values.std())
+    return per_client(indices), (mu, sigma, mu + 2.0 * sigma)
+
+
+def _blocks(sizes):
+    bounds = np.cumsum([0, *sizes])
+    return [range(bounds[k], bounds[k + 1]) for k in range(len(sizes))]
+
+
+ORACLE_CASES = {
+    "one_client": [12],
+    "single_session_client": [1, 6, 9],
+    "unequal_sizes": [2, 17, 5, 30, 8, 1, 11, 3, 21, 6],
+    "identical_targets": [4, 6, 5],
+}
+
+
+def _oracle_inputs(case, seed):
+    sizes = ORACLE_CASES[case]
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    if case == "identical_targets":
+        targets = np.full(n, 3.5)
+    else:
+        # Rounding leaves ties, so some targets share a bin edge exactly.
+        targets = np.round(rng.gamma(2.0, 4.0, size=n), 1)
+    # Station ids sort in client order, so the partition's sizes match `sizes`.
+    stations = np.repeat([f"st{k:02d}" for k in range(len(sizes))], sizes)
+    rng.shuffle(stations)
+    return targets, partition_by_station(list(stations))
+
+
+class TestKernelMatchesReference:
+    """Bitwise: the vectorized null and observed JS equal the per-client loop."""
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 7, 50, 129, 300])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bitwise_grid(self, case, n_bins, monkeypatch):
+        sizes = ORACLE_CASES[case]
+        # Three permutations per chunk, so 4 crosses a chunk boundary.
+        monkeypatch.setattr(heterogeneity, "_CHUNK_ELEMENTS", 3 * len(sizes) * n_bins)
+        for seed in range(5):
+            targets, part = _oracle_inputs(case, seed)
+            for n_perm in (2, 3, 4):
+                want_js, want_null = reference_analysis(
+                    targets, part.indices, n_perm, seed, n_bins
+                )
+                assert permutation_null(targets, sizes, n_perm, seed, n_bins) == want_null
+                report = analyze_partition(targets, part, n_bins, n_perm, seed)
+                assert (report.mu_iid, report.sigma_iid, report.tau_iid) == want_null
+                assert list(report.per_client_js.values()) == want_js
+
+    def test_one_permutation_per_chunk_floor(self, monkeypatch):
+        monkeypatch.setattr(heterogeneity, "_CHUNK_ELEMENTS", 1)
+        targets, part = _oracle_inputs("unequal_sizes", 0)
+        want = reference_analysis(targets, part.indices, 5, 0, 50)[1]
+        assert permutation_null(targets, part.sizes, 5, seed=0, n_bins=50) == want
+
+    def test_default_chunk_boundary(self):
+        # 20 clients x 50 bins, the shape of a 20-station depot: one permutation
+        # past the first full chunk at the module's own chunk size.
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(5, 12, size=20).tolist()
+        targets = rng.gamma(2.0, 4.0, size=sum(sizes))
+        n_perm = heterogeneity._CHUNK_ELEMENTS // (20 * 50) + 1
+        assert n_perm >= 3
+        want = reference_analysis(targets, _blocks(sizes), n_perm, 4, 50)[1]
+        assert permutation_null(targets, sizes, n_perm, seed=4, n_bins=50) == want
+
+
+@st.composite
+def _targets_and_sizes(draw):
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    values = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    targets = draw(st.lists(values, min_size=sum(sizes), max_size=sum(sizes)))
+    return np.array(targets), sizes
+
+
+class TestDivergenceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=_targets_and_sizes(),
+        n_bins=st.integers(1, 60),
+        n_perm=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bounds_and_repeatability(self, data, n_bins, n_perm, seed):
+        targets, sizes = data
+        bins, global_probs = heterogeneity._binned(targets, n_bins)
+        assignments = np.stack([
+            np.random.default_rng(seed + i).permutation(targets.size) for i in range(n_perm)
+        ])
+        js = heterogeneity._client_js(bins, assignments, np.asarray(sizes), global_probs)
+        assert np.all((js >= 0.0) & (js <= LN2))
+
+        stations = np.repeat([f"st{k:02d}" for k in range(len(sizes))], sizes)
+        report = analyze_partition(targets, partition_by_station(list(stations)),
+                                   n_bins, n_perm, seed)
+        assert all(0.0 <= v <= LN2 for v in report.per_client_js.values())
+        assert 0.0 <= report.mu_iid <= LN2
+        assert report.sigma_iid >= 0.0
+        again = analyze_partition(targets, partition_by_station(list(stations)),
+                                  n_bins, n_perm, seed)
+        assert again == report
