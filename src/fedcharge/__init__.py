@@ -12,7 +12,7 @@ from .ingest import SyntheticDepotSpec, generate_synthetic, parse_sessions, pars
 from .metrics import mae, rmse
 from .models import ModelParameters, get_params, set_params
 from .partition import ClientPartition, partition_by_station
-from .sessions import DatasetConfig, SessionRecord, TimeSeriesSample, retain_sessions
+from .sessions import DatasetConfig, SessionRecord, SessionSeries, retain_sessions
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "partition_by_station",
     "DatasetConfig",
     "SessionRecord",
-    "TimeSeriesSample",
+    "SessionSeries",
     "retain_sessions",
     "__version__",
 ]

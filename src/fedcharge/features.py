@@ -12,75 +12,53 @@ import math
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 
 from .sessions import (
+    EPOCH,
     DatasetConfig,
-    SeriesIndex,
     SessionRecord,
-    TimeSeriesSample,
-    early_window_samples,
+    SessionSeries,
+    early_window_bounds,
 )
 
-FEATURE_COLUMNS = (
-    "current_mean",
-    "current_max",
-    "current_min",
-    "current_std",
-    "current_first",
-    "current_last",
-    "current_slope",
-    "pilot_mean",
-    "pilot_max",
-    "pilot_min",
-    "pilot_std",
-    "pilot_first",
-    "pilot_last",
-    "pilot_slope",
-    "util_mean",
-    "util_max",
-    "early_energy_kwh",
-    "n_current",
-    "n_pilot",
-    "n_merged",
-    "observed_window_minutes",
-    "hour_sin",
-    "hour_cos",
-    "weekday_sin",
-    "weekday_cos",
-    "month_sin",
-    "month_cos",
-    "day_of_year_sin",
-    "day_of_year_cos",
-    "is_weekend",
-    "requested_energy_kwh",
-    "available_minutes",
-    "departure_offset_minutes",
-    "requested_energy_missing",
-    "available_minutes_missing",
-    "departure_offset_missing",
-)
+_SIGNAL_FEATURES = ("mean", "max", "min", "std", "first", "last", "slope")
+# Calendar field -> (period, value the cycle starts at).
+_CALENDAR = {"hour": (24, 0), "weekday": (7, 0), "month": (12, 1), "day_of_year": (366, 1)}
 
+# The feature order, each name with whether standardization applies to it.
 # Cyclical encodings and binary flags pass through standardization untouched.
-UNSCALED_FEATURES = (
-    "hour_sin",
-    "hour_cos",
-    "weekday_sin",
-    "weekday_cos",
-    "month_sin",
-    "month_cos",
-    "day_of_year_sin",
-    "day_of_year_cos",
-    "is_weekend",
-    "requested_energy_missing",
-    "available_minutes_missing",
-    "departure_offset_missing",
+FEATURE_SPEC: tuple[tuple[str, bool], ...] = (
+    *((f"current_{stat}", True) for stat in _SIGNAL_FEATURES),
+    *((f"pilot_{stat}", True) for stat in _SIGNAL_FEATURES),
+    ("util_mean", True),
+    ("util_max", True),
+    ("early_energy_kwh", True),
+    ("n_current", True),
+    ("n_pilot", True),
+    ("n_merged", True),
+    ("observed_window_minutes", True),
+    *((f"{field}_{fn}", False) for field in _CALENDAR for fn in ("sin", "cos")),
+    ("is_weekend", False),
+    ("requested_energy_kwh", True),
+    ("available_minutes", True),
+    ("departure_offset_minutes", True),
+    ("requested_energy_missing", False),
+    ("available_minutes_missing", False),
+    ("departure_offset_missing", False),
 )
-UNSCALED_INDICES = tuple(FEATURE_COLUMNS.index(name) for name in UNSCALED_FEATURES)
+FEATURE_COLUMNS = tuple(name for name, _ in FEATURE_SPEC)
+UNSCALED_INDICES = tuple(i for i, (_, scaled) in enumerate(FEATURE_SPEC) if not scaled)
 
 STD_FLOOR = 1e-8
+
+
+def _mean(arr: np.ndarray) -> float:
+    """arr.mean() of a 1-D float array: the same sum and division, without
+    the generic reduction machinery, which dominates on short windows."""
+    return float(np.add.reduce(arr) / len(arr))
 
 
 def summary_stats(values) -> tuple[float, float, float, float, float, float] | None:
@@ -88,14 +66,10 @@ def summary_stats(values) -> tuple[float, float, float, float, float, float] | N
     if len(values) == 0:
         return None
     arr = np.asarray(values, dtype=float)
-    return (
-        float(arr.mean()),
-        float(arr.max()),
-        float(arr.min()),
-        float(arr.std()),
-        float(arr[0]),
-        float(arr[-1]),
-    )
+    mean = _mean(arr)
+    # arr.std(): the mean of the squared deviations, then the square root.
+    std = math.sqrt(_mean(np.square(arr - mean)))
+    return mean, float(arr.max()), float(arr.min()), std, float(arr[0]), float(arr[-1])
 
 
 def least_squares_slope(times_s, values) -> float | None:
@@ -104,25 +78,22 @@ def least_squares_slope(times_s, values) -> float | None:
         return None
     t = np.asarray(times_s, dtype=float)
     v = np.asarray(values, dtype=float)
-    tc = t - t.mean()
+    tc = t - _mean(t)
     denom = float(tc @ tc)
     if denom == 0.0:
         return None
-    return float(tc @ (v - v.mean()) / denom)
+    return float(tc @ (v - _mean(v)) / denom)
 
 
 def utilization_stats(
-    samples: list[TimeSeriesSample],
+    current: np.ndarray, pilot: np.ndarray
 ) -> tuple[float | None, float | None]:
-    """(mean, max) of current/pilot at timestamps with both signals and pilot > 0."""
-    ratios = [
-        s.current_a / s.pilot_a
-        for s in samples
-        if s.current_a is not None and s.pilot_a is not None and s.pilot_a > 0
-    ]
-    if not ratios:
+    """(mean, max) of current/pilot at readings with both signals and pilot > 0."""
+    both = ~np.isnan(current) & (pilot > 0)
+    if not both.any():
         return None, None
-    return float(np.mean(ratios)), float(max(ratios))
+    ratios = current[both] / pilot[both]
+    return _mean(ratios), max(ratios.tolist())
 
 
 def early_energy(times_s, currents_a, voltage_v: float) -> float:
@@ -134,53 +105,17 @@ def early_energy(times_s, currents_a, voltage_v: float) -> float:
     return float(np.sum((power_kw[:-1] + power_kw[1:]) / 2.0 * np.diff(t)) / 3600.0)
 
 
-@dataclass(frozen=True)
-class CalendarFeatures:
-    hour: int
-    weekday: int          # Monday = 0
-    month: int            # 1..12
-    day_of_year: int      # 1..366
-    is_weekend: bool
-    hour_sin: float
-    hour_cos: float
-    weekday_sin: float
-    weekday_cos: float
-    month_sin: float
-    month_cos: float
-    day_of_year_sin: float
-    day_of_year_cos: float
-
-
-def calendar_features(connection_time: datetime) -> CalendarFeatures:
-    """Raw calendar fields plus sin/cos encodings (periods 24/7/12/366)."""
-    hour = connection_time.hour
-    weekday = connection_time.weekday()
-    month = connection_time.month
-    doy = connection_time.timetuple().tm_yday
-
-    def enc(value: float, period: float) -> tuple[float, float]:
-        angle = 2.0 * math.pi * value / period
-        return math.sin(angle), math.cos(angle)
-
-    hs, hc = enc(hour, 24)
-    ws, wc = enc(weekday, 7)
-    ms, mc = enc(month - 1, 12)
-    ds, dc = enc(doy - 1, 366)
-    return CalendarFeatures(
-        hour=hour,
-        weekday=weekday,
-        month=month,
-        day_of_year=doy,
-        is_weekend=weekday >= 5,
-        hour_sin=hs,
-        hour_cos=hc,
-        weekday_sin=ws,
-        weekday_cos=wc,
-        month_sin=ms,
-        month_cos=mc,
-        day_of_year_sin=ds,
-        day_of_year_cos=dc,
-    )
+def calendar_features(connection_time: datetime) -> dict[str, float]:
+    """Raw calendar fields (weekday: Monday = 0; month and day of year count
+    from 1), their sin/cos encodings and the weekend flag."""
+    tt = connection_time.timetuple()
+    out = {"hour": tt.tm_hour, "weekday": tt.tm_wday}
+    out.update(month=tt.tm_mon, day_of_year=tt.tm_yday)
+    for name, (period, start) in _CALENDAR.items():
+        angle = 2.0 * math.pi * (out[name] - start) / period
+        out[f"{name}_sin"], out[f"{name}_cos"] = math.sin(angle), math.cos(angle)
+    out["is_weekend"] = float(out["weekday"] >= 5)
+    return out
 
 
 def departure_offset(session: SessionRecord) -> float | None:
@@ -193,95 +128,46 @@ def departure_offset(session: SessionRecord) -> float | None:
     return offset
 
 
-@dataclass(frozen=True)
-class EarlyWindowFeatures:
-    """Summary, trend, interaction, energy, and coverage features; None = missing."""
-
-    current_mean: float | None
-    current_max: float | None
-    current_min: float | None
-    current_std: float | None
-    current_first: float | None
-    current_last: float | None
-    current_slope: float | None
-    pilot_mean: float | None
-    pilot_max: float | None
-    pilot_min: float | None
-    pilot_std: float | None
-    pilot_first: float | None
-    pilot_last: float | None
-    pilot_slope: float | None
-    util_mean: float | None
-    util_max: float | None
-    early_energy_kwh: float
-    n_current: int
-    n_pilot: int
-    n_merged: int
-    observed_window_minutes: float
-
-
-def extract_early_window(
-    session: SessionRecord,
-    samples: list[TimeSeriesSample],
-    cfg: DatasetConfig,
-) -> list[TimeSeriesSample]:
-    """Sorted samples in the closed interval [t_conn, t_conn + W]."""
-    return early_window_samples(session, samples, cfg)
-
-
 def early_window_features(
-    session: SessionRecord,
-    samples: list[TimeSeriesSample],
-    cfg: DatasetConfig,
-) -> EarlyWindowFeatures:
-    window = extract_early_window(session, samples, cfg)
-    t0 = session.connection_time
-
-    def seconds(sample: TimeSeriesSample) -> float:
-        return (sample.timestamp - t0).total_seconds()
-
-    cur = [(seconds(s), s.current_a) for s in window if s.current_a is not None]
-    pil = [(seconds(s), s.pilot_a) for s in window if s.pilot_a is not None]
-    cur_t, cur_v = zip(*cur) if cur else ((), ())
-    pil_t, pil_v = zip(*pil) if pil else ((), ())
-
-    cur_stats = summary_stats(cur_v)
-    pil_stats = summary_stats(pil_v)
-    util_mean, util_max = utilization_stats(window)
-
-    if len(window) >= 2:
-        observed = (window[-1].timestamp - window[0].timestamp).total_seconds() / 60.0
-    else:
-        observed = 0.0
-
-    def unpack(stats):
-        return stats if stats is not None else (None,) * 6
-
-    c_mean, c_max, c_min, c_std, c_first, c_last = unpack(cur_stats)
-    p_mean, p_max, p_min, p_std, p_first, p_last = unpack(pil_stats)
-    return EarlyWindowFeatures(
-        current_mean=c_mean,
-        current_max=c_max,
-        current_min=c_min,
-        current_std=c_std,
-        current_first=c_first,
-        current_last=c_last,
-        current_slope=least_squares_slope(cur_t, cur_v),
-        pilot_mean=p_mean,
-        pilot_max=p_max,
-        pilot_min=p_min,
-        pilot_std=p_std,
-        pilot_first=p_first,
-        pilot_last=p_last,
-        pilot_slope=least_squares_slope(pil_t, pil_v),
-        util_mean=util_mean,
-        util_max=util_max,
-        early_energy_kwh=early_energy(cur_t, cur_v, cfg.nominal_voltage_v),
-        n_current=len(cur),
-        n_pilot=len(pil),
-        n_merged=len(window),
-        observed_window_minutes=observed,
+    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
+) -> dict[str, float]:
+    """Summary, trend, interaction, energy and coverage features of the
+    readings in [t_conn, t_conn + W]; NaN = missing."""
+    lo, hi = early_window_bounds(session, series, cfg)
+    t = series.t[lo:hi]
+    # Seconds since connection, as timedelta.total_seconds() gives them.
+    start_us = (session.connection_time - EPOCH) // timedelta(microseconds=1)
+    seconds = (t * 1_000_000 - start_us) / 1e6
+    out = {}
+    for name, values in (("current", series.current[lo:hi]), ("pilot", series.pilot[lo:hi])):
+        present = ~np.isnan(values)
+        times, values = seconds[present], values[present]
+        stats = summary_stats(values) or (None,) * 6
+        stats += (least_squares_slope(times, values),)
+        out.update(zip((f"{name}_{stat}" for stat in _SIGNAL_FEATURES), stats))
+        out[f"n_{name}"] = len(values)
+        if name == "current":
+            out["early_energy_kwh"] = early_energy(times, values, cfg.nominal_voltage_v)
+    out["util_mean"], out["util_max"] = utilization_stats(
+        series.current[lo:hi], series.pilot[lo:hi]
     )
+    out["n_merged"] = hi - lo
+    out["observed_window_minutes"] = int(t[-1] - t[0]) / 60.0 if hi - lo >= 2 else 0.0
+    return {k: math.nan if v is None else float(v) for k, v in out.items()}
+
+
+def user_features(session: SessionRecord) -> dict[str, float]:
+    """Optional user inputs (NaN = missing) and their 0/1 missingness flags."""
+    offset = departure_offset(session)
+    out = {}
+    for name, value, flag in (
+        ("requested_energy_kwh", session.requested_energy_kwh, "requested_energy_missing"),
+        ("available_minutes", session.available_minutes, "available_minutes_missing"),
+        ("departure_offset_minutes", offset, "departure_offset_missing"),
+    ):
+        out[name] = math.nan if value is None else float(value)
+        out[flag] = float(value is None)
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,63 +181,18 @@ class FeatureVector:
 
 
 def build_feature_vector(
-    session: SessionRecord,
-    samples: list[TimeSeriesSample],
-    cfg: DatasetConfig,
+    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
 ) -> FeatureVector:
-    """Assemble the documented feature order for one retained session."""
-    ew = early_window_features(session, samples, cfg)
-    cal = calendar_features(session.connection_time)
-    offset = departure_offset(session)
-
-    def nv(value) -> float:
-        return float(value) if value is not None else math.nan
-
-    numeric = np.array(
-        [
-            nv(ew.current_mean),
-            nv(ew.current_max),
-            nv(ew.current_min),
-            nv(ew.current_std),
-            nv(ew.current_first),
-            nv(ew.current_last),
-            nv(ew.current_slope),
-            nv(ew.pilot_mean),
-            nv(ew.pilot_max),
-            nv(ew.pilot_min),
-            nv(ew.pilot_std),
-            nv(ew.pilot_first),
-            nv(ew.pilot_last),
-            nv(ew.pilot_slope),
-            nv(ew.util_mean),
-            nv(ew.util_max),
-            ew.early_energy_kwh,
-            float(ew.n_current),
-            float(ew.n_pilot),
-            float(ew.n_merged),
-            ew.observed_window_minutes,
-            cal.hour_sin,
-            cal.hour_cos,
-            cal.weekday_sin,
-            cal.weekday_cos,
-            cal.month_sin,
-            cal.month_cos,
-            cal.day_of_year_sin,
-            cal.day_of_year_cos,
-            1.0 if cal.is_weekend else 0.0,
-            nv(session.requested_energy_kwh),
-            nv(session.available_minutes),
-            nv(offset),
-            0.0 if session.requested_energy_kwh is not None else 1.0,
-            0.0 if session.available_minutes is not None else 1.0,
-            0.0 if offset is not None else 1.0,
-        ],
-        dtype=float,
-    )
+    """One retained session's features in FEATURE_COLUMNS order."""
+    values = {
+        **early_window_features(session, series, cfg),
+        **calendar_features(session.connection_time),
+        **user_features(session),
+    }
     return FeatureVector(
         session_id=session.session_id,
         station_id=session.station_id,
-        numeric=numeric,
+        numeric=np.array([values[name] for name in FEATURE_COLUMNS]),
         target=float(session.delivered_energy_kwh),
     )
 
@@ -373,21 +214,18 @@ class FeatureTable:
 
 def build_feature_table(
     sessions: list[SessionRecord],
-    series: SeriesIndex,
+    series: dict[str, SessionSeries],
     cfg: DatasetConfig,
 ) -> FeatureTable:
     """Featurize retained sessions in order; tallies data-quality warnings."""
-    rows = []
-    targets = []
-    session_ids = []
-    station_ids = []
+    rows, targets, session_ids, station_ids = [], [], [], []
     warnings: Counter = Counter()
     for session in sessions:
-        samples = series[session.session_id]
-        n_pre = sum(1 for s in samples if s.timestamp < session.connection_time)
+        readings = series[session.session_id]
+        n_pre = early_window_bounds(session, readings, cfg)[0]
         if n_pre:
             warnings["samples_before_connection"] += n_pre
-        vec = build_feature_vector(session, samples, cfg)
+        vec = build_feature_vector(session, readings, cfg)
         if session.requested_departure is not None and departure_offset(session) is None:
             warnings["negative_departure_offset"] += 1
         rows.append(vec.numeric)
@@ -455,10 +293,6 @@ def fit_scaler(
     return Scaler(mean=mean, std=std, exempt=tuple(exempt))
 
 
-def apply_scaler(scaler: Scaler, X: np.ndarray) -> np.ndarray:
-    return scaler.apply(X)
-
-
 def write_features(path, table: FeatureTable) -> None:
     """features.csv: session_id, station_id, target, then FEATURE_COLUMNS.
 
@@ -476,23 +310,40 @@ def write_features(path, table: FeatureTable) -> None:
 
 
 def read_features(path) -> FeatureTable:
+    """Read features.csv back. An empty (or NaN) feature cell is a missing
+    value. A row of the wrong width, a cell that is not a number, a target
+    that is missing or not finite, or an infinite feature raises ValueError
+    naming path:line.
+    """
+    header = ["session_id", "station_id", "target", *FEATURE_COLUMNS]
+    session_ids, station_ids, targets, rows, lines = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["session_id", "station_id", "target", *FEATURE_COLUMNS]
-        if header != expected:
+        if next(reader, None) != header:
             raise ValueError(f"unexpected features.csv header in {path}")
-        session_ids, station_ids, targets, rows = [], [], [], []
         for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+                targets.append(float(row[2]))
+                rows.append([math.nan if cell == "" else float(cell) for cell in row[3:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             session_ids.append(row[0])
             station_ids.append(row[1])
-            targets.append(float(row[2]))
-            rows.append([math.nan if cell == "" else float(cell) for cell in row[3:]])
-    X = np.asarray(rows, dtype=float) if rows else np.empty((0, len(FEATURE_COLUMNS)))
+            lines.append(reader.line_num)
+    X = np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_COLUMNS))
+    y = np.array(targets, dtype=float)
+    bad = np.argwhere(np.column_stack([~np.isfinite(y), np.isinf(X)]))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"{path}:{lines[i]}: {header[2 + j]} is not finite")
     return FeatureTable(
         feature_names=FEATURE_COLUMNS,
         X=X,
-        y=np.asarray(targets, dtype=float),
+        y=y,
         session_ids=session_ids,
         station_ids=station_ids,
         warnings=Counter(),

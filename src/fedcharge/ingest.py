@@ -17,33 +17,33 @@ strict mode aborts on the first bad row.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from contextlib import suppress
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from itertools import islice, repeat
 from pathlib import Path
+
+import numpy as np
 
 from .seeding import STREAM_SYNTH, rng_from
 from .sessions import (
-    SeriesIndex,
     SessionRecord,
-    TimeSeriesSample,
+    SessionSeries,
+    epoch_seconds,
     format_utc,
     parse_utc,
 )
 
-SESSION_COLUMNS = [
-    "session_id",
-    "site_id",
-    "station_id",
-    "connection_time",
-    "disconnect_time",
-    "delivered_energy_kwh",
-    "requested_energy_kwh",
-    "available_minutes",
-    "requested_departure",
-]
+SESSION_COLUMNS = [f.name for f in fields(SessionRecord)]
 TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
+
+# Rows parsed per batch: enough to amortize the array calls, few enough that
+# one batch's cell strings stay a few MB.
+_CHUNK_ROWS = 32_768
 
 
 class ParseError(ValueError):
@@ -63,37 +63,74 @@ class SessionParseResult:
 
 @dataclass
 class TimeSeriesParseResult:
-    index: SeriesIndex
+    index: dict[str, SessionSeries]
     issues: list[tuple[int, str]] = field(default_factory=list)
     n_negative_clamped: int = 0
     n_duplicates_merged: int = 0
 
 
-def _iter_rows(path: Path):
-    """Yield (line_number, field dict) rows from a CSV or JSON-lines file."""
+def _is_csv(path: Path) -> bool:
+    """True for a CSV path, False for JSON lines; other suffixes are rejected."""
     suffix = path.suffix.lower()
-    if suffix == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                yield lineno, {k: v for k, v in row.items() if v not in (None, "")}
-    elif suffix in (".jsonl", ".ndjson", ".json"):
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    yield lineno, exc
-                    continue
-                if not isinstance(obj, dict):
-                    yield lineno, ValueError("row is not a JSON object")
-                    continue
-                yield lineno, {k: v for k, v in obj.items() if v is not None}
-    else:
+    if suffix not in (".csv", ".jsonl", ".ndjson", ".json"):
         raise ValueError(f"unsupported file format: {path}")
+    return suffix == ".csv"
+
+
+def _read_chunks(path: Path, columns: list[str]):
+    """Yield (lines, cells, absent, errors) per batch of nonblank rows, in file order.
+
+    lines[i] is the physical line that row i ends on; cells[c][i] is the value
+    of columns[c] in row i, equal to `absent` when the field is absent: "" for
+    CSV (an empty cell or a missing field), None for JSON lines (null or a
+    missing key). errors maps a row to the exception its line raised
+    (malformed JSON); such a row has every field absent.
+    """
+    if _is_csv(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            # A repeated column name resolves to its last occurrence.
+            where = {name: j for j, name in enumerate(next(reader, []))}
+            picks = [where.get(c) for c in columns]
+            lines, rows = [], []
+            for row in reader:
+                if row:
+                    lines.append(reader.line_num)
+                    rows.append(row)
+                    if len(rows) == _CHUNK_ROWS:
+                        yield lines, _csv_columns(rows, picks), "", {}
+                        lines, rows = [], []
+            if rows:
+                yield lines, _csv_columns(rows, picks), "", {}
+    else:
+        with open(path, encoding="utf-8") as fh:
+            numbered = (
+                (n, _json_object(text)) for n, line in enumerate(fh, start=1)
+                if (text := line.strip())
+            )
+            for chunk in iter(lambda: list(islice(numbered, _CHUNK_ROWS)), []):
+                lines, objs = zip(*chunk)
+                errors = {i: obj for i, obj in enumerate(objs) if isinstance(obj, Exception)}
+                if errors:
+                    objs = [{} if i in errors else obj for i, obj in enumerate(objs)]
+                yield lines, [[obj.get(c) for obj in objs] for c in columns], None, errors
+
+
+def _csv_columns(rows, picks: list[int | None]) -> list[list[str]]:
+    """The picked columns of a batch of CSV rows; a missing field reads as ""."""
+    width = 1 + max((j for j in picks if j is not None), default=-1)
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    return [[""] * len(rows) if j is None else [row[j] for row in rows] for j in picks]
+
+
+def _json_object(text: str):
+    """The JSON object on a line, or the exception that says why there is none."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return exc
+    return obj if isinstance(obj, dict) else ValueError("row is not a JSON object")
 
 
 def _get_float(row: dict, key: str) -> float | None:
@@ -118,155 +155,218 @@ def parse_sessions(path, strict: bool = False) -> SessionParseResult:
     path = Path(path)
     records: list[SessionRecord] = []
     issues: list[tuple[int, str]] = []
-    for lineno, row in _iter_rows(path):
-        if isinstance(row, Exception):
-            if strict:
-                raise ParseError(path, lineno, str(row))
-            issues.append((lineno, str(row)))
-            continue
-        try:
-            conn = _get_time(row, "connection_time")
-            if conn is None:
-                raise ValueError("connection_time is required")
-            records.append(
-                SessionRecord(
-                    session_id=str(row.get("session_id", "")),
-                    site_id=str(row.get("site_id", "")),
-                    station_id=str(row.get("station_id", "")),
-                    connection_time=conn,
-                    disconnect_time=_get_time(row, "disconnect_time"),
-                    delivered_energy_kwh=_get_float(row, "delivered_energy_kwh"),
-                    requested_energy_kwh=_get_float(row, "requested_energy_kwh"),
-                    available_minutes=_get_float(row, "available_minutes"),
-                    requested_departure=_get_time(row, "requested_departure"),
+    for lines, cells, absent, errors in _read_chunks(path, SESSION_COLUMNS):
+        for i, lineno in enumerate(lines):
+            try:
+                if i in errors:
+                    raise errors[i]
+                row = {c: col[i] for c, col in zip(SESSION_COLUMNS, cells) if col[i] != absent}
+                conn = _get_time(row, "connection_time")
+                if conn is None:
+                    raise ValueError("connection_time is required")
+                records.append(
+                    SessionRecord(
+                        session_id=str(row.get("session_id", "")),
+                        site_id=str(row.get("site_id", "")),
+                        station_id=str(row.get("station_id", "")),
+                        connection_time=conn,
+                        disconnect_time=_get_time(row, "disconnect_time"),
+                        delivered_energy_kwh=_get_float(row, "delivered_energy_kwh"),
+                        requested_energy_kwh=_get_float(row, "requested_energy_kwh"),
+                        available_minutes=_get_float(row, "available_minutes"),
+                        requested_departure=_get_time(row, "requested_departure"),
+                    )
                 )
-            )
-        except (ValueError, TypeError) as exc:
-            if strict:
-                raise ParseError(path, lineno, str(exc)) from exc
-            issues.append((lineno, str(exc)))
+            except (ValueError, TypeError) as exc:
+                if strict:
+                    raise ParseError(path, lineno, str(exc)) from exc
+                issues.append((lineno, str(exc)))
     return SessionParseResult(records=records, issues=issues)
 
 
-def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
-    """Parse time-series measurements into a per-session sorted index.
+def _reading(row: dict) -> tuple[str, int, float, float]:
+    """(session id, epoch seconds, current, pilot) of one row, NaN = absent.
 
-    Duplicate (session, timestamp) pairs merge last-write-wins in file order;
-    negative readings are clamped to 0. Both are counted in the result.
+    These are the per-row rules: the ValueError or TypeError raised names the
+    row's first problem and is the issue reported for it.
+    """
+    sid = str(row.get("session_id", ""))
+    if not sid:
+        raise ValueError("session_id is required")
+    ts = _get_time(row, "timestamp")
+    if ts is None:
+        raise ValueError("timestamp is required")
+    current = _get_float(row, "current_a")
+    pilot = _get_float(row, "pilot_a")
+    if current is None and pilot is None:
+        raise ValueError(f"sample for {sid} carries neither current nor pilot")
+    current, pilot = (math.nan if v is None else v for v in (current, pilot))
+    return sid, epoch_seconds(ts), current, pilot
+
+
+# YYYY-MM-DDTHH:MM:SSZ, the form synth writes; there is no year 0.
+_CANONICAL = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
+def _canonical_seconds(stamps: list) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of every cell that is a valid time in the canonical form,
+    and a mask of the other cells, which parse_utc must judge one by one.
+    """
+    match = _CANONICAL.fullmatch
+    text = [s[:-1] if type(s) is str and match(s) else "NaT" for s in stamps]
+    try:
+        t = np.array(text, dtype="datetime64[s]")
+    except ValueError:  # a field is out of range, for example 2019-02-30
+        t = np.full(len(text), np.datetime64("NaT", "s"))
+        for i, s in enumerate(text):
+            with suppress(ValueError):
+                t[i] = s
+    return t.astype(np.int64), np.isnat(t)
+
+
+def _float_column(cells: list, absent) -> tuple[np.ndarray, np.ndarray]:
+    """float() of every cell, NaN where absent, and a mask of the present cells
+    that are not finite numbers, which the per-row rules must judge.
+    """
+    try:
+        out = np.array([math.nan if v == absent else float(v) for v in cells], dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        out = np.full(len(cells), math.nan)
+        for i, v in enumerate(cells):
+            with suppress(ValueError, TypeError, OverflowError):
+                out[i] = math.nan if v == absent else float(v)
+    bad = ~np.isfinite(out)
+    for i in np.flatnonzero(bad).tolist():
+        bad[i] = cells[i] != absent
+    return out, bad
+
+
+def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
+    """Parse time-series measurements into one SessionSeries per session.
+
+    Sessions keep the order of their first valid row. Duplicate (session,
+    timestamp) pairs merge last-write-wins in file order; negative readings
+    are clamped to 0. Both are counted in the result.
+
+    Rows are converted a batch at a time: canonical timestamps and floats in
+    bulk. A row the bulk path cannot vouch for (another timestamp form, a bad
+    or missing cell, a malformed line) goes through the per-row rules, which
+    also produce its line-numbered issue.
     """
     path = Path(path)
     issues: list[tuple[int, str]] = []
+    code_of: dict[str, int] = {}  # session id -> rank of its first valid row
+    parts = []
+    for lines, cells, absent, errors in _read_chunks(path, TIMESERIES_COLUMNS):
+        sids, stamps, currents, pilots = cells
+        t, suspect = _canonical_seconds(stamps)
+        current, bad_current = _float_column(currents, absent)
+        pilot, bad_pilot = _float_column(pilots, absent)
+        suspect |= bad_current | bad_pilot | (np.isnan(current) & np.isnan(pilot))
+        suspect |= np.array([type(s) is not str or not s for s in sids], dtype=bool)
+        keep = ~suspect
+        for i in np.flatnonzero(suspect).tolist():
+            try:
+                if i in errors:
+                    raise errors[i]
+                sids[i], t[i], current[i], pilot[i] = _reading(
+                    {c: col[i] for c, col in zip(TIMESERIES_COLUMNS, cells) if col[i] != absent}
+                )
+                keep[i] = True
+            except (ValueError, TypeError) as exc:
+                if strict:
+                    raise ParseError(path, lines[i], str(exc)) from exc
+                issues.append((lines[i], str(exc)))
+        rows = np.flatnonzero(keep)
+        codes = [code_of.setdefault(sids[i], len(code_of)) for i in rows.tolist()]
+        parts.append((np.array(codes, dtype=np.int64), t[rows], current[rows], pilot[rows]))
+
+    codes, t, current, pilot = (
+        np.concatenate([part[k] for part in parts] or [np.empty(0, dtype)])
+        for k, dtype in enumerate((np.int64, np.int64, float, float))
+    )
     n_clamped = 0
-    n_duplicates = 0
-    per_session: dict[str, dict[datetime, TimeSeriesSample]] = {}
-    for lineno, row in _iter_rows(path):
-        if isinstance(row, Exception):
-            if strict:
-                raise ParseError(path, lineno, str(row))
-            issues.append((lineno, str(row)))
-            continue
-        try:
-            sid = str(row.get("session_id", ""))
-            if not sid:
-                raise ValueError("session_id is required")
-            ts = _get_time(row, "timestamp")
-            if ts is None:
-                raise ValueError("timestamp is required")
-            current = _get_float(row, "current_a")
-            pilot = _get_float(row, "pilot_a")
-            if current is not None and current < 0:
-                current = 0.0
-                n_clamped += 1
-            if pilot is not None and pilot < 0:
-                pilot = 0.0
-                n_clamped += 1
-            sample = TimeSeriesSample(
-                session_id=sid, timestamp=ts, current_a=current, pilot_a=pilot
-            )
-        except (ValueError, TypeError) as exc:
-            if strict:
-                raise ParseError(path, lineno, str(exc)) from exc
-            issues.append((lineno, str(exc)))
-            continue
-        bucket = per_session.setdefault(sid, {})
-        if ts in bucket:
-            n_duplicates += 1
-        bucket[ts] = sample
-    index: SeriesIndex = {
-        sid: [bucket[ts] for ts in sorted(bucket)] for sid, bucket in per_session.items()
+    for values in (current, pilot):
+        negative = values < 0  # NaN and -0.0 stay as they are
+        n_clamped += int(np.count_nonzero(negative))
+        values[negative] = 0.0
+    # Stable, so each run of equal (session, timestamp) keys keeps file order
+    # and its last row wins.
+    order = np.lexsort((t, codes))
+    codes, t, current, pilot = codes[order], t[order], current[order], pilot[order]
+    last = np.ones(len(t), dtype=bool)
+    last[:-1] = (codes[1:] != codes[:-1]) | (t[1:] != t[:-1])
+    codes, t, current, pilot = codes[last], t[last], current[last], pilot[last]
+    bounds = np.searchsorted(codes, np.arange(len(code_of) + 1)).tolist()
+    index = {
+        sid: SessionSeries(t[lo:hi], current[lo:hi], pilot[lo:hi])
+        for sid, lo, hi in zip(code_of, bounds, bounds[1:])
     }
     return TimeSeriesParseResult(
         index=index,
         issues=issues,
         n_negative_clamped=n_clamped,
-        n_duplicates_merged=n_duplicates,
+        n_duplicates_merged=len(last) - len(t),
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, datetime):
-        return format_utc(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _session_row(s: SessionRecord) -> dict:
-    return {
-        "session_id": s.session_id,
-        "site_id": s.site_id,
-        "station_id": s.station_id,
-        "connection_time": s.connection_time,
-        "disconnect_time": s.disconnect_time,
-        "delivered_energy_kwh": s.delivered_energy_kwh,
-        "requested_energy_kwh": s.requested_energy_kwh,
-        "available_minutes": s.available_minutes,
-        "requested_departure": s.requested_departure,
-    }
-
-
-def _sample_row(s: TimeSeriesSample) -> dict:
-    return {
-        "session_id": s.session_id,
-        "timestamp": s.timestamp,
-        "current_a": s.current_a,
-        "pilot_a": s.pilot_a,
-    }
-
-
 def write_sessions(path, sessions: list[SessionRecord]) -> None:
-    _write_rows(Path(path), SESSION_COLUMNS, [_session_row(s) for s in sessions])
+    path = Path(path)
+    is_csv = _is_csv(path)
+    with open(path, "w", newline="" if is_csv else None, encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if is_csv:
+            writer.writerow(SESSION_COLUMNS)
+        for s in sessions:
+            row = {c: getattr(s, c) for c in SESSION_COLUMNS}
+            row = {c: format_utc(v) if isinstance(v, datetime) else v for c, v in row.items()}
+            if is_csv:
+                writer.writerow(row.values())  # None as "", floats as repr
+            else:
+                fh.write(json.dumps({c: v for c, v in row.items() if v is not None}) + "\n")
 
 
-def write_timeseries(path, index: SeriesIndex) -> None:
-    rows = [
-        _sample_row(s) for sid in index for s in index[sid]
-    ]
-    _write_rows(Path(path), TIMESERIES_COLUMNS, rows)
+def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
+    """One row per reading, sessions in index order, each session's columns
+    formatted whole. Times and floats never need CSV quoting, so only the
+    session id goes through csv.writer.
+    """
+    path = Path(path)
+    is_csv = _is_csv(path)
+    if is_csv:
+        line, labels = "{},{},{},{}\r\n".format, ("", "")
+    else:  # json.dumps of the reading's object, absent fields left out
+        line = '{{"session_id": {}, "timestamp": "{}"{}{}}}\n'.format
+        labels = (', "current_a": ', ', "pilot_a": ')
+    with open(path, "w", newline="" if is_csv else None, encoding="utf-8") as fh:
+        if is_csv:
+            csv.writer(fh).writerow(TIMESERIES_COLUMNS)
+        for sid, s in index.items():
+            fh.write("".join(map(
+                line,
+                repeat(_csv_text(sid) if is_csv else json.dumps(sid), len(s)),
+                np.datetime_as_string(s.t.astype("datetime64[s]"), timezone="UTC").tolist(),
+                _format_floats(s.current, labels[0]),
+                _format_floats(s.pilot, labels[1]),
+            )))
 
 
-def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(row[c]) for c in columns])
-    elif suffix in (".jsonl", ".ndjson", ".json"):
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                obj = {}
-                for c in columns:
-                    v = row[c]
-                    if v is None:
-                        continue
-                    obj[c] = format_utc(v) if isinstance(v, datetime) else v
-                fh.write(json.dumps(obj) + "\n")
-    else:
-        raise ValueError(f"unsupported file format: {path}")
+def _format_floats(x: np.ndarray, label: str) -> list[str]:
+    """label + repr of each value, "" where absent (NaN); one repr per run of
+    bit-identical values."""
+    if not len(x):
+        return []
+    bits = x.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    text = ["" if v != v else label + repr(v) for v in x[starts].tolist()]
+    return np.repeat(np.array(text, dtype=object), np.diff(starts, append=len(x))).tolist()
+
+
+def _csv_text(value: str) -> str:
+    """value as csv.writer renders it among other fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
 
 
 @dataclass(frozen=True)
@@ -319,13 +419,15 @@ class SyntheticDepotSpec:
 _SYNTH_EPOCH = datetime(2019, 1, 1, tzinfo=timezone.utc)
 
 
-def generate_synthetic(spec: SyntheticDepotSpec) -> tuple[list[SessionRecord], SeriesIndex]:
-    """Produce (sessions, series index) fully determined by spec.seed."""
+def generate_synthetic(
+    spec: SyntheticDepotSpec,
+) -> tuple[list[SessionRecord], dict[str, SessionSeries]]:
+    """Produce (sessions, per-session readings) fully determined by spec.seed."""
     rng = rng_from(spec.seed, STREAM_SYNTH)
     voltage = spec.nominal_voltage_v
     n_shifted = spec.n_stations // 2
     sessions: list[SessionRecord] = []
-    index: SeriesIndex = {}
+    index: dict[str, SessionSeries] = {}
 
     for st in range(spec.n_stations):
         station_id = f"ST{st:03d}"
@@ -347,15 +449,11 @@ def generate_synthetic(spec: SyntheticDepotSpec) -> tuple[list[SessionRecord], S
             pilot = max(8.0, math.ceil(current / 4.0) * 4.0)
 
             n_steps = duration_s // spec.sample_period_s
-            samples = [
-                TimeSeriesSample(
-                    session_id=session_id,
-                    timestamp=conn + timedelta(seconds=i * spec.sample_period_s),
-                    current_a=current,
-                    pilot_a=pilot,
-                )
-                for i in range(n_steps + 1)
-            ]
+            readings = SessionSeries(
+                t=epoch_seconds(conn) + spec.sample_period_s * np.arange(n_steps + 1),
+                current=np.full(n_steps + 1, current),
+                pilot=np.full(n_steps + 1, pilot),
+            )
             span_h = (n_steps * spec.sample_period_s) / 3600.0
             exact_kwh = voltage * current / 1000.0 * span_h
             noise = float(rng.normal(0.0, spec.noise_std_kwh)) if spec.noise_std_kwh else 0.0
@@ -387,5 +485,5 @@ def generate_synthetic(spec: SyntheticDepotSpec) -> tuple[list[SessionRecord], S
                     requested_departure=departure,
                 )
             )
-            index[session_id] = samples
+            index[session_id] = readings
     return sessions, index

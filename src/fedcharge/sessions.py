@@ -6,10 +6,11 @@ functions, safe to call from multiple threads.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+
+import numpy as np
 
 
 def parse_utc(text: str) -> datetime:
@@ -24,8 +25,10 @@ def parse_utc(text: str) -> datetime:
 
 
 def format_utc(dt: datetime) -> str:
-    """Render a UTC timestamp as YYYY-MM-DDTHH:MM:SSZ."""
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render a UTC timestamp as YYYY-MM-DDTHH:MM:SSZ (the year zero-padded,
+    which strftime does not do on every platform)."""
+    dt = dt.astimezone(timezone.utc)
+    return f"{dt.year:04d}{dt:-%m-%dT%H:%M:%S}Z"
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,22 +62,6 @@ class SessionRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class TimeSeriesSample:
-    """One timestamped (current, pilot) observation; at least one signal present."""
-
-    session_id: str
-    timestamp: datetime
-    current_a: float | None = None
-    pilot_a: float | None = None
-
-    def __post_init__(self):
-        if self.current_a is None and self.pilot_a is None:
-            raise ValueError(
-                f"sample for {self.session_id} carries neither current nor pilot"
-            )
-
-
-@dataclass(frozen=True, slots=True)
 class DatasetConfig:
     """Early-window length, retention floor, and the nominal voltage constant."""
 
@@ -91,36 +78,91 @@ class DatasetConfig:
             raise ValueError("nominal_voltage_v must be positive")
 
 
-# Index built by the ingestion parser: per-session samples sorted ascending,
-# timestamps unique after last-write-wins merging.
-SeriesIndex = dict[str, list[TimeSeriesSample]]
+@dataclass(frozen=True, eq=False)
+class SessionSeries:
+    """One session's readings as columns, sorted by strictly increasing time.
+
+    t holds int64 UTC epoch seconds; current and pilot hold float64 amperes,
+    NaN where a reading is absent. Every reading carries current, pilot or
+    both. Equality compares values and NaN positions.
+    """
+
+    t: np.ndarray
+    current: np.ndarray
+    pilot: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("t", np.int64), ("current", np.float64), ("pilot", np.float64)):
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not (self.t.ndim == 1 and self.t.shape == self.current.shape == self.pilot.shape):
+            raise ValueError("t, current and pilot must be 1-D and of equal length")
+        if not np.all(np.diff(self.t) > 0):
+            raise ValueError("timestamps must be strictly increasing")
+        absent = np.isnan(self.current) & np.isnan(self.pilot)
+        if absent.any():
+            t = int(self.t[np.argmax(absent)])
+            raise ValueError(f"reading at t={t} carries neither current nor pilot")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, key: slice) -> SessionSeries:
+        return SessionSeries(self.t[key], self.current[key], self.pilot[key])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SessionSeries):
+            return NotImplemented
+        return (
+            np.array_equal(self.t, other.t)
+            and np.array_equal(self.current, other.current, equal_nan=True)
+            and np.array_equal(self.pilot, other.pilot, equal_nan=True)
+        )
+
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def epoch_seconds(dt: datetime) -> int:
+    """Whole seconds since 1970-01-01T00:00:00Z, rounded down."""
+    return (dt - EPOCH) // timedelta(seconds=1)
+
+
+def early_window_bounds(
+    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
+) -> tuple[int, int]:
+    """Index range [lo, hi) of the readings in the closed interval
+    [t_conn, t_conn + W]; lo is the number of readings before connection.
+
+    Bounds are exact in integer microseconds, the resolution of the
+    timedelta that W becomes.
+    """
+    start_us = (session.connection_time - EPOCH) // _MICROSECOND
+    end_us = start_us + timedelta(minutes=cfg.early_window_minutes) // _MICROSECOND
+    lo = int(series.t.searchsorted(-(-start_us // 1_000_000), "left"))
+    hi = int(series.t.searchsorted(end_us // 1_000_000, "right"))
+    return lo, max(lo, hi)
 
 
 def early_window_samples(
-    session: SessionRecord,
-    samples: list[TimeSeriesSample],
-    cfg: DatasetConfig,
-) -> list[TimeSeriesSample]:
-    """Samples inside the closed interval [t_conn, t_conn + W].
+    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
+) -> SessionSeries:
+    """Readings inside the closed interval [t_conn, t_conn + W].
 
-    `samples` must be sorted ascending by timestamp. Samples strictly before
-    connection (clock skew in real telemetry) fall outside the interval and
-    are excluded.
+    Readings strictly before connection (clock skew in real telemetry) fall
+    outside the interval and are excluded.
     """
-    t0 = session.connection_time
-    t1 = t0 + timedelta(minutes=cfg.early_window_minutes)
-    keys = [s.timestamp for s in samples]
-    lo = bisect_left(keys, t0)
-    hi = bisect_right(keys, t1)
-    return samples[lo:hi]
+    lo, hi = early_window_bounds(session, series, cfg)
+    return series[lo:hi]
 
 
 def count_early_current(
-    session: SessionRecord, samples: list[TimeSeriesSample], cfg: DatasetConfig
+    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
 ) -> int:
-    return sum(
-        1 for s in early_window_samples(session, samples, cfg) if s.current_a is not None
-    )
+    lo, hi = early_window_bounds(session, series, cfg)
+    return int(np.count_nonzero(~np.isnan(series.current[lo:hi])))
 
 
 # Drop-reason keys used in the retention tally.
@@ -139,7 +181,7 @@ class RetentionResult:
 
 def retain_sessions(
     sessions: list[SessionRecord],
-    series: SeriesIndex,
+    series: dict[str, SessionSeries],
     cfg: DatasetConfig,
 ) -> RetentionResult:
     """Keep sessions that exist in both sources, have a target, and carry at
@@ -148,14 +190,14 @@ def retain_sessions(
     kept: list[SessionRecord] = []
     dropped: Counter = Counter()
     for session in sessions:
-        samples = series.get(session.session_id)
-        if not samples:
+        readings = series.get(session.session_id)
+        if not readings:
             dropped[DROP_MISSING_SERIES] += 1
             continue
         if session.delivered_energy_kwh is None:
             dropped[DROP_MISSING_TARGET] += 1
             continue
-        if count_early_current(session, samples, cfg) < cfg.min_early_current_samples:
+        if count_early_current(session, readings, cfg) < cfg.min_early_current_samples:
             dropped[DROP_FEW_EARLY_CURRENT] += 1
             continue
         kept.append(session)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from fedcharge.features import build_feature_table
@@ -11,7 +12,8 @@ from fedcharge.ingest import SyntheticDepotSpec, generate_synthetic
 from fedcharge.sessions import (
     DatasetConfig,
     SessionRecord,
-    TimeSeriesSample,
+    SessionSeries,
+    epoch_seconds,
     retain_sessions,
 )
 
@@ -35,32 +37,25 @@ def make_session(
     )
 
 
-def make_samples(
-    session_id="s1",
+def make_series(
     start=T0,
     offsets_s=(0, 60, 120, 180, 240),
     current=32.0,
     pilot=32.0,
-):
-    """One sample per offset; current/pilot may be scalars, sequences, or None."""
+) -> SessionSeries:
+    """One reading per offset; current/pilot may be scalars, sequences, or
+    None, and None (whole column or one entry) is an absent reading."""
     n = len(offsets_s)
 
-    def at(values, i):
+    def column(values):
         if values is None:
-            return None
+            return np.full(n, np.nan)
         if isinstance(values, (int, float)):
-            return float(values)
-        return values[i] if values[i] is None else float(values[i])
+            return np.full(n, float(values))
+        return np.array([np.nan if v is None else float(v) for v in values])
 
-    return [
-        TimeSeriesSample(
-            session_id=session_id,
-            timestamp=start + timedelta(seconds=int(off)),
-            current_a=at(current, i),
-            pilot_a=at(pilot, i),
-        )
-        for i, off in enumerate(offsets_s)
-    ]
+    t = epoch_seconds(start) + np.array([int(off) for off in offsets_s], dtype=np.int64)
+    return SessionSeries(t, column(current), column(pilot))
 
 
 @pytest.fixture(scope="session")

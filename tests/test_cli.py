@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fedcharge.cli import dispatch
+from fedcharge.features import read_features
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +138,60 @@ class TestExitCodes:
             "--strict", "--out", str(tmp_path / "z"),
         ])
         assert code == 1
+
+
+def _edit_features(features_dir, tmp_path, line: int, edit) -> str:
+    """A copy of features.csv with one physical line (1-based) changed."""
+    lines = (features_dir / "features.csv").read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    lines[line - 1] = ",".join(edit(cells))
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestBadFeatures:
+    def _set(self, column, value):
+        def edit(cells):
+            cells[column] = value
+            return cells
+        return edit
+
+    def test_inf_feature_cell_names_line(self, features_dir, tmp_path, capsys):
+        path = _edit_features(features_dir, tmp_path, 3, self._set(5, "inf"))
+        code = dispatch([
+            "train", "--features", path, "--mode", "centralized", "--model", "lr",
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert f"{path}:3: current_min is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--mode", "centralized", "--model", "lr"], ["analyze"],
+    ], ids=["train", "analyze"])
+    def test_nan_target_names_line(self, features_dir, tmp_path, capsys, command):
+        path = _edit_features(features_dir, tmp_path, 4, self._set(2, "nan"))
+        code = dispatch([*command, "--features", path, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert f"{path}:4: target is not finite" in capsys.readouterr().err
+
+    def test_unparsable_cell_names_line(self, features_dir, tmp_path, capsys):
+        path = _edit_features(features_dir, tmp_path, 3, self._set(7, "abc"))
+        code = dispatch(["analyze", "--features", path, "--out", str(tmp_path / "het")])
+        assert code == 1
+        assert f"{path}:3: could not convert string to float: 'abc'" in capsys.readouterr().err
+
+    def test_short_row_names_line(self, features_dir, tmp_path, capsys):
+        path = _edit_features(features_dir, tmp_path, 2, lambda cells: cells[:-1])
+        code = dispatch(["analyze", "--features", path, "--out", str(tmp_path / "het")])
+        assert code == 1
+        assert f"{path}:2: expected 39 cells, got 38" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["", "nan"])
+    def test_empty_cell_stays_missing(self, features_dir, tmp_path, cell):
+        path = _edit_features(features_dir, tmp_path, 2, self._set(5, cell))
+        table = read_features(path)
+        assert np.isnan(table.X[0, 2]) and np.isfinite(table.X[1, 2])
 
 
 class TestReproducibility:

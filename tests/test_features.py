@@ -5,8 +5,10 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import T0, make_samples, make_session
+from conftest import T0, make_series, make_session
 from fedcharge.features import (
     FEATURE_COLUMNS,
     UNSCALED_INDICES,
@@ -16,7 +18,6 @@ from fedcharge.features import (
     departure_offset,
     early_energy,
     early_window_features,
-    extract_early_window,
     fit_imputer,
     fit_scaler,
     least_squares_slope,
@@ -25,6 +26,7 @@ from fedcharge.features import (
     utilization_stats,
     write_features,
 )
+from fedcharge.sessions import early_window_samples
 
 
 class TestSummaryStats:
@@ -37,6 +39,14 @@ class TestSummaryStats:
 
     def test_empty_is_missing(self):
         assert summary_stats([]) is None
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+    def test_matches_numpy_reductions_bitwise(self, values):
+        arr = np.array(values)
+        expected = (arr.mean(), arr.max(), arr.min(), arr.std(), arr[0], arr[-1])
+        assert summary_stats(arr) == tuple(float(v) for v in expected)
 
 
 class TestSlope:
@@ -55,6 +65,17 @@ class TestSlope:
         assert least_squares_slope([0], [1]) is None
         assert least_squares_slope([60, 60], [1, 2]) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.integers(0, 3600), min_size=2, max_size=200, unique=True),
+        data=st.data(),
+    )
+    def test_matches_numpy_mean_formula_bitwise(self, times, data):
+        t = np.array(sorted(times), dtype=float)
+        v = np.array(data.draw(st.lists(st.floats(0, 80), min_size=len(t), max_size=len(t))))
+        tc = t - t.mean()
+        assert least_squares_slope(t, v) == float(tc @ (v - v.mean()) / float(tc @ tc))
+
     def test_invariant_to_value_offset(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
@@ -67,16 +88,24 @@ class TestSlope:
 
 class TestUtilization:
     def test_hand_ratio_arithmetic(self):
-        samples = make_samples(offsets_s=(0, 60), current=(16.0, 32.0), pilot=(32.0, 32.0))
-        assert utilization_stats(samples) == (0.75, 1.0)
+        s = make_series(offsets_s=(0, 60), current=(16.0, 32.0), pilot=(32.0, 32.0))
+        assert utilization_stats(s.current, s.pilot) == (0.75, 1.0)
 
     def test_zero_pilot_missing(self):
-        samples = make_samples(offsets_s=(0, 60), current=16.0, pilot=0.0)
-        assert utilization_stats(samples) == (None, None)
+        s = make_series(offsets_s=(0, 60), current=16.0, pilot=0.0)
+        assert utilization_stats(s.current, s.pilot) == (None, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(0, 80), st.floats(0.5, 80)), min_size=1,
+                          max_size=200))
+    def test_mean_matches_numpy_bitwise(self, pairs):
+        current, pilot = (np.array(column) for column in zip(*pairs))
+        ratios = current / pilot
+        assert utilization_stats(current, pilot) == (float(np.mean(ratios)), float(ratios.max()))
 
     def test_identity_ratio(self):
-        samples = make_samples(offsets_s=(0, 60, 120), current=24.0, pilot=24.0)
-        assert utilization_stats(samples) == (1.0, 1.0)
+        s = make_series(offsets_s=(0, 60, 120), current=24.0, pilot=24.0)
+        assert utilization_stats(s.current, s.pilot) == (1.0, 1.0)
 
 
 class TestEarlyEnergy:
@@ -98,21 +127,21 @@ class TestEarlyEnergy:
 class TestCalendar:
     def test_quarter_period_identities(self):
         six = calendar_features(datetime(2019, 1, 7, 6, 0, 0, tzinfo=timezone.utc))
-        assert six.hour_sin == pytest.approx(1.0, abs=1e-12)
-        assert six.hour_cos == pytest.approx(0.0, abs=1e-12)
+        assert six["hour_sin"] == pytest.approx(1.0, abs=1e-12)
+        assert six["hour_cos"] == pytest.approx(0.0, abs=1e-12)
         zero = calendar_features(datetime(2019, 1, 7, 0, 0, 0, tzinfo=timezone.utc))
-        assert zero.hour_sin == pytest.approx(0.0, abs=1e-12)
-        assert zero.hour_cos == pytest.approx(1.0, abs=1e-12)
+        assert zero["hour_sin"] == pytest.approx(0.0, abs=1e-12)
+        assert zero["hour_cos"] == pytest.approx(1.0, abs=1e-12)
 
     def test_weekend_flag(self):
         saturday = calendar_features(datetime(2019, 1, 5, 12, 0, 0, tzinfo=timezone.utc))
         monday = calendar_features(datetime(2019, 1, 7, 12, 0, 0, tzinfo=timezone.utc))
-        assert saturday.is_weekend and saturday.weekday == 5
-        assert not monday.is_weekend and monday.weekday == 0
+        assert saturday["is_weekend"] and saturday["weekday"] == 5
+        assert not monday["is_weekend"] and monday["weekday"] == 0
 
     def test_calendar_raw_fields(self):
         cal = calendar_features(datetime(2019, 3, 2, 23, 0, 0, tzinfo=timezone.utc))
-        assert (cal.month, cal.day_of_year) == (3, 61)
+        assert (cal["month"], cal["day_of_year"]) == (3, 61)
 
 
 class TestDepartureOffset:
@@ -126,28 +155,28 @@ class TestDepartureOffset:
     def test_negative_is_missing_and_warned(self, dataset_cfg):
         s = make_session(requested_departure=T0 - timedelta(minutes=30))
         assert departure_offset(s) is None
-        table = build_feature_table([s], {"s1": make_samples()}, dataset_cfg)
+        table = build_feature_table([s], {"s1": make_series()}, dataset_cfg)
         assert table.warnings["negative_departure_offset"] == 1
 
 
 class TestMergeAccounting:
     def test_preconnection_samples_counted(self, dataset_cfg):
-        samples = make_samples(offsets_s=(-120, -60, 0, 60, 120, 180, 240))
-        table = build_feature_table([make_session()], {"s1": samples}, dataset_cfg)
+        series = make_series(offsets_s=(-120, -60, 0, 60, 120, 180, 240))
+        table = build_feature_table([make_session()], {"s1": series}, dataset_cfg)
         assert table.warnings["samples_before_connection"] == 2
 
 
 class TestEarlyWindowExtraction:
     def test_boundary_rows(self, dataset_cfg):
         session = make_session()
-        samples = make_samples(offsets_s=(0, 300, 601))
-        window = extract_early_window(session, samples, dataset_cfg)
+        series = make_series(offsets_s=(0, 300, 601))
+        window = early_window_samples(session, series, dataset_cfg)
         assert len(window) == 2
 
     def test_exact_boundary_included(self, dataset_cfg):
         session = make_session()
-        samples = make_samples(offsets_s=(0, 600))
-        assert len(extract_early_window(session, samples, dataset_cfg)) == 2
+        series = make_series(offsets_s=(0, 600))
+        assert len(early_window_samples(session, series, dataset_cfg)) == 2
 
 
 class TestEarlyWindowFeatures:
@@ -159,26 +188,26 @@ class TestEarlyWindowFeatures:
             current = tuple(rng.uniform(0, 40, size=n).tolist())
             pilot = tuple(rng.uniform(1, 40, size=n).tolist())
             session = make_session()
-            samples = make_samples(offsets_s=offsets, current=current, pilot=pilot)
-            ew = early_window_features(session, samples, dataset_cfg)
-            assert ew.current_min <= ew.current_mean <= ew.current_max
-            assert ew.pilot_min <= ew.pilot_mean <= ew.pilot_max
-            assert ew.util_mean <= ew.util_max
-            assert ew.early_energy_kwh >= 0
-            assert 0 <= ew.observed_window_minutes <= 10
+            series = make_series(offsets_s=offsets, current=current, pilot=pilot)
+            ew = early_window_features(session, series, dataset_cfg)
+            assert ew["current_min"] <= ew["current_mean"] <= ew["current_max"]
+            assert ew["pilot_min"] <= ew["pilot_mean"] <= ew["pilot_max"]
+            assert ew["util_mean"] <= ew["util_max"]
+            assert ew["early_energy_kwh"] >= 0
+            assert 0 <= ew["observed_window_minutes"] <= 10
             # Sanity bound: max ratio cannot exceed max current over min pilot.
             in_window = [i for i, o in enumerate(offsets) if o <= 600]
             cmax = max(current[i] for i in in_window)
             pmin = min(pilot[i] for i in in_window)
-            assert ew.util_max <= cmax / pmin + 1e-12
+            assert ew["util_max"] <= cmax / pmin + 1e-12
 
     def test_missing_pilot_block(self, dataset_cfg):
         session = make_session()
-        samples = make_samples(pilot=None)
-        ew = early_window_features(session, samples, dataset_cfg)
-        assert ew.pilot_mean is None and ew.pilot_slope is None
-        assert ew.util_mean is None and ew.util_max is None
-        assert ew.n_pilot == 0 and ew.n_current == 5
+        series = make_series(pilot=None)
+        ew = early_window_features(session, series, dataset_cfg)
+        assert math.isnan(ew["pilot_mean"]) and math.isnan(ew["pilot_slope"])
+        assert math.isnan(ew["util_mean"]) and math.isnan(ew["util_max"])
+        assert ew["n_pilot"] == 0 and ew["n_current"] == 5
 
 
 class TestFeatureVector:
@@ -188,7 +217,7 @@ class TestFeatureVector:
             available_minutes=240.0,
             requested_departure=T0 + timedelta(hours=4),
         )
-        vec = build_feature_vector(session, make_samples(), dataset_cfg)
+        vec = build_feature_vector(session, make_series(), dataset_cfg)
         names = dict(zip(FEATURE_COLUMNS, vec.numeric))
         assert names["requested_energy_missing"] == 0.0
         assert names["available_minutes_missing"] == 0.0
@@ -196,7 +225,7 @@ class TestFeatureVector:
         assert not np.isnan(vec.numeric[UNSCALED_INDICES[0]])
 
     def test_missing_user_inputs_flagged(self, dataset_cfg):
-        vec = build_feature_vector(make_session(), make_samples(), dataset_cfg)
+        vec = build_feature_vector(make_session(), make_series(), dataset_cfg)
         names = dict(zip(FEATURE_COLUMNS, vec.numeric))
         assert names["requested_energy_missing"] == 1.0
         assert names["available_minutes_missing"] == 1.0
@@ -204,10 +233,10 @@ class TestFeatureVector:
         assert math.isnan(names["requested_energy_kwh"])
 
     def test_dimension_constant_across_sessions(self, dataset_cfg):
-        a = build_feature_vector(make_session(), make_samples(), dataset_cfg)
+        a = build_feature_vector(make_session(), make_series(), dataset_cfg)
         b = build_feature_vector(
             make_session(session_id="s2", requested_energy_kwh=5.0),
-            make_samples(session_id="s2", pilot=None),
+            make_series(pilot=None),
             dataset_cfg,
         )
         assert a.numeric.size == b.numeric.size == len(FEATURE_COLUMNS)
@@ -218,14 +247,14 @@ class TestFeatureVector:
         offsets = (0, 60, 120, 180, 240, 700, 1200)
         base_current = [20.0] * 7
         base = build_feature_vector(
-            session, make_samples(offsets_s=offsets, current=tuple(base_current)), dataset_cfg
+            session, make_series(offsets_s=offsets, current=tuple(base_current)), dataset_cfg
         )
         for _ in range(20):
             mutated = list(base_current)
             for i in (5, 6):  # samples after t_conn + W
                 mutated[i] = float(rng.uniform(0, 80))
             vec = build_feature_vector(
-                session, make_samples(offsets_s=offsets, current=tuple(mutated)), dataset_cfg
+                session, make_series(offsets_s=offsets, current=tuple(mutated)), dataset_cfg
             )
             np.testing.assert_array_equal(vec.numeric, base.numeric)
 

@@ -5,7 +5,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import T0, make_samples, make_session
+from conftest import T0, make_series, make_session
 from fedcharge.ingest import (
     ParseError,
     SyntheticDepotSpec,
@@ -15,6 +15,7 @@ from fedcharge.ingest import (
     write_sessions,
     write_timeseries,
 )
+from fedcharge.sessions import EPOCH
 
 SESSIONS_CSV = """session_id,site_id,station_id,connection_time,disconnect_time,delivered_energy_kwh,requested_energy_kwh,available_minutes,requested_departure
 s1,caltech,ST001,2019-01-07T08:30:00Z,2019-01-07T12:30:00Z,9.25,,,
@@ -67,6 +68,14 @@ class TestParseSessions:
         with pytest.raises(ParseError, match=":4:"):
             parse_sessions(path, strict=True)
 
+    def test_blank_lines_keep_physical_line_numbers(self, tmp_path):
+        header, s1, s2 = SESSIONS_CSV.strip().split("\n")
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join([header, "", s1, "", s2, "s3,x,ST3,garbage,,1.0,,,"]) + "\n")
+        result = parse_sessions(path)
+        assert len(result.records) == 2
+        assert result.issues[0][0] == 6
+
     def test_jsonl_carries_same_fields(self, tmp_path):
         path = tmp_path / "sessions.jsonl"
         path.write_text(
@@ -84,7 +93,7 @@ class TestParseTimeseries:
         path.write_text(TIMESERIES_CSV)
         result = parse_timeseries(path)
         assert set(result.index) == {"s1"}
-        assert [s.current_a for s in result.index["s1"]] == [32.0, 31.0]
+        assert result.index["s1"].current.tolist() == [32.0, 31.0]
 
     def test_out_of_order_rows_sort_identically(self, tmp_path):
         in_order = tmp_path / "a.csv"
@@ -103,7 +112,7 @@ class TestParseTimeseries:
         )
         result = parse_timeseries(path)
         assert len(result.index["s1"]) == 1
-        assert result.index["s1"][0].current_a == 12.0
+        assert result.index["s1"].current[0] == 12.0
         assert result.n_duplicates_merged == 1
 
     def test_negative_readings_clamped(self, tmp_path):
@@ -113,8 +122,55 @@ class TestParseTimeseries:
             "s1,2019-01-07T08:30:00Z,-3.0,32.0\n"
         )
         result = parse_timeseries(path)
-        assert result.index["s1"][0].current_a == 0.0
+        assert result.index["s1"].current[0] == 0.0
         assert result.n_negative_clamped == 1
+
+    # A bad row on physical line 5, after two blank lines.
+    BLANK_LINES_CSV = (
+        "session_id,timestamp,current_a,pilot_a\n"
+        "\n"
+        "\n"
+        "s1,2019-01-07T08:30:00Z,32.0,32.0\n"
+        "s1,2019-01-07T08:31:00Z,abc,32.0\n"
+    )
+
+    def test_lenient_issue_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(self.BLANK_LINES_CSV)
+        result = parse_timeseries(path)
+        assert result.issues == [(5, "could not convert string to float: 'abc'")]
+        assert len(result.index["s1"]) == 1
+
+    def test_strict_error_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(self.BLANK_LINES_CSV)
+        with pytest.raises(ParseError, match="blank.csv:5: could not convert") as info:
+            parse_timeseries(path, strict=True)
+        assert info.value.line_number == 5
+
+    def test_quoted_line_break_counts_its_lines(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            "session_id,timestamp,current_a,pilot_a\n"
+            '"two\nlines",2019-01-07T08:30:00Z,32.0,32.0\n'
+            "s1,2019-01-07T08:30:00Z,inf,32.0\n"
+        )
+        result = parse_timeseries(path)
+        assert result.issues == [(4, "current_a is not finite")]
+        assert list(result.index) == ["two\nlines"]
+
+    def test_neither_signal_is_reported(self, tmp_path):
+        path = tmp_path / "timeseries.csv"
+        path.write_text(TIMESERIES_CSV + "s1,2019-01-07T08:32:00Z,,\n")
+        result = parse_timeseries(path)
+        assert result.issues == [(4, "sample for s1 carries neither current nor pilot")]
+
+    def test_absent_signal_is_nan(self, tmp_path):
+        path = tmp_path / "timeseries.csv"
+        path.write_text(TIMESERIES_CSV + "s1,2019-01-07T08:32:00Z,,30.0\n")
+        series = parse_timeseries(path).index["s1"]
+        assert np.isnan(series.current).tolist() == [False, False, True]
+        assert series.pilot.tolist() == [32.0, 32.0, 30.0]
 
     def test_strictly_increasing_per_session(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -125,8 +181,8 @@ class TestParseTimeseries:
                 lines.append(f"{sid},{ts},16.0,32.0")
         path = tmp_path / "timeseries.csv"
         path.write_text("\n".join(lines) + "\n")
-        for samples in parse_timeseries(path).index.values():
-            stamps = [s.timestamp for s in samples]
+        for series in parse_timeseries(path).index.values():
+            stamps = series.t.tolist()
             assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
 
@@ -149,8 +205,8 @@ class TestRoundTrip:
                          requested_departure=T0 + timedelta(hours=3)),
         ]
         series = {
-            "a": make_samples(session_id="a", pilot=None),
-            "b": make_samples(session_id="b", current=None),
+            "a": make_series(pilot=None),
+            "b": make_series(current=None),
         }
         write_sessions(tmp_path / "s.csv", sessions)
         write_timeseries(tmp_path / "t.csv", series)
@@ -205,8 +261,11 @@ class TestGenerateSynthetic:
         )
         sessions, series = generate_synthetic(spec)
         for s in sessions:
-            samples = series[s.session_id]
-            t = np.array([(x.timestamp - s.connection_time).total_seconds() for x in samples])
-            p = 208.0 * np.array([x.current_a for x in samples]) / 1000.0
+            readings = series[s.session_id]
+            t = np.array([
+                (EPOCH + timedelta(seconds=x) - s.connection_time).total_seconds()
+                for x in readings.t.tolist()
+            ])
+            p = 208.0 * readings.current / 1000.0
             brute = float(np.sum((p[:-1] + p[1:]) / 2 * np.diff(t)) / 3600.0)
             assert s.delivered_energy_kwh == pytest.approx(brute, abs=1e-9)

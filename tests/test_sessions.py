@@ -1,16 +1,17 @@
 """Domain types and session-retention rules."""
 
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
-from conftest import T0, make_samples, make_session
+from conftest import T0, make_series, make_session
 from fedcharge.sessions import (
     DatasetConfig,
-    TimeSeriesSample,
+    SessionSeries,
     count_early_current,
     early_window_samples,
+    epoch_seconds,
     parse_utc,
     retain_sessions,
 )
@@ -31,7 +32,7 @@ class TestTypes:
 
     def test_sample_requires_some_signal(self):
         with pytest.raises(ValueError):
-            TimeSeriesSample(session_id="s1", timestamp=T0)
+            SessionSeries(t=[epoch_seconds(T0)], current=[np.nan], pilot=[np.nan])
 
     def test_dataset_config_validation(self):
         with pytest.raises(ValueError):
@@ -51,21 +52,21 @@ class TestTypes:
 class TestEarlyWindow:
     def test_closed_interval_boundaries(self, dataset_cfg):
         session = make_session()
-        samples = make_samples(offsets_s=(-10, 0, 300, 600, 601))
-        window = early_window_samples(session, samples, dataset_cfg)
-        offsets = [(s.timestamp - T0).total_seconds() for s in window]
+        series = make_series(offsets_s=(-10, 0, 300, 600, 601))
+        window = early_window_samples(session, series, dataset_cfg)
+        offsets = (window.t - epoch_seconds(T0)).tolist()
         assert offsets == [0, 300, 600]
 
     def test_all_samples_before_connection(self, dataset_cfg):
         session = make_session()
-        samples = make_samples(offsets_s=(-120, -60))
-        assert early_window_samples(session, samples, dataset_cfg) == []
+        series = make_series(offsets_s=(-120, -60))
+        assert len(early_window_samples(session, series, dataset_cfg)) == 0
 
 
 class TestRetention:
     def test_five_early_current_samples_retained(self, dataset_cfg):
         session = make_session(delivered=9.0)
-        series = {"s1": make_samples(offsets_s=(0, 60, 120, 180, 240))}
+        series = {"s1": make_series(offsets_s=(0, 60, 120, 180, 240))}
         result = retain_sessions([session], series, dataset_cfg)
         assert result.sessions == [session]
         assert not result.dropped
@@ -77,21 +78,22 @@ class TestRetention:
 
     def test_missing_target_dropped(self, dataset_cfg):
         session = make_session(delivered=None)
-        series = {"s1": make_samples()}
+        series = {"s1": make_series()}
         result = retain_sessions([session], series, dataset_cfg)
         assert result.sessions == []
         assert result.dropped["missing_target"] == 1
 
     def test_four_vs_five_early_samples(self, dataset_cfg):
         # Oracle: brute-force count of current samples in [t_conn, t_conn + W].
-        four = make_samples(session_id="a", offsets_s=(0, 60, 120, 180, 9000))
-        five = make_samples(session_id="b", offsets_s=(0, 60, 120, 180, 240))
-        for sid, samples in (("a", four), ("b", five)):
+        four = make_series(offsets_s=(0, 60, 120, 180, 9000))
+        five = make_series(offsets_s=(0, 60, 120, 180, 240))
+        for sid, series in (("a", four), ("b", five)):
             w_end = T0 + timedelta(minutes=10)
             brute = sum(
                 1
-                for s in samples
-                if T0 <= s.timestamp <= w_end and s.current_a is not None
+                for t, current in zip(series.t.tolist(), series.current.tolist())
+                if T0 <= datetime.fromtimestamp(t, timezone.utc) <= w_end
+                and not np.isnan(current)
             )
             assert brute == (4 if sid == "a" else 5)
         result = retain_sessions(
@@ -110,7 +112,7 @@ class TestRetention:
             n = int(rng.integers(0, 9))
             sessions.append(make_session(session_id=sid, delivered=float(rng.uniform(1, 20))))
             if n:
-                series[sid] = make_samples(session_id=sid, offsets_s=tuple(range(0, 60 * n, 60)))
+                series[sid] = make_series(offsets_s=tuple(range(0, 60 * n, 60)))
         first = retain_sessions(sessions, series, dataset_cfg)
         assert [s.session_id for s in first.sessions] == sorted(
             s.session_id for s in first.sessions
@@ -126,7 +128,7 @@ class TestRetention:
             sid = f"r{i:02d}"
             offsets = sorted(rng.choice(1200, size=int(rng.integers(1, 12)), replace=False))
             sessions.append(make_session(session_id=sid))
-            series[sid] = make_samples(session_id=sid, offsets_s=tuple(int(o) for o in offsets))
+            series[sid] = make_series(offsets_s=tuple(int(o) for o in offsets))
         result = retain_sessions(sessions, series, dataset_cfg)
         for s in result.sessions:
             assert count_early_current(s, series[s.session_id], dataset_cfg) >= 5
