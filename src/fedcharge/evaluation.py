@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .seeding import STREAM_SPLIT, rng_from
 
 DEFAULT_FRACTIONS = (0.70, 0.15, 0.15)
 DEFAULT_SEEDS = tuple(range(10))
+MODES = ("centralized", "federated")
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,16 @@ class SplitAssignment:
     @property
     def n(self) -> int:
         return self.train_idx.size + self.val_idx.size + self.test_idx.size
+
+    def require_nonempty(self) -> None:
+        """Raise ValueError naming the first split that holds no session."""
+        sizes = (self.train_idx.size, self.val_idx.size, self.test_idx.size)
+        for name, size in zip(("train", "validation", "test"), sizes):
+            if size == 0:
+                raise ValueError(
+                    f"{self.n} sessions leave the {name} split empty "
+                    f"(train/validation/test sizes {sizes[0]}/{sizes[1]}/{sizes[2]})"
+                )
 
 
 def split(
@@ -138,7 +149,7 @@ def build_model(
     numeric_dim: int,
     station_cardinality: int,
     seed: int,
-    dropout_rate: float = 0.2,
+    dropout_rate: float = MlpSpec.dropout_rate,
 ):
     if kind == "dummy-mean":
         return DummyMeanModel()
@@ -182,13 +193,14 @@ def run_experiment(
     seed: int,
     fed_cfg: FedConfig | None = None,
     central_cfg: CentralConfig | None = None,
-    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
-    dropout_rate: float = 0.2,
+    dropout_rate: float = MlpSpec.dropout_rate,
 ) -> tuple[SeedResult, ExperimentArtifacts]:
     """Full per-seed pipeline: split, transform, train, evaluate best checkpoint."""
-    if mode not in ("centralized", "federated"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode: {mode}")
-    prepared = prepare_splits(table, split(len(table), fractions, seed))
+    assignment = split(len(table), seed=seed)
+    assignment.require_nonempty()
+    prepared = prepare_splits(table, assignment)
     data = prepared.data
     model = build_model(
         model_kind, table.X.shape[1], prepared.vocab.cardinality, seed,
@@ -200,28 +212,17 @@ def run_experiment(
     best_round = None
     if model_kind in ("dummy-mean", "dummy-gauss"):
         model.fit(data.y_train)
-    elif mode == "centralized":
-        cfg = central_cfg or CentralConfig()
-        if cfg.seed != seed:
-            cfg = _replace_seed_central(cfg, seed)
-        result = run_centralized(data, model, cfg)
-        convergence = detect_convergence(
-            [log.val_mae for log in result.logs],
-            cfg.convergence_patience,
-            cfg.convergence_min_delta,
-        )
     else:
-        cfg = fed_cfg or FedConfig()
-        if cfg.seed != seed:
-            cfg = _replace_seed_fed(cfg, seed)
-        result = run_federated(data, model, cfg)
+        if mode == "centralized":
+            cfg, train = replace(central_cfg or CentralConfig(), seed=seed), run_centralized
+        else:
+            cfg, train = replace(fed_cfg or FedConfig(), seed=seed), run_federated
+        result = train(data, model, cfg)
         convergence = detect_convergence(
             [log.val_mae for log in result.logs],
             cfg.convergence_patience,
             cfg.convergence_min_delta,
         )
-
-    if result is not None:
         set_params(model, result.best_params)
         best_round = result.best_round
     predictions = model.predict(data.X_test, data.st_test)
@@ -235,18 +236,6 @@ def run_experiment(
     return seed_result, ExperimentArtifacts(
         model=model, result=result, prepared=prepared, predictions=predictions
     )
-
-
-def _replace_seed_fed(cfg: FedConfig, seed: int) -> FedConfig:
-    kwargs = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    kwargs["seed"] = seed
-    return FedConfig(**kwargs)
-
-
-def _replace_seed_central(cfg: CentralConfig, seed: int) -> CentralConfig:
-    kwargs = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    kwargs["seed"] = seed
-    return CentralConfig(**kwargs)
 
 
 @dataclass
@@ -267,6 +256,8 @@ class RunReport:
         return len(self.per_seed)
 
     def __post_init__(self):
+        if not self.per_seed:
+            raise ValueError("per_seed is empty")
         maes = np.array([r.test_mae for r in self.per_seed])
         rmses = np.array([r.test_rmse for r in self.per_seed])
         self.mae_mean = float(maes.mean())
@@ -286,7 +277,7 @@ def multi_seed_run(
     seeds=DEFAULT_SEEDS,
     fed_cfg: FedConfig | None = None,
     central_cfg: CentralConfig | None = None,
-    dropout_rate: float = 0.2,
+    dropout_rate: float = MlpSpec.dropout_rate,
 ) -> RunReport:
     """Run the per-seed pipeline for each seed and aggregate.
 
@@ -294,8 +285,11 @@ def multi_seed_run(
     and batch schedule (reports record this re-splitting policy).
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
+    split(len(table)).require_nonempty()  # the split sizes depend only on n
     per_seed = []
     for seed in seeds:
         try:
@@ -322,27 +316,13 @@ RESULT_COLUMNS = [
 
 
 def report_to_dict(report: RunReport) -> dict:
-    return {
-        "model": report.model,
-        "mode": report.mode,
-        "split_policy": "resplit-per-seed",
-        "n_seeds": report.n_seeds,
-        "mae_mean": report.mae_mean,
-        "mae_std": report.mae_std,
-        "rmse_mean": report.rmse_mean,
-        "rmse_std": report.rmse_std,
-        "convergence_round_median": report.convergence_round_median,
-        "per_seed": [
-            {
-                "seed": r.seed,
-                "test_mae": r.test_mae,
-                "test_rmse": r.test_rmse,
-                "best_round": r.best_round,
-                "convergence_round": r.convergence_round,
-            }
-            for r in report.per_seed
-        ],
-    }
+    return {**asdict(report), "split_policy": "resplit-per-seed", "n_seeds": report.n_seeds}
+
+
+def report_from_dict(payload: dict) -> RunReport:
+    """The RunReport that report_to_dict wrote; aggregates are recomputed."""
+    per_seed = [SeedResult(**entry) for entry in payload["per_seed"]]
+    return RunReport(model=payload["model"], mode=payload["mode"], per_seed=per_seed)
 
 
 def emit_report(reports: list[RunReport], out_dir) -> tuple[Path, Path]:
@@ -354,22 +334,9 @@ def emit_report(reports: list[RunReport], out_dir) -> tuple[Path, Path]:
     csv_path = out_dir / "results.csv"
     json_path = out_dir / "results.json"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # writes floats with repr and None as ""
         writer.writerow(RESULT_COLUMNS)
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.model,
-                    rep.mode,
-                    repr(rep.mae_mean),
-                    repr(rep.mae_std),
-                    repr(rep.rmse_mean),
-                    repr(rep.rmse_std),
-                    rep.n_seeds,
-                    "" if rep.convergence_round_median is None
-                    else repr(rep.convergence_round_median),
-                ]
-            )
+        writer.writerows([getattr(rep, c) for c in RESULT_COLUMNS] for rep in reports)
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump([report_to_dict(r) for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")

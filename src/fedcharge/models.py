@@ -103,6 +103,10 @@ def save_checkpoint(path, params: ModelParameters, spec_dict: dict) -> None:
 def load_checkpoint(path, spec_dict: dict, layout: ParamLayout) -> ModelParameters:
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"{path}: {len(blob)} bytes, shorter than the checkpoint header")
+    if (len(blob) - _HEADER.size) % 8:
+        raise ValueError(f"{path}: checkpoint body is not a whole number of float64 values")
     magic, version, digest, count = _HEADER.unpack(blob[: _HEADER.size])
     if magic != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file")
@@ -276,8 +280,6 @@ class MlpSpec:
     embedding_dim: int = 16
     hidden: tuple[int, ...] = (128, 128, 64)
     dropout_rate: float = 0.2
-    activation: str = "relu"
-    output: str = "softplus"
 
     def __post_init__(self):
         if self.numeric_input_dim <= 0 or self.embedding_cardinality <= 0:
@@ -286,8 +288,6 @@ class MlpSpec:
             raise ValueError("layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.activation != "relu" or self.output != "softplus":
-            raise ValueError("only relu activations with softplus output ship")
 
 
 def _mlp_layout(spec: MlpSpec) -> ParamLayout:
@@ -319,15 +319,11 @@ class MlpRegressor:
             if name == "embed":
                 values[sl] = rng.normal(0.0, 0.1, size=shape).ravel()
             else:
-                fan_in = shape[0] if len(shape) == 2 else self._fan_in_of(name)
+                if len(shape) == 2:
+                    fan_in = shape[0]  # each bias b{i} follows w{i} and shares its fan-in
                 bound = np.sqrt(1.0 / fan_in)
                 values[sl] = rng.uniform(-bound, bound, size=int(np.prod(shape)))
         return values
-
-    def _fan_in_of(self, bias_name: str) -> int:
-        idx = int(bias_name[1:])
-        weight_shape = dict(self.layout.segments)[f"w{idx}"]
-        return weight_shape[0]
 
     def _views(self, values):
         out = {}
@@ -411,6 +407,6 @@ class MlpRegressor:
             "embedding_dim": self.spec.embedding_dim,
             "hidden": list(self.spec.hidden),
             "dropout_rate": self.spec.dropout_rate,
-            "activation": self.spec.activation,
-            "output": self.spec.output,
+            "activation": "relu",
+            "output": "softplus",
         }

@@ -54,7 +54,10 @@ def get_float(row: dict, key: str) -> float | None:
     value = row.get(key)
     if value is None:
         return None
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"{key} is not finite")
     return out

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fedcharge.cli import dispatch
+from fedcharge.cli import SCHEMA, STAGES, _kind, build_parser, dispatch
 from fedcharge.features import read_features
 
 
@@ -194,24 +194,54 @@ class TestBadFeatures:
         assert np.isnan(table.X[0, 2]) and np.isfinite(table.X[1, 2])
 
 
-class TestReproducibility:
-    def test_config_echo_and_byte_identical_rerun(self, features_dir, tmp_path):
-        first = tmp_path / "first"
-        args = [
-            "train", "--features", str(features_dir / "features.csv"),
-            "--mode", "federated", "--model", "lr",
-            "--rounds", "4", "--local-epochs", "2", "--seed", "3",
-        ]
-        assert dispatch(args + ["--out", str(first)]) == 0
-        echoed = first / "config.json"
-        assert echoed.exists()
+def _rerun_matches(first, second, names) -> None:
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
-        second = tmp_path / "second"
+
+class TestReproducibility:
+    def test_config_echo_and_byte_identical_rerun(self, depot_dir, features_dir, tmp_path):
+        features = str(features_dir / "features.csv")
+        runs = {
+            "train": (["--features", features, "--mode", "federated", "--model", "lr",
+                       "--rounds", "4", "--local-epochs", "2", "--seed", "3"],
+                      ["rounds.csv", "model.ckpt", "predictions.csv", "summary.json"]),
+            "synth": (["--seed", "5", "--stations", "3", "--sessions-per-station", "4:6",
+                       "--format", "jsonl", "--mean-kwh", "8"],
+                      ["sessions.jsonl", "timeseries.jsonl"]),
+            "featurize": (["--in", str(depot_dir), "--min-early-current-samples", "4",
+                           "--strict"],
+                          ["features.csv", "featurize_report.json"]),
+            "analyze": (["--features", features, "--permutations", "7", "--bins", "9",
+                         "--seed", "2"],
+                        ["heterogeneity.json"]),
+            "evaluate": (["--features", features, "--mode", "centralized", "--model", "mlp",
+                          "--epochs", "2", "--dropout", "0.1", "--seeds", "1,4"],
+                         ["run_report.json"]),
+        }
+        for command, (args, outputs) in runs.items():
+            first, second = tmp_path / command / "first", tmp_path / command / "second"
+            assert dispatch([command, *args, "--out", str(first)]) == 0
+            echoed = first / "config.json"
+            assert json.loads(echoed.read_text())["stage"] == command
+            assert dispatch([command, "--config", str(echoed), "--out", str(second)]) == 0
+            _rerun_matches(first, second, outputs)
+            assert echoed.read_bytes() == (second / "config.json").read_bytes()
+
+    def test_echo_holds_every_key_the_stage_reads(self, features_dir, tmp_path):
+        out = tmp_path / "run"
         assert dispatch([
-            "train", "--config", str(echoed), "--out", str(second),
+            "train", "--features", str(features_dir / "features.csv"),
+            "--mode", "centralized", "--model", "lr", "--epochs", "2", "--lr", "0.01",
+            "--out", str(out),
         ]) == 0
-        for name in ("rounds.csv", "model.ckpt", "predictions.csv", "summary.json"):
-            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        echoed = json.loads((out / "config.json").read_text())
+        assert echoed["fed"] == {
+            "rounds": 400, "local_epochs": 3, "fraction": 0.2, "batch_size": 128,
+            "lr": 0.01, "seed": 0,
+        }
+        assert echoed["central"] == {"epochs": 2, "batch_size": 128, "lr": 0.01, "seed": 0}
+        assert echoed["train"] == {"mode": "centralized", "model": "lr", "dropout": 0.2}
 
     def test_synth_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -233,3 +263,216 @@ class TestReproducibility:
         assert dispatch(["featurize", "--config", str(cfg), "--out", str(out)]) == 0
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["dataset"]["min_early_current_samples"] == 5
+
+    def test_flag_beats_config_and_mode_section_gives_the_seed(self, features_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "central": {"epochs": 7, "seed": 2}, "fed": {"seed": 5},
+            "train": {"mode": "centralized", "model": "lr"},
+        }))
+        out = tmp_path / "run"
+        assert dispatch([
+            "train", "--config", str(cfg), "--features", str(features_dir / "features.csv"),
+            "--epochs", "3", "--out", str(out),
+        ]) == 0
+        assert len((out / "rounds.csv").read_text().splitlines()) == 1 + 3
+        assert json.loads((out / "summary.json").read_text())["seed"] == 2
+
+
+class TestParentEchoes:
+    """config.json files in the exact form earlier versions wrote still load."""
+
+    def test_partial_synth_echo(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            '{\n  "stage": "synth",\n  "synth": {\n    "format": "jsonl",\n'
+            '    "mean_kwh": 8.0,\n    "seed": 12,\n    "sessions_per_station": "4",\n'
+            '    "stations": 3\n  }\n}\n'
+        )
+        echo, flags = tmp_path / "echo", tmp_path / "flags"
+        assert dispatch(["synth", "--config", str(cfg), "--out", str(echo)]) == 0
+        assert dispatch([
+            "synth", "--format", "jsonl", "--mean-kwh", "8", "--seed", "12",
+            "--sessions-per-station", "4:4", "--stations", "3", "--out", str(flags),
+        ]) == 0
+        _rerun_matches(echo, flags, ["sessions.jsonl", "timeseries.jsonl", "config.json"])
+
+    def test_train_echo_with_fed_and_central(self, features_dir, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "central": {"batch_size": 64, "epochs": 40, "lr": 0.001, "seed": 3},
+            "fed": {"batch_size": 64, "fraction": 0.5, "local_epochs": 2, "lr": 0.001,
+                    "rounds": 3, "seed": 3},
+            "paths": {"features": str(features_dir / "features.csv")},
+            "stage": "train",
+            "train": {"dropout": 0.1, "mode": "federated", "model": "mlp"},
+        }, indent=2, sort_keys=True) + "\n")
+        echo, flags = tmp_path / "echo", tmp_path / "flags"
+        assert dispatch(["train", "--config", str(cfg), "--out", str(echo)]) == 0
+        assert dispatch([
+            "train", "--features", str(features_dir / "features.csv"), "--mode", "federated",
+            "--model", "mlp", "--batch-size", "64", "--fraction", "0.5", "--local-epochs", "2",
+            "--rounds", "3", "--seed", "3", "--dropout", "0.1", "--out", str(flags),
+        ]) == 0
+        _rerun_matches(echo, flags, [
+            "rounds.csv", "model.ckpt", "predictions.csv", "summary.json", "config.json",
+        ])
+
+
+# Each subcommand's option strings, as the CLI has always had them.
+OPTIONS = {
+    "synth": {"--stations", "--sessions-per-station", "--mean-kwh", "--std-kwh",
+              "--shift-kwh", "--noise-kwh", "--seed", "--session-minutes", "--period-s",
+              "--presence", "--format"},
+    "ingest": {"--in", "--sessions", "--timeseries", "--strict", "--early-window-minutes",
+               "--min-early-current-samples", "--nominal-voltage-v"},
+    "analyze": {"--features", "--bins", "--permutations", "--seed"},
+    "train": {"--features", "--mode", "--model", "--rounds", "--epochs", "--local-epochs",
+              "--fraction", "--batch-size", "--lr", "--seed", "--dropout"},
+    "report": {"--reports"},
+}
+OPTIONS["featurize"] = OPTIONS["ingest"]
+OPTIONS["evaluate"] = OPTIONS["train"] | {"--seeds"}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_option_strings_pinned(command):
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    actions = subparsers.choices[command]._actions
+    assert {s for a in actions for s in a.option_strings} == (
+        OPTIONS[command] | {"-h", "--help", "--config", "--out"}
+    )
+
+
+# The subcommand that reads each section; the config file is checked before it runs.
+READER = {"paths": "analyze", "synth": "synth", "dataset": "featurize",
+          "heterogeneity": "analyze", "fed": "train", "central": "train", "train": "evaluate"}
+WRONG_TYPE = {int: True, float: "1.5", bool: 1, str: 7, tuple: 5}
+KEYS = [(section, name) for section, (_, keys) in SCHEMA.items() for name in keys]
+
+
+class TestConfigFileChecks:
+    def _run(self, tmp_path, capsys, cfg, command) -> str:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = dispatch([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "Traceback" not in err
+        return err
+
+    def test_every_section_has_a_reader(self):
+        assert set(READER) == set(SCHEMA)
+        for section, command in READER.items():
+            assert section in STAGES[command][1]
+
+    @pytest.mark.parametrize("section, name", KEYS, ids=[f"{s}.{k}" for s, k in KEYS])
+    def test_unknown_key_named(self, tmp_path, capsys, section, name):
+        typo = name + "x"
+        assert typo not in SCHEMA[section][1]
+        err = self._run(tmp_path, capsys, {section: {typo: 1}}, READER[section])
+        assert f"{section}.{typo}: unknown config key" in err
+
+    @pytest.mark.parametrize("section, name", KEYS, ids=[f"{s}.{k}" for s, k in KEYS])
+    def test_wrong_type_named(self, tmp_path, capsys, section, name):
+        for value in (WRONG_TYPE[_kind(SCHEMA[section][1][name])], [1]):
+            err = self._run(tmp_path, capsys, {section: {name: value}}, READER[section])
+            assert f"{section}.{name}: expected" in err
+
+    @pytest.mark.parametrize("section, name", [
+        (s, k) for s, k in KEYS if SCHEMA[s][1][k].choices
+    ])
+    def test_bad_choice_named(self, tmp_path, capsys, section, name):
+        err = self._run(tmp_path, capsys, {section: {name: "xml"}}, READER[section])
+        assert f"{section}.{name}: expected one of" in err
+
+    @pytest.mark.parametrize("cfg, named", [
+        ({"fed": {"round": 1}}, "fed.round"),
+        ({"fed": {"rounds": [1]}}, "fed.rounds"),
+        ({"fed": "x"}, "fed: expected a JSON object"),
+        ({"synth": {"format": "xml"}}, "synth.format"),
+        ({"fed": {"lr": float("inf")}}, "fed.lr"),
+        ({"synth": {"session_minutes": "90:abc"}}, "synth.session_minutes"),
+        ({"bogus": {}}, "bogus: unknown config section"),
+    ], ids=["typo", "list", "section-not-object", "choice", "inf", "range", "section"])
+    def test_bad_config_exits_1(self, features_dir, tmp_path, capsys, cfg, named):
+        cfg = {"paths": {"features": str(features_dir / "features.csv")},
+               "train": {"mode": "federated", "model": "lr"}, **cfg}
+        assert named in self._run(tmp_path, capsys, cfg, "train")
+
+    def test_empty_seed_list_named(self, features_dir, tmp_path, capsys):
+        code = dispatch([
+            "evaluate", "--features", str(features_dir / "features.csv"), "--mode",
+            "centralized", "--model", "dummy-mean", "--seeds", ",", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "train.seeds: expected comma-separated integers, got ','" in (
+            capsys.readouterr().err
+        )
+
+
+class TestTooFewSessions:
+    @pytest.mark.parametrize("command", [
+        ["train"], ["evaluate", "--seeds", "0,1"],
+    ], ids=["train", "evaluate"])
+    @pytest.mark.parametrize("n, empty", [(3, "validation"), (4, "test"), (5, "test")])
+    def test_empty_split_named(self, features_dir, tmp_path, capsys, command, n, empty):
+        lines = (features_dir / "features.csv").read_text().splitlines()
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(lines[: 1 + n]) + "\n")
+        code = dispatch([
+            *command, "--features", str(path), "--mode", "federated", "--model", "lr",
+            "--rounds", "2", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert f"{n} sessions leave the {empty} split empty" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+class TestReportInputs:
+    @pytest.mark.parametrize("payload, problem", [
+        ({"stage": "train"}, "missing key 'per_seed'"),
+        ({"model": "lr", "mode": "federated", "per_seed": []}, "per_seed is empty"),
+    ], ids=["config", "no-seeds"])
+    def test_not_a_run_report(self, tmp_path, capsys, payload, problem):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        code = dispatch(["report", "--reports", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert f"{path}: not a run report: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda entry: entry.pop("test_rmse"), "test_rmse"),
+        (lambda entry: entry.update(extra=1), "extra"),
+    ], ids=["missing", "extra"])
+    def test_seed_entry_keys(self, features_dir, tmp_path, capsys, edit, key):
+        run = tmp_path / "eval"
+        assert dispatch([
+            "evaluate", "--features", str(features_dir / "features.csv"), "--mode",
+            "centralized", "--model", "dummy-mean", "--seeds", "0", "--out", str(run),
+        ]) == 0
+        payload = json.loads((run / "run_report.json").read_text())
+        edit(payload["per_seed"][0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = dispatch(["report", "--reports", str(bad), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{bad}: not a run report" in err and key in err
+
+
+class TestHugeJsonNumber:
+    def test_lenient_featurize_reports_the_line(self, depot_dir, tmp_path, capsys):
+        series = tmp_path / "timeseries.jsonl"
+        series.write_text(
+            '{"session_id": "x", "timestamp": "2019-01-07T08:30:00Z", '
+            '"current_a": 1' + "0" * 400 + "}\n"
+        )
+        args = ["featurize", "--sessions", str(depot_dir / "sessions.csv"),
+                "--timeseries", str(series)]
+        assert dispatch([*args, "--out", str(tmp_path / "lenient")]) == 0
+        report = json.loads((tmp_path / "lenient" / "featurize_report.json").read_text())
+        assert report["first_issues"] == [[1, "current_a is not finite"]]
+        capsys.readouterr()
+        assert dispatch([*args, "--strict", "--out", str(tmp_path / "strict")]) == 1
+        assert "timeseries.jsonl:1: current_a is not finite" in capsys.readouterr().err

@@ -135,6 +135,10 @@ class TestMultiSeed:
         assert report.mae_std == pytest.approx(np.std(maes), abs=1e-12)
         assert report.n_seeds == 3
 
+    def test_empty_seed_list_rejected(self, small_table):
+        with pytest.raises(ValueError, match="need at least one seed"):
+            multi_seed_run(small_table, "dummy-mean", "centralized", seeds=[])
+
     def test_duplicate_seeds_rejected(self, small_table):
         with pytest.raises(ValueError):
             multi_seed_run(small_table, "dummy-mean", "centralized", seeds=[1, 1])

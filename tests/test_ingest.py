@@ -186,6 +186,33 @@ class TestParseTimeseries:
             assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
 
+# A JSON integer too large for a float: float() raises OverflowError on it.
+HUGE = "1" + "0" * 400
+HUGE_NUMBER_ROWS = [
+    (parse_timeseries, 2, "current_a",
+     '{"session_id": "s1", "timestamp": "2019-01-07T08:30:00Z", "current_a": 32.0}\n'
+     f'{{"session_id": "s1", "timestamp": "2019-01-07T08:31:00Z", "current_a": {HUGE}}}\n'),
+    (parse_sessions, 1, "delivered_energy_kwh",
+     '{"session_id": "s1", "station_id": "ST1", "connection_time": "2019-01-07T08:30:00Z", '
+     f'"delivered_energy_kwh": {HUGE}}}\n'),
+]
+
+
+@pytest.mark.parametrize("parse, line, field, text", HUGE_NUMBER_ROWS,
+                         ids=["timeseries", "sessions"])
+class TestJsonNumberBeyondFloat:
+    def test_lenient_reports_not_finite(self, tmp_path, parse, line, field, text):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(text)
+        assert parse(path).issues == [(line, f"{field} is not finite")]
+
+    def test_strict_raises_parse_error(self, tmp_path, parse, line, field, text):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"rows.jsonl:{line}: {field} is not finite"):
+            parse(path, strict=True)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("ext", ["csv", "jsonl"])
     def test_generate_write_parse_identity(self, tmp_path, ext):

@@ -306,6 +306,30 @@ class TestParamsAndCheckpoints:
             {"input_dim": 3, "kind": "lr"}
         )
 
+    def test_arch_hash_pinned(self):
+        # Checkpoints written by earlier versions must keep loading.
+        mlp = MlpRegressor(MlpSpec(numeric_input_dim=36, embedding_cardinality=20))
+        assert arch_hash(mlp.spec_dict()).hex() == (
+            "aca304a21bd00da933b88bbca49030d303f400743531bf935174bae226e6ca39"
+        )
+        assert arch_hash(LinearRegressor(36).spec_dict()).hex() == (
+            "64b75a1eb1eb6c35be17096f7e48a433599852895027e7d3fd912f473fa8f92e"
+        )
+
+    def test_checkpoint_shorter_than_header(self, tmp_path):
+        model = LinearRegressor(4, seed=2)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_bytes(get_params(model), model.spec_dict())[:51])
+        with pytest.raises(ValueError, match="model.ckpt: 51 bytes, shorter than"):
+            load_checkpoint(path, model.spec_dict(), model.layout)
+
+    def test_checkpoint_body_not_whole_floats(self, tmp_path):
+        model = LinearRegressor(4, seed=2)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_bytes(get_params(model), model.spec_dict())[:-3])
+        with pytest.raises(ValueError, match="model.ckpt: checkpoint body is not a whole"):
+            load_checkpoint(path, model.spec_dict(), model.layout)
+
 
 class TestSoftplus:
     def test_range_and_stability(self):
