@@ -466,7 +466,8 @@ def dispatch(argv) -> int:
         if reads:
             _echo_config(Path(args.out), args.command, conf)
         return 0
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, RuntimeError, json.JSONDecodeError) as exc:
+        # RuntimeError: multi_seed_run names the seed whose run failed.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

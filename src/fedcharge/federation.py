@@ -13,6 +13,7 @@ therefore consumes exactly the centralized schedule.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -137,12 +138,17 @@ def sample_clients(
 
 
 def train_one_epoch(model, X, stations, y, batch_size: int, adam, rng) -> None:
-    """One pass over shuffled batches; mutates model values and adam state."""
+    """One pass over shuffled batches; updates model values and adam state in
+    place. A batch loss that is not finite raises FloatingPointError before
+    its update.
+    """
     order = rng.permutation(len(y))
     for start in range(0, len(y), batch_size):
         idx = order[start : start + batch_size]
-        _, grad = model.loss_and_grad(X[idx], stations[idx], y[idx], rng)
-        model.values = adam_step(model.values, grad, adam)
+        loss, grad = model.loss_and_grad(X[idx], stations[idx], y[idx], rng)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"the batch loss is {loss}")
+        adam_step(model.values, grad, adam)
 
 
 def local_train(
@@ -181,11 +187,16 @@ def aggregate(updates: list[tuple[ModelParameters, int]]) -> ModelParameters:
 
 
 def _evaluate(model, params: ModelParameters, data: SplitData) -> tuple[float, float, float, float]:
+    """Validation and test MAE and RMSE; FloatingPointError when the
+    validation MAE is not finite (parameters that left the float range)."""
     set_params(model, params)
     val_pred = model.predict(data.X_val, data.st_val)
     test_pred = model.predict(data.X_test, data.st_test)
+    val_mae = mae(val_pred, data.y_val)
+    if not math.isfinite(val_mae):
+        raise FloatingPointError(f"the validation MAE is {val_mae}")
     return (
-        mae(val_pred, data.y_val),
+        val_mae,
         rmse(val_pred, data.y_val),
         mae(test_pred, data.y_test),
         rmse(test_pred, data.y_test),
@@ -209,11 +220,16 @@ def run_centralized(data: SplitData, model, cfg: CentralConfig) -> TrainResult:
         ):
             adam = init_adam(model.layout.total, cfg.lr)
         rng = rng_from(cfg.seed, STREAM_EPOCH, epoch, 0)
-        train_one_epoch(
-            model, data.X_train, data.st_train, data.y_train, cfg.batch_size, adam, rng
-        )
-        snapshot = get_params(model)
-        v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, snapshot, data)
+        try:
+            train_one_epoch(
+                model, data.X_train, data.st_train, data.y_train, cfg.batch_size, adam, rng
+            )
+            snapshot = get_params(model)
+            v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, snapshot, data)
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"centralized training diverged in epoch {epoch + 1} at lr {cfg.lr}: {exc}"
+            ) from exc
         logs.append(
             RoundLog(
                 round=epoch + 1,
@@ -255,27 +271,32 @@ def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
     for r in range(cfg.rounds):
         t0 = time.perf_counter()
         sampled = sample_clients(partition, cfg.client_fraction, r, cfg.seed)
-        updates: list[tuple[ModelParameters, int]] = []
-        for pos, cid in enumerate(sampled):
-            Xc, stc, yc = client_data[cid]
-            epoch_rngs = [
-                rng_from(cfg.seed, STREAM_EPOCH, r * cfg.local_epochs + e, pos)
-                for e in range(cfg.local_epochs)
-            ]
-            updated = local_train(
-                model,
-                global_params,
-                Xc,
-                stc,
-                yc,
-                cfg.local_epochs,
-                cfg.batch_size,
-                cfg.lr,
-                epoch_rngs,
-            )
-            updates.append((updated, len(yc)))
-        global_params = aggregate(updates)
-        v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, global_params, data)
+        try:
+            updates: list[tuple[ModelParameters, int]] = []
+            for pos, cid in enumerate(sampled):
+                Xc, stc, yc = client_data[cid]
+                epoch_rngs = [
+                    rng_from(cfg.seed, STREAM_EPOCH, r * cfg.local_epochs + e, pos)
+                    for e in range(cfg.local_epochs)
+                ]
+                updated = local_train(
+                    model,
+                    global_params,
+                    Xc,
+                    stc,
+                    yc,
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    cfg.lr,
+                    epoch_rngs,
+                )
+                updates.append((updated, len(yc)))
+            global_params = aggregate(updates)
+            v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, global_params, data)
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"federated training diverged in round {r + 1} at lr {cfg.lr}: {exc}"
+            ) from exc
         logs.append(
             RoundLog(
                 round=r + 1,

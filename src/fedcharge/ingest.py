@@ -128,7 +128,7 @@ def _json_object(text: str):
     """The JSON object on a line, or the exception that says why there is none."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over 4,300 digits
         return exc
     return obj if isinstance(obj, dict) else ValueError("row is not a JSON object")
 

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,21 +33,30 @@ class ParamLayout:
 
     segments: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(int(np.prod(shape)) for _, shape in self.segments)
+        return tuple(math.prod(shape) for _, shape in self.segments)
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.sizes)
 
-    def slices(self) -> dict[str, tuple[slice, tuple[int, ...]]]:
+    @cached_property
+    def _slices(self) -> MappingProxyType:
         out = {}
         offset = 0
         for (name, shape), size in zip(self.segments, self.sizes):
             out[name] = (slice(offset, offset + size), shape)
             offset += size
-        return out
+        return MappingProxyType(out)
+
+    def slices(self) -> MappingProxyType:
+        """name -> (slice of the flat vector, shape), computed once."""
+        return self._slices
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each segment of `flat` in its own shape, sharing flat's memory."""
+        return {name: flat[sl].reshape(shape) for name, (sl, shape) in self._slices.items()}
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,29 @@ def get_params(model) -> ModelParameters:
 def set_params(model, params: ModelParameters) -> None:
     if params.layout != model.layout:
         raise ValueError("layout mismatch")
-    model.values = np.array(params.values, dtype=np.float64, copy=True)
+    model.values = params.values  # a trainable model copies it into its buffer
+
+
+class _BoundParams:
+    """A trainable model's flat float64 parameters: one buffer for the model's
+    lifetime, which training updates in place. Assigning `values` copies into
+    the buffer, so the model never aliases a caller's array.
+    """
+
+    def __init__(self, layout: ParamLayout):
+        self.layout = layout
+        self._values = np.zeros(layout.total)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
+
+    @values.setter
+    def values(self, new) -> None:
+        new = np.asarray(new, dtype=np.float64)
+        if new.shape != self._values.shape:
+            raise ValueError(f"parameter vector of shape {new.shape}, not {self._values.shape}")
+        self._values[...] = new
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +164,7 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray             # adam_step's two intermediates, (2, *m.shape)
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -138,19 +173,35 @@ class AdamState:
 
 
 def init_adam(n_params: int, lr: float = 1e-3) -> AdamState:
-    return AdamState(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
+    return AdamState(m=np.zeros(n_params), v=np.zeros(n_params),
+                     scratch=np.empty((2, n_params)), lr=lr)
 
 
 def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update; mutates state, returns new values."""
+    """One bias-corrected Adam update of values, m and v in place; returns values.
+
+    The operations and their order are those of the textbook expression
+    values - lr * (m / c1) / (sqrt(v / c2) + eps), so the result is bit-exact.
+    """
     if values.shape != grads.shape or values.shape != state.m.shape:
         raise ValueError("parameter/gradient/state layout mismatch")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    return values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    a, b = state.scratch
+    m *= state.beta1
+    m += np.multiply(grads, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - state.beta2
+    v += a
+    np.divide(m, 1.0 - state.beta1**state.step, out=a)
+    a *= state.lr
+    np.divide(v, 1.0 - state.beta2**state.step, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    values -= a
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +277,7 @@ class DummyGaussianModel:
 # Linear regression
 
 
-class LinearRegressor:
+class LinearRegressor(_BoundParams):
     """y_hat = w.x + b on standardized features; raw (linear) output."""
 
     kind = "lr"
@@ -235,7 +286,7 @@ class LinearRegressor:
         if input_dim <= 0:
             raise ValueError("input_dim must be positive")
         self.input_dim = input_dim
-        self.layout = ParamLayout((("w", (input_dim,)), ("b", (1,))))
+        super().__init__(ParamLayout((("w", (input_dim,)), ("b", (1,)))))
         rng = rng_from(seed, STREAM_INIT)
         bound = np.sqrt(1.0 / input_dim)
         self.values = rng.uniform(-bound, bound, size=self.layout.total)
@@ -301,35 +352,37 @@ def _mlp_layout(spec: MlpSpec) -> ParamLayout:
     return ParamLayout(tuple(segments))
 
 
-class MlpRegressor:
-    """Embedding + feed-forward head with ReLU, inverted dropout, Softplus output."""
+class MlpRegressor(_BoundParams):
+    """Embedding + feed-forward head with ReLU, inverted dropout, Softplus output.
+
+    The layer views of the parameter buffer, and of a second buffer that the
+    gradient accumulates in, are bound once.
+    """
 
     kind = "mlp"
 
     def __init__(self, spec: MlpSpec, seed: int = 0):
+        super().__init__(_mlp_layout(spec))
         self.spec = spec
-        self.layout = _mlp_layout(spec)
         self.n_layers = len(spec.hidden) + 1
         self.unknown_index = spec.embedding_cardinality
-        self.values = self._init_values(rng_from(seed, STREAM_INIT))
+        self._grad = np.empty(self.layout.total)
+        params, grads = self.layout.views(self._values), self.layout.views(self._grad)
+        self._embed, self._grad_embed = params["embed"], grads["embed"]
+        # (weight, bias) per layer, of the parameters and of the gradient.
+        self._layers = [(params[f"w{i}"], params[f"b{i}"]) for i in range(self.n_layers)]
+        self._grad_layers = [(grads[f"w{i}"], grads[f"b{i}"]) for i in range(self.n_layers)]
+        self._init_values(rng_from(seed, STREAM_INIT))
 
-    def _init_values(self, rng) -> np.ndarray:
-        values = np.empty(self.layout.total)
+    def _init_values(self, rng) -> None:
         for name, (sl, shape) in self.layout.slices().items():
             if name == "embed":
-                values[sl] = rng.normal(0.0, 0.1, size=shape).ravel()
+                self._values[sl] = rng.normal(0.0, 0.1, size=shape).ravel()
             else:
                 if len(shape) == 2:
                     fan_in = shape[0]  # each bias b{i} follows w{i} and shares its fan-in
                 bound = np.sqrt(1.0 / fan_in)
-                values[sl] = rng.uniform(-bound, bound, size=int(np.prod(shape)))
-        return values
-
-    def _views(self, values):
-        out = {}
-        for name, (sl, shape) in self.layout.slices().items():
-            out[name] = values[sl].reshape(shape)
-        return out
+                self._values[sl] = rng.uniform(-bound, bound, size=math.prod(shape))
 
     def _check_inputs(self, X, stations):
         X = np.asarray(X, dtype=float)
@@ -341,24 +394,23 @@ class MlpRegressor:
         return X, stations
 
     def _forward(self, X, stations, train: bool, rng):
-        views = self._views(self.values)
-        h = np.concatenate([views["embed"][stations], X], axis=1)
+        h = np.concatenate([self._embed[stations], X], axis=1)
         cache = {"stations": stations, "inputs": [], "pre": [], "masks": []}
         p = self.spec.dropout_rate
-        for i in range(self.n_layers):
+        for i, (w, b) in enumerate(self._layers):
             cache["inputs"].append(h)
-            z = h @ views[f"w{i}"] + views[f"b{i}"]
+            z = h @ w
+            z += b
             cache["pre"].append(z)
             if i < self.n_layers - 1:
                 h = np.maximum(z, 0.0)
                 if train and p > 0.0:
                     mask = (rng.random(h.shape) >= p) / (1.0 - p)
+                    h *= mask
                 else:
                     mask = None
                 cache["masks"].append(mask)
-                if mask is not None:
-                    h = h * mask
-        preds = softplus(cache["pre"][-1][:, 0])
+        preds = softplus(z[:, 0])
         return preds, cache
 
     def predict(self, X, stations) -> np.ndarray:
@@ -372,32 +424,30 @@ class MlpRegressor:
         return self._forward(X, stations, train=True, rng=rng)
 
     def loss_and_grad(self, X, stations, y, rng) -> tuple[float, np.ndarray]:
-        """Batch-mean MSE and its exact reverse-mode gradient."""
+        """Batch-mean MSE and its exact reverse-mode gradient (a new array)."""
         y = np.asarray(y, dtype=float)
         preds, cache = self.forward_train(X, stations, rng)
         n = y.size
         residual = preds - y
         loss = float(np.mean(residual**2))
 
-        views = self._views(self.values)
-        grad = np.zeros(self.layout.total)
-        gviews = self._views(grad)
-
-        z_out = cache["pre"][-1]
-        dz = ((2.0 / n) * residual * sigmoid(z_out[:, 0]))[:, None]
+        self._grad.fill(0.0)
+        dz = ((2.0 / n) * residual * sigmoid(cache["pre"][-1][:, 0]))[:, None]
         for i in reversed(range(self.n_layers)):
-            h_in = cache["inputs"][i]
-            gviews[f"w{i}"] += h_in.T @ dz
-            gviews[f"b{i}"] += dz.sum(axis=0)
-            dh = dz @ views[f"w{i}"].T
+            (w, _), (grad_w, grad_b) = self._layers[i], self._grad_layers[i]
+            grad_w += cache["inputs"][i].T @ dz
+            grad_b += dz.sum(axis=0)
             if i > 0:
+                dz = dz @ w.T
                 mask = cache["masks"][i - 1]
                 if mask is not None:
-                    dh = dh * mask
-                dz = dh * (cache["pre"][i - 1] > 0.0)
-        d_embed = dh[:, : self.spec.embedding_dim]
-        np.add.at(gviews["embed"], cache["stations"], d_embed)
-        return loss, grad
+                    dz *= mask
+                dz *= cache["pre"][i - 1] > 0.0
+        # Only the embedding columns of the first layer's input gradient are
+        # used; the whole product is kept, as BLAS may round a narrower one apart.
+        d_embed = (dz @ self._layers[0][0].T)[:, : self.spec.embedding_dim]
+        np.add.at(self._grad_embed, cache["stations"], d_embed)
+        return loss, self._grad.copy()
 
     def spec_dict(self) -> dict:
         return {

@@ -39,7 +39,7 @@ def iter_rows(path: Path):
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or over 4,300 digits
                     yield lineno, exc
                     continue
                 if not isinstance(obj, dict):

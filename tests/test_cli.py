@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: composition, exit codes, reproducibility."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -476,3 +477,41 @@ class TestHugeJsonNumber:
         capsys.readouterr()
         assert dispatch([*args, "--strict", "--out", str(tmp_path / "strict")]) == 1
         assert "timeseries.jsonl:1: current_a is not finite" in capsys.readouterr().err
+
+    def test_integer_over_digit_limit_reports_the_line(self, depot_dir, tmp_path, capsys):
+        series = tmp_path / "timeseries.jsonl"
+        series.write_text(
+            '{"session_id": "x", "timestamp": "2019-01-07T08:30:00Z", '
+            '"current_a": ' + "1" * 5001 + "}\n"
+        )
+        args = ["featurize", "--sessions", str(depot_dir / "sessions.csv"),
+                "--timeseries", str(series)]
+        assert dispatch([*args, "--out", str(tmp_path / "lenient")]) == 0
+        report = json.loads((tmp_path / "lenient" / "featurize_report.json").read_text())
+        [[line, message]] = report["first_issues"]
+        assert line == 1 and "Exceeds the limit (4300 digits)" in message
+        capsys.readouterr()
+        assert dispatch([*args, "--strict", "--out", str(tmp_path / "strict")]) == 1
+        assert "timeseries.jsonl:1: Exceeds the limit" in capsys.readouterr().err
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("command", [
+        ["train"], ["evaluate", "--seeds", "0,1"],
+    ], ids=["train", "evaluate"])
+    @pytest.mark.parametrize("mode, where", [
+        ("centralized", "epoch 1"), ("federated", "round 1"),
+    ])
+    def test_diverging_run_exits_1(self, features_dir, tmp_path, capsys, command, mode, where):
+        with np.errstate(all="ignore"):
+            code = dispatch([
+                *command, "--features", str(features_dir / "features.csv"), "--mode", mode,
+                "--model", "mlp", "--epochs", "5", "--rounds", "5", "--lr", "1e200",
+                "--out", str(tmp_path / "x"),
+            ])
+        assert code == 1
+        seed = "seed 0 failed: " if command[0] == "evaluate" else ""
+        assert re.fullmatch(f"error: {seed}{mode} training diverged in {where} at lr "
+                            r"1e\+200: the (batch loss|validation MAE) is (nan|inf)\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "x" / "rounds.csv").exists()

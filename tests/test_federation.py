@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedcharge.federation as federation
 from fedcharge.evaluation import build_model, prepare_splits, split
@@ -116,6 +118,20 @@ class TestAggregate:
     def test_single_client_unchanged(self):
         p = self._params([0.25, 8.0])
         np.testing.assert_array_equal(aggregate([(p, 9)]).values, p.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6),
+        counts=st.lists(st.integers(1, 10_000), min_size=2, max_size=12),
+    )
+    def test_identical_updates_return_the_input(self, values, counts):
+        p = ModelParameters(LinearRegressor(len(values) - 1, seed=0).layout, values)
+        np.testing.assert_array_equal(aggregate([(p, counts[0])]).values, p.values)
+        # k copies under unequal weights: each weight n/total and each of the
+        # k products and sums rounds once, so the error stays within k + 1 ulp.
+        out = aggregate([(p, n) for n in counts]).values
+        ulp = np.spacing(np.abs(p.values))
+        assert np.all(np.abs(out - p.values) <= (len(counts) + 1) * ulp)
 
     def test_layout_mismatch_and_empty(self):
         a = LinearRegressor(1, seed=0)
@@ -318,3 +334,42 @@ class TestFedConfigValidation:
     def test_central_reset_interval(self):
         with pytest.raises(ValueError):
             CentralConfig(optimizer_reset_interval=0)
+
+
+class TestDivergence:
+    """A batch loss or validation MAE that is not finite stops training, with
+    the mode, the round or epoch and the learning rate in the message."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "lr"])
+    def test_centralized_names_epoch_and_lr(self, prepared, kind):
+        data = prepared.data
+        model = build_model(kind, data.X_train.shape[1], prepared.vocab.cardinality, 3)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"centralized training diverged in epoch 1 at lr 1e\+200: "
+                              r"the batch loss is (nan|inf)"):
+            run_centralized(data, model, CentralConfig(epochs=3, lr=1e200, seed=3))
+
+    @pytest.mark.parametrize("kind", ["mlp", "lr"])
+    def test_federated_names_round_and_lr(self, prepared, kind):
+        data = prepared.data
+        model = build_model(kind, data.X_train.shape[1], prepared.vocab.cardinality, 3)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"federated training diverged in round 1 at lr 1e\+200: "
+                              r"the batch loss is (nan|inf)"):
+            run_federated(data, model, FedConfig(rounds=3, lr=1e200, seed=3))
+
+    @pytest.mark.parametrize("mode", ["centralized", "federated"])
+    def test_last_step_checked_through_validation(self, prepared, mode):
+        # One step per run: its loss is finite, the parameters it leaves are not.
+        data = prepared.data
+        model = build_model("mlp", data.X_train.shape[1], prepared.vocab.cardinality, 3)
+        cfg = (CentralConfig(epochs=1, batch_size=10_000, lr=1e200, seed=3)
+               if mode == "centralized" else
+               FedConfig(rounds=1, local_epochs=1, client_fraction=0.1, batch_size=10_000,
+                         lr=1e200, seed=3))
+        run = run_centralized if mode == "centralized" else run_federated
+        where = "epoch 1" if mode == "centralized" else "round 1"
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=f"{mode} training diverged in {where} at lr 1e\\+200: "
+                              r"the validation MAE is (nan|inf)"):
+            run(data, model, cfg)

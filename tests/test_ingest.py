@@ -5,6 +5,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+import ingest_reference
 from conftest import T0, make_series, make_session
 from fedcharge.ingest import (
     ParseError,
@@ -211,6 +212,40 @@ class TestJsonNumberBeyondFloat:
         path.write_text(text)
         with pytest.raises(ParseError, match=f"rows.jsonl:{line}: {field} is not finite"):
             parse(path, strict=True)
+
+
+# A JSON integer over 4,300 digits: json.loads itself raises a plain ValueError.
+LONG = "1" * 5001
+LONG_NUMBER_ROWS = [
+    (parse_timeseries, ingest_reference.parse_timeseries,
+     f'{{"session_id": "s1", "timestamp": "2019-01-07T08:30:00Z", "current_a": {LONG}}}\n'
+     '{"session_id": "s1", "timestamp": "2019-01-07T08:31:00Z", "current_a": 32.0}\n'),
+    (parse_sessions, ingest_reference.parse_sessions,
+     '{"session_id": "s1", "station_id": "ST1", "connection_time": "2019-01-07T08:30:00Z", '
+     f'"delivered_energy_kwh": {LONG}}}\n'
+     '{"session_id": "s2", "station_id": "ST1", "connection_time": "2019-01-07T09:30:00Z", '
+     '"delivered_energy_kwh": 4.0}\n'),
+]
+
+
+@pytest.mark.parametrize("parse, reference, text", LONG_NUMBER_ROWS,
+                         ids=["timeseries", "sessions"])
+class TestJsonIntegerOverDigitLimit:
+    def test_lenient_reports_the_line_and_goes_on(self, tmp_path, parse, reference, text):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(text)
+        result = parse(path)
+        [(line, message)] = result.issues
+        assert line == 1 and "Exceeds the limit (4300 digits)" in message
+        assert (result.index if parse is parse_timeseries else result.records)  # row 2 kept
+        assert result == reference(path)
+
+    def test_strict_raises_parse_error(self, tmp_path, parse, reference, text):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(text)
+        for fn in (parse, reference):
+            with pytest.raises(ParseError, match="rows.jsonl:1: Exceeds the limit"):
+                fn(path, strict=True)
 
 
 class TestRoundTrip:
