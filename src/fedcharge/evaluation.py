@@ -31,7 +31,7 @@ from .models import (
 )
 from .seeding import STREAM_SPLIT, rng_from
 
-DEFAULT_FRACTIONS = (0.70, 0.15, 0.15)
+FRACTIONS = (0.70, 0.15, 0.15)  # train, validation, test
 DEFAULT_SEEDS = tuple(range(10))
 MODES = ("centralized", "federated")
 
@@ -47,8 +47,6 @@ class SplitAssignment:
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-    fractions: tuple[float, float, float]
-    seed: int
 
     @property
     def n(self) -> int:
@@ -65,24 +63,16 @@ class SplitAssignment:
                 )
 
 
-def split(
-    n_sessions: int,
-    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
-    seed: int = 0,
-) -> SplitAssignment:
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+def split(n_sessions: int, seed: int = 0) -> SplitAssignment:
     if n_sessions < 3:
         raise ValueError("dataset must contain at least 3 sessions")
     order = rng_from(seed, STREAM_SPLIT).permutation(n_sessions)
-    n_train = int(np.floor(fractions[0] * n_sessions + 0.5))
-    n_val = int(np.floor(fractions[1] * n_sessions + 0.5))
+    n_train = int(np.floor(FRACTIONS[0] * n_sessions + 0.5))
+    n_val = int(np.floor(FRACTIONS[1] * n_sessions + 0.5))
     return SplitAssignment(
         train_idx=order[:n_train],
         val_idx=order[n_train : n_train + n_val],
         test_idx=order[n_train + n_val :],
-        fractions=tuple(fractions),
-        seed=seed,
     )
 
 
@@ -105,7 +95,6 @@ class StationVocab:
 class PreparedSplits:
     data: SplitData
     vocab: StationVocab
-    assignment: SplitAssignment
     test_session_ids: list[str]
 
 
@@ -137,10 +126,7 @@ def prepare_splits(
         y_test=table.y[te],
     )
     return PreparedSplits(
-        data=data,
-        vocab=vocab,
-        assignment=assignment,
-        test_session_ids=[table.session_ids[i] for i in te],
+        data=data, vocab=vocab, test_session_ids=[table.session_ids[i] for i in te]
     )
 
 
@@ -218,11 +204,7 @@ def run_experiment(
         else:
             cfg, train = replace(fed_cfg or FedConfig(), seed=seed), run_federated
         result = train(data, model, cfg)
-        convergence = detect_convergence(
-            [log.val_mae for log in result.logs],
-            cfg.convergence_patience,
-            cfg.convergence_min_delta,
-        )
+        convergence = detect_convergence([log.val_mae for log in result.logs])
         set_params(model, result.best_params)
         best_round = result.best_round
     predictions = model.predict(data.X_test, data.st_test)

@@ -14,21 +14,19 @@ therefore consumes exactly the centralized schedule.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import mae, rmse
-from .models import (
-    ModelParameters,
-    adam_step,
-    get_params,
-    init_adam,
-    set_params,
-)
+from .models import ModelParameters, adam_step, get_params, init_adam, set_params
 from .partition import ClientPartition, partition_by_station
 from .seeding import STREAM_EPOCH, STREAM_SAMPLE, rng_from
+
+# A run has converged once this many rounds in a row fail to improve the
+# validation MAE by more than CONVERGENCE_MIN_DELTA kWh.
+CONVERGENCE_PATIENCE = 30
+CONVERGENCE_MIN_DELTA = 0.01
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,6 @@ class FedConfig:
     batch_size: int = 128
     lr: float = 1e-3
     seed: int = 0
-    convergence_patience: int = 30
-    convergence_min_delta: float = 0.01   # kWh of validation MAE
 
     def __post_init__(self):
         if self.rounds < 0:
@@ -53,10 +49,6 @@ class FedConfig:
             raise ValueError("batch_size must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.convergence_patience <= 0:
-            raise ValueError("convergence_patience must be positive")
-        if self.convergence_min_delta < 0:
-            raise ValueError("convergence_min_delta must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,6 @@ class CentralConfig:
     batch_size: int = 128
     lr: float = 1e-3
     seed: int = 0
-    convergence_patience: int = 30
-    convergence_min_delta: float = 0.01
     # Reset Adam moments every N epochs; None keeps one optimizer run-long.
     # Matches the per-round optimizer reset of federated local training when
     # set to local_epochs, which is what makes the K=1 equivalence exact.
@@ -93,16 +83,15 @@ class RoundLog:
     val_rmse: float
     test_mae: float
     test_rmse: float
-    wall_time_s: float
 
 
 @dataclass
 class TrainResult:
     best_params: ModelParameters
     final_params: ModelParameters
-    logs: list[RoundLog] = field(default_factory=list)
-    best_round: int = 0             # 0 = initial parameters retained
-    best_val_mae: float | None = None
+    logs: list[RoundLog]
+    best_round: int                 # 0 = initial parameters retained
+    best_val_mae: float | None      # None when no round ran
 
 
 @dataclass(frozen=True)
@@ -203,125 +192,77 @@ def _evaluate(model, params: ModelParameters, data: SplitData) -> tuple[float, f
     )
 
 
-def run_centralized(data: SplitData, model, cfg: CentralConfig) -> TrainResult:
-    """Mini-batch Adam over the pooled training split, best-validation retention."""
-    initial = get_params(model)
+def _train(model, data: SplitData, step, n_rounds: int, mode: str, unit: str,
+           lr: float) -> TrainResult:
+    """The round loop of both trainers, with best-validation retention.
+
+    step(r, params) trains round (or epoch) r from params and returns the
+    parameters it leaves and the clients it sampled. numpy's float warnings
+    are silenced: a run that leaves the float range stops on the finite
+    checks, with a ValueError naming the mode, the round and the lr.
+    """
+    params = get_params(model)
     logs: list[RoundLog] = []
-    best = initial
-    best_mae = np.inf
-    best_round = 0
-    adam = init_adam(model.layout.total, cfg.lr)
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        if (
-            cfg.optimizer_reset_interval is not None
-            and epoch > 0
-            and epoch % cfg.optimizer_reset_interval == 0
-        ):
-            adam = init_adam(model.layout.total, cfg.lr)
-        rng = rng_from(cfg.seed, STREAM_EPOCH, epoch, 0)
+    best, best_mae, best_round = params, np.inf, 0
+    for r in range(n_rounds):
         try:
-            train_one_epoch(
-                model, data.X_train, data.st_train, data.y_train, cfg.batch_size, adam, rng
-            )
-            snapshot = get_params(model)
-            v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, snapshot, data)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                params, clients = step(r, params)
+                v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, params, data)
         except FloatingPointError as exc:
             raise ValueError(
-                f"centralized training diverged in epoch {epoch + 1} at lr {cfg.lr}: {exc}"
+                f"{mode} training diverged in {unit} {r + 1} at lr {lr}: {exc}"
             ) from exc
-        logs.append(
-            RoundLog(
-                round=epoch + 1,
-                clients=(),
-                val_mae=v_mae,
-                val_rmse=v_rmse,
-                test_mae=t_mae,
-                test_rmse=t_rmse,
-                wall_time_s=time.perf_counter() - t0,
-            )
-        )
+        logs.append(RoundLog(r + 1, clients, v_mae, v_rmse, t_mae, t_rmse))
         if v_mae < best_mae:
-            best_mae, best, best_round = v_mae, snapshot, epoch + 1
-    return TrainResult(
-        best_params=best,
-        final_params=get_params(model),
-        logs=logs,
-        best_round=best_round,
-        best_val_mae=None if not logs else best_mae,
-    )
+            best_mae, best, best_round = v_mae, params, r + 1
+    set_params(model, params)
+    return TrainResult(best, params, logs, best_round, best_mae if logs else None)
+
+
+def run_centralized(data: SplitData, model, cfg: CentralConfig) -> TrainResult:
+    """Mini-batch Adam over the pooled training split, one epoch per round."""
+    interval = cfg.optimizer_reset_interval
+    adam = None
+
+    def epoch(t: int, params: ModelParameters):
+        nonlocal adam
+        if t == 0 or (interval is not None and t % interval == 0):
+            adam = init_adam(model.layout.total, cfg.lr)
+        rng = rng_from(cfg.seed, STREAM_EPOCH, t, 0)
+        train_one_epoch(model, data.X_train, data.st_train, data.y_train, cfg.batch_size, adam, rng)
+        return get_params(model), ()
+
+    return _train(model, data, epoch, cfg.epochs, "centralized", "epoch", cfg.lr)
 
 
 def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
-    """FedAvg: sample clients, train locally, aggregate, evaluate each round."""
+    """FedAvg: sample clients, train each locally, aggregate."""
     partition = partition_by_station(data.station_ids_train)
     client_data = {
-        cid: (
-            data.X_train[list(idx)],
-            data.st_train[list(idx)],
-            data.y_train[list(idx)],
-        )
+        cid: (data.X_train[list(idx)], data.st_train[list(idx)], data.y_train[list(idx)])
         for cid, idx in zip(partition.client_ids, partition.indices)
     }
-    global_params = get_params(model)
-    logs: list[RoundLog] = []
-    best = global_params
-    best_mae = np.inf
-    best_round = 0
-    for r in range(cfg.rounds):
-        t0 = time.perf_counter()
+
+    def fed_round(r: int, global_params: ModelParameters):
         sampled = sample_clients(partition, cfg.client_fraction, r, cfg.seed)
-        try:
-            updates: list[tuple[ModelParameters, int]] = []
-            for pos, cid in enumerate(sampled):
-                Xc, stc, yc = client_data[cid]
-                epoch_rngs = [
-                    rng_from(cfg.seed, STREAM_EPOCH, r * cfg.local_epochs + e, pos)
-                    for e in range(cfg.local_epochs)
-                ]
-                updated = local_train(
-                    model,
-                    global_params,
-                    Xc,
-                    stc,
-                    yc,
-                    cfg.local_epochs,
-                    cfg.batch_size,
-                    cfg.lr,
-                    epoch_rngs,
-                )
-                updates.append((updated, len(yc)))
-            global_params = aggregate(updates)
-            v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, global_params, data)
-        except FloatingPointError as exc:
-            raise ValueError(
-                f"federated training diverged in round {r + 1} at lr {cfg.lr}: {exc}"
-            ) from exc
-        logs.append(
-            RoundLog(
-                round=r + 1,
-                clients=sampled,
-                val_mae=v_mae,
-                val_rmse=v_rmse,
-                test_mae=t_mae,
-                test_rmse=t_rmse,
-                wall_time_s=time.perf_counter() - t0,
-            )
-        )
-        if v_mae < best_mae:
-            best_mae, best, best_round = v_mae, global_params, r + 1
-    set_params(model, global_params)
-    return TrainResult(
-        best_params=best,
-        final_params=global_params,
-        logs=logs,
-        best_round=best_round,
-        best_val_mae=None if not logs else best_mae,
-    )
+        updates: list[tuple[ModelParameters, int]] = []
+        for pos, cid in enumerate(sampled):
+            Xc, stc, yc = client_data[cid]
+            epoch_rngs = [
+                rng_from(cfg.seed, STREAM_EPOCH, r * cfg.local_epochs + e, pos)
+                for e in range(cfg.local_epochs)
+            ]
+            updated = local_train(model, global_params, Xc, stc, yc, cfg.local_epochs,
+                                  cfg.batch_size, cfg.lr, epoch_rngs)
+            updates.append((updated, len(yc)))
+        return aggregate(updates), sampled
+
+    return _train(model, data, fed_round, cfg.rounds, "federated", "round", cfg.lr)
 
 
 def detect_convergence(
-    val_maes, patience: int, min_delta: float
+    val_maes, patience: int = CONVERGENCE_PATIENCE, min_delta: float = CONVERGENCE_MIN_DELTA
 ) -> int | None:
     """Earliest 1-based round whose next `patience` rounds never improve
     validation MAE by more than min_delta; None when no full window qualifies.

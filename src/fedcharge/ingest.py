@@ -31,6 +31,7 @@ import numpy as np
 
 from .seeding import STREAM_SYNTH, rng_from
 from .sessions import (
+    DatasetConfig,
     SessionRecord,
     SessionSeries,
     epoch_seconds,
@@ -377,11 +378,11 @@ class SyntheticDepotSpec:
     """Knobs for a deterministic synthetic depot.
 
     Each session runs at a constant current level chosen so the session's
-    exact trapezoidal energy matches a draw from its station's energy
-    distribution; the target is that integral plus Gaussian noise. Early
-    current is therefore genuinely predictive of the target. Stations with
-    index < n_stations // 2 get their energy mean raised by
-    heterogeneity_shift_kwh.
+    exact trapezoidal energy, at DatasetConfig's default nominal voltage,
+    matches a draw from its station's energy distribution; the target is that
+    integral plus Gaussian noise. Early current is therefore genuinely
+    predictive of the target. Stations with index < n_stations // 2 get their
+    energy mean raised by heterogeneity_shift_kwh.
     """
 
     n_stations: int = 20
@@ -393,7 +394,6 @@ class SyntheticDepotSpec:
     seed: int = 0
     session_minutes: tuple[int, int] = (90, 150)
     sample_period_s: int = 60
-    nominal_voltage_v: float = 208.0
     user_field_presence: float = 0.75
 
     def __post_init__(self):
@@ -427,7 +427,7 @@ def generate_synthetic(
 ) -> tuple[list[SessionRecord], dict[str, SessionSeries]]:
     """Produce (sessions, per-session readings) fully determined by spec.seed."""
     rng = rng_from(spec.seed, STREAM_SYNTH)
-    voltage = spec.nominal_voltage_v
+    voltage = DatasetConfig().nominal_voltage_v
     n_shifted = spec.n_stations // 2
     sessions: list[SessionRecord] = []
     index: dict[str, SessionSeries] = {}

@@ -146,18 +146,6 @@ def early_window_bounds(
     return lo, max(lo, hi)
 
 
-def early_window_samples(
-    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
-) -> SessionSeries:
-    """Readings inside the closed interval [t_conn, t_conn + W].
-
-    Readings strictly before connection (clock skew in real telemetry) fall
-    outside the interval and are excluded.
-    """
-    lo, hi = early_window_bounds(session, series, cfg)
-    return series[lo:hi]
-
-
 def count_early_current(
     session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
 ) -> int:

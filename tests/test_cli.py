@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: composition, exit codes, reproducibility."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedcharge
 from fedcharge.cli import SCHEMA, STAGES, _kind, build_parser, dispatch
 from fedcharge.features import read_features
 
@@ -367,6 +373,17 @@ class TestConfigFileChecks:
         for section, command in READER.items():
             assert section in STAGES[command][1]
 
+    def test_every_dataclass_field_has_a_key(self):
+        # A field no key sets only ever takes its default: a knob with one value.
+        # The centralized optimizer reset exists for the FedAvg equivalence twin.
+        exempt = {("central", "optimizer_reset_interval")}
+        for section, (cls, keys) in SCHEMA.items():
+            if cls is None:
+                continue
+            reachable = {key.field for key in keys.values()}
+            unreachable = {f.name for f in fields(cls)} - reachable
+            assert unreachable == {f for s, f in exempt if s == section}, section
+
     @pytest.mark.parametrize("section, name", KEYS, ids=[f"{s}.{k}" for s, k in KEYS])
     def test_unknown_key_named(self, tmp_path, capsys, section, name):
         typo = name + "x"
@@ -515,3 +532,23 @@ class TestDivergence:
                             r"1e\+200: the (batch loss|validation MAE) is (nan|inf)\n",
                             capsys.readouterr().err)
         assert not (tmp_path / "x" / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("mode, where", [
+        ("centralized", "epoch 1"), ("federated", "round 1"),
+    ])
+    def test_only_the_error_line_on_stderr(self, features_dir, tmp_path, mode, where):
+        # A fresh interpreter shows numpy's float warnings as the CLI's user
+        # would see them; a diverging run must print the one-line error only.
+        src = str(Path(fedcharge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([
+            sys.executable, "-c", "from fedcharge.cli import main; main()",
+            "train", "--features", str(features_dir / "features.csv"), "--mode", mode,
+            "--model", "mlp", "--epochs", "3", "--rounds", "3", "--lr", "1e200",
+            "--out", str(tmp_path / "x"),
+        ], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert re.fullmatch(f"error: {mode} training diverged in {where} at lr "
+                            r"1e\+200: the (batch loss|validation MAE) is (nan|inf)\n",
+                            proc.stderr), proc.stderr

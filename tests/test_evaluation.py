@@ -50,10 +50,6 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(2, seed=0)
 
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ValueError):
-            split(10, fractions=(0.5, 0.2, 0.2), seed=0)
-
     def test_assignment_independent_of_data(self):
         # The split sees only the row count, never targets or features.
         a, b = split(40, seed=9), split(40, seed=9)

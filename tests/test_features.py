@@ -26,7 +26,7 @@ from fedcharge.features import (
     utilization_stats,
     write_features,
 )
-from fedcharge.sessions import early_window_samples
+from fedcharge.sessions import early_window_bounds
 
 
 class TestSummaryStats:
@@ -170,13 +170,13 @@ class TestEarlyWindowExtraction:
     def test_boundary_rows(self, dataset_cfg):
         session = make_session()
         series = make_series(offsets_s=(0, 300, 601))
-        window = early_window_samples(session, series, dataset_cfg)
+        window = series[slice(*early_window_bounds(session, series, dataset_cfg))]
         assert len(window) == 2
 
     def test_exact_boundary_included(self, dataset_cfg):
         session = make_session()
         series = make_series(offsets_s=(0, 600))
-        assert len(early_window_samples(session, series, dataset_cfg)) == 2
+        assert len(series[slice(*early_window_bounds(session, series, dataset_cfg))]) == 2
 
 
 class TestEarlyWindowFeatures:

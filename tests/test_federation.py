@@ -28,13 +28,6 @@ from fedcharge.partition import partition_by_station
 from fedcharge.sessions import retain_sessions
 
 
-def logs_equal(a, b):
-    """RoundLog equality ignoring wall time."""
-    key = lambda log: (log.round, log.clients, log.val_mae, log.val_rmse,
-                       log.test_mae, log.test_rmse)
-    return [key(x) for x in a] == [key(x) for x in b]
-
-
 @pytest.fixture(scope="module")
 def prepared(small_table):
     return prepare_splits(small_table, split(len(small_table), seed=11))
@@ -230,7 +223,7 @@ class TestRunFederated:
             model = build_model("mlp", data.X_train.shape[1], prepared.vocab.cardinality, 4)
             results.append(run_federated(data, model, FedConfig(rounds=4, seed=4)))
         a, b = results
-        assert logs_equal(a.logs, b.logs)
+        assert a.logs == b.logs
         np.testing.assert_array_equal(a.final_params.values, b.final_params.values)
 
     def test_aggregation_sees_only_params_and_counts(self, prepared, monkeypatch):
@@ -302,13 +295,14 @@ class TestRunCentralized:
         for _ in range(2):
             model = build_model("mlp", data.X_train.shape[1], prepared.vocab.cardinality, 9)
             results.append(run_centralized(data, model, CentralConfig(epochs=3, seed=9)))
-        assert logs_equal(results[0].logs, results[1].logs)
+        assert results[0].logs == results[1].logs
 
 
 class TestDetectConvergence:
     def test_flat_tail(self):
         vals = [10.0, 8.0, 6.0, 5.0] + [5.0] * 31
         assert detect_convergence(vals, patience=30, min_delta=0.01) == 4
+        assert detect_convergence(vals) == 4  # 30 rounds, 0.01 kWh by default
 
     def test_strictly_improving_never_converges(self):
         vals = [10.0 - 0.5 * i for i in range(40)]

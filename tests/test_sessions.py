@@ -10,7 +10,7 @@ from fedcharge.sessions import (
     DatasetConfig,
     SessionSeries,
     count_early_current,
-    early_window_samples,
+    early_window_bounds,
     epoch_seconds,
     parse_utc,
     retain_sessions,
@@ -53,14 +53,14 @@ class TestEarlyWindow:
     def test_closed_interval_boundaries(self, dataset_cfg):
         session = make_session()
         series = make_series(offsets_s=(-10, 0, 300, 600, 601))
-        window = early_window_samples(session, series, dataset_cfg)
+        window = series[slice(*early_window_bounds(session, series, dataset_cfg))]
         offsets = (window.t - epoch_seconds(T0)).tolist()
         assert offsets == [0, 300, 600]
 
     def test_all_samples_before_connection(self, dataset_cfg):
         session = make_session()
         series = make_series(offsets_s=(-120, -60))
-        assert len(early_window_samples(session, series, dataset_cfg)) == 0
+        assert len(series[slice(*early_window_bounds(session, series, dataset_cfg))]) == 0
 
 
 class TestRetention:
