@@ -7,7 +7,6 @@ target range; the bin count is a config knob recorded in every report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from .seeding import STREAM_PERM, rng_from
 
 DEFAULT_BINS = 50
 DEFAULT_PERMUTATIONS = 200
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)

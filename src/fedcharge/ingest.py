@@ -1,4 +1,4 @@
-"""File ingestion and deterministic synthetic depots.
+r"""File ingestion and deterministic synthetic depots.
 
 Two interchangeable on-disk formats carry the same field names: CSV with a
 header row, and JSON lines with one object per line. An empty CSV cell or a
@@ -11,7 +11,28 @@ timeseries files: session_id,timestamp,current_a,pilot_a
 
 Timestamps are ISO-8601 UTC (YYYY-MM-DDTHH:MM:SSZ). Parsing is lenient by
 default: malformed rows are skipped and reported with their line number;
-strict mode aborts on the first bad row.
+strict mode aborts on the first bad row. Bytes that are not UTF-8 abort in
+either mode, naming their line.
+
+Reading. A file is read in blocks of _CHUNK_ROWS lines, so memory stays
+bounded. Lines end as the csv module ends them: at a \n, a \r\n or a bare
+\r. The text is decoded as it is read, and each block is encoded back to
+its bytes for the tokenizer. The CSV header line goes through csv.reader.
+A CSV block is plain when it holds no quote, no NUL, no bare \r and no
+blank line, and every line has as many fields as the header. Then one
+numpy pass over the offsets of "," and "\n" finds every field, each
+column is gathered into a fixed-width byte array, and row k is line
+first + k. Any other block goes through csv.reader. From the first block
+holding a quote to the end of the file, csv.reader reads everything,
+because a quoted field may run on across a block boundary. NUL is kept out
+of plain blocks because a byte array drops trailing NUL bytes.
+
+Converting. The same column converters take byte arrays and the lists that
+csv.reader and JSON give. Canonical timestamps are checked on their bytes
+and parsed by numpy. float() runs on each numeric cell's decoded text, and
+each session id is looked up once per row. A cell or row the bulk path
+cannot vouch for goes through the per-row rules (_reading, _get_float,
+parse_utc), which also give its line-numbered issue.
 """
 
 from __future__ import annotations
@@ -20,14 +41,14 @@ import csv
 import io
 import json
 import math
-import re
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .seeding import STREAM_SYNTH, rng_from
 from .sessions import (
@@ -42,13 +63,14 @@ from .sessions import (
 SESSION_COLUMNS = [f.name for f in fields(SessionRecord)]
 TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 
-# Rows parsed per batch: enough to amortize the array calls, few enough that
-# one batch's cell strings stay a few MB.
+# Lines read per block: enough to amortize the array calls, few enough that
+# one block's bytes and cells stay a few MB.
 _CHUNK_ROWS = 32_768
 
 
 class ParseError(ValueError):
-    """Malformed row in strict mode; carries the offending line number."""
+    """A malformed row in strict mode, or bytes that are not UTF-8; carries
+    the offending line number."""
 
     def __init__(self, path, line_number: int, message: str):
         super().__init__(f"{path}:{line_number}: {message}")
@@ -79,42 +101,166 @@ def _is_csv(path: Path) -> bool:
 
 
 def _read_chunks(path: Path, columns: list[str]):
-    """Yield (lines, cells, absent, errors) per batch of nonblank rows, in file order.
+    """Yield (lines, cells, absent, errors) per block of nonblank rows, in file order.
 
     lines[i] is the physical line that row i ends on; cells[c][i] is the value
     of columns[c] in row i, equal to `absent` when the field is absent: "" for
     CSV (an empty cell or a missing field), None for JSON lines (null or a
-    missing key). errors maps a row to the exception its line raised
-    (malformed JSON); such a row has every field absent.
+    missing key). A plain CSV block gives each column as a fixed-width byte
+    array, whose cells decode to that text; other blocks give lists. errors
+    maps a row to the exception its line raised (malformed JSON); such a row
+    has every field absent.
     """
-    if _is_csv(path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            # A repeated column name resolves to its last occurrence.
-            where = {name: j for j, name in enumerate(next(reader, []))}
-            picks = [where.get(c) for c in columns]
-            lines, rows = [], []
-            for row in reader:
-                if row:
-                    lines.append(reader.line_num)
-                    rows.append(row)
-                    if len(rows) == _CHUNK_ROWS:
-                        yield lines, _csv_columns(rows, picks), "", {}
-                        lines, rows = [], []
-            if rows:
+    is_csv = _is_csv(path)
+    # Bytes that are not UTF-8 pass as lone surrogates, for _blocks to report.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        if is_csv:
+            yield from _csv_chunks(path, fh, columns)
+            return
+        for first, _, text, _ in _blocks(path, fh, repeat(_CHUNK_ROWS)):
+            numbered = [
+                (n, _json_object(obj)) for n, line in
+                enumerate(io.StringIO(text, newline=None), start=first)
+                if (obj := line.strip())
+            ]
+            if not numbered:
+                continue
+            lines, objs = zip(*numbered)
+            errors = {i: obj for i, obj in enumerate(objs) if isinstance(obj, Exception)}
+            if errors:
+                objs = [{} if i in errors else obj for i, obj in enumerate(objs)]
+            yield lines, [[obj.get(c) for obj in objs] for c in columns], None, errors
+
+
+def _line_breaks(raw: bytes) -> tuple[int, int]:
+    """(line breaks, bare \\r) in raw: a \\n, a \\r\\n or a bare \\r ends a line."""
+    buf = np.frombuffer(raw, np.uint8)
+    cr = np.flatnonzero(buf[:-1] == ord("\r"))
+    bare = int(np.count_nonzero(buf[cr + 1] != ord("\n"))) + raw.endswith(b"\r")
+    return int(np.count_nonzero(buf == ord("\n"))) + bare, bare
+
+
+def _blocks(path: Path, fh, sizes):
+    """Yield (first line number, bytes, text, bare \\r count) of consecutive
+    blocks of a file opened with newline="" and errors="surrogateescape",
+    block k holding sizes[k] lines. Bytes that are not UTF-8 raise a
+    ParseError naming their line.
+    """
+    line = 1
+    for size in sizes:
+        text = "".join(islice(fh, size))
+        if not text:
+            return
+        try:
+            raw = text.encode()
+        except UnicodeEncodeError:  # text holds escaped bytes: name the first
+            raw = text.encode(errors="surrogateescape")
+            try:
+                raw.decode()
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    path, line + _line_breaks(raw[: exc.start])[0],
+                    f"not valid UTF-8: {raw[exc.start : exc.end]!r} ({exc.reason})",
+                ) from None
+        breaks, bare = _line_breaks(raw)
+        yield line, raw, text, bare
+        line += breaks
+
+
+def _csv_chunks(path: Path, fh, columns: list[str]):
+    """_read_chunks for CSV: plain blocks by the byte tokenizer, others by csv.reader."""
+    blocks = _blocks(path, fh, chain([1], repeat(_CHUNK_ROWS)))
+    head = next(blocks, None)
+    if head is None:
+        return
+    _, raw, text, _ = head
+    if b'"' in raw:  # a quoted header may run on: csv.reader reads it all
+        yield from _reader_chunks(chain([head], blocks), None, columns)
+        return
+    header = next(csv.reader([text]), [])
+    picks = _picks(header, columns)
+    for block in blocks:
+        first, raw, _, bare = block
+        if b'"' in raw:  # a quoted field may run on into the next block
+            yield from _reader_chunks(chain([block], blocks), picks, columns)
+            return
+        cells = None if bare or b"\0" in raw else _plain_columns(raw, len(header), picks)
+        if cells is None:
+            yield from _reader_chunks([block], picks, columns)
+        else:
+            yield range(first, first + len(cells[0])), cells, "", {}
+
+
+def _picks(header: list[str], columns: list[str]) -> list[int | None]:
+    """Each column's field index; a repeated name resolves to its last occurrence."""
+    where = {name: j for j, name in enumerate(header)}
+    return [where.get(c) for c in columns]
+
+
+def _reader_chunks(blocks, picks, columns: list[str]):
+    """csv.reader over the blocks' lines, in batches of _CHUNK_ROWS nonblank rows.
+    Without picks, the first row is the header that sets them.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    offset = first[0] - 1
+    reader = csv.reader(
+        line for _, _, text, _ in chain([first], blocks) for line in io.StringIO(text, newline="")
+    )
+    if picks is None:
+        picks = _picks(next(reader, []), columns)
+    lines, rows = [], []
+    for row in reader:
+        if row:
+            lines.append(offset + reader.line_num)
+            rows.append(row)
+            if len(rows) == _CHUNK_ROWS:
                 yield lines, _csv_columns(rows, picks), "", {}
-    else:
-        with open(path, encoding="utf-8") as fh:
-            numbered = (
-                (n, _json_object(text)) for n, line in enumerate(fh, start=1)
-                if (text := line.strip())
-            )
-            for chunk in iter(lambda: list(islice(numbered, _CHUNK_ROWS)), []):
-                lines, objs = zip(*chunk)
-                errors = {i: obj for i, obj in enumerate(objs) if isinstance(obj, Exception)}
-                if errors:
-                    objs = [{} if i in errors else obj for i, obj in enumerate(objs)]
-                yield lines, [[obj.get(c) for obj in objs] for c in columns], None, errors
+                lines, rows = [], []
+    if rows:
+        yield lines, _csv_columns(rows, picks), "", {}
+
+
+def _plain_columns(raw: bytes, width: int, picks: list[int | None]) -> list[np.ndarray] | None:
+    """The picked columns of a block with no quote, NUL or bare \\r as
+    fixed-width byte arrays. None when a line is blank or does not have
+    `width` fields, when a field is over the csv module's size limit (on
+    which csv.reader raises), or when a column's array would outgrow the
+    block.
+    """
+    if not width:
+        return None
+    if not raw.endswith(b"\n"):  # the last line of the file
+        raw += b"\n"
+    buf = np.frombuffer(raw, np.uint8)
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    newline = buf[sep] == ord("\n")
+    n = len(sep) // width
+    if len(sep) != n * width or np.count_nonzero(newline) != n:
+        return None
+    if not newline[width - 1 :: width].all():  # the newlines do not end every width-th field
+        return None
+    starts = np.concatenate(([0], sep[:-1] + 1)).reshape(n, width)
+    ends = sep.reshape(n, width)
+    ends[:, -1] -= buf[ends[:, -1] - 1] == ord("\r")
+    sizes = ends - starts
+    if not np.all(ends[:, -1] > starts[:, 0]) or sizes.max() > csv.field_size_limit():
+        return None
+    widths = [1 if j is None else max(int(sizes[:, j].max()), 1) for j in picks]
+    if n * max(widths) > len(raw):
+        return None
+    padded = np.zeros(len(buf) + max(widths), np.uint8)
+    padded[: len(buf)] = buf
+    cells = []
+    for j, w in zip(picks, widths):
+        if j is None:
+            cells.append(np.zeros(n, "S1"))
+            continue
+        cell = sliding_window_view(padded, w)[starts[:, j]]
+        if sizes[:, j].min() < w:
+            cell[np.arange(w) >= sizes[:, j, None]] = 0
+        cells.append(cell.view(f"S{w}").ravel())
+    return cells
 
 
 def _csv_columns(rows, picks: list[int | None]) -> list[list[str]]:
@@ -123,6 +269,18 @@ def _csv_columns(rows, picks: list[int | None]) -> list[list[str]]:
     if min(map(len, rows)) < width:
         rows = [row + [""] * (width - len(row)) for row in rows]
     return [[""] * len(rows) if j is None else [row[j] for row in rows] for j in picks]
+
+
+def _row(columns: list[str], cells, i: int, absent) -> dict:
+    """Row i as {column: value} of its present fields, byte cells decoded."""
+    values = (col[i] for col in cells)
+    values = [v.decode() if isinstance(v, bytes) else v for v in values]
+    return {c: v for c, v in zip(columns, values) if v != absent}
+
+
+def _texts(cells) -> list:
+    """A column as a list, byte cells decoded."""
+    return [v.decode() for v in cells.tolist()] if isinstance(cells, np.ndarray) else cells
 
 
 def _json_object(text: str):
@@ -164,7 +322,7 @@ def parse_sessions(path, strict: bool = False) -> SessionParseResult:
             try:
                 if i in errors:
                     raise errors[i]
-                row = {c: col[i] for c, col in zip(SESSION_COLUMNS, cells) if col[i] != absent}
+                row = _row(SESSION_COLUMNS, cells, i, absent)
                 conn = _get_time(row, "connection_time")
                 if conn is None:
                     raise ValueError("connection_time is required")
@@ -208,30 +366,49 @@ def _reading(row: dict) -> tuple[str, int, float, float]:
     return sid, epoch_seconds(ts), current, pilot
 
 
-# YYYY-MM-DDTHH:MM:SSZ, the form synth writes; there is no year 0.
-_CANONICAL = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+# YYYY-MM-DDTHH:MM:SSZ, the form synth writes: a byte minus _STAMP is at most
+# 9 where the form has a digit and 0 elsewhere.
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
+_SLACK = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)
 
 
-def _canonical_seconds(stamps: list) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of every cell that is a valid time in the canonical form,
     and a mask of the other cells, which parse_utc must judge one by one.
+    The form is checked on the cells' bytes; there is no year 0.
     """
-    match = _CANONICAL.fullmatch
-    text = [s[:-1] if type(s) is str and match(s) else "NaT" for s in stamps]
-    try:
-        t = np.array(text, dtype="datetime64[s]")
-    except ValueError:  # a field is out of range, for example 2019-02-30
-        t = np.full(len(text), np.datetime64("NaT", "s"))
-        for i, s in enumerate(text):
-            with suppress(ValueError):
-                t[i] = s
+    if not isinstance(stamps, np.ndarray):  # text or JSON cells
+        stamps = np.array(
+            [s if type(s) is str and len(s) == 20 and s.isascii() else "" for s in stamps],
+            dtype="S20",
+        )
+    n, width = len(stamps), stamps.dtype.itemsize
+    t = np.full(n, np.datetime64("NaT", "s"))
+    if n and width >= 20:
+        cells = stamps.view(np.uint8).reshape(n, width)
+        head = cells[:, :20]
+        ok = ~((head - _STAMP) > _SLACK).any(1)
+        ok &= (head[:, :4] != ord("0")).any(1)
+        if width > 20:
+            ok &= cells[:, 20] == 0  # no longer than the form
+        rows = np.flatnonzero(ok)
+        text = np.ascontiguousarray(head[rows, :19]).view("S19").ravel()
+        try:
+            t[rows] = text.astype("datetime64[s]")
+        except ValueError:  # a field is out of range, for example 2019-02-30
+            for i, s in zip(rows.tolist(), text.tolist()):
+                with suppress(ValueError):
+                    t[i] = s
     return t.astype(np.int64), np.isnat(t)
 
 
-def _float_column(cells: list, absent) -> tuple[np.ndarray, np.ndarray]:
+def _float_column(cells, absent) -> tuple[np.ndarray, np.ndarray]:
     """float() of every cell, NaN where absent, and a mask of the present cells
-    that are not finite numbers, which the per-row rules must judge.
+    that are not finite numbers, which the per-row rules must judge. Byte
+    cells are decoded first: float(bytes) rejects the fullwidth digits that
+    float(str) reads.
     """
+    cells = _texts(cells)
     try:
         out = np.array([math.nan if v == absent else float(v) for v in cells], dtype=float)
     except (ValueError, TypeError, OverflowError):
@@ -252,7 +429,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     timestamp) pairs merge last-write-wins in file order; negative readings
     are clamped to 0. Both are counted in the result.
 
-    Rows are converted a batch at a time: canonical timestamps and floats in
+    Rows are converted a block at a time: canonical timestamps and floats in
     bulk. A row the bulk path cannot vouch for (another timestamp form, a bad
     or missing cell, a malformed line) goes through the per-row rules, which
     also produce its line-numbered issue.
@@ -267,6 +444,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         current, bad_current = _float_column(currents, absent)
         pilot, bad_pilot = _float_column(pilots, absent)
         suspect |= bad_current | bad_pilot | (np.isnan(current) & np.isnan(pilot))
+        sids = _texts(sids)
         suspect |= np.array([type(s) is not str or not s for s in sids], dtype=bool)
         keep = ~suspect
         for i in np.flatnonzero(suspect).tolist():
@@ -274,7 +452,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
                 if i in errors:
                     raise errors[i]
                 sids[i], t[i], current[i], pilot[i] = _reading(
-                    {c: col[i] for c, col in zip(TIMESERIES_COLUMNS, cells) if col[i] != absent}
+                    _row(TIMESERIES_COLUMNS, cells, i, absent)
                 )
                 keep[i] = True
             except (ValueError, TypeError) as exc:

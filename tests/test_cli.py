@@ -16,6 +16,15 @@ from fedcharge.cli import SCHEMA, STAGES, _kind, build_parser, dispatch
 from fedcharge.features import read_features
 
 
+def run_module(argv):
+    """`python -m fedcharge argv` in a fresh interpreter that imports this checkout."""
+    src = str(Path(fedcharge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "fedcharge", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def depot_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("depot")
@@ -120,6 +129,11 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
         assert dispatch(["train", "--help"]) == 0
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = run_module(["--help"])
+        assert proc.returncode == 0, proc.stderr
+        assert "featurize" in proc.stdout
 
     def test_unknown_subcommand(self):
         assert dispatch(["frobnicate"]) == 1
@@ -539,16 +553,33 @@ class TestDivergence:
     def test_only_the_error_line_on_stderr(self, features_dir, tmp_path, mode, where):
         # A fresh interpreter shows numpy's float warnings as the CLI's user
         # would see them; a diverging run must print the one-line error only.
-        src = str(Path(fedcharge.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([
-            sys.executable, "-c", "from fedcharge.cli import main; main()",
+        proc = run_module([
             "train", "--features", str(features_dir / "features.csv"), "--mode", mode,
             "--model", "mlp", "--epochs", "3", "--rounds", "3", "--lr", "1e200",
             "--out", str(tmp_path / "x"),
-        ], env=env, capture_output=True, text=True, timeout=120)
+        ])
         assert proc.returncode == 1
         assert re.fullmatch(f"error: {mode} training diverged in {where} at lr "
                             r"1e\+200: the (batch loss|validation MAE) is (nan|inf)\n",
                             proc.stderr), proc.stderr
+
+
+class TestInvalidUtf8:
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("name", ["sessions", "timeseries"])
+    def test_bad_byte_names_file_and_line(self, tmp_path, capsys, name, fmt, strict):
+        depot = tmp_path / "depot"
+        assert dispatch(["synth", "--seed", "3", "--stations", "2", "--sessions-per-station",
+                         "3:3", "--format", fmt, "--out", str(depot)]) == 0
+        path = depot / f"{name}.{fmt}"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[4] = lines[4][:5] + b"\xff" + lines[4][5:]
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        code = dispatch(["featurize", "--in", str(depot), "--out", str(tmp_path / "feats"),
+                         *(["--strict"] if strict else [])])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:5: not valid UTF-8: b'\\xff' (invalid start byte)\n"
+        )

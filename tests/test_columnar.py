@@ -3,7 +3,9 @@
 * The parsers are fuzzed against the per-row reference parsers in
   ingest_reference.py: same index (values, NaN positions and session order)
   or records, same issues, same counters, lenient and strict, across batch
-  boundaries.
+  boundaries. One CSV strategy puts blank or short rows into nearly every
+  file, so csv.reader reads them; the other writes mostly plain rows, which
+  the byte tokenizer reads, with an occasional line that is not plain.
 * Writing then parsing any index gives it back.
 * Retention is idempotent, and the early window matches a brute-force scan
   with datetimes for any window length.
@@ -31,7 +33,13 @@ import ingest_reference
 from conftest import make_series
 from fedcharge import ingest
 from fedcharge.cli import dispatch
-from fedcharge.ingest import ParseError, parse_sessions, parse_timeseries, write_timeseries
+from fedcharge.ingest import (
+    TIMESERIES_COLUMNS,
+    ParseError,
+    parse_sessions,
+    parse_timeseries,
+    write_timeseries,
+)
 from fedcharge.sessions import (
     EPOCH,
     DatasetConfig,
@@ -103,6 +111,68 @@ def csv_files(draw, cells):
         width = len(row) + draw(st.sampled_from([0, 0, 0, -1, -2, 1]))
         writer.writerow((row + ["extra"])[:width])
     return buf.getvalue()
+
+
+# Cells that need no CSV quoting, with non-ASCII session ids and fullwidth
+# digits (which float() reads from text but not from bytes).
+PLAIN_IDS = ["s1", "s2", "ST000-0001", " ", "é", "站-7"]
+plain_values = st.one_of(value_cells, st.sampled_from(["１２", "３.５", "-０.５", "16.0"]))
+PLAIN_CELLS = {
+    "timeseries": {
+        "session_id": st.sampled_from(PLAIN_IDS + [""]),
+        "timestamp": stamp_cells,
+        "current_a": plain_values,
+        "pilot_a": plain_values,
+    },
+    "sessions": {
+        **{name: cells for name, cells in SESSION_CELLS.items() if name.endswith(("_time", "_kwh",
+           "_minutes", "_departure"))},
+        "session_id": st.sampled_from(PLAIN_IDS + [""]),
+        "site_id": st.sampled_from(["caltech", ""]),
+        "station_id": st.sampled_from(["ST1", "ST2", ""]),
+    },
+}
+# Lines that are not plain, each written in place of a plain row.
+ODD_LINES = ["quote", "quoted break", "bare cr", "nul", "blank", "short", "long"]
+
+
+@st.composite
+def plain_csv_files(draw, cells):
+    """A CSV file of mostly plain rows: the columns in any order, LF or CRLF
+    line ends, runs of repeated rows, and now and then a line that is not
+    plain: a quoted cell or a quoted line break, a bare CR, a NUL, a blank
+    line, a short or a long row. The final newline may be missing.
+    """
+    names = draw(st.permutations(list(cells)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=eol)
+    writer.writerow(names)
+    row = None
+    for _ in range(draw(st.integers(0, 24))):
+        if row is None or not draw(st.integers(0, 3)):
+            row = [draw(cells[name]) for name in names]
+        elif draw(st.booleans()):  # a run: the same cells at another time, maybe
+            row = [draw(cells[name]) if name == "timestamp" else v for name, v in zip(names, row)]
+        line = ",".join(row) + draw(st.sampled_from([eol] * 5 + ["\n", "\r\n"]))
+        odd = draw(st.sampled_from(ODD_LINES + [None] * 20))
+        if odd == "quote":
+            writer.writerow([*row[:-1], draw(st.sampled_from(['q"t', "a,b"]))])
+            line = ""
+        elif odd == "quoted break":
+            writer.writerow([*row[:-1], "two\nlines"])
+            line = ""
+        elif odd == "bare cr":
+            line = ",".join(row) + "\r"
+        elif odd == "nul":
+            line = line.replace(",", "\0,", 1)
+        elif odd == "blank":
+            line = eol
+        elif odd in ("short", "long"):
+            line = ",".join(row[:-1] if odd == "short" else [*row, "extra"]) + eol
+        buf.write(line)
+    text = buf.getvalue()
+    return text.rstrip("\r\n") + eol if draw(st.booleans()) else text.rstrip("\r\n")
 
 
 json_values = st.one_of(
@@ -180,6 +250,16 @@ class TestParserOracle:
     def test_session_rows_match_reference(self, file, chunk_rows):
         assert_same_as_reference(*file, chunk_rows)
 
+    @settings(max_examples=250, deadline=None)
+    @given(text=plain_csv_files(PLAIN_CELLS["timeseries"]), chunk_rows=chunk_sizes)
+    def test_plain_csv_rows_match_reference(self, text, chunk_rows):
+        assert_same_as_reference("timeseries.csv", text, chunk_rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=plain_csv_files(PLAIN_CELLS["sessions"]), chunk_rows=chunk_sizes)
+    def test_plain_csv_session_rows_match_reference(self, text, chunk_rows):
+        assert_same_as_reference("sessions.csv", text, chunk_rows)
+
     @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
     def test_synthetic_depot_matches_reference(self, tmp_path, suffix):
         sessions, series = ingest.generate_synthetic(
@@ -187,9 +267,82 @@ class TestParserOracle:
         )
         path = tmp_path / f"timeseries{suffix}"
         write_timeseries(path, series)
-        parsed = parse_timeseries(path)
-        assert parsed == ingest_reference.parse_timeseries(path)
-        assert list(parsed.index) == [s.session_id for s in sessions]
+        expected = ingest_reference.parse_timeseries(path)
+        for chunk_rows in (1_000, 32_768):  # 1,356 rows: two blocks, then one
+            with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+                parsed = parse_timeseries(path)
+            assert parsed == expected
+            assert list(parsed.index) == [s.session_id for s in sessions]
+
+
+HEADER = ",".join(TIMESERIES_COLUMNS) + "\r\n"
+
+
+def reading_line(k: int, sid: str = "s1", current: str = "16.0") -> str:
+    return f"{sid},{format_utc(BASE + timedelta(minutes=k))},{current},32.0\r\n"
+
+
+class TestTokenizer:
+    def test_byte_arrays_until_csv_reader_is_needed(self, tmp_path):
+        # Lines 2-3 are plain; line 4 is blank, so csv.reader reads lines 4-5;
+        # line 7 holds a quote, so csv.reader reads from line 6 to the end.
+        rows = [reading_line(k) for k in range(10)]
+        rows[2] = "\r\n"
+        rows[5] = reading_line(5, current='"16.0"')
+        path = tmp_path / "timeseries.csv"
+        path.write_text(HEADER + "".join(rows), encoding="utf-8", newline="")
+        with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
+            chunks = [
+                (list(lines), type(cells[0]).__name__)
+                for lines, cells, _, _ in ingest._read_chunks(path, TIMESERIES_COLUMNS)
+            ]
+        assert chunks == [
+            ([2, 3], "ndarray"), ([5], "list"),
+            ([6, 7], "list"), ([8, 9], "list"), ([10, 11], "list"),
+        ]
+
+    def test_bare_cr_lines_are_cut_into_blocks(self, tmp_path):
+        # A bare CR ends a line, so a file with no \n still comes in blocks
+        # of _CHUNK_ROWS lines, each one read by csv.reader on its own.
+        rows = [reading_line(k).replace("\r\n", "\r") for k in range(5)]
+        path = tmp_path / "timeseries.csv"
+        path.write_text(HEADER.replace("\r\n", "\r") + "".join(rows), encoding="utf-8", newline="")
+        blocks = []
+
+        def reader_chunks(chunk_blocks, picks, columns):
+            chunk_blocks = list(chunk_blocks)
+            blocks.extend(raw for _, raw, _, _ in chunk_blocks)
+            return reader(chunk_blocks, picks, columns)
+
+        reader = ingest._reader_chunks
+        with (
+            mock.patch.object(ingest, "_CHUNK_ROWS", 2),
+            mock.patch.object(ingest, "_reader_chunks", reader_chunks),
+        ):
+            lines = [list(lines) for lines, *_ in ingest._read_chunks(path, TIMESERIES_COLUMNS)]
+        assert lines == [[2, 3], [4, 5], [6]]
+        assert blocks == [("".join(rows[k : k + 2])).encode() for k in (0, 2, 4)]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 32_768])
+    def test_one_column_file_skips_blank_lines(self, chunk_rows):
+        # With one field per line, a blank line has the header's field count.
+        assert_same_as_reference("sessions.csv", "session_id\r\ns1\r\n\r\ns2\n\ns3", chunk_rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 32_768])
+    @pytest.mark.parametrize("before", [
+        "", reading_line(0, sid='"s1"'), reading_line(0)[:-1], "\r\n",
+    ], ids=["plain", "quote", "bare-cr", "blank"])
+    def test_invalid_utf8_names_its_line(self, tmp_path, chunk_rows, before):
+        # Each prefix adds one line as the csv module counts them.
+        rows = [reading_line(k) for k in range(1, 5)]
+        rows[3] = rows[3].replace("16.0", "1\udcff6.0")
+        path = tmp_path / "timeseries.csv"
+        path.write_bytes((HEADER + before + "".join(rows)).encode("utf-8", "surrogateescape"))
+        line = 1 + (before != "") + 4
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            with pytest.raises(ParseError) as info:
+                parse_timeseries(path)
+        assert str(info.value) == f"{path}:{line}: not valid UTF-8: b'\\xff' (invalid start byte)"
 
 
 # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.

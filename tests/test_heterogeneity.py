@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fedcharge import heterogeneity
 from fedcharge.heterogeneity import (
     HistogramDensity,
-    LN2,
     analyze_partition,
     classify,
     fit_histogram,
@@ -22,6 +21,9 @@ from fedcharge.heterogeneity import (
 )
 from fedcharge.partition import partition_by_station
 from fedcharge.seeding import STREAM_PERM, rng_from
+
+# The upper bound of a natural-log Jensen-Shannon divergence.
+LN2 = math.log(2.0)
 
 
 def hist(probs, edges=None):
