@@ -1,11 +1,6 @@
 """Early prediction of EV charging-session energy, centralized and federated."""
 
-from .features import (
-    FEATURE_COLUMNS,
-    FeatureTable,
-    build_feature_table,
-    build_feature_vector,
-)
+from .features import FEATURE_COLUMNS, FeatureTable, build_feature_table
 from .federation import CentralConfig, FedConfig, run_centralized, run_federated
 from .heterogeneity import HeterogeneityReport, analyze_partition
 from .ingest import SyntheticDepotSpec, generate_synthetic, parse_sessions, parse_timeseries
@@ -20,7 +15,6 @@ __all__ = [
     "FEATURE_COLUMNS",
     "FeatureTable",
     "build_feature_table",
-    "build_feature_vector",
     "CentralConfig",
     "FedConfig",
     "run_centralized",

@@ -1,8 +1,11 @@
-"""Per-session feature construction from plug-in context and the early window.
+"""Session features from plug-in context and the early window.
 
 The numeric feature vector has a fixed, documented order (FEATURE_COLUMNS).
 Missing values are carried as NaN until imputation; cyclical encodings and
-binary flags are exempt from standardization.
+binary flags are exempt from standardization. The early-window statistics of
+a table are computed for many sessions at once, grouped by their number of
+readings; tests/features_reference.py keeps the per-session definitions they
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 
 import numpy as np
 
@@ -54,68 +57,14 @@ UNSCALED_INDICES = tuple(i for i, (_, scaled) in enumerate(FEATURE_SPEC) if not 
 
 STD_FLOOR = 1e-8
 
-
-def _mean(arr: np.ndarray) -> float:
-    """arr.mean() of a 1-D float array: the same sum and division, without
-    the generic reduction machinery, which dominates on short windows."""
-    return float(np.add.reduce(arr) / len(arr))
-
-
-def summary_stats(values) -> tuple[float, float, float, float, float, float] | None:
-    """(mean, max, min, population std, first, last); None for an empty list."""
-    if len(values) == 0:
-        return None
-    arr = np.asarray(values, dtype=float)
-    mean = _mean(arr)
-    # arr.std(): the mean of the squared deviations, then the square root.
-    std = math.sqrt(_mean(np.square(arr - mean)))
-    return mean, float(arr.max()), float(arr.min()), std, float(arr[0]), float(arr[-1])
-
-
-def least_squares_slope(times_s, values) -> float | None:
-    """OLS slope cov(t, v) / var(t); None if under two distinct timestamps."""
-    if len(times_s) < 2 or len(times_s) != len(values):
-        return None
-    t = np.asarray(times_s, dtype=float)
-    v = np.asarray(values, dtype=float)
-    tc = t - _mean(t)
-    denom = float(tc @ tc)
-    if denom == 0.0:
-        return None
-    return float(tc @ (v - _mean(v)) / denom)
-
-
-def utilization_stats(
-    current: np.ndarray, pilot: np.ndarray
-) -> tuple[float | None, float | None]:
-    """(mean, max) of current/pilot at readings with both signals and pilot > 0."""
-    both = ~np.isnan(current) & (pilot > 0)
-    if not both.any():
-        return None, None
-    ratios = current[both] / pilot[both]
-    return _mean(ratios), max(ratios.tolist())
-
-
-def early_energy(times_s, currents_a, voltage_v: float) -> float:
-    """Trapezoidal integral of V*I/1000 kW over hours; under two samples -> 0."""
-    if len(times_s) < 2:
-        return 0.0
-    t = np.asarray(times_s, dtype=float)
-    power_kw = voltage_v * np.asarray(currents_a, dtype=float) / 1000.0
-    return float(np.sum((power_kw[:-1] + power_kw[1:]) / 2.0 * np.diff(t)) / 3600.0)
-
-
-def calendar_features(connection_time: datetime) -> dict[str, float]:
-    """Raw calendar fields (weekday: Monday = 0; month and day of year count
-    from 1), their sin/cos encodings and the weekend flag."""
-    tt = connection_time.timetuple()
-    out = {"hour": tt.tm_hour, "weekday": tt.tm_wday}
-    out.update(month=tt.tm_mon, day_of_year=tt.tm_yday)
-    for name, (period, start) in _CALENDAR.items():
-        angle = 2.0 * math.pi * (out[name] - start) / period
-        out[f"{name}_sin"], out[f"{name}_cos"] = math.sin(angle), math.cos(angle)
-    out["is_weekend"] = float(out["weekday"] >= 5)
-    return out
+_COLUMN = {name: i for i, name in enumerate(FEATURE_COLUMNS)}
+_MICROSECOND = timedelta(microseconds=1)
+# Optional user inputs, each with its 0/1 missingness flag.
+_USER = (
+    ("requested_energy_kwh", "requested_energy_missing"),
+    ("available_minutes", "available_minutes_missing"),
+    ("departure_offset_minutes", "departure_offset_missing"),
+)
 
 
 def departure_offset(session: SessionRecord) -> float | None:
@@ -128,73 +77,67 @@ def departure_offset(session: SessionRecord) -> float | None:
     return offset
 
 
-def early_window_features(
-    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
-) -> dict[str, float]:
-    """Summary, trend, interaction, energy and coverage features of the
-    readings in [t_conn, t_conn + W]; NaN = missing."""
-    lo, hi = early_window_bounds(session, series, cfg)
-    t = series.t[lo:hi]
-    # Seconds since connection, as timedelta.total_seconds() gives them.
-    start_us = (session.connection_time - EPOCH) // timedelta(microseconds=1)
-    seconds = (t * 1_000_000 - start_us) / 1e6
-    out = {}
-    for name, values in (("current", series.current[lo:hi]), ("pilot", series.pilot[lo:hi])):
-        present = ~np.isnan(values)
-        times, values = seconds[present], values[present]
-        stats = summary_stats(values) or (None,) * 6
-        stats += (least_squares_slope(times, values),)
-        out.update(zip((f"{name}_{stat}" for stat in _SIGNAL_FEATURES), stats))
-        out[f"n_{name}"] = len(values)
+def _cycle(period: int, start: int) -> np.ndarray:
+    """Row v: math.sin and math.cos of the angle 2*pi*(v - start)/period, for
+    each value v < period + start a calendar field can take."""
+    angles = [2.0 * math.pi * (v - start) / period for v in range(period + start)]
+    return np.array([(math.sin(angle), math.cos(angle)) for angle in angles])
+
+
+def _row_groups(counts: np.ndarray):
+    """(k, rows, index) for each count k > 0: the sessions holding k values,
+    and the (rows, k) positions of their values when every session's values
+    follow the previous session's. values[index] is C-contiguous, so a row
+    reduction on it (np.add.reduce, max, min) is bit-equal to the same
+    reduction on each session's own 1-D array.
+    """
+    starts = np.cumsum(counts) - counts
+    # Each count k > 0 that occurs (np.unique would import numpy.ma, ~1 MB).
+    for k in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        rows = np.flatnonzero(counts == k)
+        yield k, rows, starts[rows, None] + np.arange(k)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row. A stacked matmul runs the 1-D dot product
+    once per row; einsum and (a * b).sum(1) round differently."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _first_max(r: np.ndarray) -> np.ndarray:
+    """Python max() of each row: the first of equal maxima (so -0.0 before
+    0.0 stays -0.0), NaN for a row that starts with NaN, later NaN skipped."""
+    top = np.fmax.reduce(r, axis=1)
+    first = r[np.arange(len(r)), np.argmax(r == top[:, None], axis=1)]
+    return np.where(np.isnan(r[:, 0]), r[:, 0], first)
+
+
+def _signal_columns(X, name, values, seconds, counts, cfg: DatasetConfig) -> None:
+    """One signal's columns from its present values and their seconds since
+    connection, counts[i] of them for session i: count, mean, max, min,
+    population std, first, last, the OLS slope cov(t, v) / var(t) (missing
+    under two distinct times) and, for current, the trapezoidal integral of
+    V*I/1000 kW over hours (0 under two values)."""
+    col = _COLUMN[f"{name}_mean"]  # then max, min, std, first, last, slope
+    X[:, _COLUMN[f"n_{name}"]] = counts
+    for k, rows, index in _row_groups(counts):
+        v = values[index]
+        mean = np.add.reduce(v, axis=1) / k
+        dev = v - mean[:, None]
+        std = np.sqrt(np.add.reduce(np.square(dev), axis=1) / k)
+        stats = (mean, v.max(axis=1), v.min(axis=1), std, v[:, 0], v[:, -1])
+        X[rows, col : col + 6] = np.column_stack(stats)
+        if k < 2:
+            continue
+        t = seconds[index]
+        tc = t - (np.add.reduce(t, axis=1) / k)[:, None]
+        denom = _row_dot(tc, tc)
+        fit = denom != 0.0
+        X[rows[fit], col + 6] = _row_dot(tc[fit], dev[fit]) / denom[fit]
         if name == "current":
-            out["early_energy_kwh"] = early_energy(times, values, cfg.nominal_voltage_v)
-    out["util_mean"], out["util_max"] = utilization_stats(
-        series.current[lo:hi], series.pilot[lo:hi]
-    )
-    out["n_merged"] = hi - lo
-    out["observed_window_minutes"] = int(t[-1] - t[0]) / 60.0 if hi - lo >= 2 else 0.0
-    return {k: math.nan if v is None else float(v) for k, v in out.items()}
-
-
-def user_features(session: SessionRecord) -> dict[str, float]:
-    """Optional user inputs (NaN = missing) and their 0/1 missingness flags."""
-    offset = departure_offset(session)
-    out = {}
-    for name, value, flag in (
-        ("requested_energy_kwh", session.requested_energy_kwh, "requested_energy_missing"),
-        ("available_minutes", session.available_minutes, "available_minutes_missing"),
-        ("departure_offset_minutes", offset, "departure_offset_missing"),
-    ):
-        out[name] = math.nan if value is None else float(value)
-        out[flag] = float(value is None)
-    return out
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One session's numeric features (NaN = missing), grouping ids, target."""
-
-    session_id: str
-    station_id: str
-    numeric: np.ndarray
-    target: float
-
-
-def build_feature_vector(
-    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
-) -> FeatureVector:
-    """One retained session's features in FEATURE_COLUMNS order."""
-    values = {
-        **early_window_features(session, series, cfg),
-        **calendar_features(session.connection_time),
-        **user_features(session),
-    }
-    return FeatureVector(
-        session_id=session.session_id,
-        station_id=session.station_id,
-        numeric=np.array([values[name] for name in FEATURE_COLUMNS]),
-        target=float(session.delivered_energy_kwh),
-    )
+            power_kw = cfg.nominal_voltage_v * v / 1000.0
+            steps = (power_kw[:, :-1] + power_kw[:, 1:]) / 2.0 * np.diff(t, axis=1)
+            X[rows, _COLUMN["early_energy_kwh"]] = np.add.reduce(steps, axis=1) / 3600.0
 
 
 @dataclass
@@ -217,28 +160,75 @@ def build_feature_table(
     series: dict[str, SessionSeries],
     cfg: DatasetConfig,
 ) -> FeatureTable:
-    """Featurize retained sessions in order; tallies data-quality warnings."""
-    rows, targets, session_ids, station_ids = [], [], [], []
+    """Featurize retained sessions in order; tallies data-quality warnings.
+
+    Each row holds the statistics of the readings in [t_conn, t_conn + W]
+    (NaN = missing), the calendar encodings of t_conn (UTC fields; weekday:
+    Monday = 0) and the user fields. Only the window bounds, the calendar
+    fields and the user fields are found one session at a time. The
+    statistics are row reductions over all sessions with the same number of
+    values, bit-equal to the per-session definitions.
+    """
+    n = len(sessions)
     warnings: Counter = Counter()
+    t, current, pilot = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0)]
+    merged, starts_us, fields, user, targets = [], [], [], [], []
     for session in sessions:
         readings = series[session.session_id]
-        n_pre = early_window_bounds(session, readings, cfg)[0]
-        if n_pre:
-            warnings["samples_before_connection"] += n_pre
-        vec = build_feature_vector(session, readings, cfg)
-        if session.requested_departure is not None and departure_offset(session) is None:
+        lo, hi = early_window_bounds(session, readings, cfg)
+        if lo:
+            warnings["samples_before_connection"] += lo
+        offset = departure_offset(session)
+        if session.requested_departure is not None and offset is None:
             warnings["negative_departure_offset"] += 1
-        rows.append(vec.numeric)
-        targets.append(vec.target)
-        session_ids.append(vec.session_id)
-        station_ids.append(vec.station_id)
-    X = np.vstack(rows) if rows else np.empty((0, len(FEATURE_COLUMNS)))
+        t.append(readings.t[lo:hi])
+        current.append(readings.current[lo:hi])
+        pilot.append(readings.pilot[lo:hi])
+        merged.append(hi - lo)
+        starts_us.append((session.connection_time - EPOCH) // _MICROSECOND)
+        tt = session.connection_time.timetuple()
+        fields.append((tt.tm_hour, tt.tm_wday, tt.tm_mon, tt.tm_yday))
+        user.append((session.requested_energy_kwh, session.available_minutes, offset))
+        targets.append(float(session.delivered_energy_kwh))
+
+    X = np.full((n, len(FEATURE_COLUMNS)), math.nan)
+    t, current, pilot = np.concatenate(t), np.concatenate(current), np.concatenate(pilot)
+    merged = np.array(merged, dtype=np.int64)
+    owner = np.repeat(np.arange(n), merged)
+    # Seconds since connection, as timedelta.total_seconds() gives them.
+    seconds = (t * 1_000_000 - np.repeat(np.array(starts_us, np.int64), merged)) / 1e6
+    X[:, _COLUMN["early_energy_kwh"]] = 0.0
+    for name, values in (("current", current), ("pilot", pilot)):
+        present = ~np.isnan(values)
+        counts = np.bincount(owner[present], minlength=n)
+        _signal_columns(X, name, values[present], seconds[present], counts, cfg)
+    # Utilization: current / pilot at readings with both signals and pilot > 0.
+    both = ~np.isnan(current) & (pilot > 0)
+    ratios = current[both] / pilot[both]
+    for k, rows, index in _row_groups(np.bincount(owner[both], minlength=n)):
+        X[rows, _COLUMN["util_mean"]] = np.add.reduce(ratios[index], axis=1) / k
+        X[rows, _COLUMN["util_max"]] = _first_max(ratios[index])
+    X[:, _COLUMN["n_merged"]] = merged
+    last, wide = np.cumsum(merged) - 1, merged >= 2
+    X[:, _COLUMN["observed_window_minutes"]] = 0.0
+    X[wide, _COLUMN["observed_window_minutes"]] = (
+        t[last[wide]] - t[last[wide] - merged[wide] + 1]
+    ) / 60.0
+
+    fields = np.array(fields, dtype=np.intp).reshape(n, len(_CALENDAR))
+    for j, (name, cycle) in enumerate(_CALENDAR.items()):
+        X[:, [_COLUMN[f"{name}_sin"], _COLUMN[f"{name}_cos"]]] = _cycle(*cycle)[fields[:, j]]
+    X[:, _COLUMN["is_weekend"]] = fields[:, 1] >= 5
+    for j, (name, flag) in enumerate(_USER):
+        values = [row[j] for row in user]
+        X[:, _COLUMN[name]] = [math.nan if v is None else float(v) for v in values]
+        X[:, _COLUMN[flag]] = [v is None for v in values]
     return FeatureTable(
         feature_names=FEATURE_COLUMNS,
         X=X,
-        y=np.asarray(targets, dtype=float),
-        session_ids=session_ids,
-        station_ids=station_ids,
+        y=np.array(targets, dtype=float),
+        session_ids=[s.session_id for s in sessions],
+        station_ids=[s.station_id for s in sessions],
         warnings=warnings,
     )
 

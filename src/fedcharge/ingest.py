@@ -11,8 +11,8 @@ timeseries files: session_id,timestamp,current_a,pilot_a
 
 Timestamps are ISO-8601 UTC (YYYY-MM-DDTHH:MM:SSZ). Parsing is lenient by
 default: malformed rows are skipped and reported with their line number;
-strict mode aborts on the first bad row. Bytes that are not UTF-8 abort in
-either mode, naming their line.
+strict mode aborts on the first bad row. Bytes that are not UTF-8, and a CSV
+field over csv.field_size_limit(), abort in either mode, naming their line.
 
 Reading. A file is read in blocks of _CHUNK_ROWS lines, so memory stays
 bounded. Lines end as the csv module ends them: at a \n, a \r\n or a bare
@@ -69,8 +69,8 @@ _CHUNK_ROWS = 32_768
 
 
 class ParseError(ValueError):
-    """A malformed row in strict mode, or bytes that are not UTF-8; carries
-    the offending line number."""
+    """A malformed row in strict mode, bytes that are not UTF-8 or a CSV
+    field over the csv module's size limit; carries the offending line number."""
 
     def __init__(self, path, line_number: int, message: str):
         super().__init__(f"{path}:{line_number}: {message}")
@@ -175,18 +175,18 @@ def _csv_chunks(path: Path, fh, columns: list[str]):
         return
     _, raw, text, _ = head
     if b'"' in raw:  # a quoted header may run on: csv.reader reads it all
-        yield from _reader_chunks(chain([head], blocks), None, columns)
+        yield from _reader_chunks(path, chain([head], blocks), None, columns)
         return
-    header = next(csv.reader([text]), [])
+    header = next(_checked(path, csv.reader([text]), 0), [])
     picks = _picks(header, columns)
     for block in blocks:
         first, raw, _, bare = block
         if b'"' in raw:  # a quoted field may run on into the next block
-            yield from _reader_chunks(chain([block], blocks), picks, columns)
+            yield from _reader_chunks(path, chain([block], blocks), picks, columns)
             return
         cells = None if bare or b"\0" in raw else _plain_columns(raw, len(header), picks)
         if cells is None:
-            yield from _reader_chunks([block], picks, columns)
+            yield from _reader_chunks(path, [block], picks, columns)
         else:
             yield range(first, first + len(cells[0])), cells, "", {}
 
@@ -197,7 +197,16 @@ def _picks(header: list[str], columns: list[str]) -> list[int | None]:
     return [where.get(c) for c in columns]
 
 
-def _reader_chunks(blocks, picks, columns: list[str]):
+def _checked(path: Path, reader, offset: int):
+    """The rows of a csv.reader that starts at line offset + 1; a csv.Error (a
+    field over csv.field_size_limit()) becomes a ParseError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(path, offset + reader.line_num, str(exc)) from None
+
+
+def _reader_chunks(path: Path, blocks, picks, columns: list[str]):
     """csv.reader over the blocks' lines, in batches of _CHUNK_ROWS nonblank rows.
     Without picks, the first row is the header that sets them.
     """
@@ -207,10 +216,11 @@ def _reader_chunks(blocks, picks, columns: list[str]):
     reader = csv.reader(
         line for _, _, text, _ in chain([first], blocks) for line in io.StringIO(text, newline="")
     )
+    rows_of = _checked(path, reader, offset)
     if picks is None:
-        picks = _picks(next(reader, []), columns)
+        picks = _picks(next(rows_of, []), columns)
     lines, rows = [], []
-    for row in reader:
+    for row in rows_of:
         if row:
             lines.append(offset + reader.line_num)
             rows.append(row)

@@ -98,7 +98,7 @@ class SessionSeries:
             object.__setattr__(self, name, column)
         if not (self.t.ndim == 1 and self.t.shape == self.current.shape == self.pilot.shape):
             raise ValueError("t, current and pilot must be 1-D and of equal length")
-        if not np.all(np.diff(self.t) > 0):
+        if not (self.t[1:] > self.t[:-1]).all():
             raise ValueError("timestamps must be strictly increasing")
         absent = np.isnan(self.current) & np.isnan(self.pilot)
         if absent.any():

@@ -19,7 +19,9 @@ from fedcharge.evaluation import (
     split,
     write_predictions,
 )
-from fedcharge.features import build_feature_table, early_energy, least_squares_slope
+from conftest import make_series, make_session
+from features_reference import early_energy, least_squares_slope
+from fedcharge.features import FEATURE_COLUMNS, build_feature_table
 from fedcharge.federation import CentralConfig, FedConfig, run_centralized, run_federated
 from fedcharge.heterogeneity import analyze_partition
 from fedcharge.ingest import (
@@ -46,18 +48,34 @@ def make_table(spec: SyntheticDepotSpec):
     return build_feature_table(retained.sessions, series, CFG)
 
 
+def table_feature(name: str, offsets, current, cfg=CFG) -> float:
+    """One feature of build_feature_table's row for one session with one
+    current reading per offset (seconds after connection)."""
+    session = make_session()
+    series = make_series(start=session.connection_time, offsets_s=offsets, current=current)
+    table = build_feature_table([session], {session.session_id: series}, cfg)
+    return float(table.X[0, FEATURE_COLUMNS.index(name)])
+
+
 def test_a1_analytic_integration():
     t = np.arange(0, 601, 60, dtype=float)
-    constant = early_energy(t, np.full(t.size, 32.0), 208.0)
-    ramp = early_energy(t, 32.0 * t / 600.0, 208.0)
     expected_const = 208.0 * 32.0 / 1000.0 * (600.0 / 3600.0)   # 1.1093333...
     expected_ramp = expected_const / 2.0                         # 0.5546666...
-    ok = abs(constant - expected_const) < 1e-9 and abs(ramp - expected_ramp) < 1e-9
+    ok = True
+    # The per-session definition, then the table that featurize writes.
+    for energy in (
+        lambda current: early_energy(t, current, 208.0),
+        lambda current: table_feature("early_energy_kwh", t, tuple(current)),
+    ):
+        constant = energy(np.full(t.size, 32.0))
+        ramp = energy(32.0 * t / 600.0)
+        ok &= abs(constant - expected_const) < 1e-9 and abs(ramp - expected_ramp) < 1e-9
     report("A1", ok, f"constant={constant:.9f} ramp={ramp:.9f}")
 
 
 def test_a2_slope_exactness():
     rng = np.random.default_rng(0)
+    window = DatasetConfig(early_window_minutes=100)  # holds every t < 6000 s
     worst = 0.0
     for _ in range(100):
         slope = float(rng.uniform(-2, 2))
@@ -65,7 +83,8 @@ def test_a2_slope_exactness():
         n = int(rng.integers(2, 30))
         t = np.sort(rng.choice(6000, size=n, replace=False)).astype(float)
         recovered = least_squares_slope(t, slope * t + intercept)
-        worst = max(worst, abs(recovered - slope))
+        in_table = table_feature("current_slope", t, tuple(slope * t + intercept), window)
+        worst = max(worst, abs(recovered - slope), abs(in_table - slope))
     report("A2", worst < 1e-9, f"worst |error| = {worst:.2e} over 100 draws")
 
 

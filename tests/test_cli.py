@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: composition, exit codes, reproducibility."""
 
+import csv
 import json
 import os
 import re
@@ -582,4 +583,30 @@ class TestInvalidUtf8:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {path}:5: not valid UTF-8: b'\\xff' (invalid start byte)\n"
+        )
+
+
+class TestFieldSizeLimit:
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("where", ["header", "plain", "quoted"])
+    @pytest.mark.parametrize("name", ["sessions", "timeseries"])
+    def test_huge_field_names_file_and_line(self, tmp_path, capsys, name, where, strict):
+        depot = tmp_path / "depot"
+        assert dispatch(["synth", "--seed", "3", "--stations", "2", "--sessions-per-station",
+                         "3:3", "--out", str(depot)]) == 0
+        path = depot / f"{name}.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        row = 0 if where == "header" else 4
+        cells = lines[row].split(b",")
+        big = b"1" * (csv.field_size_limit() + 1)
+        cells[2] = b'"' + big + b'"' if where == "quoted" else big
+        lines[row] = b",".join(cells)
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        code = dispatch(["featurize", "--in", str(depot), "--out", str(tmp_path / "feats"),
+                         *(["--strict"] if strict else [])])
+        assert code == 1
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"error: {path}:{row + 1}: field larger than field limit ({limit})\n"
         )

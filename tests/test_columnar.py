@@ -309,10 +309,10 @@ class TestTokenizer:
         path.write_text(HEADER.replace("\r\n", "\r") + "".join(rows), encoding="utf-8", newline="")
         blocks = []
 
-        def reader_chunks(chunk_blocks, picks, columns):
+        def reader_chunks(file, chunk_blocks, picks, columns):
             chunk_blocks = list(chunk_blocks)
             blocks.extend(raw for _, raw, _, _ in chunk_blocks)
-            return reader(chunk_blocks, picks, columns)
+            return reader(file, chunk_blocks, picks, columns)
 
         reader = ingest._reader_chunks
         with (
