@@ -29,10 +29,11 @@ of plain blocks because a byte array drops trailing NUL bytes.
 
 Converting. The same column converters take byte arrays and the lists that
 csv.reader and JSON give. Canonical timestamps are checked on their bytes
-and parsed by numpy. float() runs on each numeric cell's decoded text, and
-each session id is looked up once per row. A cell or row the bulk path
-cannot vouch for goes through the per-row rules (_reading, _get_float,
-parse_utc), which also give its line-numbered issue.
+and parsed by numpy. float() runs on each numeric cell's decoded text. A
+session id is decoded and looked up once per run of equal adjacent ids,
+which is how a time-series file lays out its sessions. A cell or row the
+bulk path cannot vouch for goes through the per-row rules (_reading,
+_get_float, parse_utc), which also give its line-numbered issue.
 """
 
 from __future__ import annotations
@@ -290,7 +291,9 @@ def _row(columns: list[str], cells, i: int, absent) -> dict:
 
 def _texts(cells) -> list:
     """A column as a list, byte cells decoded."""
-    return [v.decode() for v in cells.tolist()] if isinstance(cells, np.ndarray) else cells
+    if isinstance(cells, np.ndarray) and cells.dtype.kind == "S":
+        return [v.decode() for v in cells.tolist()]
+    return list(cells)
 
 
 def _json_object(text: str):
@@ -454,14 +457,17 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         current, bad_current = _float_column(currents, absent)
         pilot, bad_pilot = _float_column(pilots, absent)
         suspect |= bad_current | bad_pilot | (np.isnan(current) & np.isnan(pilot))
-        sids = _texts(sids)
-        suspect |= np.array([type(s) is not str or not s for s in sids], dtype=bool)
+        if isinstance(sids, np.ndarray):
+            suspect |= sids == b""
+        else:  # a rescued row's id is str() of its cell, as _reading gives it
+            suspect |= np.array([type(s) is not str or not s for s in sids], dtype=bool)
+            sids = np.array([str(s) for s in sids], dtype=object)
         keep = ~suspect
         for i in np.flatnonzero(suspect).tolist():
             try:
                 if i in errors:
                     raise errors[i]
-                sids[i], t[i], current[i], pilot[i] = _reading(
+                _, t[i], current[i], pilot[i] = _reading(
                     _row(TIMESERIES_COLUMNS, cells, i, absent)
                 )
                 keep[i] = True
@@ -470,8 +476,12 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
                     raise ParseError(path, lines[i], str(exc)) from exc
                 issues.append((lines[i], str(exc)))
         rows = np.flatnonzero(keep)
-        codes = [code_of.setdefault(sids[i], len(code_of)) for i in rows.tolist()]
-        parts.append((np.array(codes, dtype=np.int64), t[rows], current[rows], pilot[rows]))
+        kept = sids[rows]  # one lookup per run of equal ids, as files hold them
+        head = np.ones(len(kept), dtype=bool)
+        head[1:] = kept[1:] != kept[:-1]
+        codes = [code_of.setdefault(sid, len(code_of)) for sid in _texts(kept[head])]
+        codes = np.array(codes, dtype=np.int64)[np.cumsum(head) - 1]
+        parts.append((codes, t[rows], current[rows], pilot[rows]))
 
     codes, t, current, pilot = (
         np.concatenate([part[k] for part in parts] or [np.empty(0, dtype)])
@@ -519,39 +529,84 @@ def write_sessions(path, sessions: list[SessionRecord]) -> None:
 
 
 def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
-    """One row per reading, sessions in index order, each session's columns
-    formatted whole. Times and floats never need CSV quoting, so only the
-    session id goes through csv.writer.
+    """One row per reading, sessions in index order, built as bytes by _rows.
+    A time outside years 1-9999 or an infinite reading, which the parser
+    would reject, raises ValueError naming its session before any write.
     """
     path = Path(path)
-    is_csv = _is_csv(path)
-    if is_csv:
-        line, labels = "{},{},{},{}\r\n".format, ("", "")
-    else:  # json.dumps of the reading's object, absent fields left out
-        line = '{{"session_id": {}, "timestamp": "{}"{}{}}}\n'.format
-        labels = (', "current_a": ', ', "pilot_a": ')
-    with open(path, "w", newline="" if is_csv else None, encoding="utf-8") as fh:
-        if is_csv:
-            csv.writer(fh).writerow(TIMESERIES_COLUMNS)
-        for sid, s in index.items():
-            fh.write("".join(map(
-                line,
-                repeat(_csv_text(sid) if is_csv else json.dumps(sid), len(s)),
-                np.datetime_as_string(s.t.astype("datetime64[s]"), timezone="UTC").tolist(),
-                _format_floats(s.current, labels[0]),
-                _format_floats(s.pilot, labels[1]),
-            )))
+    sids = list(index)
+    session = np.repeat(np.arange(len(sids)), [len(s) for s in index.values()])
+    t = np.concatenate([np.empty(0, np.int64), *(s.t for s in index.values())])
+    current = np.concatenate([np.empty(0), *(s.current for s in index.values())])
+    pilot = np.concatenate([np.empty(0), *(s.pilot for s in index.values())])
+    # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
+    bad = (t < -62_135_596_800) | (t > 253_402_300_799) | np.isinf(current) | np.isinf(pilot)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"cannot write session {sids[session[i]]!r}: t={t[i]}, current_a="
+                         f"{current[i]}, pilot_a={pilot[i]} (not in years 1-9999, or not finite)")
+    # Separators join the texts beside them; a float's label goes with it.
+    if _is_csv(path):  # only a session id can need quoting
+        header, ids = ",".join(TIMESERIES_COLUMNS) + "\r\n", [_csv_text(s) + "," for s in sids]
+        floats = ((",", "", ""), (",", "", "\r\n"))
+    else:  # json.dumps of the reading's object
+        header, ids = "", [f'{{"session_id": {json.dumps(s)}, "timestamp": "' for s in sids]
+        floats = (('"', ', "current_a": ', ""), ("", ', "pilot_a": ', "}\n"))
+    ids = [sid.encode() for sid in ids]
+    # Fewer rows per block when a long session id widens every row.
+    step = max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 128 // max(map(len, ids), default=1)))
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for rows in (slice(lo, lo + step) for lo in range(0, len(t), step)):
+            parts = [_run_cells(session[rows], session[rows], ids.__getitem__),
+                     (_stamp_cells(t[rows]), [20])]
+            for x, (before, label, after) in zip((current[rows], pilot[rows]), floats):
+                parts.append(_run_cells(x.view(np.int64), x, lambda v: (
+                    before + ("" if v != v else label + repr(v)) + after).encode()))
+            fh.write(_rows(parts))
 
 
-def _format_floats(x: np.ndarray, label: str) -> list[str]:
-    """label + repr of each value, "" where absent (NaN); one repr per run of
-    bit-identical values."""
-    if not len(x):
-        return []
-    bits = x.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    text = ["" if v != v else label + repr(v) for v in x[starts].tolist()]
-    return np.repeat(np.array(text, dtype=object), np.diff(starts, append=len(x))).tolist()
+def _stamp_cells(t: np.ndarray) -> np.ndarray:
+    """YYYY-MM-DDTHH:MM:SSZ of epoch seconds in years 1-9999 as an (n, 20)
+    uint8 matrix; days become dates by Hinnant's civil_from_days."""
+    days, secs = (part.astype(np.int32) for part in np.divmod(t, 86_400))
+    era, doe = np.divmod(days + 719_468, 146_097)  # 400-year eras from 0000-03-01
+    yoe = (doe - doe // 1460 + doe // 36_524 - doe // 146_096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # day of the year from March 1
+    mp = (5 * doy + 2) // 153
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year, day = 400 * era + yoe + (month <= 2), doy - (153 * mp + 2) // 5 + 1
+    cells = np.tile(_STAMP, (len(t), 1))
+    fields = (year // 100, year % 100, month, day, secs // 3600, secs // 60 % 60, secs % 60)
+    for at, value in zip((0, 2, 5, 8, 11, 14, 17), fields):  # where _STAMP's pairs start
+        cells[:, at], cells[:, at + 1] = ord("0") + value // 10, ord("0") + value % 10
+    return cells
+
+
+def _run_cells(keys: np.ndarray, values: np.ndarray, text) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, sizes): row i of the uint8 matrix cells starts with the
+    sizes[i] bytes text(values[i]), text called once per run of equal keys.
+    Sizes are len(), as a byte array drops trailing NULs."""
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    texts = [text(v) for v in values[head].tolist()]
+    sizes = np.array([len(b) for b in texts], dtype=np.int64)
+    table = np.array(texts, dtype=f"S{max(sizes.max(), 1)}").view(np.uint8)
+    which = np.cumsum(head) - 1
+    return table.reshape(len(texts), -1)[which], sizes[which]
+
+
+def _rows(parts: list) -> np.ndarray:
+    """The bytes of the rows that (cells, sizes) parts make side by side. The
+    parts fill one fixed-width matrix; one boolean mask drops the bytes past
+    each row's size."""
+    widths = [cells.shape[1] for cells, _ in parts]
+    rows = np.empty((len(parts[0][0]), sum(widths)), dtype=np.uint8)
+    used = np.empty(rows.shape, dtype=bool)
+    for (cells, sizes), at, width in zip(parts, np.cumsum([0] + widths).tolist(), widths):
+        rows[:, at : at + width] = cells
+        used[:, at : at + width] = (np.arange(width)[:, None] < sizes).T  # faster than by row
+    return rows[used]
 
 
 def _csv_text(value: str) -> str:

@@ -1,5 +1,6 @@
-"""Reference parsers: the per-row parsers that the batched ones in
-fedcharge.ingest replaced, kept as test oracles.
+"""Reference parsers and writer: the per-row parsers and the per-session
+time-series writer that the batched ones in fedcharge.ingest replaced, kept
+as test oracles.
 
 They read one row at a time through csv.DictReader (or json.loads for JSON
 lines) and apply the row rules in the same order; the time-series parser
@@ -14,11 +15,19 @@ import csv
 import json
 import math
 from datetime import datetime
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from fedcharge.ingest import ParseError, SessionParseResult, TimeSeriesParseResult
+from fedcharge.ingest import (
+    TIMESERIES_COLUMNS,
+    ParseError,
+    SessionParseResult,
+    TimeSeriesParseResult,
+    _csv_text,
+    _is_csv,
+)
 from fedcharge.sessions import SessionRecord, SessionSeries, epoch_seconds, parse_utc
 
 
@@ -160,3 +169,39 @@ def parse_sessions(path, strict: bool = False) -> SessionParseResult:
                 raise ParseError(path, lineno, str(exc)) from exc
             issues.append((lineno, str(exc)))
     return SessionParseResult(records=records, issues=issues)
+
+
+def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
+    """One row per reading, sessions in index order, each session's columns
+    formatted whole. Times and floats never need CSV quoting, so only the
+    session id goes through csv.writer.
+    """
+    path = Path(path)
+    is_csv = _is_csv(path)
+    if is_csv:
+        line, labels = "{},{},{},{}\r\n".format, ("", "")
+    else:  # json.dumps of the reading's object, absent fields left out
+        line = '{{"session_id": {}, "timestamp": "{}"{}{}}}\n'.format
+        labels = (', "current_a": ', ', "pilot_a": ')
+    with open(path, "w", newline="" if is_csv else None, encoding="utf-8") as fh:
+        if is_csv:
+            csv.writer(fh).writerow(TIMESERIES_COLUMNS)
+        for sid, s in index.items():
+            fh.write("".join(map(
+                line,
+                repeat(_csv_text(sid) if is_csv else json.dumps(sid), len(s)),
+                np.datetime_as_string(s.t.astype("datetime64[s]"), timezone="UTC").tolist(),
+                format_floats(s.current, labels[0]),
+                format_floats(s.pilot, labels[1]),
+            )))
+
+
+def format_floats(x: np.ndarray, label: str) -> list[str]:
+    """label + repr of each value, "" where absent (NaN); one repr per run of
+    bit-identical values."""
+    if not len(x):
+        return []
+    bits = x.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    text = ["" if v != v else label + repr(v) for v in x[starts].tolist()]
+    return np.repeat(np.array(text, dtype=object), np.diff(starts, append=len(x))).tolist()

@@ -6,7 +6,14 @@
   boundaries. One CSV strategy puts blank or short rows into nearly every
   file, so csv.reader reads them; the other writes mostly plain rows, which
   the byte tokenizer reads, with an occasional line that is not plain.
-* Writing then parsing any index gives it back.
+* Session ids are looked up once per run of equal ids; interleaved ids,
+  rescued rows, invalid first rows and empty ids inside a run still give the
+  reference's index and order.
+* The writer is fuzzed against the per-session reference writer: the same
+  bytes, in both formats, across block boundaries. Its timestamps equal
+  numpy's datetime_as_string over the whole range of years 1-9999, and it
+  refuses values its parser would reject. Writing then parsing any index
+  gives it back.
 * Retention is idempotent, and the early window matches a brute-force scan
   with datetimes for any window length.
 * Synth and featurize outputs of one small depot keep the digests they had
@@ -25,6 +32,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -46,6 +54,7 @@ from fedcharge.sessions import (
     SessionRecord,
     SessionSeries,
     early_window_bounds,
+    epoch_seconds,
     format_utc,
     retain_sessions,
 )
@@ -345,6 +354,55 @@ class TestTokenizer:
         assert str(info.value) == f"{path}:{line}: not valid UTF-8: b'\\xff' (invalid start byte)"
 
 
+def run_lines(rows) -> str:
+    """A time-series CSV of (session id, minute, current) rows; a str row is
+    a line as it stands."""
+    return HEADER + "".join(row if isinstance(row, str) else reading_line(row[1], *row[::2])
+                            for row in rows)
+
+
+def as_jsonl(text: str) -> str:
+    """The rows of a CSV with no quoted fields as JSON lines, "" as absent."""
+    lines = text.splitlines()[1:]
+    return "".join(json.dumps({k: v for k, v in zip(TIMESERIES_COLUMNS, line.split(",")) if v})
+                   + "\n" for line in lines)
+
+
+# Each file's session runs, with the index and order the reference gives.
+SESSION_RUNS = {
+    # A, B, A: the third run extends session A, across block boundaries.
+    "a-b-a": run_lines([("A", k, "16.0") for k in range(3)] + [("B", k, "8.0") for k in range(3)]
+                       + [("A", k, "16.0") for k in range(3, 6)]),
+    "alternating": run_lines([(sid, k, "16.0") for k in range(4) for sid in ("A", "B")]),
+    # The second row is another timestamp form, which the per-row rules read.
+    "rescued": run_lines([("A", 0, "16.0"), "A,2019-01-07T08:31:00+00:00,16.0,32.0\r\n",
+                          ("A", 2, "16.0"), ("B", 0, "8.0")]),
+    # B's first row is invalid, so B ranks after A, from its second row.
+    "invalid first": run_lines([("B", 0, "abc"), ("A", 0, "16.0"), ("B", 1, "8.0"),
+                                ("A", 1, "16.0")]),
+    "empty id": run_lines([("A", 0, "16.0"), ("", 1, "16.0"), ("A", 2, "16.0"),
+                           ("B", 0, "8.0"), ("", 1, "8.0")]),
+}
+
+
+class TestSessionRuns:
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 32_768])
+    @pytest.mark.parametrize("name", sorted(SESSION_RUNS))
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_codes_per_run_match_reference(self, name, suffix, chunk_rows):
+        text = SESSION_RUNS[name]
+        if suffix == ".jsonl":
+            text = as_jsonl(text)
+        assert_same_as_reference(f"timeseries{suffix}", text, chunk_rows)
+
+    def test_index_order_is_first_valid_row(self, tmp_path):
+        path = tmp_path / "timeseries.csv"
+        path.write_text(SESSION_RUNS["invalid first"], newline="")
+        parsed = parse_timeseries(path)
+        assert list(parsed.index) == ["A", "B"]
+        assert [len(s) for s in parsed.index.values()] == [2, 1]
+
+
 # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
 FIRST_SECOND, LAST_SECOND = -62_135_596_800, 253_402_300_799
 amperes = st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6))
@@ -381,6 +439,116 @@ class TestRoundTrip:
             parsed = parse_timeseries(path, strict=True)
         assert parsed.index == index and list(parsed.index) == list(index)
         assert (parsed.n_negative_clamped, parsed.n_duplicates_merged) == (0, 0)
+
+
+# Ids that need CSV quoting, non-ASCII ids, NUL bytes (the last at the end,
+# which a byte array drops) and an id long enough to shorten the blocks.
+WRITER_IDS = [
+    "s1", "ST000-0001", "a,b", 'q"t', "two\nlines", "cr\rid", "é", "站-7", " ", "a\0", "\0",
+    "x" * 300,
+]
+# NaN, signed zeros, the smallest subnormal and reprs with an exponent.
+writer_values = st.one_of(
+    st.sampled_from([math.nan, -0.0, 0.0, 5e-324, 1e16, -1e16, 1e-7, 16.0, 31.5]),
+    st.floats(allow_infinity=False),
+)
+
+
+@st.composite
+def writable_series(draw):
+    """A series of 0-8 readings in years 1-9999; now and then an all-NaN
+    column, and runs of repeated values."""
+    n = draw(st.integers(0, 8))
+    t = sorted(draw(st.sets(
+        st.one_of(st.integers(FIRST_SECOND, LAST_SECOND), st.integers(-86_400, 86_400)),
+        min_size=n, max_size=n,
+    )))
+
+    def column():
+        if draw(st.integers(0, 4)) == 0:
+            return [math.nan] * n
+        pool = draw(st.lists(writer_values, min_size=1, max_size=3))
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    current, pilot = column(), column()
+    pilot = [0.0 if c != c and p != p else p for c, p in zip(current, pilot)]
+    return SessionSeries(t, current, pilot)
+
+
+def written(write, suffix: str, index, chunk_rows: int = ingest._CHUNK_ROWS) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        path = Path(tmp) / f"timeseries{suffix}"
+        write(path, index)
+        return path.read_bytes()
+
+
+class TestWriterOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        index=st.dictionaries(
+            st.one_of(st.sampled_from(WRITER_IDS), session_ids), writable_series(), max_size=5
+        ),
+        suffix=st.sampled_from([".csv", ".jsonl"]),
+        chunk_rows=chunk_sizes,
+    )
+    def test_bytes_match_reference(self, index, suffix, chunk_rows):
+        expected = written(ingest_reference.write_timeseries, suffix, index)
+        assert written(write_timeseries, suffix, index, chunk_rows) == expected
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 32_768])
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_named_cases_match_reference(self, suffix, chunk_rows):
+        values = [0.0, -0.0, -0.0, 0.0, math.nan, 5e-324, 1e16, 1e16, -1e16]
+        series = SessionSeries(range(0, 540, 60), values, [32.0] * len(values))
+        all_nan = SessionSeries([0, 60], [math.nan] * 2, [16.0, 16.0])
+        empty = SessionSeries([], [], [])
+        for index in (
+            {sid: series for sid in WRITER_IDS},
+            {"a": all_nan, "b": empty, "a\0": series, "c": empty},
+            {"s1": empty},
+            {},
+        ):
+            assert written(write_timeseries, suffix, index, chunk_rows) == written(
+                ingest_reference.write_timeseries, suffix, index
+            )
+        assert written(write_timeseries, ".csv", {}) == b"session_id,timestamp,current_a,pilot_a\r\n"
+
+    def test_timestamps_match_datetime_as_string(self):
+        edges = [
+            datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59),
+            datetime(1600, 2, 29), datetime(1600, 2, 29, 23, 59, 59), datetime(1600, 3, 1),
+            datetime(1900, 2, 28, 23, 59, 59), datetime(1900, 3, 1),
+            datetime(2000, 2, 29), datetime(2000, 2, 29, 23, 59, 59),
+            datetime(1969, 12, 31, 23, 59, 59), datetime(1969, 12, 31), datetime(1970, 1, 1),
+            datetime(1, 2, 28, 23, 59, 59), datetime(1, 3, 1), datetime(400, 2, 29),
+        ]
+        t = np.concatenate([
+            [epoch_seconds(d.replace(tzinfo=timezone.utc)) for d in edges],
+            np.arange(-100_000, 100_000, 997),  # seconds on each side of 1970
+            np.random.default_rng(0).integers(FIRST_SECOND, LAST_SECOND + 1, 10**6),
+        ])
+        assert t.min() == FIRST_SECOND and t.max() == LAST_SECOND
+        expected = np.datetime_as_string(t.astype("datetime64[s]"), timezone="UTC").astype("S20")
+        assert np.array_equal(ingest._stamp_cells(t).view("S20").ravel(), expected)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    @pytest.mark.parametrize("t, current, pilot", [
+        (LAST_SECOND + 1, 16.0, 32.0),
+        (FIRST_SECOND - 1, 16.0, math.nan),
+        (0, math.inf, 32.0),
+        (0, math.nan, -math.inf),
+    ])
+    def test_unparsable_values_are_refused(self, tmp_path, suffix, t, current, pilot):
+        # Written, each would parse to 0 sessions and one issue per row.
+        index = {"ok": make_series(current=16.0), "bad,id": SessionSeries([t], [current], [pilot])}
+        path = tmp_path / f"timeseries{suffix}"
+        with pytest.raises(ValueError) as info:
+            write_timeseries(path, index)
+        assert str(info.value) == (
+            f"cannot write session 'bad,id': t={t}, current_a={current!r}, pilot_a={pilot!r}"
+            " (not in years 1-9999, or not finite)"
+        )
+        assert not path.exists()
 
 
 @st.composite
