@@ -9,11 +9,20 @@ a client's local epoch e of round r (at sampled position p) draw from
 stream (seed, STREAM_EPOCH, index, p) with index = r * local_epochs + e and
 p = 0 for centralized. A single-client, full-participation federated run
 therefore consumes exactly the centralized schedule.
+
+The sampled clients of a round train in forked workers (pool.py) when a
+round has two or more of them and _pool_size allows it; otherwise one after
+another in this process. Either way this process samples, aggregates in
+sampled order and evaluates, and a client's work depends only on its
+streams and the broadcast parameters, so both give the same bits. A pooled
+round r + 1 trains while _train evaluates round r; a failure still surfaces
+in the order the serial loop would meet it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +36,9 @@ from .seeding import STREAM_EPOCH, STREAM_SAMPLE, rng_from
 # validation MAE by more than CONVERGENCE_MIN_DELTA kWh.
 CONVERGENCE_PATIENCE = 30
 CONVERGENCE_MIN_DELTA = 0.01
+
+# The most worker processes a run forks to train one round's clients.
+MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -120,10 +132,13 @@ def sample_clients(
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     k = partition.n_clients
-    m = max(1, int(np.floor(fraction * k + 0.5)))
     rng = rng_from(seed, STREAM_SAMPLE, round_index)
-    chosen = sorted(rng.choice(k, size=m, replace=False))
+    chosen = sorted(rng.choice(k, size=_clients_per_round(k, fraction), replace=False))
     return tuple(partition.client_ids[i] for i in chosen)
+
+
+def _clients_per_round(k: int, fraction: float) -> int:
+    return max(1, int(np.floor(fraction * k + 0.5)))
 
 
 def train_one_epoch(model, X, stations, y, batch_size: int, adam, rng) -> None:
@@ -157,6 +172,9 @@ def local_train(
     for e in range(local_epochs):
         train_one_epoch(model, X, stations, y, batch_size, adam, epoch_rngs[e])
     return get_params(model)
+
+
+_OWN_LOCAL_TRAIN = local_train
 
 
 def aggregate(updates: list[tuple[ModelParameters, int]]) -> ModelParameters:
@@ -236,29 +254,76 @@ def run_centralized(data: SplitData, model, cfg: CentralConfig) -> TrainResult:
     return _train(model, data, epoch, cfg.epochs, "centralized", "epoch", cfg.lr)
 
 
+def _pool_size(clients_per_round: int) -> int:
+    """Workers to fork for rounds of this many clients, or 0 to train them
+    one after another in this process.
+
+    The pool needs two clients a round, two usable CPUs, os.fork and an
+    OpenBLAS whose thread count it can set. It also needs local_train to be
+    this module's own function: when something in this process wraps it (a
+    tracer, a test spy), a forked worker would carry the wrapper off and drop
+    what it records, so such runs stay serial.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    n = min(MAX_WORKERS, cpus, clients_per_round)
+    if n < 2 or not hasattr(os, "fork") or local_train is not _OWN_LOCAL_TRAIN:
+        return 0
+    from . import pool  # imports multiprocessing, which serial runs never need
+
+    return n if pool.blas_threads() is not None else 0
+
+
 def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
-    """FedAvg: sample clients, train each locally, aggregate."""
+    """FedAvg: sample clients, train each locally, aggregate (see the
+    module docstring for when the clients train in forked workers)."""
     partition = partition_by_station(data.station_ids_train)
     client_data = {
         cid: (data.X_train[list(idx)], data.st_train[list(idx)], data.y_train[list(idx)])
         for cid, idx in zip(partition.client_ids, partition.indices)
     }
 
-    def fed_round(r: int, global_params: ModelParameters):
-        sampled = sample_clients(partition, cfg.client_fraction, r, cfg.seed)
-        updates: list[tuple[ModelParameters, int]] = []
-        for pos, cid in enumerate(sampled):
-            Xc, stc, yc = client_data[cid]
-            epoch_rngs = [
-                rng_from(cfg.seed, STREAM_EPOCH, r * cfg.local_epochs + e, pos)
-                for e in range(cfg.local_epochs)
-            ]
-            updated = local_train(model, global_params, Xc, stc, yc, cfg.local_epochs,
-                                  cfg.batch_size, cfg.lr, epoch_rngs)
-            updates.append((updated, len(yc)))
-        return aggregate(updates), sampled
+    def sampled(r: int) -> tuple[str, ...]:
+        return sample_clients(partition, cfg.client_fraction, r, cfg.seed)
 
-    return _train(model, data, fed_round, cfg.rounds, "federated", "round", cfg.lr)
+    def train_client(r: int, pos: int, cid: str, global_params: ModelParameters):
+        Xc, stc, yc = client_data[cid]
+        epoch_rngs = [
+            rng_from(cfg.seed, STREAM_EPOCH, r * cfg.local_epochs + e, pos)
+            for e in range(cfg.local_epochs)
+        ]
+        return local_train(model, global_params, Xc, stc, yc, cfg.local_epochs,
+                           cfg.batch_size, cfg.lr, epoch_rngs)
+
+    def updates(clients, params) -> list[tuple[ModelParameters, int]]:
+        return [(p, len(client_data[cid][2])) for cid, p in zip(clients, params)]
+
+    def fed_round(r: int, global_params: ModelParameters):
+        clients = sampled(r)
+        trained = [train_client(r, pos, cid, global_params) for pos, cid in enumerate(clients)]
+        return aggregate(updates(clients, trained)), clients
+
+    m = _clients_per_round(partition.n_clients, cfg.client_fraction)
+    n_workers = _pool_size(m) if cfg.rounds else 0
+    if not n_workers:
+        return _train(model, data, fed_round, cfg.rounds, "federated", "round", cfg.lr)
+
+    from .pool import ClientPool
+
+    with ClientPool(n_workers, model.layout, m, train_client) as workers:
+        def pooled_round(r: int, global_params: ModelParameters):
+            if r == 0:
+                workers.dispatch(0, sampled(0), global_params)
+            upcoming = sampled(r + 1) if r + 1 < cfg.rounds else ()  # while round r trains
+            clients, trained = workers.collect()
+            params = aggregate(updates(clients, trained))
+            if upcoming:  # round r + 1 trains while _train evaluates round r
+                workers.dispatch(r + 1, upcoming, params)
+            return params, clients
+
+        return _train(model, data, pooled_round, cfg.rounds, "federated", "round", cfg.lr)
 
 
 def detect_convergence(

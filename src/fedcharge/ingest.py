@@ -529,22 +529,13 @@ def write_sessions(path, sessions: list[SessionRecord]) -> None:
 
 
 def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
-    """One row per reading, sessions in index order, built as bytes by _rows.
-    A time outside years 1-9999 or an infinite reading, which the parser
-    would reject, raises ValueError naming its session before any write.
+    """One row per reading, sessions in index order, built as bytes by _rows
+    a block at a time. A time outside years 1-9999 or an infinite reading,
+    which the parser would reject, raises ValueError naming its session
+    before any write.
     """
     path = Path(path)
-    sids = list(index)
-    session = np.repeat(np.arange(len(sids)), [len(s) for s in index.values()])
-    t = np.concatenate([np.empty(0, np.int64), *(s.t for s in index.values())])
-    current = np.concatenate([np.empty(0), *(s.current for s in index.values())])
-    pilot = np.concatenate([np.empty(0), *(s.pilot for s in index.values())])
-    # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
-    bad = (t < -62_135_596_800) | (t > 253_402_300_799) | np.isinf(current) | np.isinf(pilot)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"cannot write session {sids[session[i]]!r}: t={t[i]}, current_a="
-                         f"{current[i]}, pilot_a={pilot[i]} (not in years 1-9999, or not finite)")
+    sids, series = list(index), list(index.values())
     # Separators join the texts beside them; a float's label goes with it.
     if _is_csv(path):  # only a session id can need quoting
         header, ids = ",".join(TIMESERIES_COLUMNS) + "\r\n", [_csv_text(s) + "," for s in sids]
@@ -555,15 +546,49 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
     ids = [sid.encode() for sid in ids]
     # Fewer rows per block when a long session id widens every row.
     step = max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 128 // max(map(len, ids), default=1)))
+    # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z; a
+    # session's times increase, so its first and last bound them all.
+    lo, hi = -62_135_596_800, 253_402_300_799
+    for sid, s in index.items():
+        if len(s) and (s.t[0] < lo or s.t[-1] > hi or np.isinf(s.current).any()
+                       or np.isinf(s.pilot).any()):
+            i = int(np.argmax((s.t < lo) | (s.t > hi) | np.isinf(s.current) | np.isinf(s.pilot)))
+            raise ValueError(f"cannot write session {sid!r}: t={s.t[i]}, current_a="
+                             f"{s.current[i]}, pilot_a={s.pilot[i]} (not in years 1-9999, or "
+                             f"not finite)")
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for rows in (slice(lo, lo + step) for lo in range(0, len(t), step)):
-            parts = [_run_cells(session[rows], session[rows], ids.__getitem__),
-                     (_stamp_cells(t[rows]), [20])]
-            for x, (before, label, after) in zip((current[rows], pilot[rows]), floats):
+        for session, t, current, pilot in _blocks_of(series, step):
+            parts = [_run_cells(session, session, ids.__getitem__), (_stamp_cells(t), [20])]
+            for x, (before, label, after) in zip((current, pilot), floats):
                 parts.append(_run_cells(x.view(np.int64), x, lambda v: (
                     before + ("" if v != v else label + repr(v)) + after).encode()))
             fh.write(_rows(parts))
+
+
+def _blocks_of(series: list[SessionSeries], step: int):
+    """(session codes, t, current, pilot) of the readings of all sessions in
+    order, `step` rows at a time; each block is gathered from the sessions it
+    spans, so memory stays one block's."""
+    lengths = np.array([len(s) for s in series], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    columns = [[s.t for s in series], [s.current for s in series], [s.pilot for s in series]]
+    for lo in range(0, int(ends[-1]) if len(ends) else 0, step):
+        hi = min(lo + step, int(ends[-1]))
+        # Sessions first..last hold rows lo..hi-1; empty ones among them add none.
+        first, last = int(np.searchsorted(ends, lo, "right")), int(np.searchsorted(ends, hi))
+        head, tail = lo - starts[first], hi - starts[last]
+        counts = lengths[first : last + 1].copy()
+        counts[-1] = tail
+        counts[0] -= head
+        gathered = []
+        for column in columns:
+            pieces = column[first : last + 1]
+            pieces[-1] = pieces[-1][:tail]
+            pieces[0] = pieces[0][head:]
+            gathered.append(np.concatenate(pieces))
+        yield np.repeat(np.arange(first, last + 1), counts), *gathered
 
 
 def _stamp_cells(t: np.ndarray) -> np.ndarray:

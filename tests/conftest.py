@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from datetime import datetime, timezone
 
 import numpy as np
@@ -56,6 +57,17 @@ def make_series(
 
     t = epoch_seconds(start) + np.array([int(off) for off in offsets_s], dtype=np.int64)
     return SessionSeries(t, column(current), column(pilot))
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Fails a test that leaves a child process running, and stops it."""
+    yield
+    stray = multiprocessing.active_children()
+    for proc in stray:
+        proc.kill()
+        proc.join()
+    assert not stray, f"processes left running: {stray}"
 
 
 @pytest.fixture(scope="session")

@@ -24,12 +24,17 @@ TRAINING_SPANS = ("models.forward", "models.loss_and_grad", "models.adam", "mode
 
 
 @pytest.fixture(scope="module")
-def traced(tmp_path_factory):
+def features(tmp_path_factory):
     out = tmp_path_factory.mktemp("traced")
     assert dispatch(["synth", "--seed", "5", "--stations", "5",
                      "--sessions-per-station", "12:16", "--out", str(out / "depot")]) == 0
     assert dispatch(["featurize", "--in", str(out / "depot"), "--out", str(out / "feats")]) == 0
-    features = str(out / "feats" / "features.csv")
+    return str(out / "feats" / "features.csv")
+
+
+@pytest.fixture(scope="module")
+def traced(features, tmp_path_factory):
+    out = tmp_path_factory.mktemp("traced-runs")
     tracer = Tracer()
     with patched(tracer, layers.TARGETS):
         assert dispatch(["train", "--features", features, "--mode", "federated",
@@ -51,4 +56,20 @@ def test_layer_metrics_are_nonzero(traced):
         assert metrics[metric] > 0, metric
     # Every gradient the model computes is applied by one Adam step.
     adam_steps = sum(span.name == "models.adam" for span in traced.spans)
+    assert metrics["models.grad_calls"] == adam_steps > 0
+
+
+def test_traced_run_with_several_clients_a_round_stays_whole(features, tmp_path):
+    """Untraced, 3 clients a round train in forked workers. A traced run
+    wraps local_train, so it trains them in this process, and every client
+    update and gradient step is counted."""
+    tracer = Tracer()
+    with patched(tracer, layers.TARGETS):
+        assert dispatch(["train", "--features", features, "--mode", "federated",
+                         "--model", "mlp", "--rounds", "2", "--fraction", "0.6",
+                         "--out", str(tmp_path)]) == 0
+    metrics = layers.pass_metrics(tracer)
+    rounds, m = 2, 3
+    assert metrics["federation.client_updates"] == rounds * m
+    adam_steps = sum(span.name == "models.adam" for span in tracer.spans)
     assert metrics["models.grad_calls"] == adam_steps > 0
