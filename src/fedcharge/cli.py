@@ -279,7 +279,7 @@ def _cmd_ingest(args, conf: dict) -> None:
 def _cmd_featurize(args, conf: dict) -> None:
     """build features.csv from session and time-series files"""
     retained, index, cfg, report = _parse_and_retain(conf)
-    table = build_feature_table(retained.sessions, index, cfg)
+    table = build_feature_table(retained.sessions, index, cfg, retained.windows)
     out = _outdir(args.out)
     write_features(out / "features.csv", table)
     report["warnings"] = dict(table.warnings)

@@ -159,23 +159,25 @@ def build_feature_table(
     sessions: list[SessionRecord],
     series: dict[str, SessionSeries],
     cfg: DatasetConfig,
+    windows: list[tuple[int, int]] | None = None,
 ) -> FeatureTable:
     """Featurize retained sessions in order; tallies data-quality warnings.
 
     Each row holds the statistics of the readings in [t_conn, t_conn + W]
     (NaN = missing), the calendar encodings of t_conn (UTC fields; weekday:
-    Monday = 0) and the user fields. Only the window bounds, the calendar
-    fields and the user fields are found one session at a time. The
-    statistics are row reductions over all sessions with the same number of
-    values, bit-equal to the per-session definitions.
+    Monday = 0) and the user fields. Only the window bounds (taken from
+    windows when given, as RetentionResult.windows), the calendar fields and
+    the user fields are found one session at a time. The statistics are row
+    reductions over all sessions with the same number of values, bit-equal
+    to the per-session definitions.
     """
     n = len(sessions)
     warnings: Counter = Counter()
     t, current, pilot = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0)]
     merged, starts_us, fields, user, targets = [], [], [], [], []
-    for session in sessions:
+    for session, window in zip(sessions, windows or [None] * n, strict=True):
         readings = series[session.session_id]
-        lo, hi = early_window_bounds(session, readings, cfg)
+        lo, hi = window or early_window_bounds(session, readings, cfg)
         if lo:
             warnings["samples_before_connection"] += lo
         offset = departure_offset(session)

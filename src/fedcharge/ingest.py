@@ -14,10 +14,10 @@ default: malformed rows are skipped and reported with their line number;
 strict mode aborts on the first bad row. Bytes that are not UTF-8, and a CSV
 field over csv.field_size_limit(), abort in either mode, naming their line.
 
-Reading. A file is read in blocks of _CHUNK_ROWS lines, so memory stays
-bounded. Lines end as the csv module ends them: at a \n, a \r\n or a bare
-\r. The text is decoded as it is read, and each block is encoded back to
-its bytes for the tokenizer. The CSV header line goes through csv.reader.
+Reading. A file is read in blocks of _CHUNK_ROWS lines. Lines end as the
+csv module ends them: at a \n, a \r\n or a bare \r. The text is decoded
+as it is read, and each block is encoded back to its bytes for the
+tokenizer. The CSV header line goes through csv.reader.
 A CSV block is plain when it holds no quote, no NUL, no bare \r and no
 blank line, and every line has as many fields as the header. Then one
 numpy pass over the offsets of "," and "\n" finds every field, each
@@ -34,6 +34,12 @@ session id is decoded and looked up once per run of equal adjacent ids,
 which is how a time-series file lays out its sessions. A cell or row the
 bulk path cannot vouch for goes through the per-row rules (_reading,
 _get_float, parse_utc), which also give its line-numbered issue.
+
+Memory. A time-series parse holds one block and each column's pieces; they
+are joined a column at a time, so its peak stays under twice its result plus
+one block. When every row's (session, time) key is above the row before's,
+as synth and ingest write files, the rows are grouped and distinct already,
+and the sort and merge are skipped. The writer holds one block of rows.
 """
 
 from __future__ import annotations
@@ -65,8 +71,8 @@ SESSION_COLUMNS = [f.name for f in fields(SessionRecord)]
 TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 
 # Lines read per block: enough to amortize the array calls, few enough that
-# one block's bytes and cells stay a few MB.
-_CHUNK_ROWS = 32_768
+# one block's bytes and cells stay near 1.5 MB.
+_CHUNK_ROWS = 4_096
 
 
 class ParseError(ValueError):
@@ -442,15 +448,13 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     timestamp) pairs merge last-write-wins in file order; negative readings
     are clamped to 0. Both are counted in the result.
 
-    Rows are converted a block at a time: canonical timestamps and floats in
-    bulk. A row the bulk path cannot vouch for (another timestamp form, a bad
-    or missing cell, a malformed line) goes through the per-row rules, which
-    also produce its line-numbered issue.
+    Rows are converted a block at a time and sorted only if out of order.
     """
     path = Path(path)
     issues: list[tuple[int, str]] = []
     code_of: dict[str, int] = {}  # session id -> rank of its first valid row
-    parts = []
+    # Per column (session code, t, current, pilot), its piece of every block.
+    parts = [[np.empty(0, dtype)] for dtype in (np.int32, np.int64, float, float)]
     for lines, cells, absent, errors in _read_chunks(path, TIMESERIES_COLUMNS):
         sids, stamps, currents, pilots = cells
         t, suspect = _canonical_seconds(stamps)
@@ -480,36 +484,44 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         head = np.ones(len(kept), dtype=bool)
         head[1:] = kept[1:] != kept[:-1]
         codes = [code_of.setdefault(sid, len(code_of)) for sid in _texts(kept[head])]
-        codes = np.array(codes, dtype=np.int64)[np.cumsum(head) - 1]
-        parts.append((codes, t[rows], current[rows], pilot[rows]))
+        codes = np.array(codes, dtype=np.int32)[np.cumsum(head) - 1]
+        for k, column in enumerate((codes, t[rows], current[rows], pilot[rows])):
+            parts[k].append(column)
 
-    codes, t, current, pilot = (
-        np.concatenate([part[k] for part in parts] or [np.empty(0, dtype)])
-        for k, dtype in enumerate((np.int64, np.int64, float, float))
-    )
+    # One column at a time, its source popped and freed before the next.
+    columns = [np.concatenate(parts.pop(0)) for _ in range(4)]
+    n_rows = len(columns[0])
     n_clamped = 0
-    for values in (current, pilot):
+    for values in columns[2:]:
         negative = values < 0  # NaN and -0.0 stay as they are
         n_clamped += int(np.count_nonzero(negative))
         values[negative] = 0.0
-    # Stable, so each run of equal (session, timestamp) keys keeps file order
-    # and its last row wins.
-    order = np.lexsort((t, codes))
-    codes, t, current, pilot = codes[order], t[order], current[order], pilot[order]
-    last = np.ones(len(t), dtype=bool)
-    last[:-1] = (codes[1:] != codes[:-1]) | (t[1:] != t[:-1])
-    codes, t, current, pilot = codes[last], t[last], current[last], pilot[last]
+    if not _rising(*columns[:2]).all():  # else sorting and merging change nothing
+        # Stable, so each run of equal (session, timestamp) keys keeps file
+        # order and its last row wins.
+        order = np.lexsort(columns[1::-1])
+        columns = [columns.pop(0)[order] for _ in range(4)]
+        last = np.append(_rising(*columns[:2]), True)
+        columns = [columns.pop(0)[last] for _ in range(4)]
+    codes, t, current, pilot = columns
+    for column in columns[1:]:
+        column.flags.writeable = False
     bounds = np.searchsorted(codes, np.arange(len(code_of) + 1)).tolist()
     index = {
-        sid: SessionSeries(t[lo:hi], current[lo:hi], pilot[lo:hi])
+        sid: SessionSeries._unchecked(t[lo:hi], current[lo:hi], pilot[lo:hi])
         for sid, lo, hi in zip(code_of, bounds, bounds[1:])
     }
     return TimeSeriesParseResult(
         index=index,
         issues=issues,
         n_negative_clamped=n_clamped,
-        n_duplicates_merged=len(last) - len(t),
+        n_duplicates_merged=n_rows - len(t),
     )
+
+
+def _rising(codes: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Whether each row's (session code, t) key is above the row before's."""
+    return (codes[1:] > codes[:-1]) | (codes[1:] == codes[:-1]) & (t[1:] > t[:-1])
 
 
 def write_sessions(path, sessions: list[SessionRecord]) -> None:

@@ -105,6 +105,14 @@ class SessionSeries:
             t = int(self.t[np.argmax(absent)])
             raise ValueError(f"reading at t={t} carries neither current nor pilot")
 
+    @classmethod
+    def _unchecked(cls, t, current, pilot) -> SessionSeries:
+        """A series of read-only int64/float64 columns known to pass the checks."""
+        series = object.__new__(cls)
+        for name, column in (("t", t), ("current", current), ("pilot", pilot)):
+            object.__setattr__(series, name, column)
+        return series
+
     def __len__(self) -> int:
         return len(self.t)
 
@@ -146,13 +154,6 @@ def early_window_bounds(
     return lo, max(lo, hi)
 
 
-def count_early_current(
-    session: SessionRecord, series: SessionSeries, cfg: DatasetConfig
-) -> int:
-    lo, hi = early_window_bounds(session, series, cfg)
-    return int(np.count_nonzero(~np.isnan(series.current[lo:hi])))
-
-
 # Drop-reason keys used in the retention tally.
 DROP_MISSING_SERIES = "missing_series"
 DROP_MISSING_TARGET = "missing_target"
@@ -161,10 +162,11 @@ DROP_FEW_EARLY_CURRENT = "insufficient_early_current"
 
 @dataclass(frozen=True)
 class RetentionResult:
-    """Retained sessions (input order preserved) plus the drop-reason tally."""
+    """Retained sessions (input order kept), their early_window_bounds and the drop tally."""
 
     sessions: list[SessionRecord]
     dropped: Counter = field(default_factory=Counter)
+    windows: list[tuple[int, int]] = field(default_factory=list)
 
 
 def retain_sessions(
@@ -177,6 +179,7 @@ def retain_sessions(
     """
     kept: list[SessionRecord] = []
     dropped: Counter = Counter()
+    windows: list[tuple[int, int]] = []
     for session in sessions:
         readings = series.get(session.session_id)
         if not readings:
@@ -185,8 +188,10 @@ def retain_sessions(
         if session.delivered_energy_kwh is None:
             dropped[DROP_MISSING_TARGET] += 1
             continue
-        if count_early_current(session, readings, cfg) < cfg.min_early_current_samples:
+        lo, hi = early_window_bounds(session, readings, cfg)
+        if np.count_nonzero(~np.isnan(readings.current[lo:hi])) < cfg.min_early_current_samples:
             dropped[DROP_FEW_EARLY_CURRENT] += 1
             continue
         kept.append(session)
-    return RetentionResult(sessions=kept, dropped=dropped)
+        windows.append((lo, hi))
+    return RetentionResult(sessions=kept, dropped=dropped, windows=windows)

@@ -9,6 +9,12 @@
 * Session ids are looked up once per run of equal ids; interleaved ids,
   rescued rows, invalid first rows and empty ids inside a run still give the
   reference's index and order.
+* Rows that arrive in (session, time) order skip the sort; shuffled rows,
+  split sessions, duplicates across a block boundary and a late last row are
+  sorted and merged, and all give the reference's result. Parsed series
+  equal the checked constructor's.
+* Under tracemalloc, a parse peaks under a small multiple of its result plus
+  one block, and the writer's peak does not grow with the depot.
 * The writer is fuzzed against the per-session reference writer: the same
   bytes, in both formats, across block boundaries. Its timestamps equal
   numpy's datetime_as_string over the whole range of years 1-9999, and it
@@ -28,7 +34,9 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -44,6 +52,8 @@ from fedcharge.cli import dispatch
 from fedcharge.ingest import (
     TIMESERIES_COLUMNS,
     ParseError,
+    SyntheticDepotSpec,
+    generate_synthetic,
     parse_sessions,
     parse_timeseries,
     write_timeseries,
@@ -401,6 +411,111 @@ class TestSessionRuns:
         parsed = parse_timeseries(path)
         assert list(parsed.index) == ["A", "B"]
         assert [len(s) for s in parsed.index.values()] == [2, 1]
+
+
+def ordered_rows(n: int) -> list:
+    """n rows of sessions A-D in turn, each session's minutes increasing; row
+    i reads current i, so a merge shows which duplicate won."""
+    return [("ABCD"[4 * i // n], i, f"{i}.0") for i in range(n)]
+
+
+def order_case(name: str, chunk_rows: int) -> str:
+    """A file of more rows than one block holds, for the in-order check."""
+    rows = ordered_rows(max(24, chunk_rows + 8))
+    if name == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    elif name == "split session":  # A's last rows come after B's
+        rows = rows[: len(rows) // 8] + rows[len(rows) // 4 : len(rows) // 2] + rows[len(rows) // 8 :]
+        rows = list(dict.fromkeys(rows))
+    elif name == "duplicate across blocks":  # the last row of block 1 and the first of block 2
+        rows[chunk_rows] = rows[chunk_rows - 1][:2] + ("-1.0",)
+    elif name == "last row back in time":
+        rows.append((rows[-1][0], rows[-1][1] - 1.5, "-2.0"))
+    return run_lines(rows)
+
+
+class TestInOrderCheck:
+    """Rows that arrive in (session, time) order skip the sort; any other
+    file is sorted and merged, and both give the reference's result."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
+    @pytest.mark.parametrize("name", ["in order", "shuffled", "split session",
+                                      "duplicate across blocks", "last row back in time"])
+    def test_matches_reference(self, name, chunk_rows):
+        with mock.patch.object(ingest.np, "lexsort", wraps=np.lexsort) as lexsort:
+            assert_same_as_reference("timeseries.csv", order_case(name, chunk_rows), chunk_rows)
+        assert lexsort.called == (name != "in order")
+
+    @pytest.mark.parametrize("name", ["in order", "shuffled"])
+    def test_jsonl_matches_reference(self, name):
+        assert_same_as_reference("timeseries.jsonl", as_jsonl(order_case(name, 2)), 2)
+
+
+class TestCheckedSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(text=csv_files(TIMESERIES_CELLS), chunk_rows=chunk_sizes)
+    def test_parsed_series_pass_the_checked_constructor(self, text, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "timeseries.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+                parsed = parse_timeseries(path)
+        for s in parsed.index.values():
+            checked = SessionSeries(s.t, s.current, s.pilot)
+            assert s == checked
+            for name in ("t", "current", "pilot"):
+                column = getattr(s, name)
+                assert column.dtype == getattr(checked, name).dtype and column.ndim == 1
+                assert not column.flags.writeable
+
+
+def traced(fn, *args):
+    """(result, peak bytes, bytes still held) of fn(*args) under tracemalloc.
+    One untraced call comes first, so lazy imports and caches do not count."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
+
+def synthetic_index(n_stations: int) -> dict[str, SessionSeries]:
+    """About 12,000 readings per station, 100 sessions each."""
+    spec = SyntheticDepotSpec(n_stations=n_stations, sessions_per_station=(100, 100), seed=3)
+    return generate_synthetic(spec)[1]
+
+
+class TestMemoryBound:
+    # A parse holds its rows' pieces and builds one column at a time: in
+    # order, it peaks near 1.5 times its arrays. A shuffled file adds the
+    # sort's order and one sorted column. Both stay under twice the result.
+    @pytest.mark.parametrize("chunk_rows", [1024, ingest._CHUNK_ROWS])
+    @pytest.mark.parametrize("shuffled, factor", [(False, 1.25), (True, 1.75)])
+    def test_parse_peaks_under_its_result_plus_one_block(self, tmp_path, chunk_rows,
+                                                          shuffled, factor):
+        depot, block = tmp_path / "timeseries.csv", tmp_path / "block.csv"
+        write_timeseries(depot, synthetic_index(4))
+        if shuffled:
+            header, *rows = depot.read_text().splitlines(True)
+            order = np.random.default_rng(0).permutation(len(rows))
+            depot.write_text(header + "".join(rows[i] for i in order))
+        with open(depot, newline="") as fh:
+            block.write_text("".join(islice(fh, 1 + chunk_rows)), newline="")
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            _, one_block, _ = traced(parse_timeseries, block)
+            parsed, peak, held = traced(parse_timeseries, depot)
+        assert sum(map(len, parsed.index.values())) > 4 * chunk_rows
+        assert peak <= factor * held + one_block
+
+    def test_write_peak_does_not_grow_with_the_depot(self, tmp_path):
+        path = tmp_path / "timeseries.csv"
+        small, large = (traced(write_timeseries, path, synthetic_index(n))[1] for n in (2, 4))
+        # The large depot has 200 more sessions and about 24,000 more rows;
+        # only a few words of bookkeeping per session may add to the peak.
+        assert large - small <= 256 * 200
 
 
 # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.

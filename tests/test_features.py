@@ -37,7 +37,13 @@ from fedcharge.features import (
     read_features,
     write_features,
 )
-from fedcharge.sessions import DatasetConfig, SessionSeries, early_window_bounds, epoch_seconds
+from fedcharge.sessions import (
+    DatasetConfig,
+    SessionSeries,
+    early_window_bounds,
+    epoch_seconds,
+    retain_sessions,
+)
 
 _STATS = ("mean", "max", "min", "std", "first", "last")
 
@@ -448,6 +454,10 @@ class TestTableOracle:
         sessions, series, cfg = depot
         assert_identical(build_feature_table(sessions, series, cfg),
                          features_reference.build_feature_table(sessions, series, cfg))
+        # The windows retention found are the ones featurizing would find.
+        retained = retain_sessions(sessions, series, cfg)
+        assert_identical(build_feature_table(retained.sessions, series, cfg, retained.windows),
+                         features_reference.build_feature_table(retained.sessions, series, cfg))
 
     @pytest.mark.parametrize("case", [
         "all_nan_current", "all_nan_pilot", "empty_window", "one_reading", "no_positive_pilot",

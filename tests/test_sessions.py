@@ -9,7 +9,6 @@ from conftest import T0, make_series, make_session
 from fedcharge.sessions import (
     DatasetConfig,
     SessionSeries,
-    count_early_current,
     early_window_bounds,
     epoch_seconds,
     parse_utc,
@@ -33,6 +32,16 @@ class TestTypes:
     def test_sample_requires_some_signal(self):
         with pytest.raises(ValueError):
             SessionSeries(t=[epoch_seconds(T0)], current=[np.nan], pilot=[np.nan])
+
+    @pytest.mark.parametrize("t", [[60, 60], [60, 0], [0, 60, 30]])
+    def test_series_requires_strictly_increasing_times(self, t):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SessionSeries(t=t, current=[16.0] * len(t), pilot=[32.0] * len(t))
+
+    def test_series_columns_are_read_only(self):
+        series = SessionSeries(t=[0, 60], current=[16.0, 16.0], pilot=[32.0, 32.0])
+        with pytest.raises(ValueError):
+            series.current[0] = 0.0
 
     def test_dataset_config_validation(self):
         with pytest.raises(ValueError):
@@ -130,5 +139,8 @@ class TestRetention:
             sessions.append(make_session(session_id=sid))
             series[sid] = make_series(offsets_s=tuple(int(o) for o in offsets))
         result = retain_sessions(sessions, series, dataset_cfg)
-        for s in result.sessions:
-            assert count_early_current(s, series[s.session_id], dataset_cfg) >= 5
+        assert len(result.windows) == len(result.sessions)
+        for s, window in zip(result.sessions, result.windows):
+            readings = series[s.session_id]
+            assert window == early_window_bounds(s, readings, dataset_cfg)
+            assert np.count_nonzero(~np.isnan(readings.current[slice(*window)])) >= 5
