@@ -263,10 +263,22 @@ def _parse_and_retain(conf: dict):
     return retained, parsed_series.index, cfg, report
 
 
+def _refuse_if_empty(retained, report: dict, path: Path) -> None:
+    """Write the report to path and fail when retention kept no session: the
+    outputs would be empty files that the later stages reject."""
+    if retained.sessions:
+        return
+    _write_json(path, report)
+    raise ValueError(f"no session retained from {report['timeseries_path']} "
+                     f"({report['n_series_sessions']} sessions with readings): dropped "
+                     f"{report['dropped']}; see {path}")
+
+
 def _cmd_ingest(args, conf: dict) -> None:
     """parse raw files, apply retention, write the clean dataset"""
     retained, index, _, report = _parse_and_retain(conf)
     out = _outdir(args.out)
+    _refuse_if_empty(retained, report, out / "ingest_report.json")
     kept_ids = {s.session_id for s in retained.sessions}
     ingest.write_sessions(out / "sessions.csv", retained.sessions)
     ingest.write_timeseries(
@@ -279,8 +291,9 @@ def _cmd_ingest(args, conf: dict) -> None:
 def _cmd_featurize(args, conf: dict) -> None:
     """build features.csv from session and time-series files"""
     retained, index, cfg, report = _parse_and_retain(conf)
-    table = build_feature_table(retained.sessions, index, cfg, retained.windows)
     out = _outdir(args.out)
+    _refuse_if_empty(retained, report, out / "featurize_report.json")
+    table = build_feature_table(retained.sessions, index, cfg, retained.windows)
     write_features(out / "features.csv", table)
     report["warnings"] = dict(table.warnings)
     _write_json(out / "featurize_report.json", report)

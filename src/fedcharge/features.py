@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from datetime import timedelta
 
 import numpy as np
 
+from .ingest import _csv_text
 from .sessions import (
     EPOCH,
     DatasetConfig,
@@ -58,6 +60,8 @@ UNSCALED_INDICES = tuple(i for i, (_, scaled) in enumerate(FEATURE_SPEC) if not 
 STD_FLOOR = 1e-8
 
 _COLUMN = {name: i for i, name in enumerate(FEATURE_COLUMNS)}
+# An id csv.writer writes as it is; any other goes through _csv_text.
+_PLAIN_ID = re.compile(r"[\w.:-]+")
 _MICROSECOND = timedelta(microseconds=1)
 # Optional user inputs, each with its 0/1 missingness flag.
 _USER = (
@@ -289,16 +293,30 @@ def write_features(path, table: FeatureTable) -> None:
     """features.csv: session_id, station_id, target, then FEATURE_COLUMNS.
 
     Raw (unimputed, unscaled) values; empty cell = missing. Downstream stages
-    fit imputation and scaling on their own training split.
+    fit imputation and scaling on their own training split. The bytes are
+    csv.writer's: ids quoted as it quotes them, floats as repr, rows ended
+    by \\r\\n. The cells are built a column at a time.
     """
+    columns = [
+        [sid if _PLAIN_ID.fullmatch(sid) else _csv_text(sid) for sid in ids]
+        for ids in (table.session_ids, table.station_ids)
+    ]
+    columns.append(_float_texts(table.y, "nan"))
+    columns += (_float_texts(values, "") for values in table.X.T)  # NaN is missing
+    rows = [",".join(("session_id", "station_id", "target", *table.feature_names))]
+    rows += map(",".join, zip(*columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["session_id", "station_id", "target", *table.feature_names])
-        for i in range(len(table)):
-            cells = [table.session_ids[i], table.station_ids[i], repr(float(table.y[i]))]
-            for v in table.X[i]:
-                cells.append("" if math.isnan(v) else repr(float(v)))
-            writer.writerow(cells)
+        fh.write("\r\n".join(rows) + "\r\n")
+
+
+def _float_texts(values: np.ndarray, nan: str) -> list[str]:
+    """repr of each float64 value, `nan` for NaN; repr runs once per distinct
+    bit pattern, so -0.0 and 0.0 stay apart."""
+    bits = np.asarray(values, np.float64).view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    text = {b: nan if v != v else repr(v)
+            for b, v in zip(distinct, np.array(distinct, np.int64).view(np.float64).tolist())}
+    return [text[b] for b in bits]
 
 
 def read_features(path) -> FeatureTable:

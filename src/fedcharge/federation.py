@@ -22,7 +22,6 @@ in the order the serial loop would meet it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,16 +263,12 @@ def _pool_size(clients_per_round: int) -> int:
     tracer, a test spy), a forked worker would carry the wrapper off and drop
     what it records, so such runs stay serial.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    n = min(MAX_WORKERS, cpus, clients_per_round)
-    if n < 2 or not hasattr(os, "fork") or local_train is not _OWN_LOCAL_TRAIN:
+    if clients_per_round < 2 or local_train is not _OWN_LOCAL_TRAIN:
         return 0
-    from . import pool  # imports multiprocessing, which serial runs never need
+    from . import pool  # serial runs never load it
 
-    return n if pool.blas_threads() is not None else 0
+    n = min(MAX_WORKERS, pool.usable_cpus(), clients_per_round)
+    return n if n >= 2 and pool.blas_threads() is not None else 0
 
 
 def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:

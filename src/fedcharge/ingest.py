@@ -35,11 +35,22 @@ which is how a time-series file lays out its sessions. A cell or row the
 bulk path cannot vouch for goes through the per-row rules (_reading,
 _get_float, parse_utc), which also give its line-numbered issue.
 
+Two cores. A CSV time-series file of at least _SPLIT_BYTES is cut at the
+first line start after its middle when two CPUs and os.fork are usable. A
+worker forked through pool.Workers converts the back half while this
+process converts the front; the back's session ids are coded after the
+front's and its line numbers shifted by the front's lines, so the result,
+issues and first error are a serial parse's. A quote in the front half may
+open a field that runs on past the cut: from it, this process reads the
+rest of the file as csv.reader and stops the worker. JSON lines stay serial.
+
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
-one block. When every row's (session, time) key is above the row before's,
-as synth and ingest write files, the rows are grouped and distinct already,
-and the sort and merge are skipped. The writer holds one block of rows.
+one block. A worker's pieces reach the parent as arrays of their own, with
+no second copy. When every row's (session, time) key is above the row
+before's, as synth and ingest write files, the rows are grouped and distinct
+already, and the sort and merge are skipped. The writer holds one block of
+rows.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ import csv
 import io
 import json
 import math
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from itertools import chain, islice, repeat
@@ -74,6 +85,10 @@ TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 # one block's bytes and cells stay near 1.5 MB.
 _CHUNK_ROWS = 4_096
 
+# A CSV time-series file at least this long is parsed in two halves when
+# two CPUs and os.fork are usable (see parse_timeseries).
+_SPLIT_BYTES = 1 << 20
+
 
 class ParseError(ValueError):
     """A malformed row in strict mode, bytes that are not UTF-8 or a CSV
@@ -83,6 +98,10 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_number}: {message}")
         self.path = str(path)
         self.line_number = line_number
+        self.reason = message
+
+    def __reduce__(self):
+        return ParseError, (self.path, self.line_number, self.reason)
 
 
 @dataclass
@@ -119,12 +138,12 @@ def _read_chunks(path: Path, columns: list[str]):
     has every field absent.
     """
     is_csv = _is_csv(path)
-    # Bytes that are not UTF-8 pass as lone surrogates, for _blocks to report.
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with _text(path) as fh:
         if is_csv:
-            yield from _csv_chunks(path, fh, columns)
+            blocks = _Blocks(path, fh, chain([1], repeat(_CHUNK_ROWS)))  # the header, then blocks
+            yield from _csv_chunks(path, blocks, columns)
             return
-        for first, _, text, _ in _blocks(path, fh, repeat(_CHUNK_ROWS)):
+        for first, _, text, _ in _Blocks(path, fh, repeat(_CHUNK_ROWS)):
             numbered = [
                 (n, _json_object(obj)) for n, line in
                 enumerate(io.StringIO(text, newline=None), start=first)
@@ -147,51 +166,97 @@ def _line_breaks(raw: bytes) -> tuple[int, int]:
     return int(np.count_nonzero(buf == ord("\n"))) + bare, bare
 
 
-def _blocks(path: Path, fh, sizes):
-    """Yield (first line number, bytes, text, bare \\r count) of consecutive
-    blocks of a file opened with newline="" and errors="surrogateescape",
-    block k holding sizes[k] lines. Bytes that are not UTF-8 raise a
-    ParseError naming their line.
+class _Range(io.RawIOBase):
+    """The next `size` bytes of an unbuffered binary file."""
+
+    def __init__(self, fh, size: int):
+        self._fh, self._left = fh, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(memoryview(buf)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _text(path: Path, start: int = 0, end: int | None = None):
+    """Bytes start to end (None: the end of the file) of path as text, read
+    with newline="", so that lines end as the csv module ends them. Bytes
+    that are not UTF-8 pass as lone surrogates, for _Blocks to report."""
+    raw = open(path, "rb", buffering=0)
+    raw.seek(start)
+    if end is not None:
+        raw = _Range(raw, end - start)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                            errors="surrogateescape", newline="")
+
+
+class _Blocks:
+    """Consecutive blocks of a file opened by _text: iterating yields (first
+    line number, bytes, text, bare \\r count), block k holding sizes[k]
+    lines, the first numbered `line`. .line is the number of the next line
+    to read. Bytes that are not UTF-8 raise a ParseError naming their line.
     """
-    line = 1
-    for size in sizes:
-        text = "".join(islice(fh, size))
-        if not text:
-            return
-        try:
-            raw = text.encode()
-        except UnicodeEncodeError:  # text holds escaped bytes: name the first
-            raw = text.encode(errors="surrogateescape")
+
+    def __init__(self, path: Path, fh, sizes, line: int = 1):
+        self.path, self.fh, self.sizes, self.line = path, fh, iter(sizes), line
+
+    def __iter__(self):
+        for size in self.sizes:
+            text = "".join(islice(self.fh, size))
+            if not text:
+                return
             try:
-                raw.decode()
-            except UnicodeDecodeError as exc:
-                raise ParseError(
-                    path, line + _line_breaks(raw[: exc.start])[0],
-                    f"not valid UTF-8: {raw[exc.start : exc.end]!r} ({exc.reason})",
-                ) from None
-        breaks, bare = _line_breaks(raw)
-        yield line, raw, text, bare
-        line += breaks
+                raw = text.encode()
+            except UnicodeEncodeError:  # text holds escaped bytes: name the first
+                raw = text.encode(errors="surrogateescape")
+                try:
+                    raw.decode()
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        self.path, self.line + _line_breaks(raw[: exc.start])[0],
+                        f"not valid UTF-8: {raw[exc.start : exc.end]!r} ({exc.reason})",
+                    ) from None
+            breaks, bare = _line_breaks(raw)
+            yield self.line, raw, text, bare
+            self.line += breaks
 
 
-def _csv_chunks(path: Path, fh, columns: list[str]):
-    """_read_chunks for CSV: plain blocks by the byte tokenizer, others by csv.reader."""
-    blocks = _blocks(path, fh, chain([1], repeat(_CHUNK_ROWS)))
+def _csv_chunks(path: Path, blocks, columns: list[str], rest=(), on_header=None):
+    """_read_chunks for CSV: plain blocks by the byte tokenizer, others by
+    csv.reader. From a block with a quote on, csv.reader reads these blocks
+    and then the blocks of rest. on_header(width, picks) is called once the
+    header is read."""
+    blocks = iter(blocks)
     head = next(blocks, None)
     if head is None:
         return
     _, raw, text, _ = head
     if b'"' in raw:  # a quoted header may run on: csv.reader reads it all
-        yield from _reader_chunks(path, chain([head], blocks), None, columns)
+        yield from _reader_chunks(path, chain([head], blocks, rest), None, columns)
         return
     header = next(_checked(path, csv.reader([text]), 0), [])
     picks = _picks(header, columns)
+    if on_header is not None:
+        on_header(len(header), picks)
+    yield from _body_chunks(path, blocks, len(header), picks, columns, rest)
+
+
+def _body_chunks(path: Path, blocks, width: int, picks, columns: list[str], rest=()):
+    """_csv_chunks after a header of `width` fields."""
+    blocks = iter(blocks)
     for block in blocks:
         first, raw, _, bare = block
         if b'"' in raw:  # a quoted field may run on into the next block
-            yield from _reader_chunks(path, chain([block], blocks), picks, columns)
+            yield from _reader_chunks(path, chain([block], blocks, rest), picks, columns)
             return
-        cells = None if bare or b"\0" in raw else _plain_columns(raw, len(header), picks)
+        cells = None if bare or b"\0" in raw else _plain_columns(raw, width, picks)
         if cells is None:
             yield from _reader_chunks(path, [block], picks, columns)
         else:
@@ -448,45 +513,38 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     timestamp) pairs merge last-write-wins in file order; negative readings
     are clamped to 0. Both are counted in the result.
 
-    Rows are converted a block at a time and sorted only if out of order.
+    Rows are converted a block at a time and sorted only if out of order. A
+    CSV file of at least _SPLIT_BYTES is split at the first line start after
+    its middle when two CPUs and os.fork are usable: a forked worker
+    converts the back half while this process converts the front, and the
+    result is the one a serial parse gives (see _Halves).
     """
     path = Path(path)
     issues: list[tuple[int, str]] = []
     code_of: dict[str, int] = {}  # session id -> rank of its first valid row
     # Per column (session code, t, current, pilot), its piece of every block.
     parts = [[np.empty(0, dtype)] for dtype in (np.int32, np.int64, float, float)]
-    for lines, cells, absent, errors in _read_chunks(path, TIMESERIES_COLUMNS):
-        sids, stamps, currents, pilots = cells
-        t, suspect = _canonical_seconds(stamps)
-        current, bad_current = _float_column(currents, absent)
-        pilot, bad_pilot = _float_column(pilots, absent)
-        suspect |= bad_current | bad_pilot | (np.isnan(current) & np.isnan(pilot))
-        if isinstance(sids, np.ndarray):
-            suspect |= sids == b""
-        else:  # a rescued row's id is str() of its cell, as _reading gives it
-            suspect |= np.array([type(s) is not str or not s for s in sids], dtype=bool)
-            sids = np.array([str(s) for s in sids], dtype=object)
-        keep = ~suspect
-        for i in np.flatnonzero(suspect).tolist():
-            try:
-                if i in errors:
-                    raise errors[i]
-                _, t[i], current[i], pilot[i] = _reading(
-                    _row(TIMESERIES_COLUMNS, cells, i, absent)
-                )
-                keep[i] = True
-            except (ValueError, TypeError) as exc:
-                if strict:
-                    raise ParseError(path, lines[i], str(exc)) from exc
-                issues.append((lines[i], str(exc)))
-        rows = np.flatnonzero(keep)
-        kept = sids[rows]  # one lookup per run of equal ids, as files hold them
-        head = np.ones(len(kept), dtype=bool)
-        head[1:] = kept[1:] != kept[:-1]
-        codes = [code_of.setdefault(sid, len(code_of)) for sid in _texts(kept[head])]
-        codes = np.array(codes, dtype=np.int32)[np.cumsum(head) - 1]
-        for k, column in enumerate((codes, t[rows], current[rows], pilot[rows])):
-            parts[k].append(column)
+
+    def code(sids) -> np.ndarray:
+        return np.array([code_of.setdefault(sid, len(code_of)) for sid in sids], np.int32)
+
+    def add(codes: np.ndarray, lengths: np.ndarray, pieces) -> None:
+        """Keep the pieces of runs of rows, run k of lengths[k] rows of session codes[k]."""
+        parts[0].append(np.repeat(codes, lengths))
+        for part, column in zip(parts[1:], pieces):
+            part.extend(column)
+
+    split = _split_at(path)
+    with _Halves(path, split, strict) if split else nullcontext() as halves:
+        chunks = halves.front() if halves else _read_chunks(path, TIMESERIES_COLUMNS)
+        for chunk in chunks:
+            heads, lengths, columns = _convert(path, chunk, strict, issues)
+            add(code(heads), lengths, ([column] for column in columns))
+        if halves and not halves.read_on:
+            back_issues, sids, runs, lengths, pieces = halves.back()
+            issues += back_issues
+            add(code(sids)[runs], lengths, pieces)  # sids in the order they first appear
+            del runs, lengths, pieces  # so that the join frees them
 
     # One column at a time, its source popped and freed before the next.
     columns = [np.concatenate(parts.pop(0)) for _ in range(4)]
@@ -517,6 +575,143 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         n_negative_clamped=n_clamped,
         n_duplicates_merged=n_rows - len(t),
     )
+
+
+def _convert(path: Path, chunk, strict: bool, issues: list):
+    """(run-head session ids, run lengths, (t, current, pilot)) of a chunk's
+    valid rows. The other rows' issues are appended to issues; in strict
+    mode the first raises a ParseError."""
+    lines, cells, absent, errors = chunk
+    sids, stamps, currents, pilots = cells
+    t, suspect = _canonical_seconds(stamps)
+    current, bad_current = _float_column(currents, absent)
+    pilot, bad_pilot = _float_column(pilots, absent)
+    suspect |= bad_current | bad_pilot | (np.isnan(current) & np.isnan(pilot))
+    if isinstance(sids, np.ndarray):
+        suspect |= sids == b""
+    else:  # a rescued row's id is str() of its cell, as _reading gives it
+        suspect |= np.array([type(s) is not str or not s for s in sids], dtype=bool)
+        sids = np.array([str(s) for s in sids], dtype=object)
+    keep = ~suspect
+    for i in np.flatnonzero(suspect).tolist():
+        try:
+            if i in errors:
+                raise errors[i]
+            _, t[i], current[i], pilot[i] = _reading(_row(TIMESERIES_COLUMNS, cells, i, absent))
+            keep[i] = True
+        except (ValueError, TypeError) as exc:
+            if strict:
+                raise ParseError(path, lines[i], str(exc)) from exc
+            issues.append((lines[i], str(exc)))
+    rows = np.flatnonzero(keep)
+    kept = sids[rows]  # one lookup per run of equal ids, as files hold them
+    head = np.ones(len(kept), dtype=bool)
+    head[1:] = kept[1:] != kept[:-1]
+    starts = np.flatnonzero(head)
+    lengths = np.diff(starts, append=len(kept))
+    return _texts(kept[starts]), lengths, (t[rows], current[rows], pilot[rows])
+
+
+def _split_at(path: Path) -> int | None:
+    """Where a split parse of path cuts it: the first line start after its
+    middle. None when the file is not CSV, is under _SPLIT_BYTES, has no
+    line start after its middle, or two CPUs and os.fork are not usable."""
+    if not _is_csv(path):
+        return None
+    size = path.stat().st_size
+    if size < _SPLIT_BYTES:
+        return None
+    from . import pool  # a serial parse never loads it
+
+    if pool.usable_cpus() < 2:
+        return None
+    with open(path, "rb") as fh:
+        fh.seek(size // 2)
+        while block := fh.read(1 << 16):
+            if (at := block.find(b"\n")) >= 0:
+                split = fh.tell() - len(block) + at + 1
+                return split if split < size else None
+    return None
+
+
+class _Halves:
+    """A CSV time-series file parsed in two halves at byte `split`, a line
+    start: front() gives this process's chunks of the lines before it, while
+    a forked worker converts the lines from it on (_convert_back) and back()
+    returns that. The worker numbers its lines from 1; back() shifts them by
+    the front's lines. Everything that orders the result (session codes,
+    issues, the first error) therefore comes out as in a serial parse: the
+    front's errors are met before the back's are received.
+
+    A quoted field may run on past the split, so from the front's first
+    block holding a quote, this process reads on to the end of the file
+    (read_on) and stops the worker. Leaving the with-block reaps the worker.
+    """
+
+    def __init__(self, path: Path, split: int, strict: bool):
+        self._path, self._split, self._strict = path, split, strict
+        self._front: _Blocks | None = None
+        self.read_on = False
+        from .pool import Workers
+
+        self._worker = Workers(1, _convert_back)
+
+    def __enter__(self) -> "_Halves":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._worker.close(clean=exc_type is None)
+
+    def front(self):
+        with _text(self._path, 0, self._split) as fh:
+            self._front = _Blocks(self._path, fh, chain([1], repeat(_CHUNK_ROWS)))
+            yield from _csv_chunks(self._path, self._front, TIMESERIES_COLUMNS,
+                                   self._rest(), self._start)
+
+    def _start(self, width: int, picks: list[int | None]) -> None:
+        self._worker.send(0, (self._path, self._split, width, picks, self._strict))
+
+    def _rest(self):
+        """The blocks after the split, for csv.reader to read here."""
+        self.read_on = True
+        self._worker.close(clean=False)
+        with _text(self._path, self._split) as fh:
+            yield from _Blocks(self._path, fh, repeat(_CHUNK_ROWS), self._front.line)
+
+    def back(self):
+        """The worker's result (see _convert_back), its lines numbered in the
+        whole file."""
+        from .pool import WorkerDied
+
+        shift = self._front.line - 1
+        try:
+            issues, *runs = self._worker.recv(0)
+        except WorkerDied as dead:
+            raise RuntimeError(f"{self._path}: the worker parsing its back half exited with "
+                               f"code {dead.exitcode}") from None
+        except ParseError as exc:
+            raise ParseError(self._path, shift + exc.line_number, exc.reason) from None
+        return [(shift + line, text) for line, text in issues], *runs
+
+
+def _convert_back(job):
+    """A split parse's worker: _convert over the lines of a CSV file from
+    byte `split` on, numbered from 1. Returns (issues, session ids in the
+    order they first appear, each run's index into them, run lengths, per
+    column (t, current, pilot) its pieces)."""
+    path, split, width, picks, strict = job
+    issues: list[tuple[int, str]] = []
+    sids: dict[str, int] = {}
+    runs, lengths, pieces = [np.empty(0, np.int32)], [np.empty(0, np.intp)], ([], [], [])
+    with _text(path, split) as fh:
+        blocks = _Blocks(path, fh, repeat(_CHUNK_ROWS))
+        for chunk in _body_chunks(path, blocks, width, picks, TIMESERIES_COLUMNS):
+            heads, chunk_lengths, columns = _convert(path, chunk, strict, issues)
+            runs.append(np.array([sids.setdefault(sid, len(sids)) for sid in heads], np.int32))
+            lengths.append(chunk_lengths)
+            for piece, column in zip(pieces, columns):
+                piece.append(column)
+    return issues, list(sids), np.concatenate(runs), np.concatenate(lengths), pieces
 
 
 def _rising(codes: np.ndarray, t: np.ndarray) -> np.ndarray:

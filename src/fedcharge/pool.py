@@ -1,20 +1,30 @@
-"""Forked workers that train the sampled clients of FedAvg rounds.
+"""Forked worker processes, and the pool that trains FedAvg clients on them.
 
-The workers are forked once per run, so each one inherits the model, every
-client's rows and the training function without a copy or a pickle.
+Workers is the package's one fork implementation. Two users start workers
+through it: federation.run_federated, whose ClientPool (below) trains the
+sampled clients of each round, and ingest.parse_timeseries, whose worker
+converts the back half of a large time-series file.
+
+A worker is forked with SIGINT blocked and then ignores it, so a ^C reaches
+only the parent, which stops its workers. Messages cross a pipe both ways,
+pickled with their numpy arrays out of band: an array's bytes cross once,
+straight into a buffer the receiver allocates. An exception a worker raises
+goes back and is raised in the parent; a worker that dies makes the parent
+raise WorkerDied. Every worker is reaped when its Workers closes, on every
+exit path. Importing this module does not import multiprocessing (about
+1 MB of RSS and 10 ms), which only forking needs.
+
+ClientPool forks its workers once per run, so each one inherits the model,
+every client's rows and the training function without a copy or a pickle.
 Parameter vectors never cross a pipe. θ_global and each θ_k live in one
 shared (1 + m, P) float64 buffer of anonymous mmap memory: row 0 holds the
 global parameters, row 1 + p the update of the client at sampled position p.
 A pipe carries only (round, [(position, client)]) to a worker and a status
 back: None, or the first position that failed with its exception.
 
-Every process runs one OpenBLAS thread while the pool is open, and the
+Every process runs one OpenBLAS thread while a ClientPool is open, and the
 parent's count is restored when it closes. A client's products are small,
 and an idle BLAS thread of the parent spins on a core the workers need.
-
-federation.py imports this module only for a run that passes the pool's
-other checks (see federation._pool_size), since multiprocessing costs about
-1 MB of RSS and 10 ms to import.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import mmap
-import multiprocessing
-import multiprocessing.connection
+import os
+import pickle
 import signal
 
 import numpy as np
@@ -37,6 +47,16 @@ _M_TRIM_THRESHOLD = -1
 # The thread-count functions of the OpenBLAS builds numpy ships or links.
 _BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                  "openblas_{}_num_threads")
+
+
+def usable_cpus() -> int:
+    """How many processes can run side by side here: the CPUs this process
+    may run on, or 0 where there is no os.fork."""
+    if not hasattr(os, "fork"):
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @functools.cache
@@ -59,6 +79,132 @@ def blas_threads():
     return None
 
 
+def _send(conn, obj) -> None:
+    """Pickle obj through conn, the bytes of its arrays after it, unframed."""
+    buffers = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    views = [buf.raw() for buf in buffers]
+    conn.send((data, [view.nbytes for view in views]))
+    for view in views:
+        while view:
+            view = view[os.write(conn.fileno(), view):]
+
+
+def _recv(conn):
+    """What _send sent; each array is read into a buffer of its own size."""
+    data, sizes = conn.recv()
+    buffers = [np.empty(size, np.uint8) for size in sizes]
+    for buf in buffers:
+        view = memoryview(buf)
+        while view:
+            n = os.readv(conn.fileno(), [view])
+            if not n:
+                raise EOFError
+            view = view[n:]
+    return pickle.loads(data, buffers=buffers)
+
+
+class WorkerDied(RuntimeError):
+    """A worker exited before it answered."""
+
+    def __init__(self, pid: int, exitcode: int | None):
+        super().__init__(f"worker {pid} exited with code {exitcode}")
+        self.pid = pid
+        self.exitcode = exitcode
+
+
+class Workers:
+    """n_workers forked processes, each answering the messages sent to it,
+    in order, with handle(message). setup(), if given, runs first in each.
+    close() stops and reaps them.
+    """
+
+    def __init__(self, n_workers: int, handle, setup=None):
+        import multiprocessing  # only here: see the module docstring
+
+        fork = multiprocessing.get_context("fork")
+        self._procs: list = []
+        self._conns: list = []
+        # SIGINT stays blocked from each fork until the worker ignores it, so
+        # a ^C in between reaches only the parent.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(n_workers):
+                here, there = fork.Pipe()
+                proc = fork.Process(target=self._serve, args=(there, here, handle, setup),
+                                    daemon=True)
+                proc.start()
+                there.close()
+                self._procs.append(proc)
+                self._conns.append(here)
+        except BaseException:
+            self.close(clean=False)
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def _serve(self, conn, parent_end, handle, setup) -> None:
+        """A worker's loop, until the message None or the parent's end of the
+        pipe closes. An exception of handle goes back through the pipe."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        parent_end.close()
+        for other in self._conns:           # earlier workers' parent ends
+            other.close()
+        if setup is not None:
+            setup()
+        while True:
+            try:
+                message = _recv(conn)
+            except EOFError:                # the parent is gone
+                return
+            if message is None:
+                return
+            try:
+                reply = (True, handle(message))
+            except Exception as exc:
+                reply = (False, exc)
+            _send(conn, reply)
+
+    def send(self, k: int, message) -> None:
+        """Hand worker k a message; a dead worker is reported by recv."""
+        try:
+            _send(self._conns[k], message)
+        except OSError:
+            pass
+
+    def recv(self, k: int):
+        """Worker k's answer to the oldest message it has not answered.
+
+        Raises the exception handle raised in the worker, or WorkerDied.
+        """
+        try:
+            ok, value = _recv(self._conns[k])
+        except (EOFError, OSError):
+            proc = self._procs[k]
+            proc.join(1.0)
+            raise WorkerDied(proc.pid, proc.exitcode) from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self, clean: bool = True) -> None:
+        """Stop the workers and reap them; clean lets each one finish its
+        current message first. Closing twice does nothing."""
+        for k, proc in enumerate(self._procs):
+            if clean:
+                self.send(k, None)
+            else:
+                proc.kill()
+        for proc, conn in zip(self._procs, self._conns):
+            proc.join(5.0 if clean else None)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+            conn.close()
+        self._procs, self._conns = [], []
+
+
 class ClientPool:
     """n_workers forked processes, each calling train(r, position, client,
     global_params) -> ModelParameters for its share of one round's clients.
@@ -76,27 +222,16 @@ class ClientPool:
         self._rows = np.frombuffer(mmap.mmap(-1, (1 + slots) * layout.total * 8),
                                    dtype=np.float64).reshape(1 + slots, layout.total)
         self._train = train
+        self._n_workers = n_workers
+        self._round: tuple[int, tuple] | None = None
         self._get_threads, self._set_threads = blas_threads()
         self._threads_before = self._get_threads()
         self._set_threads(1)
-        self._workers: list[tuple[multiprocessing.Process, multiprocessing.connection.Connection]] = []
-        self._round: tuple[int, tuple] | None = None
-        fork = multiprocessing.get_context("fork")
-        # SIGINT stays blocked from each fork until the worker ignores it, so
-        # a ^C in between reaches only the parent.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for _ in range(n_workers):
-                here, there = fork.Pipe()
-                proc = fork.Process(target=self._serve, args=(there, here), daemon=True)
-                proc.start()
-                there.close()
-                self._workers.append((proc, here))
+            self._workers = Workers(n_workers, self._train_round, self._set_up_worker)
         except BaseException:
-            self.close(clean=False)
+            self._set_threads(self._threads_before)
             raise
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def __enter__(self) -> "ClientPool":
         return self
@@ -104,14 +239,7 @@ class ClientPool:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(clean=exc_type is None)
 
-    def _serve(self, conn, parent_end) -> None:
-        """A worker's loop. It reports every failure through its pipe, never
-        on stderr; ^C reaches the parent, which stops the pool."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        parent_end.close()
-        for _, other in self._workers:      # earlier workers' parent ends
-            other.close()
+    def _set_up_worker(self) -> None:
         self._set_threads(1)
         np.seterr(all="ignore")             # as in the parent's round loop
         # A client's Adam state and gradients are freed at the top of the
@@ -121,34 +249,26 @@ class ClientPool:
         if mallopt is not None:
             mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
             mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-        while True:
+
+    def _train_round(self, message):
+        """A worker's positions of one round, in order: None, or the first
+        position that failed and its exception."""
+        r, tasks = message
+        global_params = ModelParameters(self._layout, self._rows[0])
+        for pos, client in tasks:
             try:
-                message = conn.recv()
-            except EOFError:                # the parent is gone
-                return
-            if message is None:
-                return
-            r, tasks = message
-            global_params = ModelParameters(self._layout, self._rows[0])
-            status = None
-            for pos, client in tasks:
-                try:
-                    self._rows[1 + pos] = self._train(r, pos, client, global_params).values
-                except Exception as exc:
-                    status = (pos, exc)
-                    break
-            conn.send(status)
+                self._rows[1 + pos] = self._train(r, pos, client, global_params).values
+            except Exception as exc:
+                return pos, exc
+        return None
 
     def dispatch(self, r: int, clients: tuple, global_params: ModelParameters) -> None:
         """Start training round r's clients from global_params."""
         self._rows[0] = global_params.values
         self._round = (r, clients)
-        n = len(self._workers)
-        for w, (_, conn) in enumerate(self._workers):
-            try:
-                conn.send((r, [(pos, cid) for pos, cid in enumerate(clients)][w::n]))
-            except OSError:                 # a dead worker; collect() reports it
-                pass
+        n = self._n_workers
+        for w in range(n):
+            self._workers.send(w, (r, [(pos, cid) for pos, cid in enumerate(clients)][w::n]))
 
     def collect(self) -> tuple[tuple, list[ModelParameters]]:
         """The dispatched round's clients and their updates in sampled order.
@@ -159,38 +279,20 @@ class ClientPool:
         """
         r, clients = self._round
         self._round = None
-        procs = {conn: proc for proc, conn in self._workers}
         failures = []
-        while procs:
-            for conn in multiprocessing.connection.wait(list(procs)):
-                proc = procs.pop(conn)
-                try:
-                    status = conn.recv()
-                except (EOFError, OSError):
-                    proc.join(1.0)
-                    raise RuntimeError(f"federated training worker {proc.pid} exited with "
-                                       f"code {proc.exitcode} in round {r + 1}") from None
-                if status is not None:
-                    failures.append(status)
+        for w in range(self._n_workers):
+            try:
+                status = self._workers.recv(w)
+            except WorkerDied as dead:
+                raise RuntimeError(f"federated training worker {dead.pid} exited with "
+                                   f"code {dead.exitcode} in round {r + 1}") from None
+            if status is not None:
+                failures.append(status)
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
         return clients, [ModelParameters(self._layout, row) for row in self._rows[1 : 1 + len(clients)]]
 
     def close(self, clean: bool = True) -> None:
         """Stop the workers, reap them and restore the BLAS thread count."""
-        for proc, conn in self._workers:
-            if clean:
-                try:
-                    conn.send(None)
-                except OSError:
-                    pass
-            else:
-                proc.kill()
-        for proc, conn in self._workers:
-            proc.join(5.0 if clean else None)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
-            conn.close()
-        self._workers = []
+        self._workers.close(clean)
         self._set_threads(self._threads_before)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import signal
 from datetime import datetime, timezone
 
 import numpy as np
@@ -68,6 +69,20 @@ def no_stray_processes():
         proc.kill()
         proc.join()
     assert not stray, f"processes left running: {stray}"
+
+
+@pytest.fixture
+def deadline():
+    """A parent that would wait on its workers forever fails its test instead
+    of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Reference features: the per-session definitions that the grouped
-fedcharge.features.build_feature_table replaced, kept as its bitwise oracle.
+fedcharge.features.build_feature_table replaced, kept as its bitwise oracle,
+and the row-at-a-time csv.writer that write_features replaced.
 
 Each session's early window is sliced, and every statistic is computed on
 that session's own arrays: sums by np.add.reduce, dot products by 1-D ``@``,
@@ -10,6 +11,7 @@ None marks a missing value until the feature vector turns it into NaN.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -194,3 +196,15 @@ def build_feature_table(
         station_ids=station_ids,
         warnings=warnings,
     )
+
+
+def write_features(path, table: FeatureTable) -> None:
+    """features.csv through csv.writer, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["session_id", "station_id", "target", *table.feature_names])
+        for i in range(len(table)):
+            cells = [table.session_ids[i], table.station_ids[i], repr(float(table.y[i]))]
+            for v in table.X[i]:
+                cells.append("" if math.isnan(v) else repr(float(v)))
+            writer.writerow(cells)

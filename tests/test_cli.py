@@ -162,6 +162,30 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestNothingRetained:
+    """A time-series file that leaves no session fails the command, after the
+    report of why is written."""
+
+    @pytest.mark.parametrize("command", ["featurize", "ingest"])
+    @pytest.mark.parametrize("contents", ["", "session_id,timestamp,current_a,pilot_a\r\n"],
+                             ids=["empty", "header only"])
+    def test_exits_1_naming_the_file_and_the_drops(self, depot_dir, tmp_path, capsys,
+                                                     command, contents):
+        series = tmp_path / "timeseries.csv"
+        series.write_text(contents, newline="")
+        out = tmp_path / "out"
+        code = dispatch([command, "--sessions", str(depot_dir / "sessions.csv"),
+                         "--timeseries", str(series), "--out", str(out)])
+        assert code == 1
+        report = json.loads((out / f"{command}_report.json").read_text())
+        n = report["n_session_rows"]
+        assert n > 0 and report["n_retained"] == 0 and report["dropped"] == {"missing_series": n}
+        assert capsys.readouterr().err == (
+            f"error: no session retained from {series} (0 sessions with readings): dropped "
+            f"{{'missing_series': {n}}}; see {out / f'{command}_report.json'}\n")
+        assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.json"]
+
+
 def _edit_features(features_dir, tmp_path, line: int, edit) -> str:
     """A copy of features.csv with one physical line (1-based) changed."""
     lines = (features_dir / "features.csv").read_text().splitlines()
@@ -503,7 +527,9 @@ class TestHugeJsonNumber:
         )
         args = ["featurize", "--sessions", str(depot_dir / "sessions.csv"),
                 "--timeseries", str(series)]
-        assert dispatch([*args, "--out", str(tmp_path / "lenient")]) == 0
+        # No session is retained, so the lenient run fails after its report.
+        assert dispatch([*args, "--out", str(tmp_path / "lenient")]) == 1
+        assert "error: no session retained from" in capsys.readouterr().err
         report = json.loads((tmp_path / "lenient" / "featurize_report.json").read_text())
         assert report["first_issues"] == [[1, "current_a is not finite"]]
         capsys.readouterr()
@@ -518,7 +544,7 @@ class TestHugeJsonNumber:
         )
         args = ["featurize", "--sessions", str(depot_dir / "sessions.csv"),
                 "--timeseries", str(series)]
-        assert dispatch([*args, "--out", str(tmp_path / "lenient")]) == 0
+        assert dispatch([*args, "--out", str(tmp_path / "lenient")]) == 1  # nothing retained
         report = json.loads((tmp_path / "lenient" / "featurize_report.json").read_text())
         [[line, message]] = report["first_issues"]
         assert line == 1 and "Exceeds the limit (4300 digits)" in message

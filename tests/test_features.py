@@ -7,7 +7,10 @@ and TestBatchedForms names the numpy row forms that equality rests on.
 """
 
 import math
+import tempfile
+from collections import Counter
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from features_reference import (
 )
 from fedcharge.features import (
     FEATURE_COLUMNS,
+    FeatureTable,
     UNSCALED_INDICES,
     _first_max,
     _row_dot,
@@ -627,3 +631,43 @@ class TestFeaturesCsv:
         write_features(path, small_table)
         header = path.read_text().splitlines()[0].split(",")
         assert header == ["session_id", "station_id", "target", *FEATURE_COLUMNS]
+
+
+# Ids csv.writer quotes (a comma, a quote, a line break) and ids it leaves.
+csv_ids = st.one_of(
+    st.sampled_from(["s1", "ST000-0001", "a,b", 'q"t', "two\nlines", "cr\r", "", " ", "é",
+                     "x:y.z", "tab\t", "\u2028"]),
+    st.text(max_size=6),
+)
+# NaN (missing), -0.0, subnormals and the extremes of the float range.
+feature_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-7, 0.1]),
+)
+
+
+@st.composite
+def feature_tables(draw):
+    n = draw(st.integers(0, 6))
+    d = len(FEATURE_COLUMNS)
+    values = draw(st.lists(feature_values, min_size=n * (d + 1), max_size=n * (d + 1)))
+    if n and draw(st.booleans()):  # runs of one value down a column
+        values = [values[0]] * len(values)
+    matrix = np.array(values, dtype=float).reshape(n, d + 1)
+    return FeatureTable(
+        feature_names=FEATURE_COLUMNS, X=matrix[:, 1:], y=matrix[:, 0],
+        session_ids=draw(st.lists(csv_ids, min_size=n, max_size=n)),
+        station_ids=draw(st.lists(csv_ids, min_size=n, max_size=n)), warnings=Counter(),
+    )
+
+
+class TestWriterOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(table=feature_tables())
+    def test_bytes_match_the_csv_writer(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+            write_features(ours, table)
+            features_reference.write_features(reference, table)
+            assert ours.read_bytes() == reference.read_bytes()
