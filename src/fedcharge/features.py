@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -60,8 +59,6 @@ UNSCALED_INDICES = tuple(i for i, (_, scaled) in enumerate(FEATURE_SPEC) if not 
 STD_FLOOR = 1e-8
 
 _COLUMN = {name: i for i, name in enumerate(FEATURE_COLUMNS)}
-# An id csv.writer writes as it is; any other goes through _csv_text.
-_PLAIN_ID = re.compile(r"[\w.:-]+")
 _MICROSECOND = timedelta(microseconds=1)
 # Optional user inputs, each with its 0/1 missingness flag.
 _USER = (
@@ -297,10 +294,7 @@ def write_features(path, table: FeatureTable) -> None:
     csv.writer's: ids quoted as it quotes them, floats as repr, rows ended
     by \\r\\n. The cells are built a column at a time.
     """
-    columns = [
-        [sid if _PLAIN_ID.fullmatch(sid) else _csv_text(sid) for sid in ids]
-        for ids in (table.session_ids, table.station_ids)
-    ]
+    columns = [list(map(_csv_text, ids)) for ids in (table.session_ids, table.station_ids)]
     columns.append(_float_texts(table.y, "nan"))
     columns += (_float_texts(values, "") for values in table.X.T)  # NaN is missing
     rows = [",".join(("session_id", "station_id", "target", *table.feature_names))]

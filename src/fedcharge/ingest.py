@@ -42,7 +42,9 @@ process converts the front; the back's session ids are coded after the
 front's and its line numbers shifted by the front's lines, so the result,
 issues and first error are a serial parse's. A quote in the front half may
 open a field that runs on past the cut: from it, this process reads the
-rest of the file as csv.reader and stops the worker. JSON lines stay serial.
+rest of the file as csv.reader and stops the worker. JSON lines stay serial,
+and so does a file whose worker cannot be forked (in a daemonic process, or
+when fork fails for want of processes or memory).
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -59,6 +61,7 @@ import csv
 import io
 import json
 import math
+import re
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -86,8 +89,14 @@ TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 _CHUNK_ROWS = 4_096
 
 # A CSV time-series file at least this long is parsed in two halves when
-# two CPUs and os.fork are usable (see parse_timeseries).
-_SPLIT_BYTES = 1 << 20
+# two CPUs and os.fork are usable (see parse_timeseries). Starting the
+# worker costs about 23 ms in a fresh process (importing multiprocessing,
+# the fork and the pipe), which the second core wins back from about 2.5 MB
+# of depot-style CSV on: below it, a serial parse is as fast or faster.
+_SPLIT_BYTES = 2_500_000
+
+# Texts csv.writer writes as they are, which _csv_text need not run it on.
+_PLAIN_TEXT = re.compile(r"[\w.:-]+")
 
 
 class ParseError(ValueError):
@@ -515,9 +524,9 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
 
     Rows are converted a block at a time and sorted only if out of order. A
     CSV file of at least _SPLIT_BYTES is split at the first line start after
-    its middle when two CPUs and os.fork are usable: a forked worker
-    converts the back half while this process converts the front, and the
-    result is the one a serial parse gives (see _Halves).
+    its middle when two CPUs and os.fork are usable and the worker can be
+    forked: it converts the back half while this process converts the front,
+    and the result is the one a serial parse gives (see _Halves).
     """
     path = Path(path)
     issues: list[tuple[int, str]] = []
@@ -534,8 +543,8 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         for part, column in zip(parts[1:], pieces):
             part.extend(column)
 
-    split = _split_at(path)
-    with _Halves(path, split, strict) if split else nullcontext() as halves:
+    halves = _halves(path, strict)
+    with halves or nullcontext():
         chunks = halves.front() if halves else _read_chunks(path, TIMESERIES_COLUMNS)
         for chunk in chunks:
             heads, lengths, columns = _convert(path, chunk, strict, issues)
@@ -632,6 +641,20 @@ def _split_at(path: Path) -> int | None:
                 split = fh.tell() - len(block) + at + 1
                 return split if split < size else None
     return None
+
+
+def _halves(path: Path, strict: bool) -> "_Halves | None":
+    """A split parse of path with its worker started, or None for a serial
+    one: when _split_at gives no cut, or the worker cannot be forked because
+    fork fails (no process or memory to spare) or this process is daemonic,
+    which multiprocessing refuses with an AssertionError."""
+    split = _split_at(path)
+    if split is None:
+        return None
+    try:
+        return _Halves(path, split, strict)
+    except (OSError, AssertionError):
+        return None
 
 
 class _Halves:
@@ -843,6 +866,8 @@ def _rows(parts: list) -> np.ndarray:
 
 def _csv_text(value: str) -> str:
     """value as csv.writer renders it among other fields."""
+    if _PLAIN_TEXT.fullmatch(value):  # nothing csv.writer would quote
+        return value
     buf = io.StringIO()
     csv.writer(buf).writerow([value, ""])
     return buf.getvalue()[: -len(",\r\n")]

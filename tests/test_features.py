@@ -6,6 +6,8 @@ requires the grouped table to equal the per-session reference bit for bit,
 and TestBatchedForms names the numpy row forms that equality rests on.
 """
 
+import csv
+import io
 import math
 import tempfile
 from collections import Counter
@@ -41,6 +43,7 @@ from fedcharge.features import (
     read_features,
     write_features,
 )
+from fedcharge.ingest import _csv_text
 from fedcharge.sessions import (
     DatasetConfig,
     SessionSeries,
@@ -671,3 +674,10 @@ class TestWriterOracle:
             write_features(ours, table)
             features_reference.write_features(reference, table)
             assert ours.read_bytes() == reference.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(csv_ids, st.text()))
+    def test_a_text_is_what_the_csv_writer_writes(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, ""])
+        assert _csv_text(text) == buf.getvalue()[: -len(",\r\n")]

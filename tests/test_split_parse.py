@@ -10,6 +10,7 @@ check reports two CPUs, so a one-CPU runner splits too.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import os
 import subprocess
@@ -272,6 +273,52 @@ class TestNoWorkerOutlivesAParse:
                 parse_timeseries(path)
         assert len(seen) == 1 and not seen[0].is_alive()
         assert multiprocessing.active_children() == []
+
+
+class TestSerialWhenNoWorkerStarts:
+    """A parse that cannot fork its worker gives the serial result."""
+
+    @staticmethod
+    def cut_and_parse(path: Path):
+        """(whether the file was cut, how many split parses started, the
+        parse's bits) with the split forced."""
+        cuts = []
+        split_at = ingest._split_at
+        with parsed_in("split") as made, mock.patch.object(
+                ingest, "_split_at", lambda p: cuts.append(split_at(p)) or cuts[-1]):
+            result = bits(parse_timeseries(path))
+        return cuts[0] is not None, len(made), result
+
+    @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
+    def test_fork_fails(self, tmp_path, code):
+        path = file_with(tmp_path, case("in order"))
+        serial = bits(parse_timeseries(path))
+        with mock.patch.object(os, "fork", side_effect=OSError(code, os.strerror(code))):
+            assert self.cut_and_parse(path) == (True, 0, serial)
+        assert multiprocessing.active_children() == []
+
+    def test_in_a_daemonic_process(self, tmp_path):
+        """multiprocessing lets no daemonic process, such as a Pool's worker,
+        start a child."""
+        path = file_with(tmp_path, case("in order"))
+        serial = bits(parse_timeseries(path))
+        fork = multiprocessing.get_context("fork")
+        here, there = fork.Pipe(duplex=False)
+
+        def parse_in_child():
+            try:
+                there.send(self.cut_and_parse(path))
+            except BaseException as exc:
+                there.send(repr(exc))
+
+        child = fork.Process(target=parse_in_child, daemon=True)
+        child.start()
+        try:
+            assert here.poll(30)
+            assert here.recv() == (True, 0, serial)
+        finally:
+            child.join(5)
+        assert child.exitcode == 0
 
 
 # `python -m fedcharge ARGS` with the split forced, reporting on stderr
