@@ -291,26 +291,25 @@ def write_features(path, table: FeatureTable) -> None:
 
     Raw (unimputed, unscaled) values; empty cell = missing. Downstream stages
     fit imputation and scaling on their own training split. The bytes are
-    csv.writer's: ids quoted as it quotes them, floats as repr, rows ended
-    by \\r\\n. The cells are built a column at a time.
+    csv.writer's: ids quoted as it quotes them, floats as repr (run once per
+    distinct bit pattern in the file), rows ended by \\r\\n.
     """
-    columns = [list(map(_csv_text, ids)) for ids in (table.session_ids, table.station_ids)]
-    columns.append(_float_texts(table.y, "nan"))
-    columns += (_float_texts(values, "") for values in table.X.T)  # NaN is missing
+    values = np.column_stack([table.y, table.X]).astype(np.float64, copy=False)
+    bits = values.view(np.int64).ravel()
+    order = np.argsort(bits)  # np.unique would import numpy.ma, ~1 MB
+    ordered = bits[order]
+    head = np.ones(len(bits), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[head].view(np.float64).tolist()
+    texts = np.array(["" if v != v else repr(v) for v in distinct], dtype=object)
+    cells = np.empty(values.shape, dtype=object)
+    cells.flat[order] = texts[np.cumsum(head) - 1]
+    cells[np.isnan(values[:, 0]), 0] = "nan"  # a NaN feature is missing, a NaN target is not
     rows = [",".join(("session_id", "station_id", "target", *table.feature_names))]
-    rows += map(",".join, zip(*columns))
+    rows += map(",".join, zip(map(_csv_text, table.session_ids),
+                              map(_csv_text, table.station_ids), *cells.T.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(rows) + "\r\n")
-
-
-def _float_texts(values: np.ndarray, nan: str) -> list[str]:
-    """repr of each float64 value, `nan` for NaN; repr runs once per distinct
-    bit pattern, so -0.0 and 0.0 stay apart."""
-    bits = np.asarray(values, np.float64).view(np.int64).tolist()
-    distinct = list(dict.fromkeys(bits))
-    text = {b: nan if v != v else repr(v)
-            for b, v in zip(distinct, np.array(distinct, np.int64).view(np.float64).tolist())}
-    return [text[b] for b in bits]
 
 
 def read_features(path) -> FeatureTable:

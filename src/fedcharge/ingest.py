@@ -1,4 +1,4 @@
-r"""File ingestion and deterministic synthetic depots.
+r"""File ingestion.
 
 Two interchangeable on-disk formats carry the same field names: CSV with a
 header row, and JSON lines with one object per line. An empty CSV cell or a
@@ -36,15 +36,15 @@ bulk path cannot vouch for goes through the per-row rules (_reading,
 _get_float, parse_utc), which also give its line-numbered issue.
 
 Two cores. A CSV time-series file of at least _SPLIT_BYTES is cut at the
-first line start after its middle when two CPUs and os.fork are usable. A
-worker forked through pool.Workers converts the back half while this
-process converts the front; the back's session ids are coded after the
-front's and its line numbers shifted by the front's lines, so the result,
-issues and first error are a serial parse's. A quote in the front half may
-open a field that runs on past the cut: from it, this process reads the
-rest of the file as csv.reader and stops the worker. JSON lines stay serial,
-and so does a file whose worker cannot be forked (in a daemonic process, or
-when fork fails for want of processes or memory).
+first line start after _FRONT_SHARE of its bytes when two CPUs and os.fork
+are usable. A worker forked through pool.Workers converts the back half
+while this process converts the front; the back's session ids are coded
+after the front's and its line numbers shifted by the front's lines, so the
+result, issues and first error are a serial parse's. A quote in the front
+half may open a field that runs on past the cut: from it, this process
+reads the rest of the file as csv.reader and stops the worker. JSON lines
+stay serial, and so does a file whose worker cannot be forked (in a
+daemonic process, or when fork fails for want of processes or memory).
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -64,20 +64,20 @@ import math
 import re
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .seeding import STREAM_SYNTH, rng_from
-from .sessions import (
-    DatasetConfig,
+from .sessions import (  # cli, bench/ and tests take the synthetic depot from here
     SessionRecord,
     SessionSeries,
+    SyntheticDepotSpec,
     epoch_seconds,
     format_utc,
+    generate_synthetic,
     parse_utc,
 )
 
@@ -94,6 +94,8 @@ _CHUNK_ROWS = 4_096
 # the fork and the pipe), which the second core wins back from about 2.5 MB
 # of depot-style CSV on: below it, a serial parse is as fast or faster.
 _SPLIT_BYTES = 2_500_000
+
+_FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and codes the ids
 
 # Texts csv.writer writes as they are, which _csv_text need not run it on.
 _PLAIN_TEXT = re.compile(r"[\w.:-]+")
@@ -523,10 +525,10 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     are clamped to 0. Both are counted in the result.
 
     Rows are converted a block at a time and sorted only if out of order. A
-    CSV file of at least _SPLIT_BYTES is split at the first line start after
-    its middle when two CPUs and os.fork are usable and the worker can be
-    forked: it converts the back half while this process converts the front,
-    and the result is the one a serial parse gives (see _Halves).
+    CSV file of at least _SPLIT_BYTES is split (see _split_at) when two CPUs
+    and os.fork are usable and the worker can be forked: it converts the back
+    half while this process converts the front, and the result is the one a
+    serial parse gives (see _Halves).
     """
     path = Path(path)
     issues: list[tuple[int, str]] = []
@@ -622,9 +624,9 @@ def _convert(path: Path, chunk, strict: bool, issues: list):
 
 
 def _split_at(path: Path) -> int | None:
-    """Where a split parse of path cuts it: the first line start after its
-    middle. None when the file is not CSV, is under _SPLIT_BYTES, has no
-    line start after its middle, or two CPUs and os.fork are not usable."""
+    """Where a split parse of path cuts it: the first line start after
+    _FRONT_SHARE of its bytes. None when the file is not CSV, is under
+    _SPLIT_BYTES, has no such line, or two CPUs and os.fork are not usable."""
     if not _is_csv(path):
         return None
     size = path.stat().st_size
@@ -635,7 +637,7 @@ def _split_at(path: Path) -> int | None:
     if pool.usable_cpus() < 2:
         return None
     with open(path, "rb") as fh:
-        fh.seek(size // 2)
+        fh.seek(int(size * _FRONT_SHARE))
         while block := fh.read(1 << 16):
             if (at := block.find(b"\n")) >= 0:
                 split = fh.tell() - len(block) + at + 1
@@ -871,122 +873,3 @@ def _csv_text(value: str) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow([value, ""])
     return buf.getvalue()[: -len(",\r\n")]
-
-
-@dataclass(frozen=True)
-class SyntheticDepotSpec:
-    """Knobs for a deterministic synthetic depot.
-
-    Each session runs at a constant current level chosen so the session's
-    exact trapezoidal energy, at DatasetConfig's default nominal voltage,
-    matches a draw from its station's energy distribution; the target is that
-    integral plus Gaussian noise. Early current is therefore genuinely
-    predictive of the target. Stations with index < n_stations // 2 get their
-    energy mean raised by heterogeneity_shift_kwh.
-    """
-
-    n_stations: int = 20
-    sessions_per_station: tuple[int, int] = (20, 30)
-    station_energy_mean_kwh: float = 9.0
-    station_energy_std_kwh: float = 3.0
-    heterogeneity_shift_kwh: float = 0.0
-    noise_std_kwh: float = 0.5
-    seed: int = 0
-    session_minutes: tuple[int, int] = (90, 150)
-    sample_period_s: int = 60
-    user_field_presence: float = 0.75
-
-    def __post_init__(self):
-        if self.n_stations <= 0:
-            raise ValueError("n_stations must be positive")
-        lo, hi = self.sessions_per_station
-        if lo <= 0 or hi < lo:
-            raise ValueError("sessions_per_station must be a positive range")
-        if self.station_energy_mean_kwh <= 0:
-            raise ValueError("station_energy_mean_kwh must be positive")
-        if self.station_energy_std_kwh < 0:
-            raise ValueError("station_energy_std_kwh must be nonnegative")
-        if self.heterogeneity_shift_kwh < 0:
-            raise ValueError("heterogeneity_shift_kwh must be nonnegative")
-        if self.noise_std_kwh < 0:
-            raise ValueError("noise_std_kwh must be nonnegative")
-        dlo, dhi = self.session_minutes
-        if dlo <= 0 or dhi < dlo:
-            raise ValueError("session_minutes must be a positive range")
-        if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
-        if not 0.0 <= self.user_field_presence <= 1.0:
-            raise ValueError("user_field_presence must be in [0, 1]")
-
-
-_SYNTH_EPOCH = datetime(2019, 1, 1, tzinfo=timezone.utc)
-
-
-def generate_synthetic(
-    spec: SyntheticDepotSpec,
-) -> tuple[list[SessionRecord], dict[str, SessionSeries]]:
-    """Produce (sessions, per-session readings) fully determined by spec.seed."""
-    rng = rng_from(spec.seed, STREAM_SYNTH)
-    voltage = DatasetConfig().nominal_voltage_v
-    n_shifted = spec.n_stations // 2
-    sessions: list[SessionRecord] = []
-    index: dict[str, SessionSeries] = {}
-
-    for st in range(spec.n_stations):
-        station_id = f"ST{st:03d}"
-        mean_k = spec.station_energy_mean_kwh + (
-            spec.heterogeneity_shift_kwh if st < n_shifted else 0.0
-        )
-        lo, hi = spec.sessions_per_station
-        n_sessions = int(rng.integers(lo, hi + 1))
-        for k in range(n_sessions):
-            session_id = f"{station_id}-{k:04d}"
-            conn = _SYNTH_EPOCH + timedelta(seconds=int(rng.integers(0, 365 * 86400)))
-            dlo, dhi = spec.session_minutes
-            duration_min = int(rng.integers(dlo, dhi + 1))
-            duration_s = duration_min * 60
-
-            energy_target = max(0.25, float(rng.normal(mean_k, spec.station_energy_std_kwh)))
-            current = energy_target * 1000.0 / (voltage * duration_min / 60.0)
-            current = min(max(current, 0.5), 80.0)
-            pilot = max(8.0, math.ceil(current / 4.0) * 4.0)
-
-            n_steps = duration_s // spec.sample_period_s
-            readings = SessionSeries(
-                t=epoch_seconds(conn) + spec.sample_period_s * np.arange(n_steps + 1),
-                current=np.full(n_steps + 1, current),
-                pilot=np.full(n_steps + 1, pilot),
-            )
-            span_h = (n_steps * spec.sample_period_s) / 3600.0
-            exact_kwh = voltage * current / 1000.0 * span_h
-            noise = float(rng.normal(0.0, spec.noise_std_kwh)) if spec.noise_std_kwh else 0.0
-            delivered = max(0.0, exact_kwh + noise)
-
-            p = spec.user_field_presence
-            requested = (
-                energy_target * float(rng.uniform(0.8, 1.25))
-                if rng.random() < p
-                else None
-            )
-            available = float(duration_min) if rng.random() < p else None
-            departure = (
-                conn + timedelta(minutes=int(duration_min * rng.uniform(1.0, 1.4)))
-                if rng.random() < p
-                else None
-            )
-
-            sessions.append(
-                SessionRecord(
-                    session_id=session_id,
-                    site_id="SYN",
-                    station_id=station_id,
-                    connection_time=conn,
-                    disconnect_time=conn + timedelta(seconds=duration_s),
-                    delivered_energy_kwh=delivered,
-                    requested_energy_kwh=requested,
-                    available_minutes=available,
-                    requested_departure=departure,
-                )
-            )
-            index[session_id] = readings
-    return sessions, index

@@ -1,4 +1,4 @@
-"""Domain types for charging sessions and the session-retention rules.
+"""Domain types for charging sessions, retention rules and synthetic depots.
 
 All types are immutable after construction; the operations here are pure
 functions, safe to call from multiple threads.
@@ -6,11 +6,14 @@ functions, safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+from .seeding import STREAM_SYNTH, rng_from
 
 
 def parse_utc(text: str) -> datetime:
@@ -107,7 +110,8 @@ class SessionSeries:
 
     @classmethod
     def _unchecked(cls, t, current, pilot) -> SessionSeries:
-        """A series of read-only int64/float64 columns known to pass the checks."""
+        """A series of read-only int64/float64 columns known to pass the checks,
+        sliced from depot-wide columns by parse_timeseries and generate_synthetic."""
         series = object.__new__(cls)
         for name, column in (("t", t), ("current", current), ("pilot", pilot)):
             object.__setattr__(series, name, column)
@@ -130,6 +134,7 @@ class SessionSeries:
 
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SYNTH_EPOCH = datetime(2019, 1, 1, tzinfo=timezone.utc)  # synthetic sessions start in its year
 _MICROSECOND = timedelta(microseconds=1)
 
 
@@ -195,3 +200,116 @@ def retain_sessions(
         kept.append(session)
         windows.append((lo, hi))
     return RetentionResult(sessions=kept, dropped=dropped, windows=windows)
+
+
+@dataclass(frozen=True)
+class SyntheticDepotSpec:
+    """Knobs for a deterministic synthetic depot.
+
+    Each session runs at a constant current level chosen so the session's
+    exact trapezoidal energy, at DatasetConfig's default nominal voltage,
+    matches a draw from its station's energy distribution; the target is that
+    integral plus Gaussian noise. Early current is therefore genuinely
+    predictive of the target. Stations with index < n_stations // 2 get their
+    energy mean raised by heterogeneity_shift_kwh.
+
+    The draw order is part of the reproducibility contract: each station's
+    session count, then per session the connection second, the duration in
+    minutes, the energy target, the noise (if noise_std_kwh is nonzero), and
+    for requested energy, available minutes and departure in turn a uniform
+    that decides its presence and, for a present energy or departure, its factor.
+    """
+
+    n_stations: int = 20
+    sessions_per_station: tuple[int, int] = (20, 30)
+    station_energy_mean_kwh: float = 9.0
+    station_energy_std_kwh: float = 3.0
+    heterogeneity_shift_kwh: float = 0.0
+    noise_std_kwh: float = 0.5
+    seed: int = 0
+    session_minutes: tuple[int, int] = (90, 150)
+    sample_period_s: int = 60
+    user_field_presence: float = 0.75
+
+    def __post_init__(self):
+        if self.n_stations <= 0:
+            raise ValueError("n_stations must be positive")
+        lo, hi = self.sessions_per_station
+        if lo <= 0 or hi < lo:
+            raise ValueError("sessions_per_station must be a positive range")
+        for name, least in (("station_energy_mean_kwh", "positive"),
+                            ("station_energy_std_kwh", "nonnegative"),
+                            ("heterogeneity_shift_kwh", "nonnegative"),
+                            ("noise_std_kwh", "nonnegative")):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 or value == 0 and least != "positive")):
+                raise ValueError(f"{name} must be finite and {least}")
+        dlo, dhi = self.session_minutes
+        if dlo <= 0 or dhi < dlo:
+            raise ValueError("session_minutes must be a positive range")
+        if self.sample_period_s <= 0:
+            raise ValueError("sample_period_s must be positive")
+        if not 0.0 <= self.user_field_presence <= 1.0:
+            raise ValueError("user_field_presence must be in [0, 1]")
+
+
+def generate_synthetic(
+    spec: SyntheticDepotSpec,
+) -> tuple[list[SessionRecord], dict[str, SessionSeries]]:
+    """Produce (sessions, per-session readings) fully determined by spec.seed.
+
+    One loop makes the draws; the rest runs on depot-wide arrays with the
+    float operations of tests/synth_reference.py, in its order. Each series
+    is a slice of three read-only depot-wide columns.
+    """
+    rng = rng_from(spec.seed, STREAM_SYNTH)
+    integers, normal, random, uniform = rng.integers, rng.normal, rng.random, rng.uniform
+    (lo, hi), (dlo, dhi) = spec.sessions_per_station, spec.session_minutes
+    std, noise_std, p = spec.station_energy_std_kwh, spec.noise_std_kwh, spec.user_field_presence
+    sids, stations, draws = [], [], []
+    for st in range(spec.n_stations):
+        station_id = f"ST{st:03d}"
+        shift = spec.heterogeneity_shift_kwh if st < spec.n_stations // 2 else 0.0
+        mean_k = spec.station_energy_mean_kwh + shift
+        for k in range(int(integers(lo, hi + 1))):
+            sids.append(f"{station_id}-{k:04d}")
+            stations.append(station_id)
+            draws.append((integers(0, 365 * 86400), integers(dlo, dhi + 1), normal(mean_k, std),
+                          normal(0.0, noise_std) if noise_std else 0.0,
+                          uniform(0.8, 1.25) if random() < p else math.nan,
+                          random() < p,
+                          uniform(1.0, 1.4) if random() < p else math.nan))
+
+    second, minutes, energy, noise, requested, available, leave = np.array(draws).reshape(-1, 7).T
+    second, minutes = second.astype(np.int64), minutes.astype(np.int64)
+    voltage = DatasetConfig().nominal_voltage_v
+    n_steps = minutes * 60 // spec.sample_period_s
+    with np.errstate(over="ignore"):  # an overflow gives inf, as it does with Python floats
+        energy = np.maximum(0.25, energy)
+        current = np.minimum(np.maximum(energy * 1000.0 / (voltage * minutes / 60.0), 0.5), 80.0)
+        pilot = np.maximum(8.0, np.ceil(current / 4.0) * 4.0)
+        delivered = np.maximum(0.0, voltage * current / 1000.0
+                               * (n_steps * spec.sample_period_s / 3600.0) + noise)
+        requested *= energy
+    leave = np.trunc(minutes * leave)  # whole minutes; NaN where absent
+
+    counts = n_steps + 1
+    ends = np.cumsum(counts)
+    start = epoch_seconds(_SYNTH_EPOCH) + second - (ends - counts) * spec.sample_period_s
+    t = np.arange(ends[-1]) * spec.sample_period_s + np.repeat(start, counts)
+    current, pilot = np.repeat(current, counts), np.repeat(pilot, counts)
+    for column in (t, current, pilot):
+        column.flags.writeable = False
+    index = {sid: SessionSeries._unchecked(t[a:b], current[a:b], pilot[a:b])
+             for sid, a, b in zip(sids, (ends - counts).tolist(), ends.tolist())}
+
+    sessions = []
+    for sid, station_id, at, m, kwh, ask, avail, departs in zip(
+            sids, stations, second.tolist(), minutes.tolist(), delivered.tolist(),
+            requested.tolist(), available.tolist(), leave.tolist()):
+        conn = _SYNTH_EPOCH + timedelta(seconds=at)
+        sessions.append(SessionRecord(
+            sid, "SYN", station_id, conn, conn + timedelta(minutes=m), kwh,
+            None if ask != ask else ask, float(m) if avail else None,
+            None if departs != departs else conn + timedelta(minutes=departs)))
+    return sessions, index

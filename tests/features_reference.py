@@ -1,6 +1,7 @@
 """Reference features: the per-session definitions that the grouped
 fedcharge.features.build_feature_table replaced, kept as its bitwise oracle,
-and the row-at-a-time csv.writer that write_features replaced.
+and two writers that write_features replaced: the row-at-a-time csv.writer
+and the column-at-a-time writer with one repr cache per column.
 
 Each session's early window is sliced, and every statistic is computed on
 that session's own arrays: sums by np.add.reduce, dot products by 1-D ``@``,
@@ -26,6 +27,7 @@ from fedcharge.features import (
     FeatureTable,
     departure_offset,
 )
+from fedcharge.ingest import _csv_text
 from fedcharge.sessions import (
     EPOCH,
     DatasetConfig,
@@ -208,3 +210,24 @@ def write_features(path, table: FeatureTable) -> None:
             for v in table.X[i]:
                 cells.append("" if math.isnan(v) else repr(float(v)))
             writer.writerow(cells)
+
+
+def write_features_by_column(path, table: FeatureTable) -> None:
+    """features.csv a column at a time, each float column through _float_texts."""
+    columns = [list(map(_csv_text, ids)) for ids in (table.session_ids, table.station_ids)]
+    columns.append(_float_texts(table.y, "nan"))
+    columns += (_float_texts(values, "") for values in table.X.T)  # NaN is missing
+    rows = [",".join(("session_id", "station_id", "target", *table.feature_names))]
+    rows += map(",".join, zip(*columns))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join(rows) + "\r\n")
+
+
+def _float_texts(values: np.ndarray, nan: str) -> list[str]:
+    """repr of each float64 value, `nan` for NaN; repr runs once per distinct
+    bit pattern, so -0.0 and 0.0 stay apart."""
+    bits = np.asarray(values, np.float64).view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    text = {b: nan if v != v else repr(v)
+            for b, v in zip(distinct, np.array(distinct, np.int64).view(np.float64).tolist())}
+    return [text[b] for b in bits]

@@ -665,6 +665,66 @@ def feature_tables(draw):
     )
 
 
+# Bit patterns: both zeros, NaNs of either sign with different payloads (one
+# signalling), subnormals, both infinities and the ends of the normal range.
+SPECIAL_BITS = [0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF, 0x1,
+                0x800FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x0010000000000000, 0x7FEFFFFFFFFFFFFF]
+
+
+def bit_table(n: int, bits, session_ids=None) -> FeatureTable:
+    """A table of n rows whose target and features hold the float64 bits given
+    row by row."""
+    matrix = np.array(bits, np.uint64).view(np.float64).reshape(n, len(FEATURE_COLUMNS) + 1)
+    ids = session_ids or [f"s{i}" for i in range(n)]
+    return FeatureTable(feature_names=FEATURE_COLUMNS, X=matrix[:, 1:], y=matrix[:, 0],
+                        session_ids=ids, station_ids=ids, warnings=Counter())
+
+
+@st.composite
+def shared_bit_tables(draw):
+    """Tables drawn from a pool of a few bit patterns, so that each pattern
+    recurs across rows and columns, target included."""
+    n = draw(st.integers(0, 5))
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+                         min_size=1, max_size=6))
+    cells = n * (len(FEATURE_COLUMNS) + 1)
+    picks = draw(st.lists(st.sampled_from(pool), min_size=cells, max_size=cells))
+    return bit_table(n, picks, draw(st.lists(csv_ids, min_size=n, max_size=n)))
+
+
+def assert_same_bytes(table: FeatureTable, reference) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+        write_features(ours, table)
+        reference(theirs, table)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+class TestReprTableOracle:
+    """write_features' one repr table per file against the column-at-a-time
+    writer it replaced (features_reference.write_features_by_column)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=shared_bit_tables())
+    def test_bytes_match_the_column_writer(self, table):
+        assert_same_bytes(table, features_reference.write_features_by_column)
+
+    def test_every_special_pattern_in_every_column(self):
+        n = len(SPECIAL_BITS)
+        width = len(FEATURE_COLUMNS) + 1
+        table = bit_table(n, [SPECIAL_BITS[(i + j) % n] for i in range(n) for j in range(width)])
+        for reference in (features_reference.write_features_by_column,
+                          features_reference.write_features):
+            assert_same_bytes(table, reference)
+
+    def test_zero_rows(self):
+        for reference in (features_reference.write_features_by_column,
+                          features_reference.write_features):
+            assert_same_bytes(bit_table(0, []), reference)
+
+
 class TestWriterOracle:
     @settings(max_examples=100, deadline=None)
     @given(table=feature_tables())

@@ -1,11 +1,17 @@
 """Parsing, writing, and the deterministic synthetic generator."""
 
+import math
+import warnings
+from dataclasses import fields
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ingest_reference
+import synth_reference
 from conftest import T0, make_series, make_session
 from fedcharge.ingest import (
     ParseError,
@@ -16,7 +22,7 @@ from fedcharge.ingest import (
     write_sessions,
     write_timeseries,
 )
-from fedcharge.sessions import EPOCH
+from fedcharge.sessions import EPOCH, SessionRecord, SessionSeries
 
 SESSIONS_CSV = """session_id,site_id,station_id,connection_time,disconnect_time,delivered_energy_kwh,requested_energy_kwh,available_minutes,requested_departure
 s1,caltech,ST001,2019-01-07T08:30:00Z,2019-01-07T12:30:00Z,9.25,,,
@@ -294,6 +300,20 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticDepotSpec(noise_std_kwh=-1)
 
+    @pytest.mark.parametrize("name", ["station_energy_mean_kwh", "station_energy_std_kwh",
+                                      "heterogeneity_shift_kwh", "noise_std_kwh"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected_by_name(self, name, value):
+        # Accepted before: an infinite mean, for one, wrote requested_energy_kwh
+        # inf, which parse_sessions rejects.
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+            SyntheticDepotSpec(**{name: value})
+
+    def test_nan_spread_and_noise_rejected(self):
+        # Accepted before, these gave every session delivered_energy_kwh 0.0.
+        with pytest.raises(ValueError, match="station_energy_std_kwh"):
+            SyntheticDepotSpec(station_energy_std_kwh=float("nan"), noise_std_kwh=float("nan"))
+
     def test_zero_shift_single_distribution(self):
         spec = SyntheticDepotSpec(
             n_stations=12, sessions_per_station=(40, 40),
@@ -331,3 +351,75 @@ class TestGenerateSynthetic:
             p = 208.0 * readings.current / 1000.0
             brute = float(np.sum((p[:-1] + p[1:]) / 2 * np.diff(t)) / 3600.0)
             assert s.delivered_energy_kwh == pytest.approx(brute, abs=1e-9)
+
+
+@st.composite
+def synth_specs(draw):
+    """Specs over the generator's corners: odd and even station counts, one
+    session per station, shifted halves, no noise, user fields never or
+    always present, clamped currents and energies, and sample periods that do
+    not divide a minute or outlast the session."""
+    lo = draw(st.integers(1, 6))
+    dlo = draw(st.integers(1, 200))
+    return SyntheticDepotSpec(
+        n_stations=draw(st.integers(1, 7)),
+        sessions_per_station=draw(st.one_of(st.just((1, 1)),
+                                            st.tuples(st.just(lo), st.integers(lo, lo + 4)))),
+        station_energy_mean_kwh=draw(st.floats(0.01, 300.0)),
+        station_energy_std_kwh=draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0))),
+        heterogeneity_shift_kwh=draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
+        noise_std_kwh=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        session_minutes=(dlo, draw(st.integers(dlo, dlo + 120))),
+        sample_period_s=draw(st.one_of(st.sampled_from([60, 7, 45, 61, 90, 3600, 10**6]),
+                                       st.integers(1, 20_000))),
+        user_field_presence=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+    )
+
+
+def typed_fields(record: SessionRecord) -> list[tuple[type, str]]:
+    """Each field's type and repr, so that -0.0, an int for a float and a
+    timezone all show."""
+    return [(type(v), repr(v)) for v in (getattr(record, f.name) for f in fields(record))]
+
+
+class TestSynthOracle:
+    """generate_synthetic against the per-session generator it replaced
+    (tests/synth_reference.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=synth_specs())
+    def test_matches_the_per_session_generator(self, spec):
+        sessions, index = generate_synthetic(spec)
+        want_sessions, want_index = synth_reference.generate_synthetic(spec)
+        assert [typed_fields(s) for s in sessions] == [typed_fields(s) for s in want_sessions]
+        assert list(index) == list(want_index)
+        for sid, series in index.items():
+            want = want_index[sid]
+            for name in ("t", "current", "pilot"):
+                got = getattr(series, name)
+                assert got.dtype == getattr(want, name).dtype
+                assert got.tobytes() == getattr(want, name).tobytes()
+                assert not got.flags.writeable
+            assert SessionSeries(series.t, series.current, series.pilot) == series
+            with pytest.raises(ValueError, match="read-only"):
+                series.current[:1] = 0.0
+
+    def test_walkthrough_depot_matches(self):
+        spec = SyntheticDepotSpec(seed=7)
+        sessions, index = generate_synthetic(spec)
+        want_sessions, want_index = synth_reference.generate_synthetic(spec)
+        assert [typed_fields(s) for s in sessions] == [typed_fields(s) for s in want_sessions]
+        assert index == want_index
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        # As Python floats do: a huge spread overflows some energies to inf.
+        spec = SyntheticDepotSpec(n_stations=3, station_energy_std_kwh=1e308,
+                                  noise_std_kwh=1e308, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sessions, index = generate_synthetic(spec)
+        want_sessions, want_index = synth_reference.generate_synthetic(spec)
+        assert [typed_fields(s) for s in sessions] == [typed_fields(s) for s in want_sessions]
+        assert index == want_index
+        assert any(s.requested_energy_kwh == math.inf for s in sessions)
