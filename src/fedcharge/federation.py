@@ -11,17 +11,18 @@ p = 0 for centralized. A single-client, full-participation federated run
 therefore consumes exactly the centralized schedule.
 
 The sampled clients of a round train in forked workers (pool.py) when a
-round has two or more of them and _pool_size allows it; otherwise one after
-another in this process. Either way this process samples, aggregates in
-sampled order and evaluates, and a client's work depends only on its
-streams and the broadcast parameters, so both give the same bits. A pooled
-round r + 1 trains while _train evaluates round r; a failure still surfaces
-in the order the serial loop would meet it.
+round has two or more of them and _pool_size allows it, and one after
+another in this process otherwise, a refused fork included. Either way this
+process samples, aggregates in sampled order and evaluates, and a client's
+work depends only on its streams and the broadcast parameters, so both give
+the same bits. A pooled round r + 1 trains while _train evaluates round r;
+a failure still surfaces in the order the serial loop would meet it.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,18 +258,17 @@ def _pool_size(clients_per_round: int) -> int:
     """Workers to fork for rounds of this many clients, or 0 to train them
     one after another in this process.
 
-    The pool needs two clients a round, two usable CPUs, os.fork and an
-    OpenBLAS whose thread count it can set. It also needs local_train to be
-    this module's own function: when something in this process wraps it (a
-    tracer, a test spy), a forked worker would carry the wrapper off and drop
-    what it records, so such runs stay serial.
+    The pool needs two clients a round and an OpenBLAS whose thread count it
+    can set. It also needs local_train to be this module's own function:
+    when something in this process wraps it (a tracer, a test spy), a forked
+    worker would carry the wrapper off and drop what it records, so such
+    runs stay serial. Whether this process can fork is pool.Workers' call.
     """
     if clients_per_round < 2 or local_train is not _OWN_LOCAL_TRAIN:
         return 0
     from . import pool  # serial runs never load it
 
-    n = min(MAX_WORKERS, pool.usable_cpus(), clients_per_round)
-    return n if n >= 2 and pool.blas_threads() is not None else 0
+    return min(MAX_WORKERS, clients_per_round) if pool.blas_threads() is not None else 0
 
 
 def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
@@ -300,25 +300,26 @@ def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
         trained = [train_client(r, pos, cid, global_params) for pos, cid in enumerate(clients)]
         return aggregate(updates(clients, trained)), clients
 
+    def pooled_round(r: int, global_params: ModelParameters):
+        if r == 0:
+            workers.dispatch(0, sampled(0), global_params)
+        upcoming = sampled(r + 1) if r + 1 < cfg.rounds else ()  # while round r trains
+        clients, trained = workers.collect()
+        params = aggregate(updates(clients, trained))
+        if upcoming:  # round r + 1 trains while _train evaluates round r
+            workers.dispatch(r + 1, upcoming, params)
+        return params, clients
+
     m = _clients_per_round(partition.n_clients, cfg.client_fraction)
-    n_workers = _pool_size(m) if cfg.rounds else 0
-    if not n_workers:
-        return _train(model, data, fed_round, cfg.rounds, "federated", "round", cfg.lr)
+    n_workers, workers = (_pool_size(m) if cfg.rounds else 0), None
+    if n_workers:
+        from .pool import CannotFork, ClientPool
 
-    from .pool import ClientPool
-
-    with ClientPool(n_workers, model.layout, m, train_client) as workers:
-        def pooled_round(r: int, global_params: ModelParameters):
-            if r == 0:
-                workers.dispatch(0, sampled(0), global_params)
-            upcoming = sampled(r + 1) if r + 1 < cfg.rounds else ()  # while round r trains
-            clients, trained = workers.collect()
-            params = aggregate(updates(clients, trained))
-            if upcoming:  # round r + 1 trains while _train evaluates round r
-                workers.dispatch(r + 1, upcoming, params)
-            return params, clients
-
-        return _train(model, data, pooled_round, cfg.rounds, "federated", "round", cfg.lr)
+        with suppress(CannotFork):  # the rounds then train in this process
+            workers = ClientPool(n_workers, model.layout, m, train_client)
+    with workers or nullcontext():
+        return _train(model, data, pooled_round if workers else fed_round, cfg.rounds,
+                      "federated", "round", cfg.lr)
 
 
 def detect_convergence(

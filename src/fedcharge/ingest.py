@@ -36,15 +36,14 @@ bulk path cannot vouch for goes through the per-row rules (_reading,
 _get_float, parse_utc), which also give its line-numbered issue.
 
 Two cores. A CSV time-series file of at least _SPLIT_BYTES is cut at the
-first line start after _FRONT_SHARE of its bytes when two CPUs and os.fork
-are usable. A worker forked through pool.Workers converts the back half
-while this process converts the front; the back's session ids are coded
-after the front's and its line numbers shifted by the front's lines, so the
-result, issues and first error are a serial parse's. A quote in the front
-half may open a field that runs on past the cut: from it, this process
-reads the rest of the file as csv.reader and stops the worker. JSON lines
-stay serial, and so does a file whose worker cannot be forked (in a
-daemonic process, or when fork fails for want of processes or memory).
+first line start after _FRONT_SHARE of its bytes, unless a quote comes
+before that: only such a quote can open a field that runs on past the cut,
+so the file is read for one before anything is forked, and a file with one
+is parsed serially. A worker forked through pool.Workers converts the back
+half while this process converts the front; the back's session ids are
+coded after the front's and its line numbers shifted by the front's lines,
+so the result, issues and first error are a serial parse's. JSON lines stay
+serial, and so does a file whose worker pool.Workers cannot fork.
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -89,10 +88,10 @@ TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 _CHUNK_ROWS = 4_096
 
 # A CSV time-series file at least this long is parsed in two halves when
-# two CPUs and os.fork are usable (see parse_timeseries). Starting the
-# worker costs about 23 ms in a fresh process (importing multiprocessing,
-# the fork and the pipe), which the second core wins back from about 2.5 MB
-# of depot-style CSV on: below it, a serial parse is as fast or faster.
+# this process can fork (see parse_timeseries). Starting the worker costs
+# about 23 ms in a fresh process (importing multiprocessing, the fork and the
+# pipe), which the second core wins back from about 2.5 MB of depot-style
+# CSV on: below it, a serial parse is as fast or faster.
 _SPLIT_BYTES = 2_500_000
 
 _FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and codes the ids
@@ -211,12 +210,12 @@ def _text(path: Path, start: int = 0, end: int | None = None):
 class _Blocks:
     """Consecutive blocks of a file opened by _text: iterating yields (first
     line number, bytes, text, bare \\r count), block k holding sizes[k]
-    lines, the first numbered `line`. .line is the number of the next line
-    to read. Bytes that are not UTF-8 raise a ParseError naming their line.
+    lines, the first numbered 1. .line is the number of the next line to
+    read. Bytes that are not UTF-8 raise a ParseError naming their line.
     """
 
-    def __init__(self, path: Path, fh, sizes, line: int = 1):
-        self.path, self.fh, self.sizes, self.line = path, fh, iter(sizes), line
+    def __init__(self, path: Path, fh, sizes):
+        self.path, self.fh, self.sizes, self.line = path, fh, iter(sizes), 1
 
     def __iter__(self):
         for size in self.sizes:
@@ -239,33 +238,23 @@ class _Blocks:
             self.line += breaks
 
 
-def _csv_chunks(path: Path, blocks, columns: list[str], rest=(), on_header=None):
+def _csv_chunks(path: Path, blocks, columns: list[str]):
     """_read_chunks for CSV: plain blocks by the byte tokenizer, others by
-    csv.reader. From a block with a quote on, csv.reader reads these blocks
-    and then the blocks of rest. on_header(width, picks) is called once the
-    header is read."""
+    csv.reader, which reads every block from the first with a quote on."""
     blocks = iter(blocks)
     head = next(blocks, None)
     if head is None:
         return
     _, raw, text, _ = head
     if b'"' in raw:  # a quoted header may run on: csv.reader reads it all
-        yield from _reader_chunks(path, chain([head], blocks, rest), None, columns)
+        yield from _reader_chunks(path, chain([head], blocks), None, columns)
         return
     header = next(_checked(path, csv.reader([text]), 0), [])
-    picks = _picks(header, columns)
-    if on_header is not None:
-        on_header(len(header), picks)
-    yield from _body_chunks(path, blocks, len(header), picks, columns, rest)
-
-
-def _body_chunks(path: Path, blocks, width: int, picks, columns: list[str], rest=()):
-    """_csv_chunks after a header of `width` fields."""
-    blocks = iter(blocks)
+    width, picks = len(header), _picks(header, columns)
     for block in blocks:
         first, raw, _, bare = block
         if b'"' in raw:  # a quoted field may run on into the next block
-            yield from _reader_chunks(path, chain([block], blocks, rest), picks, columns)
+            yield from _reader_chunks(path, chain([block], blocks), picks, columns)
             return
         cells = None if bare or b"\0" in raw else _plain_columns(raw, width, picks)
         if cells is None:
@@ -525,10 +514,9 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     are clamped to 0. Both are counted in the result.
 
     Rows are converted a block at a time and sorted only if out of order. A
-    CSV file of at least _SPLIT_BYTES is split (see _split_at) when two CPUs
-    and os.fork are usable and the worker can be forked: it converts the back
-    half while this process converts the front, and the result is the one a
-    serial parse gives (see _Halves).
+    CSV file that _split_at cuts is parsed in two halves when this process
+    can fork: a worker converts the back half while this process converts
+    the front, and the result is the one a serial parse gives (see _Halves).
     """
     path = Path(path)
     issues: list[tuple[int, str]] = []
@@ -551,7 +539,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         for chunk in chunks:
             heads, lengths, columns = _convert(path, chunk, strict, issues)
             add(code(heads), lengths, ([column] for column in columns))
-        if halves and not halves.read_on:
+        if halves:
             back_issues, sids, runs, lengths, pieces = halves.back()
             issues += back_issues
             add(code(sids)[runs], lengths, pieces)  # sids in the order they first appear
@@ -626,37 +614,37 @@ def _convert(path: Path, chunk, strict: bool, issues: list):
 def _split_at(path: Path) -> int | None:
     """Where a split parse of path cuts it: the first line start after
     _FRONT_SHARE of its bytes. None when the file is not CSV, is under
-    _SPLIT_BYTES, has no such line, or two CPUs and os.fork are not usable."""
+    _SPLIT_BYTES or has no such line, or when a quote comes before it: only
+    such a quote can open a field that runs on past the cut."""
     if not _is_csv(path):
         return None
     size = path.stat().st_size
     if size < _SPLIT_BYTES:
         return None
-    from . import pool  # a serial parse never loads it
-
-    if pool.usable_cpus() < 2:
-        return None
-    with open(path, "rb") as fh:
-        fh.seek(int(size * _FRONT_SHARE))
-        while block := fh.read(1 << 16):
-            if (at := block.find(b"\n")) >= 0:
-                split = fh.tell() - len(block) + at + 1
+    share, start, buf = int(size * _FRONT_SHARE), 0, bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):  # buf[:n] holds bytes start to start + n
+            end = buf.find(b"\n", max(share - start, 0), n)
+            if buf.find(b'"', 0, n if end < 0 else end) >= 0:
+                return None
+            if end >= 0:
+                split = start + end + 1
                 return split if split < size else None
+            start += n
     return None
 
 
 def _halves(path: Path, strict: bool) -> "_Halves | None":
     """A split parse of path with its worker started, or None for a serial
-    one: when _split_at gives no cut, or the worker cannot be forked because
-    fork fails (no process or memory to spare) or this process is daemonic,
-    which multiprocessing refuses with an AssertionError."""
+    one: when _split_at gives no cut or this process cannot fork."""
     split = _split_at(path)
     if split is None:
         return None
-    try:
+    from . import pool  # a serial parse never loads it
+
+    with suppress(pool.CannotFork):
         return _Halves(path, split, strict)
-    except (OSError, AssertionError):
-        return None
+    return None
 
 
 class _Halves:
@@ -666,20 +654,17 @@ class _Halves:
     returns that. The worker numbers its lines from 1; back() shifts them by
     the front's lines. Everything that orders the result (session codes,
     issues, the first error) therefore comes out as in a serial parse: the
-    front's errors are met before the back's are received.
-
-    A quoted field may run on past the split, so from the front's first
-    block holding a quote, this process reads on to the end of the file
-    (read_on) and stops the worker. Leaving the with-block reaps the worker.
+    front's errors are met before the back's are received. Leaving the
+    with-block reaps the worker.
     """
 
     def __init__(self, path: Path, split: int, strict: bool):
-        self._path, self._split, self._strict = path, split, strict
+        self._path, self._split = path, split
         self._front: _Blocks | None = None
-        self.read_on = False
         from .pool import Workers
 
         self._worker = Workers(1, _convert_back)
+        self._worker.send(0, (path, split, strict))
 
     def __enter__(self) -> "_Halves":
         return self
@@ -690,18 +675,7 @@ class _Halves:
     def front(self):
         with _text(self._path, 0, self._split) as fh:
             self._front = _Blocks(self._path, fh, chain([1], repeat(_CHUNK_ROWS)))
-            yield from _csv_chunks(self._path, self._front, TIMESERIES_COLUMNS,
-                                   self._rest(), self._start)
-
-    def _start(self, width: int, picks: list[int | None]) -> None:
-        self._worker.send(0, (self._path, self._split, width, picks, self._strict))
-
-    def _rest(self):
-        """The blocks after the split, for csv.reader to read here."""
-        self.read_on = True
-        self._worker.close(clean=False)
-        with _text(self._path, self._split) as fh:
-            yield from _Blocks(self._path, fh, repeat(_CHUNK_ROWS), self._front.line)
+            yield from _csv_chunks(self._path, self._front, TIMESERIES_COLUMNS)
 
     def back(self):
         """The worker's result (see _convert_back), its lines numbered in the
@@ -721,16 +695,16 @@ class _Halves:
 
 def _convert_back(job):
     """A split parse's worker: _convert over the lines of a CSV file from
-    byte `split` on, numbered from 1. Returns (issues, session ids in the
-    order they first appear, each run's index into them, run lengths, per
-    column (t, current, pilot) its pieces)."""
-    path, split, width, picks, strict = job
+    byte `split` on, read by the file's header and numbered from 1. Returns
+    (issues, session ids in the order they first appear, each run's index
+    into them, run lengths, per column (t, current, pilot) its pieces)."""
+    path, split, strict = job
     issues: list[tuple[int, str]] = []
     sids: dict[str, int] = {}
     runs, lengths, pieces = [np.empty(0, np.int32)], [np.empty(0, np.intp)], ([], [], [])
-    with _text(path, split) as fh:
-        blocks = _Blocks(path, fh, repeat(_CHUNK_ROWS))
-        for chunk in _body_chunks(path, blocks, width, picks, TIMESERIES_COLUMNS):
+    with _text(path, 0, split) as head, _text(path, split) as fh:
+        blocks = chain(_Blocks(path, head, [1]), _Blocks(path, fh, repeat(_CHUNK_ROWS)))
+        for chunk in _csv_chunks(path, blocks, TIMESERIES_COLUMNS):
             heads, chunk_lengths, columns = _convert(path, chunk, strict, issues)
             runs.append(np.array([sids.setdefault(sid, len(sids)) for sid in heads], np.int32))
             lengths.append(chunk_lengths)

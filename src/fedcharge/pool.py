@@ -3,7 +3,11 @@
 Workers is the package's one fork implementation. Two users start workers
 through it: federation.run_federated, whose ClientPool (below) trains the
 sampled clients of each round, and ingest.parse_timeseries, whose worker
-converts the back half of a large time-series file.
+converts the back half of a large time-series file. Workers raises
+CannotFork, leaving no worker, where this process cannot fork: with fewer
+than two usable CPUs, no os.fork, in a daemonic process or when a fork
+raises OSError. Both users then run serially: the parse reads the whole
+file here, and a federated run trains each round's clients in turn.
 
 A worker is forked with SIGINT blocked and then ignores it, so a ^C reaches
 only the parent, which stops its workers. Messages cross a pipe both ways,
@@ -40,9 +44,7 @@ import numpy as np
 
 from .models import ModelParameters
 
-# glibc's mallopt parameter for how much free memory the top of the heap may
-# hold before free() gives it back to the system.
-_M_TRIM_THRESHOLD = -1
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 # The thread-count functions of the OpenBLAS builds numpy ships or links.
 _BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
@@ -104,6 +106,10 @@ def _recv(conn):
     return pickle.loads(data, buffers=buffers)
 
 
+class CannotFork(Exception):
+    """This process cannot fork workers (see the module docstring)."""
+
+
 class WorkerDied(RuntimeError):
     """A worker exited before it answered."""
 
@@ -116,12 +122,14 @@ class WorkerDied(RuntimeError):
 class Workers:
     """n_workers forked processes, each answering the messages sent to it,
     in order, with handle(message). setup(), if given, runs first in each.
-    close() stops and reaps them.
+    close() stops and reaps them. CannotFork: see the module docstring.
     """
 
     def __init__(self, n_workers: int, handle, setup=None):
         import multiprocessing  # only here: see the module docstring
 
+        if usable_cpus() < 2 or multiprocessing.current_process().daemon:
+            raise CannotFork
         fork = multiprocessing.get_context("fork")
         self._procs: list = []
         self._conns: list = []
@@ -137,8 +145,10 @@ class Workers:
                 there.close()
                 self._procs.append(proc)
                 self._conns.append(here)
-        except BaseException:
+        except BaseException as exc:
             self.close(clean=False)
+            if isinstance(exc, OSError):  # EAGAIN or ENOMEM from fork, say
+                raise CannotFork from exc
             raise
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -244,11 +254,14 @@ class ClientPool:
         np.seterr(all="ignore")             # as in the parent's round loop
         # A client's Adam state and gradients are freed at the top of the
         # worker's heap; trimmed off there, they came back as ~700 page faults
-        # per client. Keep up to 64 MB of free heap instead.
+        # per client. Keep up to 64 MB of free heap instead. That also fixes
+        # the mmap threshold at the parent's, which may be 128 KB: then each
+        # 256 KB gradient and 1 MB Adam state is mapped anew. Pin it at 16 MB.
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
         if mallopt is not None:
             mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
             mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+            mallopt(_M_MMAP_THRESHOLD, 16 << 20)
 
     def _train_round(self, message):
         """A worker's positions of one round, in order: None, or the first

@@ -260,7 +260,8 @@ def generate_synthetic(
 
     One loop makes the draws; the rest runs on depot-wide arrays with the
     float operations of tests/synth_reference.py, in its order. Each series
-    is a slice of three read-only depot-wide columns.
+    is a slice of three read-only depot-wide columns. A ValueError names
+    the spec field whose size took a written energy past the float range.
     """
     rng = rng_from(spec.seed, STREAM_SYNTH)
     integers, normal, random, uniform = rng.integers, rng.normal, rng.random, rng.uniform
@@ -291,6 +292,14 @@ def generate_synthetic(
         delivered = np.maximum(0.0, voltage * current / 1000.0
                                * (n_steps * spec.sample_period_s / 3600.0) + noise)
         requested *= energy
+    scale = max(("station_energy_mean_kwh", "station_energy_std_kwh", "heterogeneity_shift_kwh"),
+                key=lambda name: getattr(spec, name))  # the energy draws' largest term
+    for column, values, name in (("delivered_energy_kwh", delivered, "noise_std_kwh"),
+                                 ("requested_energy_kwh", requested, scale)):
+        if np.isinf(values).any():
+            i = int(np.argmax(np.isinf(values)))
+            raise ValueError(f"{name}={getattr(spec, name)!r} gives session {sids[i]} a {column} "
+                             f"of {values[i]}: the energies must stay finite")
     leave = np.trunc(minutes * leave)  # whole minutes; NaN where absent
 
     counts = n_steps + 1

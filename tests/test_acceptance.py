@@ -45,7 +45,7 @@ def report(criterion: str, ok: bool, detail: str):
 def make_table(spec: SyntheticDepotSpec):
     sessions, series = generate_synthetic(spec)
     retained = retain_sessions(sessions, series, CFG)
-    return build_feature_table(retained.sessions, series, CFG)
+    return build_feature_table(retained.sessions, series, CFG, retained.windows)
 
 
 def table_feature(name: str, offsets, current, cfg=CFG) -> float:

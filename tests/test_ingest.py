@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ingest_reference
 import synth_reference
 from conftest import T0, make_series, make_session
+from fedcharge.cli import dispatch
 from fedcharge.ingest import (
     ParseError,
     SyntheticDepotSpec,
@@ -412,14 +413,27 @@ class TestSynthOracle:
         assert [typed_fields(s) for s in sessions] == [typed_fields(s) for s in want_sessions]
         assert index == want_index
 
-    def test_overflow_gives_inf_without_a_warning(self):
-        # As Python floats do: a huge spread overflows some energies to inf.
+    @pytest.mark.parametrize("noise, name, column", [
+        (1e308, "noise_std_kwh", "delivered_energy_kwh"),
+        (0.5, "station_energy_std_kwh", "requested_energy_kwh"),
+    ], ids=["noise", "spread"])
+    def test_overflow_names_the_spec_field(self, noise, name, column):
+        # A huge spread overflows some energies to inf, as Python floats do in
+        # the per-session generator; that depot would not parse back.
         spec = SyntheticDepotSpec(n_stations=3, station_energy_std_kwh=1e308,
-                                  noise_std_kwh=1e308, seed=1)
+                                  noise_std_kwh=noise, seed=1)
+        want_sessions, _ = synth_reference.generate_synthetic(spec)
+        first = next(s for s in want_sessions if getattr(s, column) == math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sessions, index = generate_synthetic(spec)
-        want_sessions, want_index = synth_reference.generate_synthetic(spec)
-        assert [typed_fields(s) for s in sessions] == [typed_fields(s) for s in want_sessions]
-        assert index == want_index
-        assert any(s.requested_energy_kwh == math.inf for s in sessions)
+            with pytest.raises(ValueError) as info:
+                generate_synthetic(spec)
+        assert str(info.value) == f"{name}=1e+308 gives session {first.session_id} a {column} " \
+                                  f"of inf: the energies must stay finite"
+
+    def test_synth_of_an_overflowing_spec_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "depot"
+        assert dispatch(["synth", "--seed", "1", "--stations", "2", "--sessions-per-station",
+                         "3:3", "--std-kwh", "1e308", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: station_energy_std_kwh=1e+308 ")
+        assert not out.exists()

@@ -1,0 +1,36 @@
+"""Limits on the package's own source."""
+
+from __future__ import annotations
+
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import fedcharge
+
+# CPython's parser allocates about 0.5 MB more to compile a module of more
+# tokens than this, so a run that compiles the package from source (as with
+# PYTHONDONTWRITEBYTECODE=1) peaks that much higher.
+MAX_TOKENS = 8_192
+
+MODULES = sorted(Path(fedcharge.__file__).parent.glob("*.py"))
+
+
+def tokens(path: Path) -> int:
+    """A module's tokens, comments, blank lines and the encoding excluded."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with open(path, "rb") as fh:
+        return sum(token.type not in skip for token in tokenize.tokenize(fh.readline))
+
+
+def test_comments_and_blank_lines_do_not_count(tmp_path):
+    bare, commented = tmp_path / "bare.py", tmp_path / "commented.py"
+    bare.write_text("x = (1,\n     2)\n")
+    commented.write_text("# a comment\n\nx = (1,  # another\n\n     2)\n")
+    assert tokens(bare) == tokens(commented) == 9  # x = ( 1 , 2 ) NEWLINE ENDMARKER
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_module_is_under_the_parser_step(path):
+    assert tokens(path) < MAX_TOKENS

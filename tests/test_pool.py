@@ -1,6 +1,6 @@
 """FedAvg rounds trained in forked workers against the same rounds trained one
-after another in this process: bit for bit, on every failure path, and with
-no process left behind.
+after another in this process: bit for bit, on every failure path, where
+this process cannot fork, and with no process left behind.
 
 A wrapped federation.local_train keeps run_federated serial (as it does for
 a traced run), so every pooled result here has a serial oracle.
@@ -8,9 +8,11 @@ a traced run), so every pooled result here has a serial oracle.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -30,7 +32,7 @@ from fedcharge.models import LinearRegressor, MlpRegressor, set_params
 from fedcharge.partition import partition_by_station
 
 pytestmark = pytest.mark.skipif(
-    not federation._pool_size(2) or pool.blas_threads() is None,
+    pool.usable_cpus() < 2 or pool.blas_threads() is None,
     reason="the pool needs two usable CPUs, os.fork and a settable OpenBLAS")
 
 DIVERGED = r"federated training diverged in round {} at lr {}: the {} is (nan|inf)"
@@ -294,3 +296,85 @@ def test_cli_divergence_prints_only_its_message(features, tmp_path, model, flags
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert re.fullmatch("error: " + DIVERGED.format(1, r"1e\+200", what) + "\n", proc.stderr)
+
+
+def train(features, out, *flags: str) -> int:
+    """A federated train of the features in this process; its exit code."""
+    return dispatch(["train", "--features", str(features), "--mode", "federated", "--model", "mlp",
+                     "--rounds", "3", "--fraction", "0.6", "--seed", "4", *flags,
+                     "--out", str(out)])
+
+
+def run_files(out: Path) -> dict[str, bytes]:
+    """A train run's data outputs; config.json echoes the paths."""
+    return {name: (out / name).read_bytes()
+            for name in ("rounds.csv", "model.ckpt", "predictions.csv", "summary.json")}
+
+
+class TestRefusedFork:
+    """A run whose process cannot fork trains its rounds in that process,
+    with the bytes of a serial run and exit 0."""
+
+    @pytest.fixture
+    def serial(self, features, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            train_serially(patch)
+            assert train(features, tmp_path / "serial") == 0
+        return run_files(tmp_path / "serial")
+
+    def test_in_a_daemonic_process(self, features, tmp_path, serial):
+        """multiprocessing lets no daemonic process, such as a Pool's worker,
+        start a child."""
+        fork = multiprocessing.get_context("fork")
+        here, there = fork.Pipe(duplex=False)
+
+        def train_in_child():
+            try:
+                there.send(train(features, tmp_path / "daemonic"))
+            except BaseException as exc:
+                there.send(repr(exc))
+
+        child = fork.Process(target=train_in_child, daemon=True)
+        child.start()
+        try:
+            assert here.poll(50)
+            assert here.recv() == 0
+        finally:
+            child.join(5)
+        assert child.exitcode == 0
+        assert run_files(tmp_path / "daemonic") == serial
+
+    @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
+    def test_fork_fails(self, features, tmp_path, monkeypatch, serial, dispatched, code):
+        def fails():
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "fork", fails)
+        assert train(features, tmp_path / "refused") == 0
+        assert run_files(tmp_path / "refused") == serial
+        assert dispatched == []
+
+
+# Of a pooled 150-round train, the main process and its workers together; a
+# worker whose malloc maps its gradients and Adam state afresh each time
+# takes several hundred page faults a client.
+MINOR_FAULTS = 50_000
+
+
+@pytest.mark.parametrize("length", [16, 61])
+def test_pooled_train_workers_keep_their_heap(features, tmp_path, length):
+    """A worker's heap must not depend on where the parent's heap stood at
+    the fork, which the --out path's length moves."""
+    src = str(Path(fedcharge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = "o" * length
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedcharge", "train", "--features", str(features),
+         "--mode", "federated", "--model", "mlp", "--rounds", "150", "--fraction", "0.6",
+         "--out", out], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / out / "rounds.csv").read_text().splitlines()) == 151
+    assert faults < MINOR_FAULTS

@@ -1,8 +1,9 @@
 """Time-series files parsed in two halves, the back half by a forked worker,
 against the same files parsed in this process and by the per-row reference
 parser: the same index (session order and the bits of every column), issues,
-counters and strict-mode error. No worker outlives a parse, whether it ends
-in a result, an error in either half, a worker's death or a ^C.
+counters and strict-mode error. A quote before the cut keeps a file serial,
+with no worker forked. No worker outlives a parse, whether it ends in a
+result, an error in either half, a worker's death or a ^C.
 
 The split is forced on any machine: _SPLIT_BYTES drops to 0 and the CPU
 check reports two CPUs, so a one-CPU runner splits too.
@@ -145,8 +146,22 @@ class TestSplitEqualsSerial:
     def test_named_cases(self, tmp_path, name, chunk_rows):
         path = file_with(tmp_path, case(name))
         made = assert_split_is_serial(path, chunk_rows)
-        assert len(made) == 2  # lenient and strict
-        assert all(halves.read_on == (name == "quote in the front") for halves in made)
+        # Lenient and strict; a quote before the cut keeps both serial.
+        assert len(made) == (0 if name == "quote in the front" else 2)
+
+    @pytest.mark.parametrize("where", ["header", "end of the front", "start of the back"])
+    def test_a_quote_before_the_cut_forks_no_worker(self, tmp_path, where):
+        """Every byte before the cut is read for a quote, the header's too; a
+        quote from the cut on leaves the file split."""
+        path = file_with(tmp_path, case("in order"))
+        with parsed_in("split"):
+            cut = ingest._split_at(path)
+        raw = bytearray(path.read_bytes())
+        assert raw[cut - 2 : cut] == b"\r\n"
+        raw[{"header": 0, "end of the front": cut - 3, "start of the back": cut}[where]] = ord('"')
+        path.write_bytes(raw)
+        made = assert_split_is_serial(path, 2)
+        assert len(made) == (2 if where == "start of the back" else 0)
 
     def test_cases_place_their_rows_as_named(self, tmp_path):
         middle = back_line(file_with(tmp_path, case("in order")))
@@ -212,7 +227,7 @@ class TestSplitMemoryBound:
             _, one_block, _ = traced(parse_timeseries, block)
             assert made == []
             parsed, peak, held = traced(parse_timeseries, depot)
-        assert len(made) == 2 and not made[-1].read_on
+        assert len(made) == 2
         assert sum(map(len, parsed.index.values())) > 4 * chunk_rows
         assert peak <= factor * held + one_block
 
@@ -222,7 +237,8 @@ class TestWorkers:
         """The reply's array is read straight into the buffer it is returned
         in: receiving it costs its own size, not a pickled copy as well."""
         n = 1 << 20
-        workers = pool.Workers(1, lambda size: np.arange(size, dtype=float))
+        with mock.patch.object(pool, "usable_cpus", lambda: 2):  # a one-CPU runner forks too
+            workers = pool.Workers(1, lambda size: np.arange(size, dtype=float))
         try:
             workers.send(0, n)
             tracemalloc.start()
