@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation/config error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
-from . import evaluation, federation, heterogeneity, ingest, models
+from . import csvio, evaluation, federation, heterogeneity, ingest, models
 from .features import build_feature_table, read_features, write_features
 from .partition import partition_by_station
 from .sessions import DatasetConfig, retain_sessions
@@ -363,12 +362,8 @@ ROUNDS_COLUMNS = ("round", "val_mae", "val_rmse", "test_mae", "test_rmse", "clie
 
 
 def _write_rounds_csv(path: Path, logs) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUNDS_COLUMNS)
-        for log in logs:
-            metrics = (repr(getattr(log, column)) for column in ROUNDS_COLUMNS[1:-1])
-            writer.writerow([log.round, *metrics, ";".join(log.clients)])
+    columns = [[getattr(log, column) for log in logs] for column in ROUNDS_COLUMNS[:-1]]
+    csvio.write(path, ROUNDS_COLUMNS, [*columns, [";".join(log.clients) for log in logs]])
 
 
 def _parse_seeds(text: str) -> list[int]:

@@ -1,0 +1,292 @@
+r"""The one CSV layer: every CSV file the package reads or writes goes through
+this module, and it alone imports csv.
+
+Reading. A file is read in blocks of CHUNK_ROWS lines, after its first
+line on its own. Lines end as the csv module ends them: at a \n, a \r\n or
+a bare \r. The text is decoded as it is read, and each block is encoded
+back to its bytes for the tokenizer. The CSV header line goes through
+csv.reader.
+A CSV block is plain when it holds no quote, no NUL, no bare \r and no
+blank line, and every line has as many fields as the header. Then one
+numpy pass over the offsets of "," and "\n" finds every field, each
+column is gathered into a fixed-width byte array, and row k is line
+first + k. Any other block goes through csv.reader. From the first block
+holding a quote to the end of the file, csv.reader reads everything,
+because a quoted field may run on across a block boundary. NUL is kept out
+of plain blocks because a byte array drops trailing NUL bytes. Bytes that
+are not UTF-8, and a field over csv.field_size_limit(), raise a ParseError
+naming their line. JSON lines files are read in the same blocks.
+
+Writing. A file gets the bytes csv.writer writes: None as an empty cell, a
+float (numpy's too) as its repr, any other value as str() of it, quoted as
+csv.writer quotes it (csv_text), and every row ended by \r\n.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import re
+from itertools import chain, islice, repeat
+from pathlib import Path
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# Lines read per block: enough to amortize the array calls, few enough that
+# one block's bytes and cells stay near 1.5 MB.
+CHUNK_ROWS = 4_096
+
+# Texts csv.writer writes as they are, which csv_text need not run it on.
+_PLAIN_TEXT = re.compile(r"[\w.:-]+")
+
+
+class ParseError(ValueError):
+    """A malformed row in strict mode, bytes that are not UTF-8 or a CSV
+    field over the csv module's size limit; carries the offending line number."""
+
+    def __init__(self, path, line_number: int, message: str):
+        super().__init__(f"{path}:{line_number}: {message}")
+        self.path = str(path)
+        self.line_number = line_number
+        self.reason = message
+
+    def __reduce__(self):
+        return ParseError, (self.path, self.line_number, self.reason)
+
+
+class Reader:
+    """The lines of path's bytes start to end (None: the end of the file),
+    start being 0 or a line start, numbered from 1 at start. .line is the
+    number of the next line to read.
+    """
+
+    def __init__(self, path, start: int = 0, end: int | None = None):
+        self.path, self._span, self.line = Path(path), (start, end), 1
+
+    def blocks(self):
+        """(first line number, bytes, bare \\r count) per block of CHUNK_ROWS
+        lines, after a file's first line (a CSV header) on its own. The text
+        is read with newline="", so that lines end as the csv module ends them,
+        and only its bytes are kept: they decode back to it. The block that
+        runs past end is read whole and then cut there, so that its bytes are
+        checked as in a read of the whole file, whose block it is."""
+        start, end = self._span
+        file = open(self.path, "rb")
+        file.seek(start)
+        with io.TextIOWrapper(file, encoding="utf-8", errors="surrogateescape",
+                              newline="") as fh:
+            for size in repeat(CHUNK_ROWS) if start else chain([1], repeat(CHUNK_ROWS)):
+                if end is not None and start >= end:
+                    return
+                raw = self._utf8("".join(islice(fh, size)))[: None if end is None else end - start]
+                if not raw:
+                    return
+                start += len(raw)
+                breaks, bare = _line_breaks(raw)
+                yield self.line, raw, bare
+                self.line += breaks
+
+    def _utf8(self, text: str) -> bytes:
+        """The bytes of a block read from line .line; bytes that are not UTF-8
+        (escaped in text) raise a ParseError naming the first one's line."""
+        try:
+            return text.encode()
+        except UnicodeEncodeError:
+            raw = text.encode(errors="surrogateescape")
+            try:
+                raw.decode()
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    self.path, self.line + _line_breaks(raw[: exc.start])[0],
+                    f"not valid UTF-8: {raw[exc.start : exc.end]!r} ({exc.reason})",
+                ) from None
+            raise
+
+    def rows(self, columns: list[str]):
+        """Yield the header, the file's first row whatever start is ([] for an
+        empty file), then (lines, cells, widths) per block of nonblank rows:
+        lines[i] is the line row i ends on, widths[i] its number of fields,
+        and cells[c][i] its field under columns[c] ("" when the header or the
+        row lacks it; a repeated name resolves to its last occurrence). A
+        plain block gives each column as a fixed-width byte array, whose cells
+        decode to that text (texts()); other blocks give lists."""
+        blocks = self.blocks()
+        if self._span[0]:  # the header is the file's first line
+            blocks = chain(islice(Reader(self.path).blocks(), 1), blocks)
+        head = next(blocks, None)
+        if head is None:
+            yield []
+            return
+        raw = head[1]
+        if b'"' in raw:  # a quoted header may run on: csv.reader reads it all
+            yield from _reader_chunks(self.path, chain([head], blocks), None, columns)
+            return
+        try:
+            header = next(csv.reader([raw.decode()]), [])
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ParseError(self.path, 1, str(exc)) from None
+        yield header
+        width, picks = len(header), _picks(header, columns)
+        for block in blocks:
+            first, raw, bare = block
+            if b'"' in raw:  # a quoted field may run on into the next block
+                yield from _reader_chunks(self.path, chain([block], blocks), picks, columns)
+                return
+            cells = None if bare or b"\0" in raw else _plain_columns(raw, width, picks)
+            if cells is None:
+                yield from _reader_chunks(self.path, [block], picks, columns)
+            else:
+                n = len(cells[0])
+                yield range(first, first + n), cells, [width] * n
+
+
+def texts(cells) -> list:
+    """A column as a list, byte cells decoded."""
+    if isinstance(cells, np.ndarray) and cells.dtype.kind == "S":
+        return [v.decode() for v in cells.tolist()]
+    return list(cells)
+
+
+def _line_breaks(raw: bytes) -> tuple[int, int]:
+    """(line breaks, bare \\r) in raw: a \\n, a \\r\\n or a bare \\r ends a line."""
+    buf = np.frombuffer(raw, np.uint8)
+    cr = np.flatnonzero(buf[:-1] == ord("\r"))
+    bare = int(np.count_nonzero(buf[cr + 1] != ord("\n"))) + raw.endswith(b"\r")
+    return int(np.count_nonzero(buf == ord("\n"))) + bare, bare
+
+
+def _picks(header: list[str], columns: list[str]) -> list[int | None]:
+    """Each column's field index; a repeated name resolves to its last occurrence."""
+    where = {name: j for j, name in enumerate(header)}
+    return [where.get(c) for c in columns]
+
+
+def _reader_chunks(path: Path, blocks, picks, columns: list[str]):
+    """csv.reader over the blocks' lines, in batches of CHUNK_ROWS nonblank rows.
+    Without picks, the first row is the header, yielded first, that sets them.
+    A csv.Error (a field over csv.field_size_limit()) becomes a ParseError.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    offset = first[0] - 1
+    reader = csv.reader(line for _, raw, _ in chain([first], blocks)
+                        for line in io.StringIO(raw.decode(), newline=""))
+    lines, rows = [], []
+    try:
+        if picks is None:
+            header = next(reader, [])
+            yield header
+            picks = _picks(header, columns)
+        for row in reader:
+            if row:
+                lines.append(offset + reader.line_num)
+                rows.append(row)
+                if len(rows) == CHUNK_ROWS:
+                    yield lines, *_csv_columns(rows, picks)
+                    lines, rows = [], []
+    except csv.Error as exc:
+        raise ParseError(path, offset + reader.line_num, str(exc)) from None
+    if rows:
+        yield lines, *_csv_columns(rows, picks)
+
+
+def _plain_columns(raw: bytes, width: int, picks: list[int | None]) -> list[np.ndarray] | None:
+    """The picked columns of a block with no quote, NUL or bare \\r as
+    fixed-width byte arrays. None when a line is blank or does not have
+    `width` fields, when a field is over the csv module's size limit (on
+    which csv.reader raises), or when a column's array would outgrow the
+    block.
+    """
+    if not width:
+        return None
+    if not raw.endswith(b"\n"):  # the last line of the file
+        raw += b"\n"
+    buf = np.frombuffer(raw, np.uint8)
+    offset = np.int32 if len(buf) < 2**31 else np.intp  # int32 where it fits: half the memory
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n"))).astype(offset)
+    newline = buf[sep] == ord("\n")
+    n = len(sep) // width
+    if len(sep) != n * width or np.count_nonzero(newline) != n:
+        return None
+    if not newline[width - 1 :: width].all():  # the newlines do not end every width-th field
+        return None
+    starts = np.concatenate(([0], sep[:-1] + 1), dtype=offset).reshape(n, width)
+    ends = sep.reshape(n, width)
+    ends[:, -1] -= buf[ends[:, -1] - 1] == ord("\r")
+    sizes = ends - starts
+    if not np.all(ends[:, -1] > starts[:, 0]) or sizes.max() > csv.field_size_limit():
+        return None
+    widths = [1 if j is None else max(int(sizes[:, j].max()), 1) for j in picks]
+    if n * max(widths) > len(raw):
+        return None
+    padded = np.zeros(len(buf) + max(widths), np.uint8)
+    padded[: len(buf)] = buf
+    cells = []
+    for j, w in zip(picks, widths):
+        if j is None:
+            cells.append(np.zeros(n, "S1"))
+            continue
+        cell = sliding_window_view(padded, w)[starts[:, j]]
+        if sizes[:, j].min() < w:
+            cell[np.arange(w) >= sizes[:, j, None]] = 0
+        cells.append(cell.view(f"S{w}").ravel())
+    return cells
+
+
+def _csv_columns(rows, picks: list[int | None]) -> tuple[list[list[str]], list[int]]:
+    """The picked columns of a batch of CSV rows, a missing field read as "",
+    and each row's number of fields."""
+    widths = list(map(len, rows))
+    width = 1 + max((j for j in picks if j is not None), default=-1)
+    if min(widths) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    return [[""] * len(rows) if j is None else [row[j] for row in rows] for j in picks], widths
+
+
+def csv_text(value: str) -> str:
+    """value as csv.writer renders it among other fields."""
+    if _PLAIN_TEXT.fullmatch(value):  # nothing csv.writer would quote
+        return value
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _cell(value) -> str:
+    """value as csv.writer writes it among other fields, a numpy float as the
+    float it holds."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return csv_text(str(value))
+
+
+def write(path, header, columns) -> None:
+    """A CSV file of the header and the rows whose field j is columns[j]'s
+    value, rows ended by \\r\\n. A float array is a column in which NaN marks
+    a missing value: NaN is an empty cell, any other float its repr, run
+    once per distinct bit pattern (so -0.0 and 0.0 stay apart). Each value
+    of any other column goes through _cell(), so a NaN there is written nan.
+    """
+    cells = [_float_texts(c) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+             else list(map(_cell, c)) for c in columns]
+    lines = map(",".join, chain([map(_cell, header)], zip(*cells)))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\r\n" for line in lines)
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """repr of each float64, "" for NaN; values are viewed as int64 bits and
+    argsorted once (np.unique would import numpy.ma, ~1 MB)."""
+    bits = values.astype(np.float64, copy=False).view(np.int64)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    head = np.ones(len(bits), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[head].view(np.float64).tolist()
+    reprs = np.array(["" if v != v else repr(v) for v in distinct], dtype=object)
+    out = np.empty(len(bits), dtype=object)
+    out[order] = reprs[np.cumsum(head) - 1]
+    return out.tolist()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import statistics
 from dataclasses import asdict, dataclass, replace
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import csvio
 from .features import FeatureTable, fit_imputer, fit_scaler
 from .federation import (
     CentralConfig,
@@ -315,10 +315,8 @@ def emit_report(reports: list[RunReport], out_dir) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     json_path = out_dir / "results.json"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)  # writes floats with repr and None as ""
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows([getattr(rep, c) for c in RESULT_COLUMNS] for rep in reports)
+    csvio.write(csv_path, RESULT_COLUMNS, [[getattr(rep, c) for rep in reports]
+                                           for c in RESULT_COLUMNS])
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump([report_to_dict(r) for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -326,9 +324,7 @@ def emit_report(reports: list[RunReport], out_dir) -> tuple[Path, Path]:
 
 
 def write_predictions(path, session_ids, y_true, y_pred) -> None:
-    """predictions.csv for independent metric re-checks."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["session_id", "y_true", "y_pred"])
-        for sid, yt, yp in zip(session_ids, y_true, y_pred):
-            writer.writerow([sid, repr(float(yt)), repr(float(yp))])
+    """predictions.csv for independent metric re-checks. The values go as
+    lists of floats, not float arrays, so that a NaN is written nan."""
+    csvio.write(path, ["session_id", "y_true", "y_pred"],
+                [session_ids, list(map(float, y_true)), list(map(float, y_pred))])

@@ -10,7 +10,6 @@ match bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings as _warnings
 from collections import Counter
@@ -19,7 +18,8 @@ from datetime import timedelta
 
 import numpy as np
 
-from .ingest import _csv_text
+from . import csvio
+from .ingest import float_column
 from .sessions import (
     EPOCH,
     DatasetConfig,
@@ -291,63 +291,48 @@ def write_features(path, table: FeatureTable) -> None:
 
     Raw (unimputed, unscaled) values; empty cell = missing. Downstream stages
     fit imputation and scaling on their own training split. The bytes are
-    csv.writer's: ids quoted as it quotes them, floats as repr (run once per
-    distinct bit pattern in the file), rows ended by \\r\\n.
+    csv.writer's (see csvio.write).
     """
-    values = np.column_stack([table.y, table.X]).astype(np.float64, copy=False)
-    bits = values.view(np.int64).ravel()
-    order = np.argsort(bits)  # np.unique would import numpy.ma, ~1 MB
-    ordered = bits[order]
-    head = np.ones(len(bits), dtype=bool)
-    head[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[head].view(np.float64).tolist()
-    texts = np.array(["" if v != v else repr(v) for v in distinct], dtype=object)
-    cells = np.empty(values.shape, dtype=object)
-    cells.flat[order] = texts[np.cumsum(head) - 1]
-    cells[np.isnan(values[:, 0]), 0] = "nan"  # a NaN feature is missing, a NaN target is not
-    rows = [",".join(("session_id", "station_id", "target", *table.feature_names))]
-    rows += map(",".join, zip(map(_csv_text, table.session_ids),
-                              map(_csv_text, table.station_ids), *cells.T.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+    header = ["session_id", "station_id", "target", *table.feature_names]
+    # A NaN feature is missing, an empty cell; a NaN target is not, so it goes
+    # as Python floats, which are written nan.
+    csvio.write(path, header, [table.session_ids, table.station_ids, table.y.tolist(), *table.X.T])
 
 
 def read_features(path) -> FeatureTable:
     """Read features.csv back. An empty (or NaN) feature cell is a missing
     value. A row of the wrong width, a cell that is not a number, a target
     that is missing or not finite, or an infinite feature raises ValueError
-    naming path:line.
+    naming path:line, as bytes that are not UTF-8 and a field over the csv
+    module's limit do (csvio.ParseError).
     """
     header = ["session_id", "station_id", "target", *FEATURE_COLUMNS]
-    session_ids, station_ids, targets, rows, lines = [], [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ValueError(f"unexpected features.csv header in {path}")
-        for row in reader:
-            if not row:
-                continue
+    rows = csvio.Reader(path).rows(header)
+    if next(rows) != header:
+        raise ValueError(f"unexpected features.csv header in {path}")
+    ids, lines, values = ([], []), [], [np.empty((0, len(header) - 2))]
+    for block_lines, cells, widths in rows:
+        columns, bad = zip(*(float_column(c, "") for c in cells[2:]))
+        values.append(np.column_stack(columns))
+        suspect = np.isnan(columns[0]) | np.any(bad, axis=0) | (np.array(widths) != len(header))
+        for i in np.flatnonzero(suspect).tolist():  # the first faulty row, named row by row
+            row = [v.decode() if isinstance(v, bytes) else v for v in (c[i] for c in cells)]
             try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} cells, got {len(row)}")
-                targets.append(float(row[2]))
-                rows.append([math.nan if cell == "" else float(cell) for cell in row[3:]])
+                if widths[i] != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {widths[i]}")
+                for cell in [row[2], *filter(None, row[3:])]:  # an empty feature is missing
+                    float(cell)
             except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            session_ids.append(row[0])
-            station_ids.append(row[1])
-            lines.append(reader.line_num)
-    X = np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_COLUMNS))
-    y = np.array(targets, dtype=float)
-    bad = np.argwhere(np.column_stack([~np.isfinite(y), np.isinf(X)]))
-    if len(bad):
-        i, j = bad[0].tolist()
+                raise ValueError(f"{path}:{block_lines[i]}: {exc}") from None
+        ids[0].extend(csvio.texts(cells[0]))
+        ids[1].extend(csvio.texts(cells[1]))
+        lines += block_lines
+    values = np.concatenate(values)
+    bad = np.isinf(values)
+    bad[:, 0] |= np.isnan(values[:, 0])
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
         raise ValueError(f"{path}:{lines[i]}: {header[2 + j]} is not finite")
-    return FeatureTable(
-        feature_names=FEATURE_COLUMNS,
-        X=X,
-        y=y,
-        session_ids=session_ids,
-        station_ids=station_ids,
-        warnings=Counter(),
-    )
+    return FeatureTable(feature_names=FEATURE_COLUMNS, X=values[:, 1:].copy(),
+                        y=values[:, 0].copy(), session_ids=ids[0], station_ids=ids[1],
+                        warnings=Counter())

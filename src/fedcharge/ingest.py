@@ -13,27 +13,16 @@ Timestamps are ISO-8601 UTC (YYYY-MM-DDTHH:MM:SSZ). Parsing is lenient by
 default: malformed rows are skipped and reported with their line number;
 strict mode aborts on the first bad row. Bytes that are not UTF-8, and a CSV
 field over csv.field_size_limit(), abort in either mode, naming their line.
-
-Reading. A file is read in blocks of _CHUNK_ROWS lines. Lines end as the
-csv module ends them: at a \n, a \r\n or a bare \r. The text is decoded
-as it is read, and each block is encoded back to its bytes for the
-tokenizer. The CSV header line goes through csv.reader.
-A CSV block is plain when it holds no quote, no NUL, no bare \r and no
-blank line, and every line has as many fields as the header. Then one
-numpy pass over the offsets of "," and "\n" finds every field, each
-column is gathered into a fixed-width byte array, and row k is line
-first + k. Any other block goes through csv.reader. From the first block
-holding a quote to the end of the file, csv.reader reads everything,
-because a quoted field may run on across a block boundary. NUL is kept out
-of plain blocks because a byte array drops trailing NUL bytes.
+Files are read and CSV files written through csvio.
 
 Converting. The same column converters take byte arrays and the lists that
 csv.reader and JSON give. Canonical timestamps are checked on their bytes
-and parsed by numpy. float() runs on each numeric cell's decoded text. A
-session id is decoded and looked up once per run of equal adjacent ids,
-which is how a time-series file lays out its sessions. A cell or row the
-bulk path cannot vouch for goes through the per-row rules (_reading,
-_get_float, parse_utc), which also give its line-numbered issue.
+and parsed by numpy. float() runs on each numeric cell, on its bytes when
+the column is ASCII and on its decoded text otherwise. A session id is
+decoded and looked up once per run of equal adjacent ids, which is how a
+time-series file lays out its sessions. A cell or row the bulk path cannot
+vouch for goes through the per-row rules (_reading, _get_float, parse_utc),
+which also give its line-numbered issue.
 
 Two cores. A CSV time-series file of at least _SPLIT_BYTES is cut at the
 first line start after _FRONT_SHARE of its bytes, unless a quote comes
@@ -42,8 +31,11 @@ so the file is read for one before anything is forked, and a file with one
 is parsed serially. A worker forked through pool.Workers converts the back
 half while this process converts the front; the back's session ids are
 coded after the front's and its line numbers shifted by the front's lines,
-so the result, issues and first error are a serial parse's. JSON lines stay
-serial, and so does a file whose worker pool.Workers cannot fork.
+so the result, issues and first error are a serial parse's. This process
+reads the block that runs past the cut whole, as a serial parse does, so a
+byte that is not UTF-8 just after the cut stops it before the block's rows
+are converted. JSON lines stay serial, and so does a file whose worker
+pool.Workers cannot fork.
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -56,20 +48,18 @@ rows.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-import re
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime
-from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from . import csvio
+from .csvio import ParseError, csv_text
 from .sessions import (  # cli, bench/ and tests take the synthetic depot from here
     SessionRecord,
     SessionSeries,
@@ -83,10 +73,6 @@ from .sessions import (  # cli, bench/ and tests take the synthetic depot from h
 SESSION_COLUMNS = [f.name for f in fields(SessionRecord)]
 TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 
-# Lines read per block: enough to amortize the array calls, few enough that
-# one block's bytes and cells stay near 1.5 MB.
-_CHUNK_ROWS = 4_096
-
 # A CSV time-series file at least this long is parsed in two halves when
 # this process can fork (see parse_timeseries). Starting the worker costs
 # about 23 ms in a fresh process (importing multiprocessing, the fork and the
@@ -95,23 +81,6 @@ _CHUNK_ROWS = 4_096
 _SPLIT_BYTES = 2_500_000
 
 _FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and codes the ids
-
-# Texts csv.writer writes as they are, which _csv_text need not run it on.
-_PLAIN_TEXT = re.compile(r"[\w.:-]+")
-
-
-class ParseError(ValueError):
-    """A malformed row in strict mode, bytes that are not UTF-8 or a CSV
-    field over the csv module's size limit; carries the offending line number."""
-
-    def __init__(self, path, line_number: int, message: str):
-        super().__init__(f"{path}:{line_number}: {message}")
-        self.path = str(path)
-        self.line_number = line_number
-        self.reason = message
-
-    def __reduce__(self):
-        return ParseError, (self.path, self.line_number, self.reason)
 
 
 @dataclass
@@ -136,221 +105,36 @@ def _is_csv(path: Path) -> bool:
     return suffix == ".csv"
 
 
-def _read_chunks(path: Path, columns: list[str]):
-    """Yield (lines, cells, absent, errors) per block of nonblank rows, in file order.
+def _read_chunks(path: Path, columns: list[str], reader: csvio.Reader | None = None):
+    """Yield (lines, cells, absent, errors) per block of nonblank rows, in file
+    order; for a CSV file, of the range that reader reads (all of it when None).
 
     lines[i] is the physical line that row i ends on; cells[c][i] is the value
     of columns[c] in row i, equal to `absent` when the field is absent: "" for
-    CSV (an empty cell or a missing field), None for JSON lines (null or a
-    missing key). A plain CSV block gives each column as a fixed-width byte
-    array, whose cells decode to that text; other blocks give lists. errors
-    maps a row to the exception its line raised (malformed JSON); such a row
-    has every field absent.
+    CSV (an empty cell or a missing field; cells as csvio.Reader.rows gives
+    them), None for JSON lines (null or a missing key). errors maps a row to
+    the exception its line raised (malformed JSON); such a row has every
+    field absent.
     """
-    is_csv = _is_csv(path)
-    with _text(path) as fh:
-        if is_csv:
-            blocks = _Blocks(path, fh, chain([1], repeat(_CHUNK_ROWS)))  # the header, then blocks
-            yield from _csv_chunks(path, blocks, columns)
-            return
-        for first, _, text, _ in _Blocks(path, fh, repeat(_CHUNK_ROWS)):
-            numbered = [
-                (n, _json_object(obj)) for n, line in
-                enumerate(io.StringIO(text, newline=None), start=first)
-                if (obj := line.strip())
-            ]
-            if not numbered:
-                continue
-            lines, objs = zip(*numbered)
-            errors = {i: obj for i, obj in enumerate(objs) if isinstance(obj, Exception)}
-            if errors:
-                objs = [{} if i in errors else obj for i, obj in enumerate(objs)]
-            yield lines, [[obj.get(c) for obj in objs] for c in columns], None, errors
-
-
-def _line_breaks(raw: bytes) -> tuple[int, int]:
-    """(line breaks, bare \\r) in raw: a \\n, a \\r\\n or a bare \\r ends a line."""
-    buf = np.frombuffer(raw, np.uint8)
-    cr = np.flatnonzero(buf[:-1] == ord("\r"))
-    bare = int(np.count_nonzero(buf[cr + 1] != ord("\n"))) + raw.endswith(b"\r")
-    return int(np.count_nonzero(buf == ord("\n"))) + bare, bare
-
-
-class _Range(io.RawIOBase):
-    """The next `size` bytes of an unbuffered binary file."""
-
-    def __init__(self, fh, size: int):
-        self._fh, self._left = fh, size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._fh.readinto(memoryview(buf)[: self._left])
-        self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._fh.close()
-        super().close()
-
-
-def _text(path: Path, start: int = 0, end: int | None = None):
-    """Bytes start to end (None: the end of the file) of path as text, read
-    with newline="", so that lines end as the csv module ends them. Bytes
-    that are not UTF-8 pass as lone surrogates, for _Blocks to report."""
-    raw = open(path, "rb", buffering=0)
-    raw.seek(start)
-    if end is not None:
-        raw = _Range(raw, end - start)
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
-                            errors="surrogateescape", newline="")
-
-
-class _Blocks:
-    """Consecutive blocks of a file opened by _text: iterating yields (first
-    line number, bytes, text, bare \\r count), block k holding sizes[k]
-    lines, the first numbered 1. .line is the number of the next line to
-    read. Bytes that are not UTF-8 raise a ParseError naming their line.
-    """
-
-    def __init__(self, path: Path, fh, sizes):
-        self.path, self.fh, self.sizes, self.line = path, fh, iter(sizes), 1
-
-    def __iter__(self):
-        for size in self.sizes:
-            text = "".join(islice(self.fh, size))
-            if not text:
-                return
-            try:
-                raw = text.encode()
-            except UnicodeEncodeError:  # text holds escaped bytes: name the first
-                raw = text.encode(errors="surrogateescape")
-                try:
-                    raw.decode()
-                except UnicodeDecodeError as exc:
-                    raise ParseError(
-                        self.path, self.line + _line_breaks(raw[: exc.start])[0],
-                        f"not valid UTF-8: {raw[exc.start : exc.end]!r} ({exc.reason})",
-                    ) from None
-            breaks, bare = _line_breaks(raw)
-            yield self.line, raw, text, bare
-            self.line += breaks
-
-
-def _csv_chunks(path: Path, blocks, columns: list[str]):
-    """_read_chunks for CSV: plain blocks by the byte tokenizer, others by
-    csv.reader, which reads every block from the first with a quote on."""
-    blocks = iter(blocks)
-    head = next(blocks, None)
-    if head is None:
+    if _is_csv(path):
+        rows = (reader or csvio.Reader(path)).rows(columns)
+        next(rows)  # the header
+        for lines, cells, _ in rows:  # a field a short row lacks reads as absent
+            yield lines, cells, "", {}
         return
-    _, raw, text, _ = head
-    if b'"' in raw:  # a quoted header may run on: csv.reader reads it all
-        yield from _reader_chunks(path, chain([head], blocks), None, columns)
-        return
-    header = next(_checked(path, csv.reader([text]), 0), [])
-    width, picks = len(header), _picks(header, columns)
-    for block in blocks:
-        first, raw, _, bare = block
-        if b'"' in raw:  # a quoted field may run on into the next block
-            yield from _reader_chunks(path, chain([block], blocks), picks, columns)
-            return
-        cells = None if bare or b"\0" in raw else _plain_columns(raw, width, picks)
-        if cells is None:
-            yield from _reader_chunks(path, [block], picks, columns)
-        else:
-            yield range(first, first + len(cells[0])), cells, "", {}
-
-
-def _picks(header: list[str], columns: list[str]) -> list[int | None]:
-    """Each column's field index; a repeated name resolves to its last occurrence."""
-    where = {name: j for j, name in enumerate(header)}
-    return [where.get(c) for c in columns]
-
-
-def _checked(path: Path, reader, offset: int):
-    """The rows of a csv.reader that starts at line offset + 1; a csv.Error (a
-    field over csv.field_size_limit()) becomes a ParseError naming the line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(path, offset + reader.line_num, str(exc)) from None
-
-
-def _reader_chunks(path: Path, blocks, picks, columns: list[str]):
-    """csv.reader over the blocks' lines, in batches of _CHUNK_ROWS nonblank rows.
-    Without picks, the first row is the header that sets them.
-    """
-    blocks = iter(blocks)
-    first = next(blocks)
-    offset = first[0] - 1
-    reader = csv.reader(
-        line for _, _, text, _ in chain([first], blocks) for line in io.StringIO(text, newline="")
-    )
-    rows_of = _checked(path, reader, offset)
-    if picks is None:
-        picks = _picks(next(rows_of, []), columns)
-    lines, rows = [], []
-    for row in rows_of:
-        if row:
-            lines.append(offset + reader.line_num)
-            rows.append(row)
-            if len(rows) == _CHUNK_ROWS:
-                yield lines, _csv_columns(rows, picks), "", {}
-                lines, rows = [], []
-    if rows:
-        yield lines, _csv_columns(rows, picks), "", {}
-
-
-def _plain_columns(raw: bytes, width: int, picks: list[int | None]) -> list[np.ndarray] | None:
-    """The picked columns of a block with no quote, NUL or bare \\r as
-    fixed-width byte arrays. None when a line is blank or does not have
-    `width` fields, when a field is over the csv module's size limit (on
-    which csv.reader raises), or when a column's array would outgrow the
-    block.
-    """
-    if not width:
-        return None
-    if not raw.endswith(b"\n"):  # the last line of the file
-        raw += b"\n"
-    buf = np.frombuffer(raw, np.uint8)
-    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    newline = buf[sep] == ord("\n")
-    n = len(sep) // width
-    if len(sep) != n * width or np.count_nonzero(newline) != n:
-        return None
-    if not newline[width - 1 :: width].all():  # the newlines do not end every width-th field
-        return None
-    starts = np.concatenate(([0], sep[:-1] + 1)).reshape(n, width)
-    ends = sep.reshape(n, width)
-    ends[:, -1] -= buf[ends[:, -1] - 1] == ord("\r")
-    sizes = ends - starts
-    if not np.all(ends[:, -1] > starts[:, 0]) or sizes.max() > csv.field_size_limit():
-        return None
-    widths = [1 if j is None else max(int(sizes[:, j].max()), 1) for j in picks]
-    if n * max(widths) > len(raw):
-        return None
-    padded = np.zeros(len(buf) + max(widths), np.uint8)
-    padded[: len(buf)] = buf
-    cells = []
-    for j, w in zip(picks, widths):
-        if j is None:
-            cells.append(np.zeros(n, "S1"))
+    for first, raw, _ in csvio.Reader(path).blocks():
+        numbered = [
+            (n, _json_object(obj)) for n, line in
+            enumerate(io.StringIO(raw.decode(), newline=None), start=first)
+            if (obj := line.strip())
+        ]
+        if not numbered:
             continue
-        cell = sliding_window_view(padded, w)[starts[:, j]]
-        if sizes[:, j].min() < w:
-            cell[np.arange(w) >= sizes[:, j, None]] = 0
-        cells.append(cell.view(f"S{w}").ravel())
-    return cells
-
-
-def _csv_columns(rows, picks: list[int | None]) -> list[list[str]]:
-    """The picked columns of a batch of CSV rows; a missing field reads as ""."""
-    width = 1 + max((j for j in picks if j is not None), default=-1)
-    if min(map(len, rows)) < width:
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    return [[""] * len(rows) if j is None else [row[j] for row in rows] for j in picks]
+        lines, objs = zip(*numbered)
+        errors = {i: obj for i, obj in enumerate(objs) if isinstance(obj, Exception)}
+        if errors:
+            objs = [{} if i in errors else obj for i, obj in enumerate(objs)]
+        yield lines, [[obj.get(c) for obj in objs] for c in columns], None, errors
 
 
 def _row(columns: list[str], cells, i: int, absent) -> dict:
@@ -358,13 +142,6 @@ def _row(columns: list[str], cells, i: int, absent) -> dict:
     values = (col[i] for col in cells)
     values = [v.decode() if isinstance(v, bytes) else v for v in values]
     return {c: v for c, v in zip(columns, values) if v != absent}
-
-
-def _texts(cells) -> list:
-    """A column as a list, byte cells decoded."""
-    if isinstance(cells, np.ndarray) and cells.dtype.kind == "S":
-        return [v.decode() for v in cells.tolist()]
-    return list(cells)
 
 
 def _json_object(text: str):
@@ -486,24 +263,28 @@ def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
     return t.astype(np.int64), np.isnat(t)
 
 
-def _float_column(cells, absent) -> tuple[np.ndarray, np.ndarray]:
+def float_column(cells, absent) -> tuple[np.ndarray, np.ndarray]:
     """float() of every cell, NaN where absent, and a mask of the present cells
-    that are not finite numbers, which the per-row rules must judge. Byte
-    cells are decoded first: float(bytes) rejects the fullwidth digits that
-    float(str) reads.
+    that are not finite numbers, which the per-row rules must judge. A byte
+    array of ASCII cells goes to float() as bytes, its empty cells as b"nan"
+    (math.nan's bits); any other byte array is decoded first, as float(bytes)
+    rejects the fullwidth digits that float(str) reads.
     """
-    cells = _texts(cells)
+    if isinstance(cells, np.ndarray) and (cells.view(np.uint8) < 0x80).all():
+        present = cells != b""
+        cells = np.where(present, cells, b"nan").tolist()
+    else:
+        cells = csvio.texts(cells)
+        present = np.array([v != absent for v in cells], dtype=bool)
+        cells = [v if p else math.nan for v, p in zip(cells, present.tolist())]
     try:
-        out = np.array([math.nan if v == absent else float(v) for v in cells], dtype=float)
+        out = np.array(list(map(float, cells)), dtype=float)
     except (ValueError, TypeError, OverflowError):
         out = np.full(len(cells), math.nan)
         for i, v in enumerate(cells):
             with suppress(ValueError, TypeError, OverflowError):
-                out[i] = math.nan if v == absent else float(v)
-    bad = ~np.isfinite(out)
-    for i in np.flatnonzero(bad).tolist():
-        bad[i] = cells[i] != absent
-    return out, bad
+                out[i] = float(v)
+    return out, present & ~np.isfinite(out)
 
 
 def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
@@ -583,8 +364,8 @@ def _convert(path: Path, chunk, strict: bool, issues: list):
     lines, cells, absent, errors = chunk
     sids, stamps, currents, pilots = cells
     t, suspect = _canonical_seconds(stamps)
-    current, bad_current = _float_column(currents, absent)
-    pilot, bad_pilot = _float_column(pilots, absent)
+    current, bad_current = float_column(currents, absent)
+    pilot, bad_pilot = float_column(pilots, absent)
     suspect |= bad_current | bad_pilot | (np.isnan(current) & np.isnan(pilot))
     if isinstance(sids, np.ndarray):
         suspect |= sids == b""
@@ -608,7 +389,7 @@ def _convert(path: Path, chunk, strict: bool, issues: list):
     head[1:] = kept[1:] != kept[:-1]
     starts = np.flatnonzero(head)
     lengths = np.diff(starts, append=len(kept))
-    return _texts(kept[starts]), lengths, (t[rows], current[rows], pilot[rows])
+    return csvio.texts(kept[starts]), lengths, (t[rows], current[rows], pilot[rows])
 
 
 def _split_at(path: Path) -> int | None:
@@ -659,8 +440,7 @@ class _Halves:
     """
 
     def __init__(self, path: Path, split: int, strict: bool):
-        self._path, self._split = path, split
-        self._front: _Blocks | None = None
+        self._path, self._front = path, csvio.Reader(path, 0, split)
         from .pool import Workers
 
         self._worker = Workers(1, _convert_back)
@@ -673,9 +453,7 @@ class _Halves:
         self._worker.close(clean=exc_type is None)
 
     def front(self):
-        with _text(self._path, 0, self._split) as fh:
-            self._front = _Blocks(self._path, fh, chain([1], repeat(_CHUNK_ROWS)))
-            yield from _csv_chunks(self._path, self._front, TIMESERIES_COLUMNS)
+        return _read_chunks(self._path, TIMESERIES_COLUMNS, self._front)
 
     def back(self):
         """The worker's result (see _convert_back), its lines numbered in the
@@ -702,14 +480,12 @@ def _convert_back(job):
     issues: list[tuple[int, str]] = []
     sids: dict[str, int] = {}
     runs, lengths, pieces = [np.empty(0, np.int32)], [np.empty(0, np.intp)], ([], [], [])
-    with _text(path, 0, split) as head, _text(path, split) as fh:
-        blocks = chain(_Blocks(path, head, [1]), _Blocks(path, fh, repeat(_CHUNK_ROWS)))
-        for chunk in _csv_chunks(path, blocks, TIMESERIES_COLUMNS):
-            heads, chunk_lengths, columns = _convert(path, chunk, strict, issues)
-            runs.append(np.array([sids.setdefault(sid, len(sids)) for sid in heads], np.int32))
-            lengths.append(chunk_lengths)
-            for piece, column in zip(pieces, columns):
-                piece.append(column)
+    for chunk in _read_chunks(path, TIMESERIES_COLUMNS, csvio.Reader(path, split)):
+        heads, chunk_lengths, columns = _convert(path, chunk, strict, issues)
+        runs.append(np.array([sids.setdefault(sid, len(sids)) for sid in heads], np.int32))
+        lengths.append(chunk_lengths)
+        for piece, column in zip(pieces, columns):
+            piece.append(column)
     return issues, list(sids), np.concatenate(runs), np.concatenate(lengths), pieces
 
 
@@ -720,18 +496,15 @@ def _rising(codes: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def write_sessions(path, sessions: list[SessionRecord]) -> None:
     path = Path(path)
-    is_csv = _is_csv(path)
-    with open(path, "w", newline="" if is_csv else None, encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if is_csv:
-            writer.writerow(SESSION_COLUMNS)
-        for s in sessions:
-            row = {c: getattr(s, c) for c in SESSION_COLUMNS}
-            row = {c: format_utc(v) if isinstance(v, datetime) else v for c, v in row.items()}
-            if is_csv:
-                writer.writerow(row.values())  # None as "", floats as repr
-            else:
-                fh.write(json.dumps({c: v for c, v in row.items() if v is not None}) + "\n")
+    columns = [[format_utc(v) if isinstance(v, datetime) else v
+                for v in (getattr(s, c) for s in sessions)] for c in SESSION_COLUMNS]
+    if _is_csv(path):
+        csvio.write(path, SESSION_COLUMNS, columns)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in zip(*columns):
+            obj = {c: v for c, v in zip(SESSION_COLUMNS, row) if v is not None}
+            fh.write(json.dumps(obj) + "\n")
 
 
 def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
@@ -744,14 +517,14 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
     sids, series = list(index), list(index.values())
     # Separators join the texts beside them; a float's label goes with it.
     if _is_csv(path):  # only a session id can need quoting
-        header, ids = ",".join(TIMESERIES_COLUMNS) + "\r\n", [_csv_text(s) + "," for s in sids]
+        header, ids = ",".join(TIMESERIES_COLUMNS) + "\r\n", [csv_text(s) + "," for s in sids]
         floats = ((",", "", ""), (",", "", "\r\n"))
     else:  # json.dumps of the reading's object
         header, ids = "", [f'{{"session_id": {json.dumps(s)}, "timestamp": "' for s in sids]
         floats = (('"', ', "current_a": ', ""), ("", ', "pilot_a": ', "}\n"))
     ids = [sid.encode() for sid in ids]
     # Fewer rows per block when a long session id widens every row.
-    step = max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 128 // max(map(len, ids), default=1)))
+    step = max(1, min(csvio.CHUNK_ROWS, csvio.CHUNK_ROWS * 128 // max(map(len, ids), default=1)))
     # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z; a
     # session's times increase, so its first and last bound them all.
     lo, hi = -62_135_596_800, 253_402_300_799
@@ -838,12 +611,3 @@ def _rows(parts: list) -> np.ndarray:
         rows[:, at : at + width] = cells
         used[:, at : at + width] = (np.arange(width)[:, None] < sizes).T  # faster than by row
     return rows[used]
-
-
-def _csv_text(value: str) -> str:
-    """value as csv.writer renders it among other fields."""
-    if _PLAIN_TEXT.fullmatch(value):  # nothing csv.writer would quote
-        return value
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value, ""])
-    return buf.getvalue()[: -len(",\r\n")]

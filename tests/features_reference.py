@@ -1,7 +1,8 @@
 """Reference features: the per-session definitions that the grouped
 fedcharge.features.build_feature_table replaced, kept as its bitwise oracle,
-and two writers that write_features replaced: the row-at-a-time csv.writer
-and the column-at-a-time writer with one repr cache per column.
+two writers that write_features replaced: the row-at-a-time csv.writer and
+the column-at-a-time writer with one repr cache per column, and the reader
+that read_features replaced: csv.reader, one row at a time.
 
 Each session's early window is sliced, and every statistic is computed on
 that session's own arrays: sums by np.add.reduce, dot products by 1-D ``@``,
@@ -27,7 +28,7 @@ from fedcharge.features import (
     FeatureTable,
     departure_offset,
 )
-from fedcharge.ingest import _csv_text
+from fedcharge.csvio import csv_text
 from fedcharge.sessions import (
     EPOCH,
     DatasetConfig,
@@ -214,7 +215,7 @@ def write_features(path, table: FeatureTable) -> None:
 
 def write_features_by_column(path, table: FeatureTable) -> None:
     """features.csv a column at a time, each float column through _float_texts."""
-    columns = [list(map(_csv_text, ids)) for ids in (table.session_ids, table.station_ids)]
+    columns = [list(map(csv_text, ids)) for ids in (table.session_ids, table.station_ids)]
     columns.append(_float_texts(table.y, "nan"))
     columns += (_float_texts(values, "") for values in table.X.T)  # NaN is missing
     rows = [",".join(("session_id", "station_id", "target", *table.feature_names))]
@@ -231,3 +232,44 @@ def _float_texts(values: np.ndarray, nan: str) -> list[str]:
     text = {b: nan if v != v else repr(v)
             for b, v in zip(distinct, np.array(distinct, np.int64).view(np.float64).tolist())}
     return [text[b] for b in bits]
+
+
+def read_features(path) -> FeatureTable:
+    """features.csv through csv.reader, one row at a time. An empty (or NaN)
+    feature cell is a missing value. A row of the wrong width, a cell that is
+    not a number, a target that is missing or not finite, or an infinite
+    feature raises ValueError naming path:line.
+    """
+    header = ["session_id", "station_id", "target", *FEATURE_COLUMNS]
+    session_ids, station_ids, targets, rows, lines = [], [], [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(f"unexpected features.csv header in {path}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+                targets.append(float(row[2]))
+                rows.append([math.nan if cell == "" else float(cell) for cell in row[3:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            session_ids.append(row[0])
+            station_ids.append(row[1])
+            lines.append(reader.line_num)
+    X = np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_COLUMNS))
+    y = np.array(targets, dtype=float)
+    bad = np.argwhere(np.column_stack([~np.isfinite(y), np.isinf(X)]))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"{path}:{lines[i]}: {header[2 + j]} is not finite")
+    return FeatureTable(
+        feature_names=FEATURE_COLUMNS,
+        X=X,
+        y=y,
+        session_ids=session_ids,
+        station_ids=station_ids,
+        warnings=Counter(),
+    )

@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
+from fedcharge.csvio import csv_text
 from fedcharge.ingest import (
     TIMESERIES_COLUMNS,
     ParseError,
     SessionParseResult,
     TimeSeriesParseResult,
-    _csv_text,
     _is_csv,
 )
 from fedcharge.sessions import SessionRecord, SessionSeries, epoch_seconds, parse_utc
@@ -189,7 +189,7 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
         for sid, s in index.items():
             fh.write("".join(map(
                 line,
-                repeat(_csv_text(sid) if is_csv else json.dumps(sid), len(s)),
+                repeat(csv_text(sid) if is_csv else json.dumps(sid), len(s)),
                 np.datetime_as_string(s.t.astype("datetime64[s]"), timezone="UTC").tolist(),
                 format_floats(s.current, labels[0]),
                 format_floats(s.pilot, labels[1]),

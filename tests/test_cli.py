@@ -233,6 +233,30 @@ class TestBadFeatures:
         assert code == 1
         assert f"{path}:2: expected 39 cells, got 38" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--mode", "centralized", "--model", "lr"], ["analyze"],
+    ], ids=["train", "analyze"])
+    def test_huge_field_names_line(self, features_dir, tmp_path, capsys, command):
+        limit = csv.field_size_limit()
+        path = _edit_features(features_dir, tmp_path, 3, self._set(0, "s" * (limit + 1)))
+        code = dispatch([*command, "--features", path, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: field larger than field limit ({limit})\n")
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--mode", "centralized", "--model", "lr"], ["analyze"],
+    ], ids=["train", "analyze"])
+    def test_bytes_not_utf8_name_line(self, features_dir, tmp_path, capsys, command):
+        lines = (features_dir / "features.csv").read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:5] + b"\xff" + lines[2][5:]
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"".join(lines))
+        code = dispatch([*command, "--features", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: not valid UTF-8: b'\\xff' (invalid start byte)\n")
+
     @pytest.mark.parametrize("cell", ["", "nan"])
     def test_empty_cell_stays_missing(self, features_dir, tmp_path, cell):
         path = _edit_features(features_dir, tmp_path, 2, self._set(5, cell))

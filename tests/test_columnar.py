@@ -47,7 +47,7 @@ from hypothesis import strategies as st
 
 import ingest_reference
 from conftest import make_series
-from fedcharge import ingest
+from fedcharge import csvio, ingest
 from fedcharge.cli import dispatch
 from fedcharge.ingest import (
     TIMESERIES_COLUMNS,
@@ -234,7 +234,7 @@ def assert_same_as_reference(name: str, text: str, chunk_rows: int):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8", newline="")
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
             lenient = parse(path)  # lenient mode never raises
             strict = outcome(parse, path, strict=True)
         expected = reference(path)
@@ -288,7 +288,7 @@ class TestParserOracle:
         write_timeseries(path, series)
         expected = ingest_reference.parse_timeseries(path)
         for chunk_rows in (1_000, 32_768):  # 1,356 rows: two blocks, then one
-            with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
                 parsed = parse_timeseries(path)
             assert parsed == expected
             assert list(parsed.index) == [s.session_id for s in sessions]
@@ -310,7 +310,7 @@ class TestTokenizer:
         rows[5] = reading_line(5, current='"16.0"')
         path = tmp_path / "timeseries.csv"
         path.write_text(HEADER + "".join(rows), encoding="utf-8", newline="")
-        with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
+        with mock.patch.object(csvio, "CHUNK_ROWS", 2):
             chunks = [
                 (list(lines), type(cells[0]).__name__)
                 for lines, cells, _, _ in ingest._read_chunks(path, TIMESERIES_COLUMNS)
@@ -322,7 +322,7 @@ class TestTokenizer:
 
     def test_bare_cr_lines_are_cut_into_blocks(self, tmp_path):
         # A bare CR ends a line, so a file with no \n still comes in blocks
-        # of _CHUNK_ROWS lines, each one read by csv.reader on its own.
+        # of CHUNK_ROWS lines, each one read by csv.reader on its own.
         rows = [reading_line(k).replace("\r\n", "\r") for k in range(5)]
         path = tmp_path / "timeseries.csv"
         path.write_text(HEADER.replace("\r\n", "\r") + "".join(rows), encoding="utf-8", newline="")
@@ -330,17 +330,40 @@ class TestTokenizer:
 
         def reader_chunks(file, chunk_blocks, picks, columns):
             chunk_blocks = list(chunk_blocks)
-            blocks.extend(raw for _, raw, _, _ in chunk_blocks)
+            blocks.extend(raw for _, raw, _ in chunk_blocks)
             return reader(file, chunk_blocks, picks, columns)
 
-        reader = ingest._reader_chunks
+        reader = csvio._reader_chunks
         with (
-            mock.patch.object(ingest, "_CHUNK_ROWS", 2),
-            mock.patch.object(ingest, "_reader_chunks", reader_chunks),
+            mock.patch.object(csvio, "CHUNK_ROWS", 2),
+            mock.patch.object(csvio, "_reader_chunks", reader_chunks),
         ):
             lines = [list(lines) for lines, *_ in ingest._read_chunks(path, TIMESERIES_COLUMNS)]
         assert lines == [[2, 3], [4, 5], [6]]
         assert blocks == [("".join(rows[k : k + 2])).encode() for k in (0, 2, 4)]
+
+    def test_fullwidth_digit_in_one_plain_block(self, tmp_path):
+        # float(str) reads fullwidth digits and float(bytes) does not: the
+        # block holding one is decoded, the ASCII block beside it is not.
+        rows = [reading_line(k) for k in range(4)]
+        rows[1] = reading_line(1, current="\uff11\uff16.5")
+        path = tmp_path / "timeseries.csv"
+        path.write_text(HEADER + "".join(rows), encoding="utf-8", newline="")
+        with mock.patch.object(csvio, "CHUNK_ROWS", 2):
+            chunks = list(ingest._read_chunks(path, TIMESERIES_COLUMNS))
+            parsed = parse_timeseries(path)
+        assert [type(cells[2]).__name__ for _, cells, _, _ in chunks] == ["ndarray", "ndarray"]
+        assert parsed.index["s1"].current.tolist() == [16.0, 16.5, 16.0, 16.0]
+        assert_same_as_reference("timeseries.csv", HEADER + "".join(rows), 2)
+
+    def test_float_column_of_bytes_matches_text(self):
+        cells = [b"1.5", b"", b" -2e3 ", b"inf", b"nan", b"1_0", b"x", "\uff11".encode()]
+        for column in (np.array(cells[:-1]), np.array(cells)):  # ASCII, then not
+            values, bad = ingest.float_column(column, "")
+            expected = ingest.float_column(csvio.texts(column), "")
+            assert values.tobytes() == expected[0].tobytes()
+            assert bad.tolist() == expected[1].tolist()
+        assert values[-1] == 1.0 and bad.tolist() == [False] * 3 + [True, True, False, True, False]
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 32_768])
     def test_one_column_file_skips_blank_lines(self, chunk_rows):
@@ -358,7 +381,7 @@ class TestTokenizer:
         path = tmp_path / "timeseries.csv"
         path.write_bytes((HEADER + before + "".join(rows)).encode("utf-8", "surrogateescape"))
         line = 1 + (before != "") + 4
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
             with pytest.raises(ParseError) as info:
                 parse_timeseries(path)
         assert str(info.value) == f"{path}:{line}: not valid UTF-8: b'\\xff' (invalid start byte)"
@@ -458,7 +481,7 @@ class TestCheckedSeries:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "timeseries.csv"
             path.write_text(text, encoding="utf-8", newline="")
-            with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
                 parsed = parse_timeseries(path)
         for s in parsed.index.values():
             checked = SessionSeries(s.t, s.current, s.pilot)
@@ -492,7 +515,7 @@ class TestMemoryBound:
     # A parse holds its rows' pieces and builds one column at a time: in
     # order, it peaks near 1.5 times its arrays. A shuffled file adds the
     # sort's order and one sorted column. Both stay under twice the result.
-    @pytest.mark.parametrize("chunk_rows", [1024, ingest._CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk_rows", [1024, csvio.CHUNK_ROWS])
     @pytest.mark.parametrize("shuffled, factor", [(False, 1.25), (True, 1.75)])
     def test_parse_peaks_under_its_result_plus_one_block(self, tmp_path, chunk_rows,
                                                           shuffled, factor):
@@ -504,7 +527,7 @@ class TestMemoryBound:
             depot.write_text(header + "".join(rows[i] for i in order))
         with open(depot, newline="") as fh:
             block.write_text("".join(islice(fh, 1 + chunk_rows)), newline="")
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
             _, one_block, _ = traced(parse_timeseries, block)
             parsed, peak, held = traced(parse_timeseries, depot)
         assert sum(map(len, parsed.index.values())) > 4 * chunk_rows
@@ -590,8 +613,8 @@ def writable_series(draw):
     return SessionSeries(t, current, pilot)
 
 
-def written(write, suffix: str, index, chunk_rows: int = ingest._CHUNK_ROWS) -> bytes:
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+def written(write, suffix: str, index, chunk_rows: int = csvio.CHUNK_ROWS) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
         path = Path(tmp) / f"timeseries{suffix}"
         write(path, index)
         return path.read_bytes()

@@ -13,6 +13,7 @@ import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from features_reference import (
     summary_stats,
     utilization_stats,
 )
+from fedcharge import csvio
+from fedcharge.csvio import csv_text
 from fedcharge.features import (
     FEATURE_COLUMNS,
     FeatureTable,
@@ -43,7 +46,6 @@ from fedcharge.features import (
     read_features,
     write_features,
 )
-from fedcharge.ingest import _csv_text
 from fedcharge.sessions import (
     DatasetConfig,
     SessionSeries,
@@ -740,4 +742,101 @@ class TestWriterOracle:
     def test_a_text_is_what_the_csv_writer_writes(self, text):
         buf = io.StringIO()
         csv.writer(buf).writerow([text, ""])
-        assert _csv_text(text) == buf.getvalue()[: -len(",\r\n")]
+        assert csv_text(text) == buf.getvalue()[: -len(",\r\n")]
+
+
+# Faults a features.csv file can hold, each made on one row of cells.
+FAULTS = ("short row", "long row", "word", "fullwidth digit", "empty target", "nan target",
+          "infinite feature", "nan feature", "empty feature", "blank line", "bad header")
+
+
+@st.composite
+def features_files(draw):
+    """The text of a written table (feature_tables() or shared_bit_tables()),
+    ids quoted and some with line breaks, with up to three faults and \r\n
+    or \n line ends."""
+    table = draw(st.one_of(feature_tables(), shared_bit_tables()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+        write_features(path, table)
+        rows = list(csv.reader(io.StringIO(path.read_bytes().decode(), newline="")))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(FAULTS))
+        k = 0 if fault == "bad header" else draw(st.integers(1, max(len(rows) - 1, 1)))
+        if fault == "blank line":
+            rows.insert(k, [])
+            continue
+        if k >= len(rows) or not rows[k]:
+            continue
+        row, j = rows[k], draw(st.integers(3, len(rows[k]) - 1))
+        if fault in ("short row", "bad header"):
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        elif fault == "long row":
+            row.append(draw(st.sampled_from(["", "1.0"])))
+        elif fault == "word":
+            row[draw(st.integers(2, len(row) - 1))] = draw(st.sampled_from(["abc", "1..2", " "]))
+        else:
+            j = 2 if fault.endswith("target") else j
+            row[j] = {"fullwidth digit": "\uff11.5", "infinite feature": "-inf"}.get(
+                fault, "nan" if fault.startswith("nan") else "")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n"]))).writerows(rows)
+    return buf.getvalue()
+
+
+def read_outcome(read, path):
+    """The table read, or the message of the ValueError raised."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReaderOracle:
+    """read_features through csvio against the csv.reader loop it replaced
+    (features_reference.read_features): the same table bit for bit, or the
+    same path:line message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=features_files(), chunk_rows=st.sampled_from([1, 2, 3, csvio.CHUNK_ROWS]))
+    def test_matches_the_csv_reader(self, text, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
+                ours = read_outcome(read_features, path)
+            expected = read_outcome(features_reference.read_features, path)
+        if isinstance(expected, str):
+            assert ours == expected
+        else:
+            assert_identical(ours, expected)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_fault_in_a_plain_file(self, tmp_path, small_table, fault):
+        """One fault on line 4 of a file the byte tokenizer reads (or line 1,
+        the header), with the message the reference gives."""
+        path = tmp_path / "features.csv"
+        write_features(path, small_table)
+        lines = path.read_bytes().decode().split("\r\n")
+        k = 0 if fault == "bad header" else 3
+        cells = lines[k].split(",")
+        if fault in ("short row", "bad header"):
+            cells.pop()
+        elif fault == "long row":
+            cells.append("1.0")
+        elif fault == "word":
+            cells[7] = "abc"
+        elif fault == "blank line":
+            cells = ["\r\n" + cells[0], *cells[1:]]
+        else:
+            cells[2 if fault.endswith("target") else 5] = {
+                "fullwidth digit": "\uff11.5", "infinite feature": "-inf"}.get(
+                fault, "nan" if fault.startswith("nan") else "")
+        lines[k] = ",".join(cells)
+        path.write_text("\r\n".join(lines), encoding="utf-8", newline="")
+        ours, expected = read_outcome(read_features, path), read_outcome(
+            features_reference.read_features, path)
+        if isinstance(expected, str):
+            assert ours == expected
+        else:
+            assert_identical(ours, expected)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import tokenize
 from pathlib import Path
 
@@ -34,3 +35,27 @@ def test_comments_and_blank_lines_do_not_count(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_module_is_under_the_parser_step(path):
     assert tokens(path) < MAX_TOKENS
+
+
+def imports(path: Path):
+    """(module, name) of each import in a module: ("csv", None) for import
+    csv, (".ingest", "x") for from .ingest import x."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield from ((module, alias.name) for alias in node.names)
+
+
+def test_only_csvio_imports_csv():
+    importers = [path.name for path in MODULES
+                 if any(module.split(".")[0] == "csv" for module, _ in imports(path))]
+    assert importers == ["csvio.py"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [(path.name, module, name) for path in MODULES for module, name in imports(path)
+               if module.startswith((".", "fedcharge")) and name and name.startswith("_")
+               and not name.startswith("__")]
+    assert private == []

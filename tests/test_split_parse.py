@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 
 import ingest_reference
-from fedcharge import ingest, pool
+from fedcharge import csvio, ingest, pool
 from fedcharge.cli import dispatch
 from fedcharge.ingest import ParseError, parse_timeseries, write_timeseries
 from test_columnar import (
@@ -45,7 +45,7 @@ pytestmark = pytest.mark.usefixtures("deadline")
 
 
 @contextmanager
-def parsed_in(mode: str, chunk_rows: int = ingest._CHUNK_ROWS, split_bytes: int = 0):
+def parsed_in(mode: str, chunk_rows: int = csvio.CHUNK_ROWS, split_bytes: int = 0):
     """Parses split ("split", when the file has at least split_bytes) or not
     ("serial"); yields the list of the split parses' _Halves."""
     made = []
@@ -56,7 +56,7 @@ def parsed_in(mode: str, chunk_rows: int = ingest._CHUNK_ROWS, split_bytes: int 
             made.append(self)
 
     with (
-        mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows),
+        mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows),
         mock.patch.object(ingest, "_SPLIT_BYTES", split_bytes if mode == "split" else 1 << 62),
         mock.patch.object(pool, "usable_cpus", lambda: 2),
         mock.patch.object(ingest, "_Halves", Recorded),
@@ -187,6 +187,30 @@ class TestSplitEqualsSerial:
                         f"{path}:{line}: not valid UTF-8: b'\\xff' (invalid start byte)"
             assert len(made) == (2 if mode == "split" else 0)
 
+    @pytest.mark.parametrize("chunk_rows", [2, 8192])
+    def test_a_bad_byte_after_the_cut_and_a_fault_before_it(self, tmp_path, chunk_rows):
+        """The parent reads the block that runs past the cut whole, as a
+        serial parse does, so a byte that is not UTF-8 on the back's first
+        line is met where a serial parse meets it: before a strict-mode fault
+        on the front's last line when one block holds both."""
+        path = file_with(tmp_path, case("in order"))
+        back = back_line(path)
+        lines = path.read_bytes().splitlines(True)
+        lines[back - 2] = lines[back - 2].replace(b"32.0", b"abc")
+        lines[back - 1] = lines[back - 1].replace(b"32.0", b"3\xff2.0")
+        path.write_bytes(b"".join(lines))
+        for strict in (False, True):
+            errors = {}
+            for mode in ("split", "serial"):
+                with parsed_in(mode, chunk_rows) as made, pytest.raises(ParseError) as info:
+                    parse_timeseries(path, strict=strict)
+                assert len(made) == (mode == "split")
+                errors[mode] = str(info.value)
+            assert errors["split"] == errors["serial"]
+        if chunk_rows == 8192:  # one block holds every line
+            assert errors["split"] == \
+                f"{path}:{back}: not valid UTF-8: b'\\xff' (invalid start byte)"
+
     @settings(max_examples=100, deadline=None)
     @given(text=csv_files(TIMESERIES_CELLS), chunk_rows=chunk_sizes)
     def test_csv_files(self, text, chunk_rows):
@@ -211,7 +235,7 @@ class TestSplitMemoryBound:
     """TestMemoryBound's bounds with the depot split: the worker's columns
     arrive without a second full copy."""
 
-    @pytest.mark.parametrize("chunk_rows", [1024, ingest._CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk_rows", [1024, csvio.CHUNK_ROWS])
     @pytest.mark.parametrize("shuffled, factor", [(False, 1.25), (True, 1.75)])
     def test_parse_peaks_under_its_result_plus_one_block(self, tmp_path, chunk_rows,
                                                           shuffled, factor):
