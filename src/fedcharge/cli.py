@@ -390,10 +390,9 @@ def _cmd_evaluate(args, conf: dict) -> None:
 
 
 def _read_run_report(path: str) -> evaluation.RunReport:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
     try:
-        return evaluation.report_from_dict(payload)
+        with open(path, encoding="utf-8") as fh:
+            return evaluation.report_from_dict(json.load(fh))
     except KeyError as exc:
         raise ValueError(f"{path}: not a run report: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -3,8 +3,9 @@ this module, and it alone imports csv.
 
 Reading. A file is read in blocks of CHUNK_ROWS lines, after its first
 line on its own. Lines end as the csv module ends them: at a \n, a \r\n or
-a bare \r. The text is decoded as it is read, and each block is encoded
-back to its bytes for the tokenizer. The CSV header line goes through
+a bare \r. Blocks are cut from the file's bytes, read _READ bytes at a
+time, so a reader holds one block and one read; a block that is not ASCII
+is checked to be UTF-8 by one decode. The CSV header line goes through
 csv.reader.
 A CSV block is plain when it holds no quote, no NUL, no bare \r and no
 blank line, and every line has as many fields as the header. Then one
@@ -37,6 +38,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 # one block's bytes and cells stay near 1.5 MB.
 CHUNK_ROWS = 4_096
 
+_READ = 1 << 16  # bytes read from a file at a time
+
 # Texts csv.writer writes as they are, which csv_text need not run it on.
 _PLAIN_TEXT = re.compile(r"[\w.:-]+")
 
@@ -66,34 +69,31 @@ class Reader:
 
     def blocks(self):
         """(first line number, bytes, bare \\r count) per block of CHUNK_ROWS
-        lines, after a file's first line (a CSV header) on its own. The text
-        is read with newline="", so that lines end as the csv module ends them,
-        and only its bytes are kept: they decode back to it. The block that
-        runs past end is read whole and then cut there, so that its bytes are
-        checked as in a read of the whole file, whose block it is."""
+        lines, after a file's first line (a CSV header) on its own. The block
+        that runs past end is read whole and then cut there, so that its bytes
+        are checked as in a read of the whole file, whose block it is."""
         start, end = self._span
-        file = open(self.path, "rb")
-        file.seek(start)
-        with io.TextIOWrapper(file, encoding="utf-8", errors="surrogateescape",
-                              newline="") as fh:
+        with open(self.path, "rb", buffering=0) as fh:
+            fh.seek(start)
+            lines = _Lines(fh)
             for size in repeat(CHUNK_ROWS) if start else chain([1], repeat(CHUNK_ROWS)):
                 if end is not None and start >= end:
                     return
-                raw = self._utf8("".join(islice(fh, size)))[: None if end is None else end - start]
+                raw, breaks, bare = lines.take(size)
+                self._utf8(raw)
+                if end is not None and len(raw) > end - start:
+                    raw = raw[: end - start]
+                    breaks, bare = _line_breaks(raw)
                 if not raw:
                     return
                 start += len(raw)
-                breaks, bare = _line_breaks(raw)
                 yield self.line, raw, bare
                 self.line += breaks
 
-    def _utf8(self, text: str) -> bytes:
-        """The bytes of a block read from line .line; bytes that are not UTF-8
-        (escaped in text) raise a ParseError naming the first one's line."""
-        try:
-            return text.encode()
-        except UnicodeEncodeError:
-            raw = text.encode(errors="surrogateescape")
+    def _utf8(self, raw: bytes) -> None:
+        """Bytes of a block read from line .line that are not UTF-8 raise a
+        ParseError naming the first one's line."""
+        if not raw.isascii():
             try:
                 raw.decode()
             except UnicodeDecodeError as exc:
@@ -101,7 +101,6 @@ class Reader:
                     self.path, self.line + _line_breaks(raw[: exc.start])[0],
                     f"not valid UTF-8: {raw[exc.start : exc.end]!r} ({exc.reason})",
                 ) from None
-            raise
 
     def rows(self, columns: list[str]):
         """Yield the header, the file's first row whatever start is ([] for an
@@ -141,6 +140,22 @@ class Reader:
                 yield range(first, first + n), cells, [width] * n
 
 
+def block_start(path, after: int) -> int | None:
+    """The first offset past byte `after` at which Reader(path).blocks()
+    starts a block or ends; None when a quote comes before it. The bytes
+    before it are not checked to be UTF-8."""
+    end = 0
+    with open(path, "rb", buffering=0) as fh:
+        lines = _Lines(fh)
+        for size in chain([1], repeat(CHUNK_ROWS)):
+            raw = lines.take(size)[0]
+            if not raw or b'"' in raw:
+                return None
+            end += len(raw)
+            if end > after:
+                return end
+
+
 def texts(cells) -> list:
     """A column as a list, byte cells decoded."""
     if isinstance(cells, np.ndarray) and cells.dtype.kind == "S":
@@ -149,11 +164,59 @@ def texts(cells) -> list:
 
 
 def _line_breaks(raw: bytes) -> tuple[int, int]:
-    """(line breaks, bare \\r) in raw: a \\n, a \\r\\n or a bare \\r ends a line."""
-    buf = np.frombuffer(raw, np.uint8)
-    cr = np.flatnonzero(buf[:-1] == ord("\r"))
-    bare = int(np.count_nonzero(buf[cr + 1] != ord("\n"))) + raw.endswith(b"\r")
-    return int(np.count_nonzero(buf == ord("\n"))) + bare, bare
+    """(line breaks, bare \\r) in raw."""
+    ends, bare = _line_ends(raw, 0, len(raw))
+    return int(np.count_nonzero(ends)), bare
+
+
+def _line_ends(raw, start: int, stop: int) -> tuple[np.ndarray, int]:
+    """(a mask of the bytes of raw[start:stop] that end a line, how many of
+    them are a bare \\r): a \\n ends a line, and so does a \\r that no \\n
+    follows in the range."""
+    buf = np.frombuffer(raw, np.uint8, stop - start, start)
+    ends, cr = buf == ord("\n"), buf == ord("\r")
+    gap = cr[:-1] > ends[1:]  # a \r not followed by \n
+    bare = int(np.count_nonzero(gap)) + bool(len(cr) and cr[-1])
+    if bare:
+        ends[:-1] |= gap
+        ends[-1] |= cr[-1]
+    return ends, bare
+
+
+class _Lines:
+    """A binary file's lines from where it stands, cut as csv.reader cuts
+    them, taken some at a time. It reads _READ bytes at a time and holds
+    what it read past the last line taken."""
+
+    def __init__(self, fh):
+        self._fh, self._held, self._eof = fh, bytearray(), False
+
+    def take(self, size: int) -> tuple[bytes, int, int]:
+        """(bytes, line breaks, bare \\r) of the next size lines, or of the
+        lines left."""
+        held, at, need, bare = self._held, 0, size, 0  # need more line ends after held[:at]
+        while True:
+            # A final \r is left for the next read, which may start with \n.
+            stop = len(held) - (not self._eof and held.endswith(b"\r"))
+            ends, more_bare = _line_ends(held, at, stop)
+            found = int(np.count_nonzero(ends))
+            if found >= need:
+                cut = at + int(np.flatnonzero(ends)[need - 1]) + 1
+                bare += more_bare and _line_ends(held, at, cut)[1]
+                need = 0
+                break
+            need, bare = need - found, bare + more_bare
+            if self._eof:
+                cut = len(held)
+                break
+            more = self._fh.read(_READ)
+            self._eof = not more
+            held += more
+            at = stop
+        with memoryview(held) as view:
+            raw = view[:cut].tobytes()
+        self._held = held[cut:]  # a new buffer: this one may have grown to a block
+        return raw, size - need, bare
 
 
 def _picks(header: list[str], columns: list[str]) -> list[int | None]:
@@ -271,10 +334,19 @@ def write(path, header, columns) -> None:
     of any other column goes through _cell(), so a NaN there is written nan.
     """
     cells = [_float_texts(c) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
-             else list(map(_cell, c)) for c in columns]
+             else _cells(c) for c in columns]
     lines = map(",".join, chain([map(_cell, header)], zip(*cells)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"{line}\r\n" for line in lines)
+
+
+def _cells(values) -> list[str]:
+    """_cell() of each value; a column of texts that csv.writer writes as they
+    are (plain or empty ones) is its own cells, found so by one match."""
+    values = list(values)
+    if set(map(type, values)) == {str} and _PLAIN_TEXT.fullmatch("".join(values)):
+        return values
+    return list(map(_cell, values))
 
 
 def _float_texts(values: np.ndarray) -> list[str]:

@@ -16,26 +16,29 @@ field over csv.field_size_limit(), abort in either mode, naming their line.
 Files are read and CSV files written through csvio.
 
 Converting. The same column converters take byte arrays and the lists that
-csv.reader and JSON give. Canonical timestamps are checked on their bytes
-and parsed by numpy. float() runs on each numeric cell, on its bytes when
-the column is ASCII and on its decoded text otherwise. A session id is
-decoded and looked up once per run of equal adjacent ids, which is how a
-time-series file lays out its sessions. A cell or row the bulk path cannot
-vouch for goes through the per-row rules (_reading, _get_float, parse_utc),
-which also give its line-numbered issue.
+csv.reader and JSON give, for sessions and readings alike. Canonical
+timestamps are checked on their bytes, fields in range, and their seconds
+computed by arithmetic on the digits. float() runs on each numeric cell, on
+its bytes when the column is ASCII and on its decoded text otherwise. A
+reading's session id is decoded and looked up once per run of equal
+adjacent ids, which is how a time-series file lays out its sessions. A row
+the columns cannot vouch for goes through the per-row rules (_session,
+_reading, _get_float, parse_utc), in row order, which also give its
+line-numbered issue.
 
 Two cores. A CSV time-series file of at least _SPLIT_BYTES is cut at the
-first line start after _FRONT_SHARE of its bytes, unless a quote comes
-before that: only such a quote can open a field that runs on past the cut,
-so the file is read for one before anything is forked, and a file with one
-is parsed serially. A worker forked through pool.Workers converts the back
-half while this process converts the front; the back's session ids are
-coded after the front's and its line numbers shifted by the front's lines,
-so the result, issues and first error are a serial parse's. This process
-reads the block that runs past the cut whole, as a serial parse does, so a
-byte that is not UTF-8 just after the cut stops it before the block's rows
-are converted. JSON lines stay serial, and so does a file whose worker
-pool.Workers cannot fork.
+first start of a serial read's block after _FRONT_SHARE of its bytes,
+unless a quote comes before that: only such a quote can open a field that
+runs on past the cut, so the file is read for one before anything is
+forked, and a file with one is parsed serially. A worker forked through
+pool.Workers converts the back half while this process converts the front;
+the back's session ids are coded after the front's and its line numbers
+shifted by the front's lines, so the result, issues and first error are a
+serial parse's. Each half
+reads the blocks a serial parse reads, so a byte that is not UTF-8 stops
+a parse before the rows of its block are converted, split or not. JSON
+lines stay serial, and so does a file whose worker pool.Workers cannot
+fork.
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -53,7 +56,8 @@ import json
 import math
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields
-from datetime import datetime
+from datetime import datetime, timedelta
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +65,7 @@ import numpy as np
 from . import csvio
 from .csvio import ParseError, csv_text
 from .sessions import (  # cli, bench/ and tests take the synthetic depot from here
+    EPOCH,
     SessionRecord,
     SessionSeries,
     SyntheticDepotSpec,
@@ -81,6 +86,10 @@ TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 _SPLIT_BYTES = 2_500_000
 
 _FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and codes the ids
+
+_SECOND = timedelta(seconds=1)
+# Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
+_FIRST_SECOND, _LAST_SECOND = -62_135_596_800, 253_402_300_799
 
 
 @dataclass
@@ -174,37 +183,80 @@ def _get_time(row: dict, key: str) -> datetime | None:
 
 
 def parse_sessions(path, strict: bool = False) -> SessionParseResult:
-    """Parse session metadata; one SessionRecord per well-formed row."""
+    """Parse session metadata; one SessionRecord per well-formed row.
+
+    Rows are converted a block at a time, a column at a time; only the rows
+    that the columns cannot vouch for go through the per-row rules (_session),
+    in row order, which also give their issues.
+    """
     path = Path(path)
     records: list[SessionRecord] = []
     issues: list[tuple[int, str]] = []
     for lines, cells, absent, errors in _read_chunks(path, SESSION_COLUMNS):
-        for i, lineno in enumerate(lines):
+        values, suspect = _session_columns(cells, absent)
+        suspect[list(errors)] = True
+        for i, (lineno, row, odd) in enumerate(zip(lines, zip(*values), suspect.tolist())):
             try:
-                if i in errors:
+                if not odd:
+                    records.append(SessionRecord(*row))
+                elif i in errors:
                     raise errors[i]
-                row = _row(SESSION_COLUMNS, cells, i, absent)
-                conn = _get_time(row, "connection_time")
-                if conn is None:
-                    raise ValueError("connection_time is required")
-                records.append(
-                    SessionRecord(
-                        session_id=str(row.get("session_id", "")),
-                        site_id=str(row.get("site_id", "")),
-                        station_id=str(row.get("station_id", "")),
-                        connection_time=conn,
-                        disconnect_time=_get_time(row, "disconnect_time"),
-                        delivered_energy_kwh=_get_float(row, "delivered_energy_kwh"),
-                        requested_energy_kwh=_get_float(row, "requested_energy_kwh"),
-                        available_minutes=_get_float(row, "available_minutes"),
-                        requested_departure=_get_time(row, "requested_departure"),
-                    )
-                )
+                else:
+                    records.append(_session(_row(SESSION_COLUMNS, cells, i, absent)))
             except (ValueError, TypeError) as exc:
                 if strict:
                     raise ParseError(path, lineno, str(exc)) from exc
                 issues.append((lineno, str(exc)))
     return SessionParseResult(records=records, issues=issues)
+
+
+def _session_columns(cells, absent) -> tuple[list[list], np.ndarray]:
+    """Each session column's values as SessionRecord takes them, and a mask of
+    the rows whose values the per-row rules must give instead: a time that is
+    not canonical, a number that is not finite, or an id that is not text."""
+    values, suspect = [], np.zeros(len(cells[0]), bool)
+    for name, column in zip(SESSION_COLUMNS, cells):
+        if name.endswith("_id"):
+            values.append(csvio.texts(column))
+            if absent is None:  # JSON: a null or another type is str()'d by the rules
+                suspect |= np.array([type(v) is not str for v in values[-1]], bool)
+        elif name.endswith(("_time", "_departure")):
+            seconds, odd = _canonical_seconds(column)
+            none = ~_present(column, absent)
+            suspect |= odd if name == "connection_time" else odd & ~none  # else absent is None
+            values.append([None if no else EPOCH + _SECOND * t
+                           for t, no in zip(seconds.tolist(), none.tolist())])
+        else:
+            numbers, odd = float_column(column, absent)
+            suspect |= odd
+            values.append([None if v != v else v for v in numbers.tolist()])
+    return values, suspect
+
+
+def _present(cells, absent) -> np.ndarray:
+    """A mask of the cells that are not absent."""
+    if isinstance(cells, np.ndarray):
+        return cells != b""
+    return np.array([v != absent for v in cells], bool)
+
+
+def _session(row: dict) -> SessionRecord:
+    """The per-row rules of a session row: the ValueError or TypeError raised
+    names the row's first problem and is the issue reported for it."""
+    conn = _get_time(row, "connection_time")
+    if conn is None:
+        raise ValueError("connection_time is required")
+    return SessionRecord(
+        session_id=str(row.get("session_id", "")),
+        site_id=str(row.get("site_id", "")),
+        station_id=str(row.get("station_id", "")),
+        connection_time=conn,
+        disconnect_time=_get_time(row, "disconnect_time"),
+        delivered_energy_kwh=_get_float(row, "delivered_energy_kwh"),
+        requested_energy_kwh=_get_float(row, "requested_energy_kwh"),
+        available_minutes=_get_float(row, "available_minutes"),
+        requested_departure=_get_time(row, "requested_departure"),
+    )
 
 
 def _reading(row: dict) -> tuple[str, int, float, float]:
@@ -228,15 +280,18 @@ def _reading(row: dict) -> tuple[str, int, float, float]:
 
 
 # YYYY-MM-DDTHH:MM:SSZ, the form synth writes: a byte minus _STAMP is at most
-# 9 where the form has a digit and 0 elsewhere.
+# _SLACK, the largest digit a field's range allows there, and 0 off the digits.
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
-_SLACK = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)
+_SLACK = np.frombuffer(b"9999-19-39T29:59:59Z", np.uint8) - _STAMP
+_MONTH_DAYS = np.array([31, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # [m]: month m's
 
 
 def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of every cell that is a valid time in the canonical form,
     and a mask of the other cells, which parse_utc must judge one by one.
-    The form is checked on the cells' bytes; there is no year 0.
+    The form and the fields' ranges are checked on the cells' bytes (years
+    1-9999, leap days included); dates become days by Hinnant's
+    days_from_civil, the inverse of _stamp_cells' civil_from_days.
     """
     if not isinstance(stamps, np.ndarray):  # text or JSON cells
         stamps = np.array(
@@ -244,23 +299,34 @@ def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
             dtype="S20",
         )
     n, width = len(stamps), stamps.dtype.itemsize
-    t = np.full(n, np.datetime64("NaT", "s"))
-    if n and width >= 20:
-        cells = stamps.view(np.uint8).reshape(n, width)
-        head = cells[:, :20]
-        ok = ~((head - _STAMP) > _SLACK).any(1)
-        ok &= (head[:, :4] != ord("0")).any(1)
-        if width > 20:
-            ok &= cells[:, 20] == 0  # no longer than the form
-        rows = np.flatnonzero(ok)
-        text = np.ascontiguousarray(head[rows, :19]).view("S19").ravel()
-        try:
-            t[rows] = text.astype("datetime64[s]")
-        except ValueError:  # a field is out of range, for example 2019-02-30
-            for i, s in zip(rows.tolist(), text.tolist()):
-                with suppress(ValueError):
-                    t[i] = s
-    return t.astype(np.int64), np.isnat(t)
+    if width < 20:
+        return np.zeros(n, np.int64), np.ones(n, bool)
+    cells = stamps.view(np.uint8).reshape(n, width)
+    digits = cells[:, :20] - _STAMP
+    bad = (digits > _SLACK).view(np.uint32)  # four bytes of a row at a time
+    ok = (bad[:, 0] | bad[:, 1] | bad[:, 2] | bad[:, 3] | bad[:, 4]) == 0
+    if width > 20:
+        ok &= cells[:, 20] == 0  # no longer than the form
+    d = np.ascontiguousarray(digits.T)  # d[j]: every row's digit j
+
+    def number(at: int, count: int) -> np.ndarray:  # of digits at..at+count-1
+        value = d[at].astype(np.int32)
+        for j in range(at + 1, at + count):
+            value = 10 * value + d[j]
+        return value
+
+    year, month, day, hour = number(0, 4), number(5, 2), number(8, 2), number(11, 2)
+    century = year // 100
+    leap = ((year & 3) == 0) & ((year != 100 * century) | ((century & 3) == 0))
+    ok &= (year > 0) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24)
+    ok &= day <= _MONTH_DAYS[np.where(ok, month, 1)] + (leap & (month == 2))
+    y = year - (month <= 2)  # days_from_civil: years from March 1, in 400-year eras
+    era = y // 400
+    yoe = y - 400 * era
+    doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
+    days = 146_097 * era + 365 * yoe + yoe // 4 - yoe // 100 + doy - 719_468
+    t = 86_400 * days.astype(np.int64) + 3_600 * hour + 60 * number(14, 2) + number(17, 2)
+    return np.where(ok, t, 0), ~ok
 
 
 def float_column(cells, absent) -> tuple[np.ndarray, np.ndarray]:
@@ -320,6 +386,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         for chunk in chunks:
             heads, lengths, columns = _convert(path, chunk, strict, issues)
             add(code(heads), lengths, ([column] for column in columns))
+            del chunk, heads  # so that the last block's cells and ids go before the join
         if halves:
             back_issues, sids, runs, lengths, pieces = halves.back()
             issues += back_issues
@@ -393,26 +460,18 @@ def _convert(path: Path, chunk, strict: bool, issues: list):
 
 
 def _split_at(path: Path) -> int | None:
-    """Where a split parse of path cuts it: the first line start after
-    _FRONT_SHARE of its bytes. None when the file is not CSV, is under
-    _SPLIT_BYTES or has no such line, or when a quote comes before it: only
+    """Where a split parse of path cuts it: the first start of a serial read's
+    block after _FRONT_SHARE of its bytes, so that each half reads the blocks
+    a serial parse reads. None when the file is not CSV, is under
+    _SPLIT_BYTES or has no such block, or when a quote comes before it: only
     such a quote can open a field that runs on past the cut."""
     if not _is_csv(path):
         return None
     size = path.stat().st_size
     if size < _SPLIT_BYTES:
         return None
-    share, start, buf = int(size * _FRONT_SHARE), 0, bytearray(1 << 20)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):  # buf[:n] holds bytes start to start + n
-            end = buf.find(b"\n", max(share - start, 0), n)
-            if buf.find(b'"', 0, n if end < 0 else end) >= 0:
-                return None
-            if end >= 0:
-                split = start + end + 1
-                return split if split < size else None
-            start += n
-    return None
+    cut = csvio.block_start(path, int(size * _FRONT_SHARE))
+    return cut if cut is not None and cut < size else None
 
 
 def _halves(path: Path, strict: bool) -> "_Halves | None":
@@ -495,16 +554,40 @@ def _rising(codes: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def write_sessions(path, sessions: list[SessionRecord]) -> None:
+    """One row per session. A CSV file is written a column at a time
+    (_session_cells); JSON lines leave absent fields out."""
     path = Path(path)
-    columns = [[format_utc(v) if isinstance(v, datetime) else v
-                for v in (getattr(s, c) for s in sessions)] for c in SESSION_COLUMNS]
+    columns = [list(map(attrgetter(c), sessions)) for c in SESSION_COLUMNS]
     if _is_csv(path):
-        csvio.write(path, SESSION_COLUMNS, columns)
+        csvio.write(path, SESSION_COLUMNS, list(map(_session_cells, columns)))
         return
     with open(path, "w", encoding="utf-8") as fh:
         for row in zip(*columns):
-            obj = {c: v for c, v in zip(SESSION_COLUMNS, row) if v is not None}
+            obj = {c: format_utc(v) if isinstance(v, datetime) else v
+                   for c, v in zip(SESSION_COLUMNS, row) if v is not None}
             fh.write(json.dumps(obj) + "\n")
+
+
+def _session_cells(values: list) -> list | np.ndarray:
+    """A session column as csvio.write takes it, for the bytes that writing
+    each value, a datetime by format_utc, gives: floats and None as a float
+    array when no value is NaN (which is written nan, not empty), and
+    datetimes with a time zone and None as _stamp_cells' text of their
+    epoch seconds and "".
+    """
+    kinds = set(map(type, values)) - {type(None)}
+    if kinds == {float}:
+        floats = np.array(values, float)  # None becomes NaN
+        if np.count_nonzero(np.isnan(floats)) == values.count(None):
+            return floats
+    elif kinds == {datetime}:
+        times = [v for v in values if v is not None]
+        with suppress(TypeError):  # a naive time, which format_utc reads as local
+            t = np.array(list(map(epoch_seconds, times)), np.int64)
+            if _FIRST_SECOND <= t.min() and t.max() <= _LAST_SECOND:
+                texts = iter(_stamp_cells(t).view("S20").ravel().astype("U20").tolist())
+                return ["" if v is None else next(texts) for v in values]
+    return [format_utc(v) if isinstance(v, datetime) else v for v in values]
 
 
 def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
@@ -525,9 +608,8 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
     ids = [sid.encode() for sid in ids]
     # Fewer rows per block when a long session id widens every row.
     step = max(1, min(csvio.CHUNK_ROWS, csvio.CHUNK_ROWS * 128 // max(map(len, ids), default=1)))
-    # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z; a
-    # session's times increase, so its first and last bound them all.
-    lo, hi = -62_135_596_800, 253_402_300_799
+    # A session's times increase, so its first and last bound them all.
+    lo, hi = _FIRST_SECOND, _LAST_SECOND
     for sid, s in index.items():
         if len(s) and (s.t[0] < lo or s.t[-1] > hi or np.isinf(s.current).any()
                        or np.isinf(s.pilot).any()):

@@ -75,6 +75,11 @@ class DatasetConfig:
     def __post_init__(self):
         if self.early_window_minutes <= 0:
             raise ValueError("early_window_minutes must be positive")
+        try:  # early_window_bounds takes the window as a timedelta
+            timedelta(minutes=self.early_window_minutes)
+        except OverflowError:
+            raise ValueError(f"early_window_minutes={self.early_window_minutes!r} is longer "
+                             f"than a timedelta holds ({timedelta.max})") from None
         if self.min_early_current_samples <= 0:
             raise ValueError("min_early_current_samples must be positive")
         if self.nominal_voltage_v <= 0:

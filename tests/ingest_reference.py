@@ -1,6 +1,7 @@
-"""Reference parsers and writer: the per-row parsers and the per-session
-time-series writer that the batched ones in fedcharge.ingest replaced, kept
-as test oracles.
+"""Reference parsers, writers and block reader: the per-row parsers, the
+per-session time-series writer, the per-value sessions writer and the
+text-mode block reader that the batched ones in fedcharge.ingest and
+fedcharge.csvio replaced, kept as test oracles.
 
 They read one row at a time through csv.DictReader (or json.loads for JSON
 lines) and apply the row rules in the same order; the time-series parser
@@ -12,23 +13,32 @@ the reader's physical line, which is what the batched parsers report.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from datetime import datetime
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
+from fedcharge import csvio
 from fedcharge.csvio import csv_text
 from fedcharge.ingest import (
+    SESSION_COLUMNS,
     TIMESERIES_COLUMNS,
     ParseError,
     SessionParseResult,
     TimeSeriesParseResult,
     _is_csv,
 )
-from fedcharge.sessions import SessionRecord, SessionSeries, epoch_seconds, parse_utc
+from fedcharge.sessions import (
+    SessionRecord,
+    SessionSeries,
+    epoch_seconds,
+    format_utc,
+    parse_utc,
+)
 
 
 def iter_rows(path: Path):
@@ -205,3 +215,68 @@ def format_floats(x: np.ndarray, label: str) -> list[str]:
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     text = ["" if v != v else label + repr(v) for v in x[starts].tolist()]
     return np.repeat(np.array(text, dtype=object), np.diff(starts, append=len(x))).tolist()
+
+
+def write_sessions(path, sessions: list[SessionRecord]) -> None:
+    """Each value formatted one at a time, datetimes by format_utc."""
+    path = Path(path)
+    columns = [[format_utc(v) if isinstance(v, datetime) else v
+                for v in (getattr(s, c) for s in sessions)] for c in SESSION_COLUMNS]
+    if _is_csv(path):
+        csvio.write(path, SESSION_COLUMNS, columns)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in zip(*columns):
+            obj = {c: v for c, v in zip(SESSION_COLUMNS, row) if v is not None}
+            fh.write(json.dumps(obj) + "\n")
+
+
+def blocks(path, start: int = 0, end: int | None = None):
+    """csvio.Reader(path, start, end).blocks() read as text: (first line
+    number, bytes, bare \\r count) per block of csvio.CHUNK_ROWS lines, after
+    a file's first line on its own. The text is read with newline="", so
+    that lines end as the csv module ends them, and each block is encoded
+    back to its bytes. The block that runs past end is read whole, checked,
+    and then cut there."""
+    line = 1
+    file = open(path, "rb")
+    file.seek(start)
+    with io.TextIOWrapper(file, encoding="utf-8", errors="surrogateescape",
+                          newline="") as fh:
+        rows = csvio.CHUNK_ROWS
+        for size in repeat(rows) if start else chain([1], repeat(rows)):
+            if end is not None and start >= end:
+                return
+            raw = _utf8(path, line, "".join(islice(fh, size)))
+            raw = raw[: None if end is None else end - start]
+            if not raw:
+                return
+            start += len(raw)
+            breaks, bare = _line_breaks(raw)
+            yield line, raw, bare
+            line += breaks
+
+
+def _utf8(path, line: int, text: str) -> bytes:
+    """The bytes of a block read from line `line`; bytes that are not UTF-8
+    (escaped in text) raise a ParseError naming the first one's line."""
+    try:
+        return text.encode()
+    except UnicodeEncodeError:
+        raw = text.encode(errors="surrogateescape")
+        try:
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                path, line + _line_breaks(raw[: exc.start])[0],
+                f"not valid UTF-8: {raw[exc.start : exc.end]!r} ({exc.reason})",
+            ) from None
+        raise
+
+
+def _line_breaks(raw: bytes) -> tuple[int, int]:
+    """(line breaks, bare \\r) in raw: a \\n, a \\r\\n or a bare \\r ends a line."""
+    buf = np.frombuffer(raw, np.uint8)
+    cr = np.flatnonzero(buf[:-1] == ord("\r"))
+    bare = int(np.count_nonzero(buf[cr + 1] != ord("\n"))) + raw.endswith(b"\r")
+    return int(np.count_nonzero(buf == ord("\n"))) + bare, bare

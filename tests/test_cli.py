@@ -127,6 +127,17 @@ class TestExitCodes:
         assert code == 1
         assert f"bins must be a positive integer, got {bins}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["featurize", "ingest"])
+    @pytest.mark.parametrize("minutes", ["1e308", "1.5e12"])
+    def test_window_longer_than_a_timedelta_names_field(self, depot_dir, tmp_path, capsys,
+                                                         command, minutes):
+        code = dispatch([command, "--in", str(depot_dir), "--early-window-minutes", minutes,
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: early_window_minutes={float(minutes)!r} is longer than a timedelta "
+            "holds (999999999 days, 23:59:59.999999)\n")
+
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
         assert dispatch(["train", "--help"]) == 0
@@ -521,6 +532,18 @@ class TestReportInputs:
         code = dispatch(["report", "--reports", str(path), "--out", str(tmp_path / "r")])
         assert code == 1
         assert f"{path}: not a run report: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, problem", [
+        (b"xx\n", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["not-json", "not-utf8"])
+    def test_not_json_names_the_file(self, tmp_path, capsys, content, problem):
+        path = tmp_path / "run_report.json"
+        path.write_bytes(content)
+        code = dispatch(["report", "--reports", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: not a run report: {problem}\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("edit, key", [
         (lambda entry: entry.pop("test_rmse"), "test_rmse"),

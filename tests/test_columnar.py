@@ -16,7 +16,9 @@
 * Under tracemalloc, a parse peaks under a small multiple of its result plus
   one block, and the writer's peak does not grow with the depot.
 * The writer is fuzzed against the per-session reference writer: the same
-  bytes, in both formats, across block boundaries. Its timestamps equal
+  bytes, in both formats, across block boundaries. The sessions writer is
+  fuzzed against the per-value one, and a clean sessions file is parsed
+  without the per-row rules. Its timestamps equal
   numpy's datetime_as_string over the whole range of years 1-9999, and it
   refuses values its parser would reject. Writing then parsing any index
   gives it back.
@@ -66,6 +68,7 @@ from fedcharge.sessions import (
     early_window_bounds,
     epoch_seconds,
     format_utc,
+    parse_utc,
     retain_sessions,
 )
 
@@ -299,6 +302,41 @@ HEADER = ",".join(TIMESERIES_COLUMNS) + "\r\n"
 
 def reading_line(k: int, sid: str = "s1", current: str = "16.0") -> str:
     return f"{sid},{format_utc(BASE + timedelta(minutes=k))},{current},32.0\r\n"
+
+
+def parse_utc_or_none(stamp: str) -> int | None:
+    try:
+        return epoch_seconds(parse_utc(stamp))
+    except ValueError:
+        return None
+
+
+class TestCanonicalSeconds:
+    """Every field in the form's digits, in range or one past it: the
+    arithmetic gives parse_utc's seconds, and the stamps it leaves to
+    parse_utc are the ones parse_utc rejects."""
+
+    EDGES = ["1900-02-29T00:00:00Z", "2100-02-29T00:00:00Z", "2000-02-29T23:59:59Z",
+             "1600-02-29T00:00:00Z", "2019-02-29T00:00:00Z", "2020-02-29T00:00:00Z",
+             "2019-04-31T00:00:00Z", "2019-12-31T23:59:59Z", "0001-01-01T00:00:00Z",
+             "9999-12-31T23:59:59Z", "0000-12-31T00:00:00Z", "2019-00-10T00:00:00Z",
+             "2019-01-00T00:00:00Z", "2019-01-07T24:00:00Z", "1969-12-31T23:59:59Z"]
+
+    @staticmethod
+    def assert_matches_parse_utc(stamps: list[str]):
+        seconds, odd = ingest._canonical_seconds(np.array(stamps, dtype="S20"))
+        for stamp, t, left in zip(stamps, seconds.tolist(), odd.tolist()):
+            assert (None if left else t) == parse_utc_or_none(stamp), stamp
+
+    def test_edges(self):
+        self.assert_matches_parse_utc(self.EDGES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+                              st.integers(0, 24), st.integers(0, 59), st.integers(0, 59)),
+                    min_size=1, max_size=50))
+    def test_fields_in_range_or_one_past(self, fields):
+        self.assert_matches_parse_utc(["%04d-%02d-%02dT%02d:%02d:%02dZ" % f for f in fields])
 
 
 class TestTokenizer:
@@ -687,6 +725,79 @@ class TestWriterOracle:
             " (not in years 1-9999, or not finite)"
         )
         assert not path.exists()
+
+
+# Session ids that need quoting; times in any year, with microseconds and
+# offsets other than UTC (from year 1 one can fall before the first UTC
+# second), naive ones where no comparison needs a zone; energies None, NaN
+# (written nan), inf, -0.0 and ints (written as ints).
+SESSION_WRITER_IDS = ["s1", "a,b", 'q"t', "two\nlines", "é", " ", "", "x" * 300]
+zones = st.sampled_from([timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                         timezone(timedelta(hours=-8))])
+aware = st.builds(lambda d, tz: d.replace(tzinfo=tz),
+                  st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
+                  zones)
+energies = st.one_of(st.none(), st.floats(min_value=0.0), st.sampled_from(
+    [math.nan, -0.0, math.inf, 5e-324, 16.0, 7, np.float64(2.5)]))
+
+
+@st.composite
+def session_records(draw):
+    conn = draw(aware)
+    later = st.builds(lambda step: conn + step, st.timedeltas(timedelta(0), timedelta(days=9)))
+    return SessionRecord(
+        draw(st.sampled_from(SESSION_WRITER_IDS[:-2] + SESSION_WRITER_IDS[-1:])),
+        draw(st.sampled_from(SESSION_WRITER_IDS)), draw(st.sampled_from(SESSION_WRITER_IDS)),
+        conn, draw(st.one_of(st.none(), later)), draw(energies), draw(energies), draw(energies),
+        draw(st.one_of(st.none(), later, aware, later.map(lambda d: d.replace(tzinfo=None)))),
+    )
+
+
+def written_sessions(write, suffix: str, records) -> bytes | str:
+    """The bytes written, or the exception raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"sessions{suffix}"
+        try:
+            write(path, records)
+        except (OverflowError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return path.read_bytes()
+
+
+class TestSessionColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(session_records(), max_size=8),
+           suffix=st.sampled_from([".csv", ".jsonl"]))
+    def test_writer_bytes_match_reference(self, records, suffix):
+        assert written_sessions(ingest.write_sessions, suffix, records) == \
+            written_sessions(ingest_reference.write_sessions, suffix, records)
+
+    def test_named_records_match_reference(self):
+        t0 = datetime(2019, 1, 7, 8, 30, 0, 999_999, tzinfo=timezone(timedelta(hours=-8)))
+        records = [
+            SessionRecord("s1", "SYN", "ST1", t0),
+            SessionRecord('q"t', "a,b", "two\nlines", t0, t0, math.nan, None, -0.0,
+                          datetime(2019, 1, 7, 9)),
+            SessionRecord("s3", "SYN", "ST1", datetime(1, 1, 1, tzinfo=timezone.utc),
+                          None, 3.5, 1e16, 5e-324, datetime(9999, 12, 31, 23, 59, 59,
+                                                            tzinfo=timezone.utc)),
+        ]
+        written = written_sessions(ingest.write_sessions, ".csv", records)
+        assert written == written_sessions(ingest_reference.write_sessions, ".csv", records)
+        assert written.split(b"\r\n")[2] == (b'"q""t","a,b","two\nlines",2019-01-07T16:30:00Z,'
+                                           b"2019-01-07T16:30:00Z,nan,,-0.0,"
+                                           + format_utc(records[1].requested_departure).encode())
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_a_clean_file_never_reaches_the_row_rules(self, tmp_path, suffix):
+        """Every row of a synthetic depot is converted by the columns."""
+        sessions, _ = generate_synthetic(SyntheticDepotSpec(n_stations=3, seed=5))
+        path = tmp_path / f"sessions{suffix}"
+        ingest.write_sessions(path, sessions)
+        with mock.patch.object(ingest, "_row", side_effect=AssertionError("per-row rules")):
+            parsed = parse_sessions(path, strict=True)
+        assert parsed == ingest_reference.parse_sessions(path)
+        assert parsed.records == sessions and not parsed.issues
 
 
 @st.composite

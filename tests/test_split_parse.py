@@ -36,6 +36,7 @@ from test_columnar import (
     chunk_sizes,
     csv_files,
     plain_csv_files,
+    reading_line,
     run_lines,
     synthetic_index,
     traced,
@@ -45,9 +46,11 @@ pytestmark = pytest.mark.usefixtures("deadline")
 
 
 @contextmanager
-def parsed_in(mode: str, chunk_rows: int = csvio.CHUNK_ROWS, split_bytes: int = 0):
+def parsed_in(mode: str, chunk_rows: int = 2, split_bytes: int = 0):
     """Parses split ("split", when the file has at least split_bytes) or not
-    ("serial"); yields the list of the split parses' _Halves."""
+    ("serial") in blocks of chunk_rows lines; yields the list of the split
+    parses' _Halves. A cut falls only where a block starts, so the named
+    cases split at 2 rows a block but not at 8,192."""
     made = []
 
     class Recorded(ingest._Halves):
@@ -117,6 +120,8 @@ def case(name: str) -> str:
         rows[3] = ("A", 3, '"3.0"')
     elif name == "quote in the back":
         rows[N - 4] = ("C", N - 4, '"36.0"')
+    elif name == "bare cr in the front":  # a line end that no \n counts
+        rows[3] = reading_line(3, "A", "3.0").replace("\r\n", "\r")
     elif name == "duplicates across the split":  # the back's row wins
         rows += [("A", 2, "-2.0"), ("B", 14, "-14.0")]
     elif name == "out of order across the split":
@@ -128,14 +133,13 @@ def case(name: str) -> str:
 
 
 CASES = ["in order", "issues in both halves", "quote in the front", "quote in the back",
-         "duplicates across the split", "out of order across the split",
-         "new sessions in both halves"]
+         "bare cr in the front", "duplicates across the split",
+         "out of order across the split", "new sessions in both halves"]
 
 
-def back_line(path: Path) -> int:
+def back_line(path: Path, chunk_rows: int = 2) -> int:
     """The number of the first line the worker converts."""
-    with mock.patch.object(ingest, "_SPLIT_BYTES", 0), \
-            mock.patch.object(pool, "usable_cpus", lambda: 2):
+    with parsed_in("split", chunk_rows):
         split = ingest._split_at(path)
     return path.read_bytes()[:split].count(b"\n") + 1
 
@@ -146,8 +150,9 @@ class TestSplitEqualsSerial:
     def test_named_cases(self, tmp_path, name, chunk_rows):
         path = file_with(tmp_path, case(name))
         made = assert_split_is_serial(path, chunk_rows)
-        # Lenient and strict; a quote before the cut keeps both serial.
-        assert len(made) == (0 if name == "quote in the front" else 2)
+        # Lenient and strict; a quote before the cut keeps both serial, and
+        # so does one block of every line, which leaves no block start to cut at.
+        assert len(made) == (0 if name == "quote in the front" or chunk_rows > N else 2)
 
     @pytest.mark.parametrize("where", ["header", "end of the front", "start of the back"])
     def test_a_quote_before_the_cut_forks_no_worker(self, tmp_path, where):
@@ -204,12 +209,30 @@ class TestSplitEqualsSerial:
             for mode in ("split", "serial"):
                 with parsed_in(mode, chunk_rows) as made, pytest.raises(ParseError) as info:
                     parse_timeseries(path, strict=strict)
-                assert len(made) == (mode == "split")
+                assert len(made) == (mode == "split" and chunk_rows < N)
                 errors[mode] = str(info.value)
             assert errors["split"] == errors["serial"]
         if chunk_rows == 8192:  # one block holds every line
             assert errors["split"] == \
                 f"{path}:{back}: not valid UTF-8: b'\\xff' (invalid start byte)"
+
+    def test_a_fault_and_a_bad_byte_in_one_serial_block(self, tmp_path):
+        """The cut falls where a serial read starts a block, so the worker
+        reads the serial parse's blocks. At 4 rows a block, `abc` on line 24
+        and a byte that is not UTF-8 on line 25 share the block of lines
+        22-25, whose bytes are checked before its rows are converted."""
+        lines = case("in order").encode().splitlines(True)
+        lines[23] = lines[23].replace(b"32.0", b"abc")
+        lines[24] = lines[24].replace(b"32.0", b"3\xff2.0")
+        path = tmp_path / "timeseries.csv"
+        path.write_bytes(b"".join(lines))
+        assert back_line(path, 1) == 21 and back_line(path, 4) == 22
+        for mode in ("split", "serial"):
+            with parsed_in(mode, 4) as made, pytest.raises(ParseError) as info:
+                parse_timeseries(path, strict=True)
+            assert len(made) == (mode == "split")
+            assert str(info.value) == \
+                f"{path}:25: not valid UTF-8: b'\\xff' (invalid start byte)"
 
     @settings(max_examples=100, deadline=None)
     @given(text=csv_files(TIMESERIES_CELLS), chunk_rows=chunk_sizes)
@@ -365,8 +388,8 @@ class TestSerialWhenNoWorkerStarts:
 # whether it split and whether a child process is left when it is done.
 LEFT_BEHIND = r"""
 import os, runpy, sys
-from fedcharge import ingest, pool
-ingest._SPLIT_BYTES, pool.usable_cpus = 0, lambda: 2
+from fedcharge import csvio, ingest, pool
+ingest._SPLIT_BYTES, pool.usable_cpus, csvio.CHUNK_ROWS = 0, lambda: 2, 64
 made = []
 class Recorded(ingest._Halves):
     def __init__(self, *args):
