@@ -140,22 +140,6 @@ class Reader:
                 yield range(first, first + n), cells, [width] * n
 
 
-def block_start(path, after: int) -> int | None:
-    """The first offset past byte `after` at which Reader(path).blocks()
-    starts a block or ends; None when a quote comes before it. The bytes
-    before it are not checked to be UTF-8."""
-    end = 0
-    with open(path, "rb", buffering=0) as fh:
-        lines = _Lines(fh)
-        for size in chain([1], repeat(CHUNK_ROWS)):
-            raw = lines.take(size)[0]
-            if not raw or b'"' in raw:
-                return None
-            end += len(raw)
-            if end > after:
-                return end
-
-
 def texts(cells) -> list:
     """A column as a list, byte cells decoded."""
     if isinstance(cells, np.ndarray) and cells.dtype.kind == "S":
@@ -165,14 +149,14 @@ def texts(cells) -> list:
 
 def _line_breaks(raw: bytes) -> tuple[int, int]:
     """(line breaks, bare \\r) in raw."""
-    ends, bare = _line_ends(raw, 0, len(raw))
+    ends, bare = line_ends(raw, 0, len(raw))
     return int(np.count_nonzero(ends)), bare
 
 
-def _line_ends(raw, start: int, stop: int) -> tuple[np.ndarray, int]:
+def line_ends(raw, start: int, stop: int) -> tuple[np.ndarray, int]:
     """(a mask of the bytes of raw[start:stop] that end a line, how many of
-    them are a bare \\r): a \\n ends a line, and so does a \\r that no \\n
-    follows in the range."""
+    them are a bare \\r): the reader's line rule. A \\n ends a line, and so
+    does a \\r that no \\n follows in the range."""
     buf = np.frombuffer(raw, np.uint8, stop - start, start)
     ends, cr = buf == ord("\n"), buf == ord("\r")
     gap = cr[:-1] > ends[1:]  # a \r not followed by \n
@@ -198,11 +182,11 @@ class _Lines:
         while True:
             # A final \r is left for the next read, which may start with \n.
             stop = len(held) - (not self._eof and held.endswith(b"\r"))
-            ends, more_bare = _line_ends(held, at, stop)
+            ends, more_bare = line_ends(held, at, stop)
             found = int(np.count_nonzero(ends))
             if found >= need:
                 cut = at + int(np.flatnonzero(ends)[need - 1]) + 1
-                bare += more_bare and _line_ends(held, at, cut)[1]
+                bare += more_bare and line_ends(held, at, cut)[1]
                 need = 0
                 break
             need, bare = need - found, bare + more_bare

@@ -10,13 +10,20 @@ stream (seed, STREAM_EPOCH, index, p) with index = r * local_epochs + e and
 p = 0 for centralized. A single-client, full-participation federated run
 therefore consumes exactly the centralized schedule.
 
-The sampled clients of a round train in forked workers (pool.py) when a
-round has two or more of them and _pool_size allows it, and one after
-another in this process otherwise, a refused fork included. Either way this
-process samples, aggregates in sampled order and evaluates, and a client's
-work depends only on its streams and the broadcast parameters, so both give
-the same bits. A pooled round r + 1 trains while _train evaluates round r;
-a failure still surfaces in the order the serial loop would meet it.
+Both trainers train in forked workers (pool.ClientPool) when _pool_size
+allows it, and in this process otherwise, a refused fork included. Round
+(or epoch) r + 1 is dispatched as soon as round r is collected, so it
+trains while round r is evaluated:
+- centralized, one worker holds the model and its Adam state and trains
+  each epoch; this process evaluates the epoch before and keeps the best;
+- federated, the sampled clients of a round (two or more) train in up to
+  MAX_WORKERS workers. Before round r + 1's clients, worker 0 predicts the
+  validation split and worker 1 the test split from round r's parameters,
+  and this process takes the metrics of those predictions. It samples,
+  aggregates in sampled order and evaluates the last round itself.
+A round's work depends only on its streams and the parameters it starts
+from, so every path gives the same bits, and a failure surfaces in the
+order the serial loop would meet it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,6 +129,12 @@ class SplitData:
     st_test: np.ndarray
     y_test: np.ndarray
 
+    @property
+    def evaluated(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(features, stations) of the validation and the test split, which
+        every round is evaluated on."""
+        return (self.X_val, self.st_val), (self.X_test, self.st_test)
+
 
 def sample_clients(
     partition: ClientPartition, fraction: float, round_index: int, seed: int
@@ -174,7 +188,8 @@ def local_train(
     return get_params(model)
 
 
-_OWN_LOCAL_TRAIN = local_train
+# The training functions this module looks up, as it defines them.
+_OWN = (local_train, train_one_epoch, adam_step)
 
 
 def aggregate(updates: list[tuple[ModelParameters, int]]) -> ModelParameters:
@@ -193,12 +208,20 @@ def aggregate(updates: list[tuple[ModelParameters, int]]) -> ModelParameters:
     return ModelParameters(layout=layout, values=acc)
 
 
-def _evaluate(model, params: ModelParameters, data: SplitData) -> tuple[float, float, float, float]:
-    """Validation and test MAE and RMSE; FloatingPointError when the
-    validation MAE is not finite (parameters that left the float range)."""
+def _predict(model, X, stations, params: ModelParameters) -> np.ndarray:
     set_params(model, params)
-    val_pred = model.predict(data.X_val, data.st_val)
-    test_pred = model.predict(data.X_test, data.st_test)
+    return model.predict(X, stations)
+
+
+def _evaluate(model, params: ModelParameters, data: SplitData,
+              predicted=None) -> tuple[float, float, float, float]:
+    """Validation and test MAE and RMSE of params, from the predictions of
+    the two splits when given; FloatingPointError when the validation MAE is
+    not finite (parameters that left the float range)."""
+    if predicted is None:
+        set_params(model, params)
+        predicted = [model.predict(X, stations) for X, stations in data.evaluated]
+    val_pred, test_pred = predicted
     val_mae = mae(val_pred, data.y_val)
     if not math.isfinite(val_mae):
         raise FloatingPointError(f"the validation MAE is {val_mae}")
@@ -215,9 +238,11 @@ def _train(model, data: SplitData, step, n_rounds: int, mode: str, unit: str,
     """The round loop of both trainers, with best-validation retention.
 
     step(r, params) trains round (or epoch) r from params and returns the
-    parameters it leaves and the clients it sampled. numpy's float warnings
-    are silenced: a run that leaves the float range stops on the finite
-    checks, with a ValueError naming the mode, the round and the lr.
+    parameters it leaves, the clients it sampled and the predictions of the
+    evaluated splits from those parameters, or None to make them here.
+    numpy's float warnings are silenced: a run that leaves the float range
+    stops on the finite checks, with a ValueError naming the mode, the round
+    and the lr.
     """
     params = get_params(model)
     logs: list[RoundLog] = []
@@ -225,8 +250,8 @@ def _train(model, data: SplitData, step, n_rounds: int, mode: str, unit: str,
     for r in range(n_rounds):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                params, clients = step(r, params)
-                v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, params, data)
+                params, clients, predicted = step(r, params)
+                v_mae, v_rmse, t_mae, t_rmse = _evaluate(model, params, data, predicted)
         except FloatingPointError as exc:
             raise ValueError(
                 f"{mode} training diverged in {unit} {r + 1} at lr {lr}: {exc}"
@@ -238,37 +263,73 @@ def _train(model, data: SplitData, step, n_rounds: int, mode: str, unit: str,
     return TrainResult(best, params, logs, best_round, best_mae if logs else None)
 
 
+def _pool_size(wanted: int) -> int:
+    """The workers a trainer asked for, or 0 to train in this process.
+
+    Workers need two usable CPUs and an OpenBLAS whose thread count the pool
+    can set. They also need the training functions this module looks up to
+    be its own (_OWN): when something in this process wraps one (a tracer, a
+    test spy), a forked worker would carry the wrapper off and drop what it
+    records, so such runs stay here. Whether this process can fork at all is
+    pool.Workers' call.
+    """
+    if not wanted or (local_train, train_one_epoch, adam_step) != _OWN:
+        return 0
+    from . import pool  # serial runs never load it
+
+    return wanted if pool.usable_cpus() >= 2 and pool.blas_threads() is not None else 0
+
+
+def _run_rounds(wanted: int, n_rounds: int, tasks, combine, train, model, data: SplitData,
+                mode: str, unit: str, lr: float, predictors=()) -> TrainResult:
+    """_train over n_rounds rounds of tasks(r), each task trained by
+    train(r, position, task, global_params); combine(tasks, trained) gives
+    the round's parameters and the clients to log. The rounds train in
+    _pool_size(wanted) forked workers, which with predictors also predict
+    the evaluated splits, or one after another in this process."""
+    def serial(r: int, params: ModelParameters):
+        round_tasks = tasks(r)
+        trained = [train(r, pos, task, params) for pos, task in enumerate(round_tasks)]
+        return *combine(round_tasks, trained), None
+
+    def pooled(r: int, params: ModelParameters):
+        if r == 0:
+            workers.dispatch(0, tasks(0), params)
+        upcoming = tasks(r + 1) if r + 1 < n_rounds else None  # while round r trains
+        params, clients = combine(*workers.collect())
+        if upcoming is None:
+            return params, clients, None
+        workers.dispatch(r + 1, upcoming, params)  # with predictors, the workers evaluate params
+        return params, clients, workers.predictions() if predictors else None
+
+    n_workers, workers = (_pool_size(wanted) if n_rounds else 0), None
+    if n_workers:
+        from .pool import CannotFork, ClientPool
+
+        with suppress(CannotFork):  # the rounds then train in this process
+            workers = ClientPool(n_workers, model.layout, len(tasks(0)), train, predictors,
+                                 mode=mode, unit=unit)
+    with workers or nullcontext():
+        return _train(model, data, pooled if workers else serial, n_rounds, mode, unit, lr)
+
+
 def run_centralized(data: SplitData, model, cfg: CentralConfig) -> TrainResult:
-    """Mini-batch Adam over the pooled training split, one epoch per round."""
+    """Mini-batch Adam over the pooled training split, one epoch per round
+    (see the module docstring for when the epochs train in a forked worker)."""
     interval = cfg.optimizer_reset_interval
     adam = None
 
-    def epoch(t: int, params: ModelParameters):
+    def epoch(t: int, pos, task, params) -> ModelParameters:
+        """Epoch t, on the model's own parameters: it trained params."""
         nonlocal adam
         if t == 0 or (interval is not None and t % interval == 0):
             adam = init_adam(model.layout.total, cfg.lr)
         rng = rng_from(cfg.seed, STREAM_EPOCH, t, 0)
         train_one_epoch(model, data.X_train, data.st_train, data.y_train, cfg.batch_size, adam, rng)
-        return get_params(model), ()
+        return get_params(model)
 
-    return _train(model, data, epoch, cfg.epochs, "centralized", "epoch", cfg.lr)
-
-
-def _pool_size(clients_per_round: int) -> int:
-    """Workers to fork for rounds of this many clients, or 0 to train them
-    one after another in this process.
-
-    The pool needs two clients a round and an OpenBLAS whose thread count it
-    can set. It also needs local_train to be this module's own function:
-    when something in this process wraps it (a tracer, a test spy), a forked
-    worker would carry the wrapper off and drop what it records, so such
-    runs stay serial. Whether this process can fork is pool.Workers' call.
-    """
-    if clients_per_round < 2 or local_train is not _OWN_LOCAL_TRAIN:
-        return 0
-    from . import pool  # serial runs never load it
-
-    return min(MAX_WORKERS, clients_per_round) if pool.blas_threads() is not None else 0
+    return _run_rounds(1, cfg.epochs, lambda t: (None,), lambda tasks, trained: (trained[0], ()),
+                       epoch, model, data, "centralized", "epoch", cfg.lr)
 
 
 def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
@@ -292,34 +353,14 @@ def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
         return local_train(model, global_params, Xc, stc, yc, cfg.local_epochs,
                            cfg.batch_size, cfg.lr, epoch_rngs)
 
-    def updates(clients, params) -> list[tuple[ModelParameters, int]]:
-        return [(p, len(client_data[cid][2])) for cid, p in zip(clients, params)]
-
-    def fed_round(r: int, global_params: ModelParameters):
-        clients = sampled(r)
-        trained = [train_client(r, pos, cid, global_params) for pos, cid in enumerate(clients)]
-        return aggregate(updates(clients, trained)), clients
-
-    def pooled_round(r: int, global_params: ModelParameters):
-        if r == 0:
-            workers.dispatch(0, sampled(0), global_params)
-        upcoming = sampled(r + 1) if r + 1 < cfg.rounds else ()  # while round r trains
-        clients, trained = workers.collect()
-        params = aggregate(updates(clients, trained))
-        if upcoming:  # round r + 1 trains while _train evaluates round r
-            workers.dispatch(r + 1, upcoming, params)
-        return params, clients
+    def combine(clients, trained):
+        updates = [(p, len(client_data[cid][2])) for cid, p in zip(clients, trained)]
+        return aggregate(updates), clients
 
     m = _clients_per_round(partition.n_clients, cfg.client_fraction)
-    n_workers, workers = (_pool_size(m) if cfg.rounds else 0), None
-    if n_workers:
-        from .pool import CannotFork, ClientPool
-
-        with suppress(CannotFork):  # the rounds then train in this process
-            workers = ClientPool(n_workers, model.layout, m, train_client)
-    with workers or nullcontext():
-        return _train(model, data, pooled_round if workers else fed_round, cfg.rounds,
-                      "federated", "round", cfg.lr)
+    predictors = [partial(_predict, model, X, stations) for X, stations in data.evaluated]
+    return _run_rounds(min(MAX_WORKERS, m) if m > 1 else 0, cfg.rounds, sampled, combine,
+                       train_client, model, data, "federated", "round", cfg.lr, predictors)
 
 
 def detect_convergence(

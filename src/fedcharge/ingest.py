@@ -56,8 +56,9 @@ import json
 import math
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta
-from operator import attrgetter
+from datetime import datetime, timedelta, timezone
+from itertools import repeat
+from operator import attrgetter, floordiv, sub
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,7 @@ TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 _SPLIT_BYTES = 2_500_000
 
 _FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and codes the ids
+_SCAN = 1 << 17  # bytes _split_at reads at a time: numpy's passes over them stay in cache
 
 _SECOND = timedelta(seconds=1)
 # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
@@ -221,11 +223,10 @@ def _session_columns(cells, absent) -> tuple[list[list], np.ndarray]:
             if absent is None:  # JSON: a null or another type is str()'d by the rules
                 suspect |= np.array([type(v) is not str for v in values[-1]], bool)
         elif name.endswith(("_time", "_departure")):
-            seconds, odd = _canonical_seconds(column)
+            fields, odd = _canonical_fields(column)
             none = ~_present(column, absent)
             suspect |= odd if name == "connection_time" else odd & ~none  # else absent is None
-            values.append([None if no else EPOCH + _SECOND * t
-                           for t, no in zip(seconds.tolist(), none.tolist())])
+            values.append(_datetimes(fields, odd, none))
         else:
             numbers, odd = float_column(column, absent)
             suspect |= odd
@@ -286,12 +287,11 @@ _SLACK = np.frombuffer(b"9999-19-39T29:59:59Z", np.uint8) - _STAMP
 _MONTH_DAYS = np.array([31, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # [m]: month m's
 
 
-def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of every cell that is a valid time in the canonical form,
-    and a mask of the other cells, which parse_utc must judge one by one.
-    The form and the fields' ranges are checked on the cells' bytes (years
-    1-9999, leap days included); dates become days by Hinnant's
-    days_from_civil, the inverse of _stamp_cells' civil_from_days.
+def _canonical_fields(stamps) -> tuple[list[np.ndarray], np.ndarray]:
+    """(year, month, day, hour, minute, second) of every cell that is a valid
+    time in the canonical form, and a mask of the other cells, which
+    parse_utc must judge one by one. The form and the fields' ranges are
+    checked on the cells' bytes (years 1-9999, leap days included).
     """
     if not isinstance(stamps, np.ndarray):  # text or JSON cells
         stamps = np.array(
@@ -300,7 +300,7 @@ def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
         )
     n, width = len(stamps), stamps.dtype.itemsize
     if width < 20:
-        return np.zeros(n, np.int64), np.ones(n, bool)
+        return [np.ones(n, np.int32)] * 6, np.ones(n, bool)
     cells = stamps.view(np.uint8).reshape(n, width)
     digits = cells[:, :20] - _STAMP
     bad = (digits > _SLACK).view(np.uint32)  # four bytes of a row at a time
@@ -320,13 +320,32 @@ def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
     leap = ((year & 3) == 0) & ((year != 100 * century) | ((century & 3) == 0))
     ok &= (year > 0) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24)
     ok &= day <= _MONTH_DAYS[np.where(ok, month, 1)] + (leap & (month == 2))
+    return [year, month, day, hour, number(14, 2), number(17, 2)], ~ok
+
+
+def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of every cell that is a valid time in the canonical form
+    (0 for the others), and _canonical_fields' mask. Dates become days by
+    Hinnant's days_from_civil, the inverse of _stamp_cells' civil_from_days.
+    """
+    (year, month, day, hour, minute, second), odd = _canonical_fields(stamps)
     y = year - (month <= 2)  # days_from_civil: years from March 1, in 400-year eras
     era = y // 400
     yoe = y - 400 * era
     doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
     days = 146_097 * era + 365 * yoe + yoe // 4 - yoe // 100 + doy - 719_468
-    t = 86_400 * days.astype(np.int64) + 3_600 * hour + 60 * number(14, 2) + number(17, 2)
-    return np.where(ok, t, 0), ~ok
+    t = 86_400 * days.astype(np.int64) + 3_600 * hour + 60 * minute + second
+    return np.where(odd, 0, t), odd
+
+
+def _datetimes(fields: list[np.ndarray], odd: np.ndarray, none: np.ndarray) -> list:
+    """The UTC datetime of each row's _canonical_fields, None where none is
+    set. An odd row gets 0001-01-01T01:01:01Z: the per-row rules replace it."""
+    fields = [np.where(odd, 1, column).tolist() for column in fields]
+    times = list(map(datetime, *fields, repeat(0), repeat(timezone.utc)))
+    for i in np.flatnonzero(none).tolist():
+        times[i] = None
+    return times
 
 
 def float_column(cells, absent) -> tuple[np.ndarray, np.ndarray]:
@@ -461,17 +480,41 @@ def _convert(path: Path, chunk, strict: bool, issues: list):
 
 def _split_at(path: Path) -> int | None:
     """Where a split parse of path cuts it: the first start of a serial read's
-    block after _FRONT_SHARE of its bytes, so that each half reads the blocks
-    a serial parse reads. None when the file is not CSV, is under
-    _SPLIT_BYTES or has no such block, or when a quote comes before it: only
-    such a quote can open a field that runs on past the cut."""
+    block (line 2 + k * csvio.CHUNK_ROWS) after _FRONT_SHARE of its bytes,
+    so that each half reads the blocks a serial parse reads. None when the
+    file is not CSV, is under _SPLIT_BYTES or has no such block, or when a
+    quote comes before it: only such a quote can open a field that runs on
+    past the cut. Lines are found by csvio.line_ends, the reader's rule, in
+    _SCAN bytes at a time.
+    """
     if not _is_csv(path):
         return None
     size = path.stat().st_size
     if size < _SPLIT_BYTES:
         return None
-    cut = csvio.block_start(path, int(size * _FRONT_SHARE))
-    return cut if cut is not None and cut < size else None
+    share, rows = int(size * _FRONT_SHARE), csvio.CHUNK_ROWS
+    buf, held = bytearray(_SCAN), 0  # buf[:held]: a \r that ended the last read
+    at, seen, target = 0, 0, None  # buf's offset, line ends before it, the line end to cut after
+    with open(path, "rb", buffering=0) as fh:
+        while n := held + fh.readinto(memoryview(buf)[held:]):
+            stop = n - (buf[n - 1] == ord("\r") and at + n < size)  # it may begin a \r\n
+            ends = csvio.line_ends(buf, 0, stop)[0]
+            if target is None and at + stop <= share:
+                found = int(np.count_nonzero(ends))
+            else:
+                ends = np.flatnonzero(ends)
+                found = len(ends)
+                if target is None:  # the last line end of the block that the share is in
+                    before = seen + int(np.searchsorted(ends, share - at))
+                    target = 1 + rows * -(-before // rows)
+                if target - seen <= found:
+                    cut = at + int(ends[target - seen - 1]) + 1
+                    return None if buf.find(b'"', 0, cut - at) >= 0 or cut == size else cut
+            if buf.find(b'"', 0, stop) >= 0:
+                return None
+            buf[: n - stop] = buf[stop:n]
+            at, seen, held = at + stop, seen + found, n - stop
+    return None
 
 
 def _halves(path: Path, strict: bool) -> "_Halves | None":
@@ -583,7 +626,8 @@ def _session_cells(values: list) -> list | np.ndarray:
     elif kinds == {datetime}:
         times = [v for v in values if v is not None]
         with suppress(TypeError):  # a naive time, which format_utc reads as local
-            t = np.array(list(map(epoch_seconds, times)), np.int64)
+            t = np.array(list(map(floordiv, map(sub, times, repeat(EPOCH)), repeat(_SECOND))),
+                         np.int64)  # epoch_seconds of each
             if _FIRST_SECOND <= t.min() and t.max() <= _LAST_SECOND:
                 texts = iter(_stamp_cells(t).view("S20").ravel().astype("U20").tolist())
                 return ["" if v is None else next(texts) for v in values]

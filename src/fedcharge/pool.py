@@ -1,13 +1,15 @@
 """Forked worker processes, and the pool that trains FedAvg clients on them.
 
-Workers is the package's one fork implementation. Two users start workers
+Workers is the package's one fork implementation. Three users start workers
 through it: federation.run_federated, whose ClientPool (below) trains the
-sampled clients of each round, and ingest.parse_timeseries, whose worker
+sampled clients of each round and predicts the evaluated splits;
+federation.run_centralized, whose one-worker ClientPool trains the epochs
+and holds their Adam state; and ingest.parse_timeseries, whose worker
 converts the back half of a large time-series file. Workers raises
 CannotFork, leaving no worker, where this process cannot fork: with fewer
 than two usable CPUs, no os.fork, in a daemonic process or when a fork
-raises OSError. Both users then run serially: the parse reads the whole
-file here, and a federated run trains each round's clients in turn.
+raises OSError. Each user then runs serially: the parse reads the whole
+file here, and a trainer trains each round in turn.
 
 A worker is forked with SIGINT blocked and then ignores it, so a ^C reaches
 only the parent, which stops its workers. Messages cross a pipe both ways,
@@ -16,7 +18,9 @@ straight into a buffer the receiver allocates. An exception a worker raises
 goes back and is raised in the parent; a worker that dies makes the parent
 raise WorkerDied. Every worker is reaped when its Workers closes, on every
 exit path. Importing this module does not import multiprocessing (about
-1 MB of RSS and 10 ms), which only forking needs.
+1 MB of RSS and 10 ms), which only forking needs. This module alone
+imports multiprocessing and ctypes, so the workers' heap and BLAS settings
+live here.
 
 ClientPool forks its workers once per run, so each one inherits the model,
 every client's rows and the training function without a copy or a pickle.
@@ -24,7 +28,11 @@ Parameter vectors never cross a pipe. θ_global and each θ_k live in one
 shared (1 + m, P) float64 buffer of anonymous mmap memory: row 0 holds the
 global parameters, row 1 + p the update of the client at sampled position p.
 A pipe carries only (round, [(position, client)]) to a worker and a status
-back: None, or the first position that failed with its exception.
+back: None, or the first position that failed with its exception. Row 0
+of every round after the first holds the last round's result: given
+predictors, the workers first predict the evaluated splits from it, split k
+on worker k mod n_workers, and those predictions come back before the
+round's status.
 
 Every process runs one OpenBLAS thread while a ClientPool is open, and the
 parent's count is restored when it closes. A client's products are small,
@@ -218,27 +226,30 @@ class Workers:
 class ClientPool:
     """n_workers forked processes, each calling train(r, position, client,
     global_params) -> ModelParameters for its share of one round's clients.
+    predictors[k](params) gives the predictions of evaluated split k.
 
     dispatch() starts a round and returns at once; collect() waits for it. A
     round's positions go to the workers in turn (position p to worker
-    p mod n_workers), and each worker trains its positions in order. Leaving
-    the pool's with-block stops the workers: at once when an exception leaves
-    it (a round may still be in flight), after their current message
-    otherwise.
+    p mod n_workers), and each worker trains its positions in order. mode and
+    unit name the run and its rounds when a worker dies. Leaving the pool's
+    with-block stops the workers: at once when an exception leaves it (a
+    round may still be in flight), after their current message otherwise.
     """
 
-    def __init__(self, n_workers: int, layout, slots: int, train):
+    def __init__(self, n_workers: int, layout, slots: int, train, predictors=(), *,
+                 mode: str, unit: str):
         self._layout = layout
         self._rows = np.frombuffer(mmap.mmap(-1, (1 + slots) * layout.total * 8),
                                    dtype=np.float64).reshape(1 + slots, layout.total)
-        self._train = train
+        self._train, self._predictors = train, predictors
         self._n_workers = n_workers
+        self._names = mode, unit
         self._round: tuple[int, tuple] | None = None
         self._get_threads, self._set_threads = blas_threads()
         self._threads_before = self._get_threads()
         self._set_threads(1)
         try:
-            self._workers = Workers(n_workers, self._train_round, self._set_up_worker)
+            self._workers = Workers(n_workers, self._serve, self._set_up_worker)
         except BaseException:
             self._set_threads(self._threads_before)
             raise
@@ -263,11 +274,14 @@ class ClientPool:
             mallopt(_M_TRIM_THRESHOLD, 64 << 20)
             mallopt(_M_MMAP_THRESHOLD, 16 << 20)
 
-    def _train_round(self, message):
-        """A worker's positions of one round, in order: None, or the first
-        position that failed and its exception."""
-        r, tasks = message
+    def _serve(self, message):
+        """A worker's answer: for a split k, its predictions from row 0; for
+        (r, tasks), its positions of round r in order, and then None or the
+        first position that failed and its exception."""
         global_params = ModelParameters(self._layout, self._rows[0])
+        if isinstance(message, int):
+            return self._predictors[message](global_params)
+        r, tasks = message
         for pos, client in tasks:
             try:
                 self._rows[1 + pos] = self._train(r, pos, client, global_params).values
@@ -276,12 +290,21 @@ class ClientPool:
         return None
 
     def dispatch(self, r: int, clients: tuple, global_params: ModelParameters) -> None:
-        """Start training round r's clients from global_params."""
+        """Start training round r's clients from global_params. From round 1
+        on, global_params are the last round's result, and the workers first
+        predict each split from them (see predictions())."""
         self._rows[0] = global_params.values
         self._round = (r, clients)
         n = self._n_workers
         for w in range(n):
+            for k in range(w, len(self._predictors) if r else 0, n):
+                self._workers.send(w, k)
             self._workers.send(w, (r, [(pos, cid) for pos, cid in enumerate(clients)][w::n]))
+
+    def predictions(self) -> list[np.ndarray]:
+        """Each split's predictions of the parameters that the round just
+        dispatched (not round 0) started from, in split order."""
+        return [self._recv(k % self._n_workers) for k in range(len(self._predictors))]
 
     def collect(self) -> tuple[tuple, list[ModelParameters]]:
         """The dispatched round's clients and their updates in sampled order.
@@ -290,20 +313,22 @@ class ClientPool:
         the clients one after another would, or a RuntimeError naming the
         round when a worker died.
         """
-        r, clients = self._round
+        clients = self._round[1]
+        statuses = [self._recv(w) for w in range(self._n_workers)]
+        failures = [status for status in statuses if status is not None]
         self._round = None
-        failures = []
-        for w in range(self._n_workers):
-            try:
-                status = self._workers.recv(w)
-            except WorkerDied as dead:
-                raise RuntimeError(f"federated training worker {dead.pid} exited with "
-                                   f"code {dead.exitcode} in round {r + 1}") from None
-            if status is not None:
-                failures.append(status)
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
         return clients, [ModelParameters(self._layout, row) for row in self._rows[1 : 1 + len(clients)]]
+
+    def _recv(self, w: int):
+        """Worker w's next answer; a RuntimeError naming the round when it died."""
+        try:
+            return self._workers.recv(w)
+        except WorkerDied as dead:
+            mode, unit = self._names
+            raise RuntimeError(f"{mode} training worker {dead.pid} exited with code "
+                               f"{dead.exitcode} in {unit} {self._round[0] + 1}") from None
 
     def close(self, clean: bool = True) -> None:
         """Stop the workers, reap them and restore the BLAS thread count."""

@@ -1,7 +1,8 @@
 """Reference parsers, writers and block reader: the per-row parsers, the
-per-session time-series writer, the per-value sessions writer and the
-text-mode block reader that the batched ones in fedcharge.ingest and
-fedcharge.csvio replaced, kept as test oracles.
+per-session time-series writer, the per-value sessions writer, the
+text-mode block reader and the block-by-block search for a split parse's
+cut that the batched ones in fedcharge.ingest and fedcharge.csvio replaced,
+kept as test oracles.
 
 They read one row at a time through csv.DictReader (or json.loads for JSON
 lines) and apply the row rules in the same order; the time-series parser
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedcharge import csvio
+from fedcharge import csvio, ingest
 from fedcharge.csvio import csv_text
 from fedcharge.ingest import (
     SESSION_COLUMNS,
@@ -280,3 +281,31 @@ def _line_breaks(raw: bytes) -> tuple[int, int]:
     cr = np.flatnonzero(buf[:-1] == ord("\r"))
     bare = int(np.count_nonzero(buf[cr + 1] != ord("\n"))) + raw.endswith(b"\r")
     return int(np.count_nonzero(buf == ord("\n"))) + bare, bare
+
+
+def block_start(path, after: int) -> int | None:
+    """The first offset past byte `after` at which Reader(path).blocks()
+    starts a block or ends; None when a quote comes before it. The bytes
+    before it are not checked to be UTF-8."""
+    end = 0
+    with open(path, "rb", buffering=0) as fh:
+        lines = csvio._Lines(fh)
+        for size in chain([1], repeat(csvio.CHUNK_ROWS)):
+            raw = lines.take(size)[0]
+            if not raw or b'"' in raw:
+                return None
+            end += len(raw)
+            if end > after:
+                return end
+
+
+def split_at(path: Path) -> int | None:
+    """ingest._split_at through block_start, which cuts the front into the
+    reader's blocks to find the cut."""
+    if not _is_csv(path):
+        return None
+    size = path.stat().st_size
+    if size < ingest._SPLIT_BYTES:
+        return None
+    cut = block_start(path, int(size * ingest._FRONT_SHARE))
+    return cut if cut is not None and cut < size else None

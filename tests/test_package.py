@@ -48,10 +48,20 @@ def imports(path: Path):
             yield from ((module, alias.name) for alias in node.names)
 
 
+def importers(*names: str) -> list[str]:
+    """The modules that import any of the named top-level modules."""
+    return [path.name for path in MODULES
+            if any(module.split(".")[0] in names for module, _ in imports(path))]
+
+
 def test_only_csvio_imports_csv():
-    importers = [path.name for path in MODULES
-                 if any(module.split(".")[0] == "csv" for module, _ in imports(path))]
-    assert importers == ["csvio.py"]
+    assert importers("csv") == ["csvio.py"]
+
+
+def test_only_pool_forks():
+    """pool.py is the one fork layer: it alone sets the workers' heap and
+    BLAS threads."""
+    assert importers("multiprocessing", "ctypes") == ["pool.py"]
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -1,14 +1,16 @@
-"""FedAvg rounds trained in forked workers against the same rounds trained one
-after another in this process: bit for bit, on every failure path, where
-this process cannot fork, and with no process left behind.
+"""FedAvg rounds and centralized epochs trained in forked workers against the
+same rounds trained one after another in this process: bit for bit, on
+every failure path, where this process cannot fork, and with no process
+left behind.
 
-A wrapped federation.local_train keeps run_federated serial (as it does for
-a traced run), so every pooled result here has a serial oracle.
+A wrapped federation.local_train keeps both trainers serial (as a traced
+run's wrappers do), so every pooled result here has a serial oracle.
 """
 
 from __future__ import annotations
 
 import errno
+import functools
 import multiprocessing
 import os
 import re
@@ -25,9 +27,16 @@ import pytest
 import fedcharge
 import fedcharge.federation as federation
 from fedcharge import pool
+from fedcharge import cli
 from fedcharge.cli import dispatch
 from fedcharge.evaluation import build_model, prepare_splits, split
-from fedcharge.federation import FedConfig, run_federated, sample_clients
+from fedcharge.federation import (
+    CentralConfig,
+    FedConfig,
+    run_centralized,
+    run_federated,
+    sample_clients,
+)
 from fedcharge.models import LinearRegressor, MlpRegressor, set_params
 from fedcharge.partition import partition_by_station
 
@@ -36,6 +45,7 @@ pytestmark = pytest.mark.skipif(
     reason="the pool needs two usable CPUs, os.fork and a settable OpenBLAS")
 
 DIVERGED = r"federated training diverged in round {} at lr {}: the {} is (nan|inf)"
+CENTRAL_DIVERGED = r"centralized training diverged in epoch {} at lr {}: the {} is (nan|inf)"
 
 
 @pytest.fixture(autouse=True)
@@ -58,7 +68,7 @@ def prepared(small_table):
 
 
 def train_serially(monkeypatch) -> None:
-    """Makes run_federated train every round in this process."""
+    """Makes both trainers train every round in this process."""
     own = federation.local_train
     monkeypatch.setattr(federation, "local_train", lambda *args: own(*args))
 
@@ -77,11 +87,11 @@ def dispatched(monkeypatch):
     return calls
 
 
-def fit(prepared, kind: str, cfg: FedConfig):
+def fit(prepared, kind: str, cfg: FedConfig | CentralConfig):
     """The run's result and the test predictions of its best parameters."""
     data = prepared.data
     model = build_model(kind, data.X_train.shape[1], prepared.vocab.cardinality, cfg.seed)
-    result = run_federated(data, model, cfg)
+    result = (run_federated if isinstance(cfg, FedConfig) else run_centralized)(data, model, cfg)
     set_params(model, result.best_params)
     return result, model.predict(data.X_test, data.st_test)
 
@@ -93,7 +103,7 @@ def outputs(result, predictions) -> tuple:
             np.asarray(predictions).tobytes())
 
 
-def failure(prepared, kind: str, cfg: FedConfig, exc_type=ValueError) -> str:
+def failure(prepared, kind: str, cfg: FedConfig | CentralConfig, exc_type=ValueError) -> str:
     with np.errstate(all="ignore"), pytest.raises(exc_type) as info:
         fit(prepared, kind, cfg)
     return str(info.value)
@@ -118,6 +128,28 @@ def test_pooled_rounds_equal_serial_rounds(prepared, monkeypatch, dispatched, ki
     assert len(dispatched) == 3
 
 
+def test_workers_evaluate_every_round_but_the_last(prepared, monkeypatch):
+    """This process predicts the splits of the last round only (and the
+    test split of the best parameters after the run); the workers predict
+    them for every other round, to the same bits."""
+    calls, original = [], MlpRegressor.predict
+
+    def counted(self, X, stations):
+        calls.append(len(X))
+        return original(self, X, stations)
+
+    monkeypatch.setattr(MlpRegressor, "predict", counted)
+    cfg = FedConfig(rounds=4, client_fraction=0.3, seed=9)
+    pooled = outputs(*fit(prepared, "mlp", cfg))
+    data = prepared.data
+    splits = [len(data.y_val), len(data.y_test)]
+    assert calls == splits + [len(data.y_test)]
+    calls.clear()
+    train_serially(monkeypatch)
+    assert outputs(*fit(prepared, "mlp", cfg)) == pooled
+    assert calls == splits * cfg.rounds + [len(data.y_test)]
+
+
 def test_one_blas_thread_while_the_pool_runs(prepared, monkeypatch):
     get_threads, set_threads = pool.blas_threads()
     before = get_threads()
@@ -127,9 +159,9 @@ def test_one_blas_thread_while_the_pool_runs(prepared, monkeypatch):
             pytest.skip("this OpenBLAS runs at most one thread")
         seen, evaluate = [], federation._evaluate
 
-        def spy(model, params, data):
+        def spy(*args):
             seen.append(get_threads())
-            return evaluate(model, params, data)
+            return evaluate(*args)
 
         monkeypatch.setattr(federation, "_evaluate", spy)
         fit(prepared, "lr", FedConfig(rounds=2, seed=2))
@@ -207,10 +239,24 @@ class TestFailures:
         train_serially(monkeypatch)
         assert failure(prepared, "mlp", cfg) == pooled
 
-    @pytest.mark.parametrize("when", ["first round", "later round"])
+    @pytest.mark.parametrize("when", ["first round", "later round", "evaluating"])
     def test_dead_worker_names_the_round(self, prepared, monkeypatch, when):
         cfg = FedConfig(rounds=6, client_fraction=0.3, seed=6)
         victim, round_number = None, 1
+        parent = os.getpid()
+        if when == "evaluating":  # round 1's parameters, before round 2's clients
+            predict = MlpRegressor.predict
+
+            def dying_predict(self, X, stations):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return predict(self, X, stations)
+
+            monkeypatch.setattr(MlpRegressor, "predict", dying_predict)
+            message = failure(prepared, "mlp", cfg, RuntimeError)
+            assert re.fullmatch(r"federated training worker \d+ exited with code 3 in round 2",
+                                message)
+            return
         if when == "later round":  # the first client sampled in no round before
             partition = partition_by_station(prepared.data.station_ids_train)
             seen = set(sample_clients(partition, cfg.client_fraction, 0, cfg.seed))
@@ -222,7 +268,6 @@ class TestFailures:
                     break
                 seen.update(clients)
             assert round_number > 1
-        parent = os.getpid()
         original = LinearRegressor.loss_and_grad
 
         def dying(self, X, stations, y, rng=None):
@@ -240,12 +285,12 @@ class TestFailures:
         cfg = FedConfig(rounds=3, client_fraction=0.3, seed=7)
         evaluate, interrupted = federation._evaluate, []
 
-        def interrupting(model, params, data):
+        def interrupting(*args):
             if not interrupted:  # round 2 is training in the workers now
                 interrupted.extend(multiprocessing.active_children())
                 for worker in interrupted:
                     os.kill(worker.pid, signal.SIGINT)
-            return evaluate(model, params, data)
+            return evaluate(*args)
 
         monkeypatch.setattr(federation, "_evaluate", interrupting)
         pooled = outputs(*fit(prepared, "mlp", cfg))
@@ -258,7 +303,7 @@ class TestFailures:
         threads = get_threads()
         workers = []
 
-        def interrupted(model, params, data):
+        def interrupted(*args):
             workers.extend(multiprocessing.active_children())
             raise KeyboardInterrupt
 
@@ -311,6 +356,161 @@ def run_files(out: Path) -> dict[str, bytes]:
             for name in ("rounds.csv", "model.ckpt", "predictions.csv", "summary.json")}
 
 
+def central(features, out, *flags: str) -> int:
+    """A centralized train of the features in this process; its exit code."""
+    return dispatch(["train", "--features", str(features), "--mode", "centralized",
+                     "--model", "mlp", "--epochs", "4", "--batch-size", "16", "--seed", "4",
+                     *flags, "--out", str(out)])
+
+
+def with_reset(monkeypatch, interval: int | None) -> None:
+    """Makes the CLI's centralized runs reset Adam every interval epochs."""
+    cls, keys = cli.SCHEMA["central"]
+    monkeypatch.setitem(cli.SCHEMA, "central",
+                        (functools.partial(cls, optimizer_reset_interval=interval), keys))
+
+
+class TestCentralized:
+    """One forked worker trains the epochs and holds the Adam state while this
+    process evaluates the epoch before."""
+
+    @pytest.mark.parametrize("kind, dropout", [("mlp", "0"), ("mlp", "0.2"), ("lr", "0.2"),
+                                               ("dummy-mean", "0.2"), ("dummy-gauss", "0.2")])
+    @pytest.mark.parametrize("reset", [None, 3])
+    @pytest.mark.parametrize("epochs", [0, 1, 5])
+    def test_pooled_epochs_equal_serial_epochs(self, features, tmp_path, monkeypatch, dispatched,
+                                               kind, dropout, reset, epochs):
+        # About 50 training rows in batches of 16: every epoch ends on a partial batch.
+        with_reset(monkeypatch, reset)
+        flags = ["--model", kind, "--dropout", dropout, "--epochs", str(epochs)]
+        assert central(features, tmp_path / "pooled", *flags) == 0
+        trained = epochs if kind in ("mlp", "lr") else 0  # the dummies are fitted, not trained
+        assert dispatched == [(t, (None,)) for t in range(trained)]
+        train_serially(monkeypatch)
+        assert central(features, tmp_path / "serial", *flags) == 0
+        assert len(dispatched) == trained
+        assert run_files(tmp_path / "pooled") == run_files(tmp_path / "serial")
+
+    @staticmethod
+    def failures(prepared, monkeypatch, kind: str, cfg: CentralConfig, *counters: list) -> str:
+        """The failure of a pooled run, which must be a serial run's too;
+        the counters of poison() start from 0 in each."""
+        pooled = failure(prepared, kind, cfg)
+        train_serially(monkeypatch)
+        for counter in counters:
+            counter.clear()
+        assert failure(prepared, kind, cfg) == pooled
+        return pooled
+
+    @pytest.mark.parametrize("kind", ["mlp", "lr"])
+    def test_diverging_batch_in_the_first_epoch(self, prepared, monkeypatch, dispatched, kind):
+        cfg = CentralConfig(epochs=4, batch_size=10, lr=1e200, seed=3)
+        message = self.failures(prepared, monkeypatch, kind, cfg)
+        assert re.fullmatch(CENTRAL_DIVERGED.format(1, r"1e\+200", "batch loss"), message)
+        assert [t for t, _ in dispatched] == [0]
+
+    @staticmethod
+    def poison(monkeypatch, cls, method: str, after: int, value=float("nan")) -> list:
+        """Makes cls.method give value (a loss, or every prediction) from its
+        call after `after` on, in whichever process calls it; returns the
+        list that counts the calls."""
+        original, calls = getattr(cls, method), []
+
+        def poisoned(self, *args):
+            calls.append(None)
+            out = original(self, *args)
+            if len(calls) <= after:
+                return out
+            return (value, out[1]) if method == "loss_and_grad" else np.full_like(out, value)
+
+        monkeypatch.setattr(cls, method, poisoned)
+        return calls
+
+    @pytest.mark.parametrize("kind, cls", [("mlp", MlpRegressor), ("lr", LinearRegressor)])
+    def test_diverging_batch_in_a_later_epoch(self, prepared, monkeypatch, kind, cls):
+        batches = -(-len(prepared.data.y_train) // 10)
+        calls = self.poison(monkeypatch, cls, "loss_and_grad", 2 * batches + 1)  # epoch 3's 2nd
+        cfg = CentralConfig(epochs=5, batch_size=10, seed=3)
+        message = self.failures(prepared, monkeypatch, kind, cfg, calls)
+        assert message == "centralized training diverged in epoch 3 at lr 0.001: " \
+                          "the batch loss is nan"
+
+    def test_validation_failure_in_the_first_epoch(self, prepared, monkeypatch, dispatched):
+        # One step leaves a finite loss and parameters out of range; epoch 2
+        # is already training when epoch 1's validation fails.
+        cfg = CentralConfig(epochs=4, batch_size=10_000, lr=1e200, seed=3)
+        message = self.failures(prepared, monkeypatch, "mlp", cfg)
+        assert re.fullmatch(CENTRAL_DIVERGED.format(1, r"1e\+200", "validation MAE"), message)
+        assert [t for t, _ in dispatched] == [0, 1]
+
+    @pytest.mark.parametrize("then", ["nothing", "a diverging batch"])
+    def test_validation_failure_in_a_later_epoch(self, prepared, monkeypatch, then):
+        """Epoch 3's validation fails while epoch 4 trains; a batch of epoch
+        4 that diverges too does not come first."""
+        counters = [self.poison(monkeypatch, MlpRegressor, "predict", 4)]  # epoch 3's val split
+        if then == "a diverging batch":
+            batches = -(-len(prepared.data.y_train) // 10)
+            counters.append(self.poison(monkeypatch, MlpRegressor, "loss_and_grad", 3 * batches))
+        cfg = CentralConfig(epochs=5, batch_size=10, seed=3)
+        message = self.failures(prepared, monkeypatch, "mlp", cfg, *counters)
+        assert message == "centralized training diverged in epoch 3 at lr 0.001: " \
+                          "the validation MAE is nan"
+
+    @pytest.mark.parametrize("epoch", [1, 3])
+    def test_dead_worker_names_the_epoch(self, prepared, monkeypatch, epoch):
+        parent, original, calls = os.getpid(), MlpRegressor.loss_and_grad, []
+        batches = -(-len(prepared.data.y_train) // 10)
+
+        def dying(self, *args):
+            calls.append(None)
+            if os.getpid() != parent and len(calls) > (epoch - 1) * batches:
+                os._exit(3)
+            return original(self, *args)
+
+        monkeypatch.setattr(MlpRegressor, "loss_and_grad", dying)
+        message = failure(prepared, "mlp", CentralConfig(epochs=5, batch_size=10, seed=3),
+                          RuntimeError)
+        assert re.fullmatch(rf"centralized training worker \d+ exited with code 3 in epoch "
+                            rf"{epoch}", message)
+
+    @pytest.mark.parametrize("end", ["success", "error", "interrupt"])
+    def test_no_child_outlives_a_train(self, features, tmp_path, monkeypatch, end):
+        get_threads, _ = pool.blas_threads()
+        threads, seen, evaluate = get_threads(), [], federation._evaluate
+
+        def spy(*args):
+            seen.extend(multiprocessing.active_children())
+            if end == "interrupt":
+                raise KeyboardInterrupt
+            return evaluate(*args)
+
+        monkeypatch.setattr(federation, "_evaluate", spy)
+        if end == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                central(features, tmp_path)
+        else:
+            flags = ["--lr", "1e200", "--batch-size", "10000"] if end == "error" else []
+            assert central(features, tmp_path, *flags) == (1 if end == "error" else 0)
+        assert seen
+        assert not any(worker.is_alive() for worker in seen)
+        assert multiprocessing.active_children() == []
+        assert get_threads() == threads
+
+    @pytest.mark.parametrize("blocker", ["one usable CPU", "no settable BLAS",
+                                         "wrapped train_one_epoch", "wrapped adam_step"])
+    def test_fallbacks_train_in_this_process(self, prepared, monkeypatch, dispatched, blocker):
+        if blocker == "one usable CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif blocker == "no settable BLAS":
+            monkeypatch.setattr(pool, "blas_threads", lambda: None)
+        else:
+            name = blocker.split()[1]
+            own = getattr(federation, name)
+            monkeypatch.setattr(federation, name, lambda *args: own(*args))
+        result, _ = fit(prepared, "mlp", CentralConfig(epochs=2, seed=2))
+        assert len(result.logs) == 2 and dispatched == []
+
+
 class TestRefusedFork:
     """A run whose process cannot fork trains its rounds in that process,
     with the bytes of a serial run and exit 0."""
@@ -319,18 +519,18 @@ class TestRefusedFork:
     def serial(self, features, tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             train_serially(patch)
-            assert train(features, tmp_path / "serial") == 0
-        return run_files(tmp_path / "serial")
+            for run in (train, central):
+                assert run(features, tmp_path / "serial" / run.__name__) == 0
+        return {run: run_files(tmp_path / "serial" / run.__name__) for run in (train, central)}
 
-    def test_in_a_daemonic_process(self, features, tmp_path, serial):
-        """multiprocessing lets no daemonic process, such as a Pool's worker,
-        start a child."""
+    @staticmethod
+    def in_a_daemonic_process(run, features, out: Path) -> None:
         fork = multiprocessing.get_context("fork")
         here, there = fork.Pipe(duplex=False)
 
         def train_in_child():
             try:
-                there.send(train(features, tmp_path / "daemonic"))
+                there.send(run(features, out))
             except BaseException as exc:
                 there.send(repr(exc))
 
@@ -342,7 +542,16 @@ class TestRefusedFork:
         finally:
             child.join(5)
         assert child.exitcode == 0
-        assert run_files(tmp_path / "daemonic") == serial
+
+    def test_in_a_daemonic_process(self, features, tmp_path, serial):
+        """multiprocessing lets no daemonic process, such as a Pool's worker,
+        start a child."""
+        self.in_a_daemonic_process(train, features, tmp_path / "daemonic")
+        assert run_files(tmp_path / "daemonic") == serial[train]
+
+    def test_centralized_in_a_daemonic_process(self, features, tmp_path, serial):
+        self.in_a_daemonic_process(central, features, tmp_path / "daemonic")
+        assert run_files(tmp_path / "daemonic") == serial[central]
 
     @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
     def test_fork_fails(self, features, tmp_path, monkeypatch, serial, dispatched, code):
@@ -350,31 +559,55 @@ class TestRefusedFork:
             raise OSError(code, os.strerror(code))
 
         monkeypatch.setattr(os, "fork", fails)
-        assert train(features, tmp_path / "refused") == 0
-        assert run_files(tmp_path / "refused") == serial
+        for run in (train, central):
+            assert run(features, tmp_path / "refused") == 0
+            assert run_files(tmp_path / "refused") == serial[run]
+        assert dispatched == []
+
+    def test_one_usable_cpu(self, features, tmp_path, monkeypatch, serial, dispatched):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        for run in (train, central):
+            assert run(features, tmp_path / "one-cpu") == 0
+            assert run_files(tmp_path / "one-cpu") == serial[run]
         assert dispatched == []
 
 
-# Of a pooled 150-round train, the main process and its workers together; a
-# worker whose malloc maps its gradients and Adam state afresh each time
-# takes several hundred page faults a client.
+# Of a pooled 150-round train or 300-epoch centralized train, the main
+# process and its workers together; a worker whose malloc maps its gradients
+# and Adam state afresh each time takes several hundred page faults a
+# client, and a centralized run in this process about 170 an epoch.
 MINOR_FAULTS = 50_000
+
+
+def train_faults(features, cwd: Path, out: str, *flags: str) -> int:
+    """The minor page faults of a train in a fresh process and its workers."""
+    src = str(Path(fedcharge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedcharge", "train", "--features", str(features),
+         "--model", "mlp", *flags, "--out", out], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=60)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    assert proc.returncode == 0, proc.stderr
+    return faults
 
 
 @pytest.mark.parametrize("length", [16, 61])
 def test_pooled_train_workers_keep_their_heap(features, tmp_path, length):
     """A worker's heap must not depend on where the parent's heap stood at
     the fork, which the --out path's length moves."""
-    src = str(Path(fedcharge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = "o" * length
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    proc = subprocess.run(
-        [sys.executable, "-m", "fedcharge", "train", "--features", str(features),
-         "--mode", "federated", "--model", "mlp", "--rounds", "150", "--fraction", "0.6",
-         "--out", out], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
-    assert proc.returncode == 0, proc.stderr
+    faults = train_faults(features, tmp_path, out, "--mode", "federated", "--rounds", "150",
+                          "--fraction", "0.6")
     assert len((tmp_path / out / "rounds.csv").read_text().splitlines()) == 151
+    assert faults < MINOR_FAULTS
+
+
+@pytest.mark.parametrize("length", [16, 61])
+def test_the_centralized_worker_keeps_its_heap(features, tmp_path, length):
+    out = "o" * length
+    faults = train_faults(features, tmp_path, out, "--mode", "centralized", "--epochs", "300")
+    assert len((tmp_path / out / "rounds.csv").read_text().splitlines()) == 301
     assert faults < MINOR_FAULTS

@@ -25,11 +25,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ingest_reference
 from fedcharge import csvio, ingest, pool
 from fedcharge.cli import dispatch
 from fedcharge.ingest import ParseError, parse_timeseries, write_timeseries
+from test_csvio import files
 from test_columnar import (
     PLAIN_CELLS,
     TIMESERIES_CELLS,
@@ -252,6 +254,49 @@ class TestSplitEqualsSerial:
         with parsed_in("split") as made:
             parse_timeseries(path)
         assert made == []
+
+
+class TestCut:
+    """_split_at, which counts line ends _SCAN bytes at a time, against
+    ingest_reference.split_at, which cuts the front into the reader's blocks:
+    the same cut or both None, for lines ended by \\n, \\r\\n or a bare
+    \\r (across the edges of reads of a few bytes too), quotes on either
+    side of the cut, any share of the file and 1 to 4,096 lines a block."""
+
+    @staticmethod
+    def cuts(path: Path, chunk_rows: int, share: float, scan: int) -> tuple:
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows), \
+                mock.patch.multiple(ingest, _SPLIT_BYTES=0, _FRONT_SHARE=share, _SCAN=scan):
+            return ingest._split_at(path), ingest_reference.split_at(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=files(), chunk_rows=st.one_of(st.integers(1, 4), st.integers(1, 4_096)),
+           share=st.floats(0, 1), scan=st.sampled_from([2, 3, 7, 64, ingest._SCAN]))
+    def test_equals_the_reference(self, raw, chunk_rows, share, scan):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "timeseries.csv"
+            path.write_bytes(raw)
+            ours, expected = self.cuts(path, chunk_rows, share, scan)
+        assert ours == expected
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64, 4_096])
+    def test_a_depot_file(self, tmp_path, end, chunk_rows):
+        """A time-series file of 6,001 lines: a cut after the first block
+        end past 47% of its bytes, and none once a quote comes before it."""
+        lines = [b"session_id,timestamp,current_a,pilot_a"] + [
+            b"S%d,2019-01-07T08:%02d:00Z,%d.0,32.0" % (i // 60, i % 60, i % 7) for i in range(6_000)]
+        path = tmp_path / "timeseries.csv"
+        raw = end.join(lines) + end
+        path.write_bytes(raw)
+        for scan in (7, ingest._SCAN):
+            cut, expected = self.cuts(path, chunk_rows, 0.47, scan)
+            assert cut == expected > 0.47 * len(raw)
+            assert (raw[:cut].count(end) - 1) % chunk_rows == 0
+        path.write_bytes(raw[:cut] + b'"' + raw[cut:])
+        assert self.cuts(path, chunk_rows, 0.47, ingest._SCAN)[0] is not None
+        path.write_bytes(raw[: cut - 5] + b'"' + raw[cut - 4 :])
+        assert self.cuts(path, chunk_rows, 0.47, ingest._SCAN) == (None, None)
 
 
 class TestSplitMemoryBound:

@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import layers  # noqa: E402
 from spans import Tracer, patched  # noqa: E402
 
+from fedcharge import pool  # noqa: E402
 from fedcharge.cli import dispatch  # noqa: E402
 
 TRAINING_SPANS = ("models.forward", "models.loss_and_grad", "models.adam", "models.predict",
@@ -73,3 +74,27 @@ def test_traced_run_with_several_clients_a_round_stays_whole(features, tmp_path)
     assert metrics["federation.client_updates"] == rounds * m
     adam_steps = sum(span.name == "models.adam" for span in tracer.spans)
     assert metrics["models.grad_calls"] == adam_steps > 0
+
+
+def test_traced_centralized_run_stays_in_this_process(features, tmp_path, monkeypatch):
+    """Untraced, the epochs train in a forked worker. A traced run wraps
+    adam_step and local_train, so they train in this process, where every
+    forward, backward and Adam step is recorded."""
+    dispatched, original = [], pool.ClientPool.dispatch
+
+    def spy(self, *args):
+        dispatched.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(pool.ClientPool, "dispatch", spy)
+    tracer = Tracer()
+    with patched(tracer, layers.TARGETS):
+        assert dispatch(["train", "--features", features, "--mode", "centralized",
+                         "--model", "mlp", "--epochs", "3", "--batch-size", "16",
+                         "--out", str(tmp_path)]) == 0
+    assert dispatched == []
+    metrics = layers.pass_metrics(tracer)
+    for metric in ("models.forward_s", "models.backward_s", "models.adam_s"):
+        assert metrics[metric] > 0, metric
+    adam_steps = sum(span.name == "models.adam" for span in tracer.spans)
+    assert metrics["models.grad_calls"] == adam_steps > 3
