@@ -37,8 +37,12 @@ shifted by the front's lines, so the result, issues and first error are a
 serial parse's. Each half
 reads the blocks a serial parse reads, so a byte that is not UTF-8 stops
 a parse before the rows of its block are converted, split or not. JSON
-lines stay serial, and so does a file whose worker pool.Workers cannot
-fork.
+lines stay serial. The time-series writer splits too, in either format:
+rows whose estimated bytes come to at least _SPLIT_WRITE_BYTES are cut at
+their middle row, a worker formats the back half into an unnamed temporary
+file beside the output, and this process appends it after the front. Every
+check of the writer's input runs before the fork. A file whose worker
+pool.Workers cannot fork is parsed or written serially, with the same result.
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -46,7 +50,9 @@ one block. A worker's pieces reach the parent as arrays of their own, with
 no second copy. When every row's (session, time) key is above the row
 before's, as synth and ingest write files, the rows are grouped and distinct
 already, and the sort and merge are skipped. The writer holds one block of
-rows.
+rows, and so does its worker: the back half crosses no pipe and is copied
+from file to file in the kernel (os.copy_file_range), or through a 1 MB
+buffer where that fails.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from contextlib import nullcontext, suppress
+import os
+from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
@@ -79,12 +86,15 @@ from .sessions import (  # cli, bench/ and tests take the synthetic depot from h
 SESSION_COLUMNS = [f.name for f in fields(SessionRecord)]
 TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 
-# A CSV time-series file at least this long is parsed in two halves when
-# this process can fork (see parse_timeseries). Starting the worker costs
-# about 23 ms in a fresh process (importing multiprocessing, the fork and the
-# pipe), which the second core wins back from about 2.5 MB of depot-style
-# CSV on: below it, a serial parse is as fast or faster.
-_SPLIT_BYTES = 2_500_000
+# A CSV time-series file at least _SPLIT_BYTES long is parsed in two halves,
+# and one whose rows write_timeseries estimates at _SPLIT_WRITE_BYTES or more
+# is written in two, when this process can fork. Starting the worker costs
+# about 10 ms in a fresh process (importing multiprocessing, the fork and the
+# pipe), which the second core wins back from about 3.2 MB of depot-style CSV
+# on in a parse and from about 8 MB in a write: below, serial is as fast or
+# faster (timed in fresh featurize and synth processes).
+_SPLIT_BYTES = 3_200_000
+_SPLIT_WRITE_BYTES = 8_000_000
 
 _FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and codes the ids
 _SCAN = 1 << 17  # bytes _split_at reads at a time: numpy's passes over them stay in cache
@@ -382,7 +392,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     Rows are converted a block at a time and sorted only if out of order. A
     CSV file that _split_at cuts is parsed in two halves when this process
     can fork: a worker converts the back half while this process converts
-    the front, and the result is the one a serial parse gives (see _Halves).
+    the front, and the result is the one a serial parse gives.
     """
     path = Path(path)
     issues: list[tuple[int, str]] = []
@@ -399,16 +409,22 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         for part, column in zip(parts[1:], pieces):
             part.extend(column)
 
-    halves = _halves(path, strict)
+    split = _split_at(path)
+    halves = None if split is None else _forked(path, "parsing", _convert_back,
+                                                (path, split, strict))
+    front = csvio.Reader(path, 0, split) if halves else None
     with halves or nullcontext():
-        chunks = halves.front() if halves else _read_chunks(path, TIMESERIES_COLUMNS)
-        for chunk in chunks:
+        for chunk in _read_chunks(path, TIMESERIES_COLUMNS, front):
             heads, lengths, columns = _convert(path, chunk, strict, issues)
             add(code(heads), lengths, ([column] for column in columns))
             del chunk, heads  # so that the last block's cells and ids go before the join
-        if halves:
-            back_issues, sids, runs, lengths, pieces = halves.back()
-            issues += back_issues
+        if halves:  # the worker numbers its lines from 1
+            shift = front.line - 1
+            try:
+                back_issues, sids, runs, lengths, pieces = halves.back()
+            except ParseError as exc:
+                raise ParseError(path, shift + exc.line_number, exc.reason) from None
+            issues += [(shift + line, text) for line, text in back_issues]
             add(code(sids)[runs], lengths, pieces)  # sids in the order they first appear
             del runs, lengths, pieces  # so that the join frees them
 
@@ -517,36 +533,30 @@ def _split_at(path: Path) -> int | None:
     return None
 
 
-def _halves(path: Path, strict: bool) -> "_Halves | None":
-    """A split parse of path with its worker started, or None for a serial
-    one: when _split_at gives no cut or this process cannot fork."""
-    split = _split_at(path)
-    if split is None:
-        return None
-    from . import pool  # a serial parse never loads it
+def _forked(path: Path, doing: str, handle, job) -> "_Halves | None":
+    """A _Halves with its worker started, or None where this process cannot
+    fork, which then does the whole file itself."""
+    from . import pool  # a serial parse or write never loads it
 
     with suppress(pool.CannotFork):
-        return _Halves(path, split, strict)
+        return _Halves(path, doing, handle, job)
     return None
 
 
 class _Halves:
-    """A CSV time-series file parsed in two halves at byte `split`, a line
-    start: front() gives this process's chunks of the lines before it, while
-    a forked worker converts the lines from it on (_convert_back) and back()
-    returns that. The worker numbers its lines from 1; back() shifts them by
-    the front's lines. Everything that orders the result (session codes,
-    issues, the first error) therefore comes out as in a serial parse: the
-    front's errors are met before the back's are received. Leaving the
-    with-block reaps the worker.
+    """A file parsed or written in two halves: a worker forked through
+    pool.Workers does handle(job) with the back half while this process does
+    the front, and back() returns the worker's result. A worker that dies is
+    named with the file and what it was `doing`. Leaving the with-block
+    reaps the worker.
     """
 
-    def __init__(self, path: Path, split: int, strict: bool):
-        self._path, self._front = path, csvio.Reader(path, 0, split)
+    def __init__(self, path: Path, doing: str, handle, job):
         from .pool import Workers
 
-        self._worker = Workers(1, _convert_back)
-        self._worker.send(0, (path, split, strict))
+        self._path, self._doing = path, doing
+        self._worker = Workers(1, handle)
+        self._worker.send(0, job)
 
     def __enter__(self) -> "_Halves":
         return self
@@ -554,23 +564,15 @@ class _Halves:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._worker.close(clean=exc_type is None)
 
-    def front(self):
-        return _read_chunks(self._path, TIMESERIES_COLUMNS, self._front)
-
     def back(self):
-        """The worker's result (see _convert_back), its lines numbered in the
-        whole file."""
+        """The worker's result; a RuntimeError naming the file if it died."""
         from .pool import WorkerDied
 
-        shift = self._front.line - 1
         try:
-            issues, *runs = self._worker.recv(0)
+            return self._worker.recv(0)
         except WorkerDied as dead:
-            raise RuntimeError(f"{self._path}: the worker parsing its back half exited with "
-                               f"code {dead.exitcode}") from None
-        except ParseError as exc:
-            raise ParseError(self._path, shift + exc.line_number, exc.reason) from None
-        return [(shift + line, text) for line, text in issues], *runs
+            raise RuntimeError(f"{self._path}: the worker {self._doing} its back half exited "
+                               f"with code {dead.exitcode}") from None
 
 
 def _convert_back(job):
@@ -636,11 +638,20 @@ def _session_cells(values: list) -> list | np.ndarray:
 
 def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
     """One row per reading, sessions in index order, built as bytes by _rows
-    a block at a time. A time outside years 1-9999 or an infinite reading,
-    which the parser would reject, raises ValueError naming its session
-    before any write.
+    a block at a time. An empty session id, a time outside years 1-9999 or an
+    infinite reading, which the parser would reject, raises ValueError naming
+    its session before any write.
+
+    Each row's bytes depend on that row alone, so rows whose estimated bytes
+    come to at least _SPLIT_WRITE_BYTES are written in two halves when this
+    process can fork and make a file beside path: a worker formats the back
+    half of the rows into an unnamed temporary file there while this process
+    writes the header and the front half, and then appends the worker's
+    bytes (_append).
     """
     path = Path(path)
+    if "" in index:
+        raise ValueError("cannot write session '': session_id is required")
     sids, series = list(index), list(index.values())
     # Separators join the texts beside them; a float's label goes with it.
     if _is_csv(path):  # only a session id can need quoting
@@ -661,26 +672,62 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
             raise ValueError(f"cannot write session {sid!r}: t={s.t[i]}, current_a="
                              f"{s.current[i]}, pilot_a={s.pilot[i]} (not in years 1-9999, or "
                              f"not finite)")
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        for session, t, current, pilot in _blocks_of(series, step):
+    lengths = np.array(list(map(len, series)), np.int64)
+    n = int(lengths.sum())
+    # The id, the stamp, the separators and labels, and 10 bytes a reading.
+    fixed = 20 + 20 + len("".join(map("".join, floats)))
+    size = int(lengths @ np.array(list(map(len, ids)), np.int64)) + fixed * n
+
+    def write(out, start: int, stop: int) -> None:
+        """Rows start..stop-1 into the binary file out, flushed."""
+        for session, t, current, pilot in _blocks_of(series, step, start, stop):
             parts = [_run_cells(session, session, ids.__getitem__), (_stamp_cells(t), [20])]
             for x, (before, label, after) in zip((current, pilot), floats):
                 parts.append(_run_cells(x.view(np.int64), x, lambda v: (
                     before + ("" if v != v else label + repr(v)) + after).encode()))
-            fh.write(_rows(parts))
+            out.write(_rows(parts))
+        out.flush()
+
+    with ExitStack() as stack:
+        halves, cut = None, n // 2
+        if size >= _SPLIT_WRITE_BYTES:
+            import tempfile  # a serial write never loads it
+
+            with suppress(OSError):  # no file can be made beside path: write serially
+                back = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                halves = stack.enter_context(_forked(
+                    path, "writing", lambda rows: write(back, *rows), (cut, n)) or nullcontext())
+        fh = stack.enter_context(open(path, "wb"))
+        fh.write(header.encode())
+        write(fh, 0, cut if halves else n)
+        if halves:
+            halves.back()
+            _append(fh, back)
 
 
-def _blocks_of(series: list[SessionSeries], step: int):
-    """(session codes, t, current, pilot) of the readings of all sessions in
-    order, `step` rows at a time; each block is gathered from the sessions it
-    spans, so memory stays one block's."""
+def _append(out, back) -> None:
+    """Copy the flushed bytes of file back to the end of file out: in the
+    kernel by os.copy_file_range, through a buffer from where that fails."""
+    size, at = os.fstat(back.fileno()).st_size, 0
+    with suppress(OSError, AttributeError):  # AttributeError: no os.copy_file_range
+        while at < size and (copied := os.copy_file_range(back.fileno(), out.fileno(),
+                                                          size - at, at)):
+            at += copied
+    back.seek(at)
+    while block := back.read(1 << 20):
+        out.write(block)
+
+
+def _blocks_of(series: list[SessionSeries], step: int, start: int, stop: int):
+    """(session codes, t, current, pilot) of readings start..stop-1 of all
+    sessions in order, `step` rows at a time; each block is gathered from the
+    sessions it spans, so memory stays one block's."""
     lengths = np.array([len(s) for s in series], dtype=np.int64)
     ends = np.cumsum(lengths)
     starts = ends - lengths
     columns = [[s.t for s in series], [s.current for s in series], [s.pilot for s in series]]
-    for lo in range(0, int(ends[-1]) if len(ends) else 0, step):
-        hi = min(lo + step, int(ends[-1]))
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
         # Sessions first..last hold rows lo..hi-1; empty ones among them add none.
         first, last = int(np.searchsorted(ends, lo, "right")), int(np.searchsorted(ends, hi))
         head, tail = lo - starts[first], hi - starts[last]

@@ -1,15 +1,16 @@
 """Forked worker processes, and the pool that trains FedAvg clients on them.
 
-Workers is the package's one fork implementation. Three users start workers
+Workers is the package's one fork implementation. Four users start workers
 through it: federation.run_federated, whose ClientPool (below) trains the
 sampled clients of each round and predicts the evaluated splits;
 federation.run_centralized, whose one-worker ClientPool trains the epochs
-and holds their Adam state; and ingest.parse_timeseries, whose worker
-converts the back half of a large time-series file. Workers raises
+and holds their Adam state; ingest.parse_timeseries, whose worker converts
+the back half of a large time-series file; and ingest.write_timeseries,
+whose worker formats the back half of a large one's rows. Workers raises
 CannotFork, leaving no worker, where this process cannot fork: with fewer
 than two usable CPUs, no os.fork, in a daemonic process or when a fork
-raises OSError. Each user then runs serially: the parse reads the whole
-file here, and a trainer trains each round in turn.
+raises OSError. Each user then runs serially: the parse reads and the
+writer writes the whole file here, and a trainer trains each round in turn.
 
 A worker is forked with SIGINT blocked and then ignores it, so a ^C reaches
 only the parent, which stops its workers. Messages cross a pipe both ways,

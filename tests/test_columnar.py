@@ -726,6 +726,15 @@ class TestWriterOracle:
         )
         assert not path.exists()
 
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_an_empty_session_id_is_refused(self, tmp_path, suffix):
+        # Written, each of its rows would parse to the issue "session_id is required".
+        path = tmp_path / f"timeseries{suffix}"
+        with pytest.raises(ValueError) as info:
+            write_timeseries(path, {"ok": make_series(), "": make_series()})
+        assert str(info.value) == "cannot write session '': session_id is required"
+        assert not path.exists()
+
 
 # Session ids that need quoting; times in any year, with microseconds and
 # offsets other than UTC (from year 1 one can fall before the first UTC

@@ -308,7 +308,7 @@ class TestSplitMemoryBound:
     def test_parse_peaks_under_its_result_plus_one_block(self, tmp_path, chunk_rows,
                                                           shuffled, factor):
         depot, block = tmp_path / "timeseries.csv", tmp_path / "block.csv"
-        write_timeseries(depot, synthetic_index(4))
+        write_timeseries(depot, synthetic_index(5))  # over _SPLIT_BYTES
         lines = depot.read_bytes().splitlines(True)
         if shuffled:
             order = np.random.default_rng(0).permutation(len(lines) - 1)
