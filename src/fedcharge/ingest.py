@@ -30,8 +30,8 @@ Two cores. A CSV time-series file of at least _SPLIT_BYTES is cut at the
 first start of a serial read's block after _FRONT_SHARE of its bytes,
 unless a quote comes before that: only such a quote can open a field that
 runs on past the cut, so the file is read for one before anything is
-forked, and a file with one is parsed serially. A worker forked through
-pool.Workers converts the back half while this process converts the front;
+forked, and a file with one is parsed serially. A worker started by
+pool.start_job converts the back half while this process converts the front;
 the back's session ids are coded after the front's and its line numbers
 shifted by the front's lines, so the result, issues and first error are a
 serial parse's. Each half
@@ -42,7 +42,7 @@ rows whose estimated bytes come to at least _SPLIT_WRITE_BYTES are cut at
 their middle row, a worker formats the back half into an unnamed temporary
 file beside the output, and this process appends it after the front. Every
 check of the writer's input runs before the fork. A file whose worker
-pool.Workers cannot fork is parsed or written serially, with the same result.
+pool.start_job cannot fork is parsed or written serially, with the same result.
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -88,13 +88,13 @@ TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 
 # A CSV time-series file at least _SPLIT_BYTES long is parsed in two halves,
 # and one whose rows write_timeseries estimates at _SPLIT_WRITE_BYTES or more
-# is written in two, when this process can fork. Starting the worker costs
-# about 10 ms in a fresh process (importing multiprocessing, the fork and the
-# pipe), which the second core wins back from about 3.2 MB of depot-style CSV
-# on in a parse and from about 8 MB in a write: below, serial is as fast or
-# faster (timed in fresh featurize and synth processes).
-_SPLIT_BYTES = 3_200_000
-_SPLIT_WRITE_BYTES = 8_000_000
+# is written in two, when this process can fork. Starting the worker (the
+# fork, its pipes and reaping it) costs about 4 ms in a fresh process, which
+# the second core wins back from about 2.1 MB of depot-style CSV on in a
+# parse and from about 5 MB in a write: below, serial is as fast or faster
+# (timed in fresh featurize and synth processes).
+_SPLIT_BYTES = 2_100_000
+_SPLIT_WRITE_BYTES = 5_000_000
 
 _FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and codes the ids
 _SCAN = 1 << 17  # bytes _split_at reads at a time: numpy's passes over them stay in cache
@@ -409,11 +409,13 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         for part, column in zip(parts[1:], pieces):
             part.extend(column)
 
-    split = _split_at(path)
-    halves = None if split is None else _forked(path, "parsing", _convert_back,
-                                                (path, split, strict))
-    front = csvio.Reader(path, 0, split) if halves else None
+    split, halves = _split_at(path), None
+    if split is not None:
+        from . import pool  # a serial parse never loads it
+        halves = pool.start_job(_convert_back, (path, split, strict),
+                                f"{path}: the worker parsing its back half")
     with halves or nullcontext():
+        front = csvio.Reader(path, 0, split) if halves else None
         for chunk in _read_chunks(path, TIMESERIES_COLUMNS, front):
             heads, lengths, columns = _convert(path, chunk, strict, issues)
             add(code(heads), lengths, ([column] for column in columns))
@@ -421,7 +423,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         if halves:  # the worker numbers its lines from 1
             shift = front.line - 1
             try:
-                back_issues, sids, runs, lengths, pieces = halves.back()
+                back_issues, sids, runs, lengths, pieces = halves.result()
             except ParseError as exc:
                 raise ParseError(path, shift + exc.line_number, exc.reason) from None
             issues += [(shift + line, text) for line, text in back_issues]
@@ -531,48 +533,6 @@ def _split_at(path: Path) -> int | None:
             buf[: n - stop] = buf[stop:n]
             at, seen, held = at + stop, seen + found, n - stop
     return None
-
-
-def _forked(path: Path, doing: str, handle, job) -> "_Halves | None":
-    """A _Halves with its worker started, or None where this process cannot
-    fork, which then does the whole file itself."""
-    from . import pool  # a serial parse or write never loads it
-
-    with suppress(pool.CannotFork):
-        return _Halves(path, doing, handle, job)
-    return None
-
-
-class _Halves:
-    """A file parsed or written in two halves: a worker forked through
-    pool.Workers does handle(job) with the back half while this process does
-    the front, and back() returns the worker's result. A worker that dies is
-    named with the file and what it was `doing`. Leaving the with-block
-    reaps the worker.
-    """
-
-    def __init__(self, path: Path, doing: str, handle, job):
-        from .pool import Workers
-
-        self._path, self._doing = path, doing
-        self._worker = Workers(1, handle)
-        self._worker.send(0, job)
-
-    def __enter__(self) -> "_Halves":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._worker.close(clean=exc_type is None)
-
-    def back(self):
-        """The worker's result; a RuntimeError naming the file if it died."""
-        from .pool import WorkerDied
-
-        try:
-            return self._worker.recv(0)
-        except WorkerDied as dead:
-            raise RuntimeError(f"{self._path}: the worker {self._doing} its back half exited "
-                               f"with code {dead.exitcode}") from None
 
 
 def _convert_back(job):
@@ -691,17 +651,19 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
     with ExitStack() as stack:
         halves, cut = None, n // 2
         if size >= _SPLIT_WRITE_BYTES:
-            import tempfile  # a serial write never loads it
+            import tempfile  # a serial write loads neither
+            from . import pool
 
             with suppress(OSError):  # no file can be made beside path: write serially
                 back = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                halves = stack.enter_context(_forked(
-                    path, "writing", lambda rows: write(back, *rows), (cut, n)) or nullcontext())
+                halves = stack.enter_context(pool.start_job(
+                    lambda rows: write(back, *rows), (cut, n),
+                    f"{path}: the worker writing its back half") or nullcontext())
         fh = stack.enter_context(open(path, "wb"))
         fh.write(header.encode())
         write(fh, 0, cut if halves else n)
         if halves:
-            halves.back()
+            halves.result()
             _append(fh, back)
 
 

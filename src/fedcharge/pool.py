@@ -1,27 +1,26 @@
 """Forked worker processes, and the pool that trains FedAvg clients on them.
 
-Workers is the package's one fork implementation. Four users start workers
-through it: federation.run_federated, whose ClientPool (below) trains the
-sampled clients of each round and predicts the evaluated splits;
-federation.run_centralized, whose one-worker ClientPool trains the epochs
-and holds their Adam state; ingest.parse_timeseries, whose worker converts
-the back half of a large time-series file; and ingest.write_timeseries,
-whose worker formats the back half of a large one's rows. Workers raises
+Workers is the package's one fork implementation. Its users are ClientPool
+(below), which trains federation's FedAvg clients or centralized epochs,
+and start_job, whose one worker converts or formats the back half of a
+large time-series file for ingest's parse or writer. Workers raises
 CannotFork, leaving no worker, where this process cannot fork: with fewer
-than two usable CPUs, no os.fork, in a daemonic process or when a fork
-raises OSError. Each user then runs serially: the parse reads and the
-writer writes the whole file here, and a trainer trains each round in turn.
+than two usable CPUs, no os.fork, in a daemonic multiprocessing process or
+when a fork raises OSError. Each user then does all of its work here.
 
-A worker is forked with SIGINT blocked and then ignores it, so a ^C reaches
-only the parent, which stops its workers. Messages cross a pipe both ways,
-pickled with their numpy arrays out of band: an array's bytes cross once,
-straight into a buffer the receiver allocates. An exception a worker raises
-goes back and is raised in the parent; a worker that dies makes the parent
-raise WorkerDied. Every worker is reaped when its Workers closes, on every
-exit path. Importing this module does not import multiprocessing (about
-1 MB of RSS and 10 ms), which only forking needs. This module alone
-imports multiprocessing and ctypes, so the workers' heap and BLAS settings
-live here.
+A worker is forked by os.fork with SIGINT blocked and then ignores it, so a
+^C reaches only the parent, which kills its workers. stdout and stderr are
+flushed before the fork, and a worker leaves only by os._exit, so it never
+returns into the parent's stack or writes their text twice. Messages cross
+two pipes, one each way, as frames: sizes, the message pickled with its
+numpy arrays out of band, and the arrays' bytes, which cross once, straight
+into a buffer the receiver allocates. An exception a worker raises goes back
+and is raised in the parent; a worker that dies makes the parent raise a
+RuntimeError with its exit code (-N for signal N). A worker whose pipes close
+exits when done with its current message, and is reaped by os.waitpid when
+its Workers closes, on every exit path. This module alone imports ctypes and
+calls os.fork and os.waitpid, so the workers' heap and BLAS settings live
+here; no module imports multiprocessing.
 
 ClientPool forks its workers once per run, so each one inherits the model,
 every client's rows and the training function without a copy or a pickle.
@@ -48,6 +47,8 @@ import mmap
 import os
 import pickle
 import signal
+import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -90,70 +91,86 @@ def blas_threads():
     return None
 
 
-def _send(conn, obj) -> None:
-    """Pickle obj through conn, the bytes of its arrays after it, unframed."""
+def _send(fd: int, obj) -> None:
+    """Write obj to the pipe fd as one frame: the number of its parts and
+    their sizes, then its pickle and the bytes of each array in it."""
     buffers = []
     data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
     views = [buf.raw() for buf in buffers]
-    conn.send((data, [view.nbytes for view in views]))
-    for view in views:
+    sizes = np.array([1 + len(views), len(data), *(view.nbytes for view in views)], np.int64)
+    for view in (memoryview(sizes.tobytes() + data), *views):
         while view:
-            view = view[os.write(conn.fileno(), view):]
+            view = view[os.write(fd, view):]
 
 
-def _recv(conn):
-    """What _send sent; each array is read into a buffer of its own size."""
-    data, sizes = conn.recv()
-    buffers = [np.empty(size, np.uint8) for size in sizes]
-    for buf in buffers:
-        view = memoryview(buf)
-        while view:
-            n = os.readv(conn.fileno(), [view])
-            if not n:
-                raise EOFError
-            view = view[n:]
-    return pickle.loads(data, buffers=buffers)
+def _read(fd: int, buf):
+    """buf, filled from the pipe fd; EOFError where the pipe ends first."""
+    view = memoryview(buf).cast("B")
+    while view:
+        n = os.readv(fd, [view])
+        if not n:
+            raise EOFError
+        view = view[n:]
+    return buf
+
+
+def _recv(fd: int):
+    """The object of the next frame on the pipe fd; each array is read into a
+    buffer of its own size."""
+    count = int(_read(fd, np.empty(1, np.int64))[0])
+    sizes = _read(fd, np.empty(count, np.int64)).tolist()
+    data = _read(fd, bytearray(sizes[0]))
+    return pickle.loads(data, buffers=[_read(fd, np.empty(size, np.uint8)) for size in sizes[1:]])
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, ValueError):  # None, or closed
+            stream.flush()
+
+
+def _worker_loop(messages: int, answers: int, handle, setup) -> None:
+    """A worker's loop, until the pipe of messages ends."""
+    if setup is not None:
+        setup()
+    while True:
+        try:
+            message = _recv(messages)
+        except EOFError:
+            return
+        try:
+            reply = (True, handle(message))
+        except Exception as exc:
+            reply = (False, exc)
+        _send(answers, reply)
 
 
 class CannotFork(Exception):
     """This process cannot fork workers (see the module docstring)."""
 
 
-class WorkerDied(RuntimeError):
-    """A worker exited before it answered."""
-
-    def __init__(self, pid: int, exitcode: int | None):
-        super().__init__(f"worker {pid} exited with code {exitcode}")
-        self.pid = pid
-        self.exitcode = exitcode
-
-
 class Workers:
     """n_workers forked processes, each answering the messages sent to it,
-    in order, with handle(message). setup(), if given, runs first in each.
-    close() stops and reaps them. CannotFork: see the module docstring.
-    """
+    in order, with handle(message); setup(), if given, runs first in each. A
+    worker that exits before it answers is a RuntimeError(died(pid, exit
+    code)). close(), or leaving the with-block, stops and reaps them.
+    CannotFork: see the module docstring."""
 
-    def __init__(self, n_workers: int, handle, setup=None):
-        import multiprocessing  # only here: see the module docstring
-
-        if usable_cpus() < 2 or multiprocessing.current_process().daemon:
+    def __init__(self, n_workers: int, handle, setup=None,
+                 died=lambda pid, code: f"worker {pid} exited with code {code}"):
+        mp = sys.modules.get("multiprocessing")  # a daemonic process has loaded it
+        if usable_cpus() < 2 or (mp is not None and mp.current_process().daemon):
             raise CannotFork
-        fork = multiprocessing.get_context("fork")
-        self._procs: list = []
-        self._conns: list = []
+        self._pids: list[int | None] = []     # None for a worker reaped
+        self._fds: list[tuple[int, int]] = []  # per worker: its answers, its messages
+        self._died = died
+        _flush_std_streams()
         # SIGINT stays blocked from each fork until the worker ignores it, so
         # a ^C in between reaches only the parent.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for _ in range(n_workers):
-                here, there = fork.Pipe()
-                proc = fork.Process(target=self._serve, args=(there, here, handle, setup),
-                                    daemon=True)
-                proc.start()
-                there.close()
-                self._procs.append(proc)
-                self._conns.append(here)
+                self._fork(handle, setup)
         except BaseException as exc:
             self.close(clean=False)
             if isinstance(exc, OSError):  # EAGAIN or ENOMEM from fork, say
@@ -162,69 +179,103 @@ class Workers:
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-    def _serve(self, conn, parent_end, handle, setup) -> None:
-        """A worker's loop, until the message None or the parent's end of the
-        pipe closes. An exception of handle goes back through the pipe."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        parent_end.close()
-        for other in self._conns:           # earlier workers' parent ends
-            other.close()
-        if setup is not None:
-            setup()
-        while True:
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(clean=exc_type is None)
+
+    def _fork(self, handle, setup) -> None:
+        """Start one worker, keeping this process's ends of its two pipes."""
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        messages, to_worker, answers, to_parent = fds
+        if pid == 0:
+            code = 1
             try:
-                message = _recv(conn)
-            except EOFError:                # the parent is gone
-                return
-            if message is None:
-                return
-            try:
-                reply = (True, handle(message))
-            except Exception as exc:
-                reply = (False, exc)
-            _send(conn, reply)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+                for fd in (to_worker, answers, *(fd for ends in self._fds for fd in ends)):
+                    os.close(fd)  # the parent's ends: this worker's and earlier workers'
+                _worker_loop(messages, to_parent, handle, setup)
+                code = 0
+            except BaseException:
+                sys.excepthook(*sys.exc_info())
+            finally:
+                _flush_std_streams()
+                os._exit(code)
+        os.close(messages)
+        os.close(to_parent)
+        self._pids.append(pid)
+        self._fds.append((answers, to_worker))
 
     def send(self, k: int, message) -> None:
         """Hand worker k a message; a dead worker is reported by recv."""
-        try:
-            _send(self._conns[k], message)
-        except OSError:
-            pass
+        with suppress(OSError):
+            _send(self._fds[k][1], message)
 
     def recv(self, k: int):
-        """Worker k's answer to the oldest message it has not answered.
-
-        Raises the exception handle raised in the worker, or WorkerDied.
-        """
+        """Worker k's answer to the oldest message it has not answered; the
+        exception handle raised there, or a RuntimeError if the worker died."""
         try:
-            ok, value = _recv(self._conns[k])
+            ok, value = _recv(self._fds[k][0])
         except (EOFError, OSError):
-            proc = self._procs[k]
-            proc.join(1.0)
-            raise WorkerDied(proc.pid, proc.exitcode) from None
+            pid, self._pids[k] = self._pids[k], None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise RuntimeError(self._died(pid, code)) from None
         if not ok:
             raise value
         return value
 
+    def shut(self) -> None:
+        """Close this process's ends of the pipes: each worker exits when it
+        is done with its current message."""
+        for fd in (fd for ends in self._fds for fd in ends):
+            os.close(fd)
+        self._fds = []
+
     def close(self, clean: bool = True) -> None:
         """Stop the workers and reap them; clean lets each one finish its
-        current message first. Closing twice does nothing."""
-        for k, proc in enumerate(self._procs):
-            if clean:
-                self.send(k, None)
-            else:
-                proc.kill()
-        for proc, conn in zip(self._procs, self._conns):
-            proc.join(5.0 if clean else None)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
-            conn.close()
-        self._procs, self._conns = [], []
+        current message first, else they are killed. Closing twice does
+        nothing."""
+        pids = [pid for pid in self._pids if pid is not None]
+        for pid in pids if not clean else ():
+            os.kill(pid, signal.SIGKILL)
+        self.shut()
+        for pid in pids:
+            os.waitpid(pid, 0)
+        self._pids = []
 
 
-class ClientPool:
+def start_job(handle, job, name: str) -> "_Job | None":
+    """handle(job), started in one forked worker, or None where this process
+    cannot fork (CannotFork) and so does the job itself."""
+    with suppress(CannotFork):
+        worker = _Job(1, handle, died=lambda pid, code: f"{name} exited with code {code}")
+        worker.send(0, job)
+        return worker
+    return None
+
+
+class _Job(Workers):
+    """One worker answering one job while this process goes on; its with-block reaps it."""
+
+    def result(self):
+        """handle(job), or the exception it raised; then the pipes close."""
+        try:
+            return self.recv(0)
+        finally:
+            self.shut()
+
+
+class ClientPool(Workers):
     """n_workers forked processes, each calling train(r, position, client,
     global_params) -> ModelParameters for its share of one round's clients.
     predictors[k](params) gives the predictions of evaluated split k.
@@ -244,22 +295,17 @@ class ClientPool:
                                    dtype=np.float64).reshape(1 + slots, layout.total)
         self._train, self._predictors = train, predictors
         self._n_workers = n_workers
-        self._names = mode, unit
         self._round: tuple[int, tuple] | None = None
         self._get_threads, self._set_threads = blas_threads()
         self._threads_before = self._get_threads()
         self._set_threads(1)
         try:
-            self._workers = Workers(n_workers, self._serve, self._set_up_worker)
+            super().__init__(n_workers, self._serve, self._set_up_worker, lambda pid, code: (
+                f"{mode} training worker {pid} exited with code {code} in {unit} "
+                f"{self._round[0] + 1}"))
         except BaseException:
             self._set_threads(self._threads_before)
             raise
-
-    def __enter__(self) -> "ClientPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(clean=exc_type is None)
 
     def _set_up_worker(self) -> None:
         self._set_threads(1)
@@ -299,13 +345,13 @@ class ClientPool:
         n = self._n_workers
         for w in range(n):
             for k in range(w, len(self._predictors) if r else 0, n):
-                self._workers.send(w, k)
-            self._workers.send(w, (r, [(pos, cid) for pos, cid in enumerate(clients)][w::n]))
+                self.send(w, k)
+            self.send(w, (r, [(pos, cid) for pos, cid in enumerate(clients)][w::n]))
 
     def predictions(self) -> list[np.ndarray]:
         """Each split's predictions of the parameters that the round just
         dispatched (not round 0) started from, in split order."""
-        return [self._recv(k % self._n_workers) for k in range(len(self._predictors))]
+        return [self.recv(k % self._n_workers) for k in range(len(self._predictors))]
 
     def collect(self) -> tuple[tuple, list[ModelParameters]]:
         """The dispatched round's clients and their updates in sampled order.
@@ -315,23 +361,14 @@ class ClientPool:
         round when a worker died.
         """
         clients = self._round[1]
-        statuses = [self._recv(w) for w in range(self._n_workers)]
+        statuses = [self.recv(w) for w in range(self._n_workers)]
         failures = [status for status in statuses if status is not None]
         self._round = None
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
         return clients, [ModelParameters(self._layout, row) for row in self._rows[1 : 1 + len(clients)]]
 
-    def _recv(self, w: int):
-        """Worker w's next answer; a RuntimeError naming the round when it died."""
-        try:
-            return self._workers.recv(w)
-        except WorkerDied as dead:
-            mode, unit = self._names
-            raise RuntimeError(f"{mode} training worker {dead.pid} exited with code "
-                               f"{dead.exitcode} in {unit} {self._round[0] + 1}") from None
-
     def close(self, clean: bool = True) -> None:
         """Stop the workers, reap them and restore the BLAS thread count."""
-        self._workers.close(clean)
+        super().close(clean)
         self._set_threads(self._threads_before)

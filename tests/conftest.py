@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import multiprocessing
+import glob
+import os
 import signal
+from contextlib import suppress
 from datetime import datetime, timezone
 
 import numpy as np
@@ -60,15 +62,27 @@ def make_series(
     return SessionSeries(t, column(current), column(pilot))
 
 
+def children() -> list[int]:
+    """The pids of this process's children, as the kernel lists them: those
+    that have exited but are not yet reaped are listed too."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        with suppress(OSError):  # a thread that has exited since
+            with open(path, encoding="ascii") as fh:
+                pids += map(int, fh.read().split())
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_stray_processes():
-    """Fails a test that leaves a child process running, and stops it."""
+    """Fails a test that leaves a child process running or unreaped, and
+    kills and reaps it."""
     yield
-    stray = multiprocessing.active_children()
-    for proc in stray:
-        proc.kill()
-        proc.join()
-    assert not stray, f"processes left running: {stray}"
+    stray = children()
+    for pid in stray:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert not stray, f"processes left behind: {stray}"
 
 
 @pytest.fixture

@@ -58,10 +58,26 @@ def test_only_csvio_imports_csv():
     assert importers("csv") == ["csvio.py"]
 
 
+def os_names(path: Path) -> set[str]:
+    """The names a module takes from os: x for os.x or from os import x."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "os"}
+            | {name for module, name in imports(path) if module == "os" and name})
+
+
+def test_os_names_finds_attributes_and_imports(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import os\nfrom os import waitpid\npid = os.fork()\nos.path.join\n")
+    assert os_names(module) == {"fork", "path", "waitpid"}
+
+
 def test_only_pool_forks():
-    """pool.py is the one fork layer: it alone sets the workers' heap and
-    BLAS threads."""
-    assert importers("multiprocessing", "ctypes") == ["pool.py"]
+    """pool.py is the one fork layer: it alone forks and reaps the workers
+    and sets their heap and BLAS threads. No module imports multiprocessing."""
+    assert importers("multiprocessing") == []
+    assert importers("ctypes") == ["pool.py"]
+    assert [path.name for path in MODULES if os_names(path) & {"fork", "waitpid"}] == ["pool.py"]
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -26,6 +26,7 @@ import pytest
 
 import fedcharge
 import fedcharge.federation as federation
+from conftest import children
 from fedcharge import pool
 from fedcharge import cli
 from fedcharge.cli import dispatch
@@ -287,9 +288,9 @@ class TestFailures:
 
         def interrupting(*args):
             if not interrupted:  # round 2 is training in the workers now
-                interrupted.extend(multiprocessing.active_children())
-                for worker in interrupted:
-                    os.kill(worker.pid, signal.SIGINT)
+                interrupted.extend(children())
+                for pid in interrupted:
+                    os.kill(pid, signal.SIGINT)
             return evaluate(*args)
 
         monkeypatch.setattr(federation, "_evaluate", interrupting)
@@ -304,16 +305,39 @@ class TestFailures:
         workers = []
 
         def interrupted(*args):
-            workers.extend(multiprocessing.active_children())
+            workers.extend(children())
             raise KeyboardInterrupt
 
         monkeypatch.setattr(federation, "_evaluate", interrupted)
         with pytest.raises(KeyboardInterrupt):
             fit(prepared, "mlp", FedConfig(rounds=3, client_fraction=0.3, seed=8))
         assert len(workers) == 2
-        assert not any(worker.is_alive() for worker in workers)
-        assert multiprocessing.active_children() == []
+        assert not set(workers) & set(children())
+        assert children() == []
         assert get_threads() == threads
+
+    def test_interrupted_parent_kills_a_busy_worker(self):
+        """An unclean close does not wait for the worker's current message."""
+        workers = pool.Workers(1, time.sleep)
+        workers.send(0, 30)
+        started = time.monotonic()
+        workers.close(clean=False)
+        assert time.monotonic() - started < 10
+        assert children() == []
+
+    def test_worker_killed_by_a_signal_names_the_round(self, prepared, monkeypatch):
+        parent, original = os.getpid(), LinearRegressor.loss_and_grad
+
+        def killed(self, *args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(self, *args)
+
+        monkeypatch.setattr(LinearRegressor, "loss_and_grad", killed)
+        message = failure(prepared, "lr", FedConfig(rounds=3, client_fraction=0.3, seed=6),
+                          RuntimeError)
+        assert re.fullmatch(r"federated training worker \d+ exited with code -9 in round 1",
+                            message)
 
 
 @pytest.fixture(scope="module")
@@ -479,7 +503,7 @@ class TestCentralized:
         threads, seen, evaluate = get_threads(), [], federation._evaluate
 
         def spy(*args):
-            seen.extend(multiprocessing.active_children())
+            seen.extend(children())
             if end == "interrupt":
                 raise KeyboardInterrupt
             return evaluate(*args)
@@ -492,8 +516,8 @@ class TestCentralized:
             flags = ["--lr", "1e200", "--batch-size", "10000"] if end == "error" else []
             assert central(features, tmp_path, *flags) == (1 if end == "error" else 0)
         assert seen
-        assert not any(worker.is_alive() for worker in seen)
-        assert multiprocessing.active_children() == []
+        assert not set(seen) & set(children())
+        assert children() == []
         assert get_threads() == threads
 
     @pytest.mark.parametrize("blocker", ["one usable CPU", "no settable BLAS",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import errno
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference
+from conftest import children
 from fedcharge import csvio, ingest, pool
 from fedcharge.cli import dispatch
 from fedcharge.ingest import ParseError, parse_timeseries, write_timeseries
@@ -50,21 +52,22 @@ pytestmark = pytest.mark.usefixtures("deadline")
 @contextmanager
 def parsed_in(mode: str, chunk_rows: int = 2, split_bytes: int = 0):
     """Parses split ("split", when the file has at least split_bytes) or not
-    ("serial") in blocks of chunk_rows lines; yields the list of the split
-    parses' _Halves. A cut falls only where a block starts, so the named
-    cases split at 2 rows a block but not at 8,192."""
-    made = []
+    ("serial") in blocks of chunk_rows lines; yields the list of the jobs
+    the split parses started. A cut falls only where a block starts, so the
+    named cases split at 2 rows a block but not at 8,192."""
+    made, start_job = [], pool.start_job
 
-    class Recorded(ingest._Halves):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def recorded(*args):
+        job = start_job(*args)
+        if job is not None:
+            made.append(job)
+        return job
 
     with (
         mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows),
         mock.patch.object(ingest, "_SPLIT_BYTES", split_bytes if mode == "split" else 1 << 62),
         mock.patch.object(pool, "usable_cpus", lambda: 2),
-        mock.patch.object(ingest, "_Halves", Recorded),
+        mock.patch.object(pool, "start_job", recorded),
     ):
         yield made
 
@@ -85,7 +88,7 @@ def outcome(parse, path: Path, strict: bool):
 
 def assert_split_is_serial(path: Path, chunk_rows: int) -> list:
     """Split, serial and reference parses agree, lenient and strict. Returns
-    the split parses' _Halves."""
+    the jobs the split parses started."""
     results, made = {}, {}
     for mode in ("split", "serial"):
         with parsed_in(mode, chunk_rows) as made[mode]:
@@ -360,14 +363,25 @@ class TestNoWorkerOutlivesAParse:
                              "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {info.value}\n"
 
+    def test_worker_killed_by_a_signal_names_the_file(self, tmp_path):
+        path = file_with(tmp_path, case("in order"))
+
+        def killed(job):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with parsed_in("split"), mock.patch.object(ingest, "_convert_back", killed):
+            with pytest.raises(RuntimeError) as info:
+                parse_timeseries(path)
+        assert str(info.value) == f"{path}: the worker parsing its back half exited with code -9"
+
     @pytest.mark.parametrize("half", ["front", "back"])
     def test_interrupted_parent_stops_the_worker(self, tmp_path, half):
         path = file_with(tmp_path, case("in order"))
         parent, seen = os.getpid(), []
-        convert, receive = ingest._convert, ingest._Halves.back
+        convert, receive = ingest._convert, pool._Job.result
 
         def interrupted(*args):
-            seen.extend(multiprocessing.active_children())
+            seen.extend(children())
             raise KeyboardInterrupt
 
         with parsed_in("split"):
@@ -375,12 +389,12 @@ class TestNoWorkerOutlivesAParse:
                 patch = mock.patch.object(ingest, "_convert", lambda *args: (
                     interrupted() if os.getpid() == parent else convert(*args)))
             else:  # the worker has sent its half or is sending it
-                patch = mock.patch.object(ingest._Halves, "back", lambda self: (
+                patch = mock.patch.object(pool._Job, "result", lambda self: (
                     interrupted(), receive(self)))
             with patch, pytest.raises(KeyboardInterrupt):
                 parse_timeseries(path)
-        assert len(seen) == 1 and not seen[0].is_alive()
-        assert multiprocessing.active_children() == []
+        assert len(seen) == 1 and seen[0] not in children()
+        assert children() == []
 
 
 class TestSerialWhenNoWorkerStarts:
@@ -403,7 +417,7 @@ class TestSerialWhenNoWorkerStarts:
         serial = bits(parse_timeseries(path))
         with mock.patch.object(os, "fork", side_effect=OSError(code, os.strerror(code))):
             assert self.cut_and_parse(path) == (True, 0, serial)
-        assert multiprocessing.active_children() == []
+        assert children() == []
 
     def test_in_a_daemonic_process(self, tmp_path):
         """multiprocessing lets no daemonic process, such as a Pool's worker,
@@ -430,17 +444,19 @@ class TestSerialWhenNoWorkerStarts:
 
 
 # `python -m fedcharge ARGS` with the split forced, reporting on stderr
-# whether it split and whether a child process is left when it is done.
+# whether it split, whether a child process is left when it is done and
+# whether multiprocessing was loaded.
 LEFT_BEHIND = r"""
 import os, runpy, sys
 from fedcharge import csvio, ingest, pool
 ingest._SPLIT_BYTES, pool.usable_cpus, csvio.CHUNK_ROWS = 0, lambda: 2, 64
-made = []
-class Recorded(ingest._Halves):
-    def __init__(self, *args):
-        super().__init__(*args)
-        made.append(self)
-ingest._Halves = Recorded
+made, start_job = [], pool.start_job
+def recorded(*args):
+    job = start_job(*args)
+    if job is not None:
+        made.append(job)
+    return job
+pool.start_job = recorded
 sys.argv = ["fedcharge", *sys.argv[1:]]
 try:
     runpy.run_module("fedcharge", run_name="__main__", alter_sys=True)
@@ -451,7 +467,8 @@ try:
     left = "a child is left"
 except ChildProcessError:
     left = "no child is left"
-print(f"{len(made)} split parse, {left}", file=sys.stderr)
+loaded = "loaded" if "multiprocessing" in sys.modules else "not loaded"
+print(f"{len(made)} split parse, {left}, multiprocessing {loaded}", file=sys.stderr)
 sys.exit(code)
 """
 
@@ -471,6 +488,6 @@ def test_featurize_leaves_no_child_behind(tmp_path, strict):
     proc = subprocess.run([sys.executable, "-c", LEFT_BEHIND, *argv, *["--strict"] * strict],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == strict
-    assert proc.stderr.endswith("1 split parse, no child is left\n")
+    assert proc.stderr.endswith("1 split parse, no child is left, multiprocessing not loaded\n")
     if strict:
         assert "not-a-time" in proc.stderr

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import children
 from fedcharge import csvio, ingest, pool
 from fedcharge.cli import dispatch
 from fedcharge.ingest import write_timeseries
@@ -39,19 +40,20 @@ pytestmark = pytest.mark.usefixtures("deadline")
 @contextmanager
 def written_in(mode: str, chunk_rows: int = 2):
     """Writes split ("split") or not ("serial") in blocks of chunk_rows rows;
-    yields the list of the split writes' _Halves."""
-    made = []
+    yields the list of the jobs the split writes started."""
+    made, start_job = [], pool.start_job
 
-    class Recorded(ingest._Halves):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def recorded(*args):
+        job = start_job(*args)
+        if job is not None:
+            made.append(job)
+        return job
 
     with (
         mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows),
         mock.patch.object(ingest, "_SPLIT_WRITE_BYTES", 0 if mode == "split" else 1 << 62),
         mock.patch.object(pool, "usable_cpus", lambda: 2),
-        mock.patch.object(ingest, "_Halves", Recorded),
+        mock.patch.object(pool, "start_job", recorded),
     ):
         yield made
 
@@ -197,7 +199,7 @@ class TestSerialWhenNoWorkerStarts:
     def test_fork_fails(self, tmp_path, serial_depot, code):
         with mock.patch.object(os, "fork", side_effect=OSError(code, os.strerror(code))):
             assert synth_split(tmp_path) == (0, 0, serial_depot)
-        assert multiprocessing.active_children() == []
+        assert children() == []
 
     def test_one_usable_cpu(self, tmp_path, serial_depot):
         with written_in("split", 64) as made, mock.patch.object(pool, "usable_cpus", lambda: 1):
@@ -253,28 +255,30 @@ class TestNoWorkerOutlivesAWrite:
     @pytest.mark.parametrize("half", ["front", "back"])
     def test_interrupted_parent_stops_the_worker(self, tmp_path, half):
         parent, seen = os.getpid(), []
-        blocks_of, receive = ingest._blocks_of, ingest._Halves.back
+        blocks_of, receive = ingest._blocks_of, pool._Job.result
 
         def interrupted(*args):
-            seen.extend(multiprocessing.active_children())
+            seen.extend(children())
             raise KeyboardInterrupt
 
         if half == "front":  # the worker may still be writing
             patch = mock.patch.object(ingest, "_blocks_of", lambda *args: (
                 interrupted() if os.getpid() == parent else blocks_of(*args)))
         else:  # the worker has written its half or is writing it
-            patch = mock.patch.object(ingest._Halves, "back", lambda self: (
+            patch = mock.patch.object(pool._Job, "result", lambda self: (
                 interrupted(), receive(self)))
         with written_in("split"), patch, pytest.raises(KeyboardInterrupt):
             write_timeseries(tmp_path / "timeseries.csv", {"a": series_of(40)})
-        assert len(seen) == 1 and not seen[0].is_alive()
-        assert multiprocessing.active_children() == []
+        assert len(seen) == 1 and seen[0] not in children()
+        assert children() == []
         assert os.listdir(tmp_path) == ["timeseries.csv"]
 
 
 # `python -m fedcharge ARGS` with the write split forced, reporting on stderr
-# how many split writes started, whether a child process is left, and any
-# file descriptor still open in the output directory.
+# how many split writes started, whether a child process is left, any file
+# descriptor still open in the output directory and whether multiprocessing
+# was loaded. Its first line of stdout is still in stdout's buffer when the
+# worker forks.
 LEFT_BEHIND = r"""
 import os, runpy, sys
 from fedcharge import csvio, ingest, pool
@@ -283,12 +287,14 @@ if os.environ.get("APPEND_FAILS"):
     def append(out, back):
         raise OSError("no space left")
     ingest._append = append
-made = []
-class Recorded(ingest._Halves):
-    def __init__(self, *args):
-        super().__init__(*args)
-        made.append(self)
-ingest._Halves = Recorded
+made, start_job = [], pool.start_job
+def recorded(*args):
+    job = start_job(*args)
+    if job is not None:
+        made.append(job)
+    return job
+pool.start_job = recorded
+print("synth, its write split:")
 out = os.path.realpath(sys.argv[-1])
 sys.argv = ["fedcharge", *sys.argv[1:]]
 try:
@@ -300,13 +306,15 @@ try:
     left = "a child is left"
 except ChildProcessError:
     left = "no child is left"
+loaded = "loaded" if "multiprocessing" in sys.modules else "not loaded"
 def target(fd):  # the fd that listed the directory is gone by now
     try:
         return os.readlink(f"/proc/self/fd/{fd}")
     except FileNotFoundError:
         return ""
 open_there = [fd for fd in os.listdir("/proc/self/fd") if target(fd).startswith(out + os.sep)]
-print(f"{len(made)} split write, {left}, {len(open_there)} open in the output", file=sys.stderr)
+print(f"{len(made)} split write, {left}, {len(open_there)} open in the output, "
+      f"multiprocessing {loaded}", file=sys.stderr)
 sys.exit(code)
 """
 
@@ -318,6 +326,7 @@ def test_synth_leaves_no_child_or_temporary_file_behind(tmp_path, fmt, append_fa
     src = str(Path(ingest.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as a pipe's is by default
     if append_fails:
         env["APPEND_FAILS"] = "1"
     out = tmp_path / "depot"
@@ -326,8 +335,14 @@ def test_synth_leaves_no_child_or_temporary_file_behind(tmp_path, fmt, append_fa
     proc = subprocess.run([sys.executable, "-c", LEFT_BEHIND, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == (2 if append_fails else 0)  # 2: an i/o error
-    assert proc.stderr.endswith("1 split write, no child is left, 0 open in the output\n")
+    assert proc.stderr.endswith("1 split write, no child is left, 0 open in the output, "
+                                "multiprocessing not loaded\n")
     assert sorted(os.listdir(out)) == \
         ["config.json"] * (not append_fails) + [f"sessions.{fmt}", f"timeseries.{fmt}"]
     if append_fails:
         assert "no space left" in proc.stderr
+        assert proc.stdout == "synth, its write split:\n"
+    else:  # the same synth, written serially to the same directory
+        serial = subprocess.run([sys.executable, "-m", "fedcharge", *argv], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "synth, its write split:\n" + serial.stdout
