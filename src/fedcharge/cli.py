@@ -231,11 +231,11 @@ def _resolve_inputs(paths: dict) -> tuple[Path, Path]:
 
 
 def _find_default(base: Path, stem: str) -> Path:
-    for ext in ("csv", "jsonl", "ndjson", "json"):
-        candidate = base / f"{stem}.{ext}"
-        if candidate.exists():
-            return candidate
-    raise FileNotFoundError(f"no {stem}.csv or {stem}.jsonl under {base}")
+    names = [stem + suffix for suffix in ingest.SUFFIXES]
+    for name in names:
+        if (base / name).exists():
+            return base / name
+    raise FileNotFoundError(f"no {', '.join(names[:-1])} or {names[-1]} under {base}")
 
 
 def _parse_and_retain(conf: dict):

@@ -11,7 +11,7 @@ p = 0 for centralized. A single-client, full-participation federated run
 therefore consumes exactly the centralized schedule.
 
 Both trainers train in forked workers (pool.ClientPool) when _pool_size
-allows it, and in this process otherwise, a refused fork included. Round
+allows it and the pool starts, and in this process otherwise. Round
 (or epoch) r + 1 is dispatched as soon as round r is collected, so it
 trains while round r is evaluated:
 - centralized, one worker holds the model and its Adam state and trains
@@ -266,18 +266,13 @@ def _train(model, data: SplitData, step, n_rounds: int, mode: str, unit: str,
 def _pool_size(wanted: int) -> int:
     """The workers a trainer asked for, or 0 to train in this process.
 
-    Workers need two usable CPUs and an OpenBLAS whose thread count the pool
-    can set. They also need the training functions this module looks up to
-    be its own (_OWN): when something in this process wraps one (a tracer, a
-    test spy), a forked worker would carry the wrapper off and drop what it
-    records, so such runs stay here. Whether this process can fork at all is
-    pool.Workers' call.
+    The training functions this module looks up must be its own (_OWN): when
+    something in this process wraps one (a tracer, a test spy), a forked
+    worker would carry the wrapper off and drop what it records, so such runs
+    stay here. Whether this host can run workers at all is pool.ClientPool's
+    call (CannotFork).
     """
-    if not wanted or (local_train, train_one_epoch, adam_step) != _OWN:
-        return 0
-    from . import pool  # serial runs never load it
-
-    return wanted if pool.usable_cpus() >= 2 and pool.blas_threads() is not None else 0
+    return wanted if (local_train, train_one_epoch, adam_step) == _OWN else 0
 
 
 def _run_rounds(wanted: int, n_rounds: int, tasks, combine, train, model, data: SplitData,

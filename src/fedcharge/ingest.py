@@ -30,19 +30,20 @@ Two cores. A CSV time-series file of at least _SPLIT_BYTES is cut at the
 first start of a serial read's block after _FRONT_SHARE of its bytes,
 unless a quote comes before that: only such a quote can open a field that
 runs on past the cut, so the file is read for one before anything is
-forked, and a file with one is parsed serially. A worker started by
-pool.start_job converts the back half while this process converts the front;
-the back's session ids are coded after the front's and its line numbers
-shifted by the front's lines, so the result, issues and first error are a
-serial parse's. Each half
-reads the blocks a serial parse reads, so a byte that is not UTF-8 stops
-a parse before the rows of its block are converted, split or not. JSON
-lines stay serial. The time-series writer splits too, in either format:
-rows whose estimated bytes come to at least _SPLIT_WRITE_BYTES are cut at
-their middle row, a worker formats the back half into an unnamed temporary
-file beside the output, and this process appends it after the front. Every
-check of the writer's input runs before the fork. A file whose worker
-pool.start_job cannot fork is parsed or written serially, with the same result.
+forked, and a file with one is parsed serially. One routine,
+_convert_range, converts the whole file in a serial parse and each half in
+a split one: the back in a worker started by pool.start_job, the front
+here. The back's line numbers are shifted by the front's lines and its
+session codes mapped onto the front's, so the result, issues and first
+error are a serial parse's. Each half reads the blocks a serial parse
+reads, so a byte that is not UTF-8 stops a parse before the rows of its
+block are converted, split or not. JSON lines stay serial. The time-series
+writer splits too, in either format: rows whose estimated bytes come to at
+least _SPLIT_WRITE_BYTES are cut at their middle row, a worker formats the
+back half into an unnamed temporary file beside the output, and this
+process appends it after the front. Every check of the writer's input runs
+before the fork. A file whose worker pool.start_job cannot fork is parsed
+or written serially, with the same result.
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -85,6 +86,7 @@ from .sessions import (  # cli, bench/ and tests take the synthetic depot from h
 
 SESSION_COLUMNS = [f.name for f in fields(SessionRecord)]
 TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
+SUFFIXES = (".csv", ".jsonl", ".ndjson", ".json")  # CSV, then the JSON-lines ones
 
 # A CSV time-series file at least _SPLIT_BYTES long is parsed in two halves,
 # and one whose rows write_timeseries estimates at _SPLIT_WRITE_BYTES or more
@@ -96,7 +98,7 @@ TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 _SPLIT_BYTES = 2_100_000
 _SPLIT_WRITE_BYTES = 5_000_000
 
-_FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and codes the ids
+_FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and merges
 _SCAN = 1 << 17  # bytes _split_at reads at a time: numpy's passes over them stay in cache
 
 _SECOND = timedelta(seconds=1)
@@ -121,14 +123,14 @@ class TimeSeriesParseResult:
 def _is_csv(path: Path) -> bool:
     """True for a CSV path, False for JSON lines; other suffixes are rejected."""
     suffix = path.suffix.lower()
-    if suffix not in (".csv", ".jsonl", ".ndjson", ".json"):
+    if suffix not in SUFFIXES:
         raise ValueError(f"unsupported file format: {path}")
     return suffix == ".csv"
 
 
 def _read_chunks(path: Path, columns: list[str], reader: csvio.Reader | None = None):
     """Yield (lines, cells, absent, errors) per block of nonblank rows, in file
-    order; for a CSV file, of the range that reader reads (all of it when None).
+    order, of the range that reader reads (all of it when None).
 
     lines[i] is the physical line that row i ends on; cells[c][i] is the value
     of columns[c] in row i, equal to `absent` when the field is absent: "" for
@@ -137,13 +139,14 @@ def _read_chunks(path: Path, columns: list[str], reader: csvio.Reader | None = N
     the exception its line raised (malformed JSON); such a row has every
     field absent.
     """
+    reader = reader or csvio.Reader(path)
     if _is_csv(path):
-        rows = (reader or csvio.Reader(path)).rows(columns)
+        rows = reader.rows(columns)
         next(rows)  # the header
         for lines, cells, _ in rows:  # a field a short row lacks reads as absent
             yield lines, cells, "", {}
         return
-    for first, raw, _ in csvio.Reader(path).blocks():
+    for first, raw, _ in reader.blocks():
         numbered = [
             (n, _json_object(obj)) for n, line in
             enumerate(io.StringIO(raw.decode(), newline=None), start=first)
@@ -389,46 +392,32 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     timestamp) pairs merge last-write-wins in file order; negative readings
     are clamped to 0. Both are counted in the result.
 
-    Rows are converted a block at a time and sorted only if out of order. A
-    CSV file that _split_at cuts is parsed in two halves when this process
-    can fork: a worker converts the back half while this process converts
-    the front, and the result is the one a serial parse gives.
+    _convert_range converts the file, and rows are sorted only if out of
+    order. A CSV file that _split_at cuts is converted in two ranges when
+    this process can fork: a worker converts the back while this process
+    converts the front, and the merge shifts the back's line numbers and
+    maps its session codes onto the front's, so the result is the one a
+    serial parse gives.
     """
     path = Path(path)
-    issues: list[tuple[int, str]] = []
-    code_of: dict[str, int] = {}  # session id -> rank of its first valid row
-    # Per column (session code, t, current, pilot), its piece of every block.
-    parts = [[np.empty(0, dtype)] for dtype in (np.int32, np.int64, float, float)]
-
-    def code(sids) -> np.ndarray:
-        return np.array([code_of.setdefault(sid, len(code_of)) for sid in sids], np.int32)
-
-    def add(codes: np.ndarray, lengths: np.ndarray, pieces) -> None:
-        """Keep the pieces of runs of rows, run k of lengths[k] rows of session codes[k]."""
-        parts[0].append(np.repeat(codes, lengths))
-        for part, column in zip(parts[1:], pieces):
-            part.extend(column)
-
-    split, halves = _split_at(path), None
+    split, job = _split_at(path), None
     if split is not None:
         from . import pool  # a serial parse never loads it
-        halves = pool.start_job(_convert_back, (path, split, strict),
-                                f"{path}: the worker parsing its back half")
-    with halves or nullcontext():
-        front = csvio.Reader(path, 0, split) if halves else None
-        for chunk in _read_chunks(path, TIMESERIES_COLUMNS, front):
-            heads, lengths, columns = _convert(path, chunk, strict, issues)
-            add(code(heads), lengths, ([column] for column in columns))
-            del chunk, heads  # so that the last block's cells and ids go before the join
-        if halves:  # the worker numbers its lines from 1
-            shift = front.line - 1
+        job = pool.start_job(_convert_range, (path, split, None, strict),
+                             f"{path}: the worker parsing its back half")
+    with job or nullcontext():
+        lines, issues, parts, code_of = _convert_range((path, 0, split if job else None, strict))
+        if job:  # the worker numbers its lines from 1 and codes its ids from 0
             try:
-                back_issues, sids, runs, lengths, pieces = halves.result()
+                _, back_issues, back, back_ids = job.result()
             except ParseError as exc:
-                raise ParseError(path, shift + exc.line_number, exc.reason) from None
-            issues += [(shift + line, text) for line, text in back_issues]
-            add(code(sids)[runs], lengths, pieces)  # sids in the order they first appear
-            del runs, lengths, pieces  # so that the join frees them
+                raise ParseError(path, lines + exc.line_number, exc.reason) from None
+            issues += [(lines + line, text) for line, text in back_issues]
+            ranks = np.array([code_of.setdefault(sid, len(code_of)) for sid in back_ids], np.int32)
+            for codes in back[0]:
+                np.take(ranks, codes, out=codes)
+            parts = [mine + theirs for mine, theirs in zip(parts, back)]
+            del back, back_ids  # so that the join frees them
 
     # One column at a time, its source popped and freed before the next.
     columns = [np.concatenate(parts.pop(0)) for _ in range(4)]
@@ -459,6 +448,24 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
         n_negative_clamped=n_clamped,
         n_duplicates_merged=n_rows - len(t),
     )
+
+
+def _convert_range(job):
+    """(line count, issues, per column (session code, t, current, pilot) its
+    pieces, {session id: code}) of a time-series file's lines from byte
+    start to end (None: the end of the file), read by the file's header and
+    numbered from 1 at start; codes rank the ids by their first valid row.
+    A serial parse converts the whole file with it, a split parse each half.
+    """
+    path, start, end, strict = job
+    reader, issues, code_of = csvio.Reader(path, start, end), [], {}
+    parts = [[np.empty(0, dtype)] for dtype in (np.int32, np.int64, float, float)]
+    for chunk in _read_chunks(path, TIMESERIES_COLUMNS, reader):
+        heads, lengths, columns = _convert(path, chunk, strict, issues)
+        codes = np.array([code_of.setdefault(sid, len(code_of)) for sid in heads], np.int32)
+        for part, column in zip(parts, (np.repeat(codes, lengths), *columns)):
+            part.append(column)
+    return reader.line - 1, issues, parts, code_of
 
 
 def _convert(path: Path, chunk, strict: bool, issues: list):
@@ -533,24 +540,6 @@ def _split_at(path: Path) -> int | None:
             buf[: n - stop] = buf[stop:n]
             at, seen, held = at + stop, seen + found, n - stop
     return None
-
-
-def _convert_back(job):
-    """A split parse's worker: _convert over the lines of a CSV file from
-    byte `split` on, read by the file's header and numbered from 1. Returns
-    (issues, session ids in the order they first appear, each run's index
-    into them, run lengths, per column (t, current, pilot) its pieces)."""
-    path, split, strict = job
-    issues: list[tuple[int, str]] = []
-    sids: dict[str, int] = {}
-    runs, lengths, pieces = [np.empty(0, np.int32)], [np.empty(0, np.intp)], ([], [], [])
-    for chunk in _read_chunks(path, TIMESERIES_COLUMNS, csvio.Reader(path, split)):
-        heads, chunk_lengths, columns = _convert(path, chunk, strict, issues)
-        runs.append(np.array([sids.setdefault(sid, len(sids)) for sid in heads], np.int32))
-        lengths.append(chunk_lengths)
-        for piece, column in zip(pieces, columns):
-            piece.append(column)
-    return issues, list(sids), np.concatenate(runs), np.concatenate(lengths), pieces
 
 
 def _rising(codes: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -6,7 +6,10 @@ and start_job, whose one worker converts or formats the back half of a
 large time-series file for ingest's parse or writer. Workers raises
 CannotFork, leaving no worker, where this process cannot fork: with fewer
 than two usable CPUs, no os.fork, in a daemonic multiprocessing process or
-when a fork raises OSError. Each user then does all of its work here.
+when a fork raises OSError. ClientPool also raises it, before it forks or
+sets a thread count, where the OpenBLAS thread count cannot be set
+(blas_threads() is None). Each user then does all of its work here; every
+such condition of the host is decided in this module.
 
 A worker is forked by os.fork with SIGINT blocked and then ignores it, so a
 ^C reaches only the parent, which kills its workers. stdout and stderr are
@@ -279,6 +282,7 @@ class ClientPool(Workers):
     """n_workers forked processes, each calling train(r, position, client,
     global_params) -> ModelParameters for its share of one round's clients.
     predictors[k](params) gives the predictions of evaluated split k.
+    CannotFork where Workers raises it or no OpenBLAS thread count can be set.
 
     dispatch() starts a round and returns at once; collect() waits for it. A
     round's positions go to the workers in turn (position p to worker
@@ -290,13 +294,16 @@ class ClientPool(Workers):
 
     def __init__(self, n_workers: int, layout, slots: int, train, predictors=(), *,
                  mode: str, unit: str):
+        threads = blas_threads()
+        if threads is None:
+            raise CannotFork
+        self._get_threads, self._set_threads = threads
         self._layout = layout
         self._rows = np.frombuffer(mmap.mmap(-1, (1 + slots) * layout.total * 8),
                                    dtype=np.float64).reshape(1 + slots, layout.total)
         self._train, self._predictors = train, predictors
         self._n_workers = n_workers
         self._round: tuple[int, tuple] | None = None
-        self._get_threads, self._set_threads = blas_threads()
         self._threads_before = self._get_threads()
         self._set_threads(1)
         try:

@@ -157,6 +157,14 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_empty_input_dir_names_every_file_looked_for(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert dispatch(["featurize", "--in", str(empty), "--out", str(tmp_path / "y")]) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: no sessions.csv, sessions.jsonl, sessions.ndjson or sessions.json "
+            f"under {empty}\n")
+
     def test_strict_mode_aborts_on_junk(self, tmp_path):
         sessions = tmp_path / "sessions.csv"
         sessions.write_text(

@@ -58,18 +58,24 @@ def test_only_csvio_imports_csv():
     assert importers("csv") == ["csvio.py"]
 
 
-def os_names(path: Path) -> set[str]:
-    """The names a module takes from os: x for os.x or from os import x."""
+def names_from(path: Path, source: str) -> set[str]:
+    """The names a module takes from the module source (os, or the package's
+    pool): x for source.x or from source import x (from .source too)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-             and isinstance(node.value, ast.Name) and node.value.id == "os"}
-            | {name for module, name in imports(path) if module == "os" and name})
+             and isinstance(node.value, ast.Name) and node.value.id == source}
+            | {name for module, name in imports(path)
+               if module.lstrip(".") in (source, f"fedcharge.{source}") and name})
 
 
 def test_os_names_finds_attributes_and_imports(tmp_path):
+    """names_from, for os and for the package's pool."""
     module = tmp_path / "module.py"
-    module.write_text("import os\nfrom os import waitpid\npid = os.fork()\nos.path.join\n")
-    assert os_names(module) == {"fork", "path", "waitpid"}
+    module.write_text("import os\nfrom os import waitpid\npid = os.fork()\nos.path.join\n"
+                      "from . import pool\nfrom .pool import CannotFork\n"
+                      "from fedcharge.pool import ClientPool\nn = pool.usable_cpus()\n")
+    assert names_from(module, "os") == {"fork", "path", "waitpid"}
+    assert names_from(module, "pool") == {"CannotFork", "ClientPool", "usable_cpus"}
 
 
 def test_only_pool_forks():
@@ -77,7 +83,15 @@ def test_only_pool_forks():
     and sets their heap and BLAS threads. No module imports multiprocessing."""
     assert importers("multiprocessing") == []
     assert importers("ctypes") == ["pool.py"]
-    assert [path.name for path in MODULES if os_names(path) & {"fork", "waitpid"}] == ["pool.py"]
+    assert [path.name for path in MODULES
+            if names_from(path, "os") & {"fork", "waitpid"}] == ["pool.py"]
+
+
+def test_only_pool_decides_whether_to_fork():
+    """The host's CPUs and BLAS threads are pool.py's to check: no other
+    module takes usable_cpus or blas_threads from it."""
+    assert [path.name for path in MODULES
+            if names_from(path, "pool") & {"usable_cpus", "blas_threads"}] == []
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -134,12 +134,18 @@ def case(name: str) -> str:
     elif name == "new sessions in both halves":
         rows[N - 3], rows[2] = ("Y", 0, "1.0"), ("Z", 0, "1.0")
         rows.insert(N - 1, ("Z", 1, "2.0"))
+    elif name == "no valid row in the front":  # the back's ids rank from 0
+        rows = [(sid, i, "abc" if i < 2 * N // 3 else current) for sid, i, current in rows]
+        rows.append(("D", 0, "1.0"))
+    elif name == "no new session in the back":  # B, then A again: the back ranks B first
+        rows = [("ABA"[3 * i // N], i, current) for _, i, current in rows]
     return run_lines(rows)
 
 
 CASES = ["in order", "issues in both halves", "quote in the front", "quote in the back",
          "bare cr in the front", "duplicates across the split",
-         "out of order across the split", "new sessions in both halves"]
+         "out of order across the split", "new sessions in both halves",
+         "no valid row in the front", "no new session in the back"]
 
 
 def back_line(path: Path, chunk_rows: int = 2) -> int:
@@ -179,6 +185,11 @@ class TestSplitEqualsSerial:
         lenient = parse_timeseries(file_with(tmp_path, case("issues in both halves")))
         assert [line for line, _ in lenient.issues] == [5, N - 2]
         assert 5 < middle < N - 2
+        lenient = parse_timeseries(file_with(tmp_path, case("no valid row in the front")))
+        assert [line for line, _ in lenient.issues] == list(range(2, 2 + 2 * N // 3))
+        assert middle < 2 + 2 * N // 3 and list(lenient.index) == ["B", "C", "D"]
+        back = case("no new session in the back").splitlines(True)[middle - 1 :]
+        assert {line[:1] for line in back} == {"A", "B"} and back[0][:1] == "B"
 
     @pytest.mark.parametrize("where, line", [("front", 5), ("back", N - 2), ("both", 5)])
     def test_bytes_not_utf8_name_the_first_line(self, tmp_path, where, line):
@@ -349,10 +360,21 @@ class TestWorkers:
 
 
 class TestNoWorkerOutlivesAParse:
+    @staticmethod
+    def in_the_worker(die):
+        """_convert_range, which calls die() when it runs in the worker."""
+        parent, convert_range = os.getpid(), ingest._convert_range
+
+        def dies_in_the_worker(job):
+            if os.getpid() != parent:
+                die()
+            return convert_range(job)
+
+        return mock.patch.object(ingest, "_convert_range", dies_in_the_worker)
+
     def test_dead_worker_names_the_file(self, tmp_path, capsys):
         path = file_with(tmp_path, case("in order"))
-        with parsed_in("split"), mock.patch.object(ingest, "_convert_back",
-                                                   lambda job: os._exit(3)):
+        with parsed_in("split"), self.in_the_worker(lambda: os._exit(3)):
             with pytest.raises(RuntimeError) as info:
                 parse_timeseries(path)
             assert str(info.value) == \
@@ -365,11 +387,8 @@ class TestNoWorkerOutlivesAParse:
 
     def test_worker_killed_by_a_signal_names_the_file(self, tmp_path):
         path = file_with(tmp_path, case("in order"))
-
-        def killed(job):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        with parsed_in("split"), mock.patch.object(ingest, "_convert_back", killed):
+        with parsed_in("split"), self.in_the_worker(
+                lambda: os.kill(os.getpid(), signal.SIGKILL)):
             with pytest.raises(RuntimeError) as info:
                 parse_timeseries(path)
         assert str(info.value) == f"{path}: the worker parsing its back half exited with code -9"
