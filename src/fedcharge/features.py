@@ -11,17 +11,16 @@ match bit for bit.
 from __future__ import annotations
 
 import math
+import time
 import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
-from datetime import timedelta
 
 import numpy as np
 
 from . import csvio
 from .ingest import float_column
 from .sessions import (
-    EPOCH,
     DatasetConfig,
     SessionRecord,
     SessionSeries,
@@ -59,7 +58,6 @@ UNSCALED_INDICES = tuple(i for i, (_, scaled) in enumerate(FEATURE_SPEC) if not 
 STD_FLOOR = 1e-8
 
 _COLUMN = {name: i for i, name in enumerate(FEATURE_COLUMNS)}
-_MICROSECOND = timedelta(microseconds=1)
 # Optional user inputs, each with its 0/1 missingness flag.
 _USER = (
     ("requested_energy_kwh", "requested_energy_missing"),
@@ -72,7 +70,7 @@ def departure_offset(session: SessionRecord) -> float | None:
     """(requested_departure - connection_time) in minutes; negative -> missing."""
     if session.requested_departure is None:
         return None
-    offset = (session.requested_departure - session.connection_time).total_seconds() / 60.0
+    offset = (session.requested_departure - session.connection_time) / 60.0
     if offset < 0:
         return None
     return offset
@@ -143,9 +141,9 @@ def _signal_columns(X, name, values, seconds, counts, cfg: DatasetConfig) -> Non
 
 @dataclass
 class FeatureTable:
-    """Feature matrix for a dataset: one row per retained session."""
+    """Feature matrix for a dataset: one row per retained session, one
+    column per FEATURE_COLUMNS name."""
 
-    feature_names: tuple[str, ...]
     X: np.ndarray                 # (n, d) float64, NaN = missing
     y: np.ndarray                 # (n,)
     session_ids: list[str]
@@ -170,7 +168,9 @@ def build_feature_table(
     windows when given, as RetentionResult.windows), the calendar fields and
     the user fields are found one session at a time. The statistics are row
     reductions over all sessions with the same number of values, bit-equal
-    to the per-session definitions.
+    to the per-session definitions. A target that is not finite or a feature
+    that overflows to infinity raises ValueError naming the session and the
+    column, as read_features would refuse the row.
     """
     n = len(sessions)
     warnings: Counter = Counter()
@@ -188,8 +188,8 @@ def build_feature_table(
         current.append(readings.current[lo:hi])
         pilot.append(readings.pilot[lo:hi])
         merged.append(hi - lo)
-        starts_us.append((session.connection_time - EPOCH) // _MICROSECOND)
-        tt = session.connection_time.timetuple()
+        starts_us.append(session.connection_time * 1_000_000)
+        tt = time.gmtime(session.connection_time)
         fields.append((tt.tm_hour, tt.tm_wday, tt.tm_mon, tt.tm_yday))
         user.append((session.requested_energy_kwh, session.available_minutes, offset))
         targets.append(float(session.delivered_energy_kwh))
@@ -204,7 +204,8 @@ def build_feature_table(
     for name, values in (("current", current), ("pilot", pilot)):
         present = ~np.isnan(values)
         counts = np.bincount(owner[present], minlength=n)
-        _signal_columns(X, name, values[present], seconds[present], counts, cfg)
+        with np.errstate(over="ignore"):  # an overflow gives inf, refused below
+            _signal_columns(X, name, values[present], seconds[present], counts, cfg)
     # Utilization: current / pilot at readings with both signals and pilot > 0.
     both = ~np.isnan(current) & (pilot > 0)
     ratios = current[both] / pilot[both]
@@ -226,10 +227,15 @@ def build_feature_table(
         values = [row[j] for row in user]
         X[:, _COLUMN[name]] = [math.nan if v is None else float(v) for v in values]
         X[:, _COLUMN[flag]] = [v is None for v in values]
+    y = np.array(targets, dtype=float)
+    bad = np.column_stack([~np.isfinite(y), np.isinf(X)])
+    if bad.any():  # read_features would reject the row
+        i, j = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"session {sessions[i].session_id!r}: "
+                         f"{('target', *FEATURE_COLUMNS)[j]} is not finite")
     return FeatureTable(
-        feature_names=FEATURE_COLUMNS,
         X=X,
-        y=np.array(targets, dtype=float),
+        y=y,
         session_ids=[s.session_id for s in sessions],
         station_ids=[s.station_id for s in sessions],
         warnings=warnings,
@@ -293,7 +299,7 @@ def write_features(path, table: FeatureTable) -> None:
     fit imputation and scaling on their own training split. The bytes are
     csv.writer's (see csvio.write).
     """
-    header = ["session_id", "station_id", "target", *table.feature_names]
+    header = ["session_id", "station_id", "target", *FEATURE_COLUMNS]
     # A NaN feature is missing, an empty cell; a NaN target is not, so it goes
     # as Python floats, which are written nan.
     csvio.write(path, header, [table.session_ids, table.station_ids, table.y.tolist(), *table.X.T])
@@ -333,6 +339,6 @@ def read_features(path) -> FeatureTable:
     if bad.any():
         i, j = np.argwhere(bad)[0].tolist()
         raise ValueError(f"{path}:{lines[i]}: {header[2 + j]} is not finite")
-    return FeatureTable(feature_names=FEATURE_COLUMNS, X=values[:, 1:].copy(),
+    return FeatureTable(X=values[:, 1:].copy(),
                         y=values[:, 0].copy(), session_ids=ids[0], station_ids=ids[1],
                         warnings=Counter())

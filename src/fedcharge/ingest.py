@@ -16,7 +16,9 @@ field over csv.field_size_limit(), abort in either mode, naming their line.
 Files are read and CSV files written through csvio.
 
 Converting. The same column converters take byte arrays and the lists that
-csv.reader and JSON give, for sessions and readings alike. Canonical
+csv.reader and JSON give, for sessions and readings alike. Every time
+becomes int UTC epoch seconds, the type of SessionRecord's times and of
+SessionSeries.t, and both writers format it back by _stamp_cells. Canonical
 timestamps are checked on their bytes, fields in range, and their seconds
 computed by arithmetic on the digits. float() runs on each numeric cell, on
 its bytes when the column is ASCII and on its decoded text otherwise. A
@@ -64,9 +66,7 @@ import math
 import os
 from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta, timezone
-from itertools import repeat
-from operator import attrgetter, floordiv, sub
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +74,10 @@ import numpy as np
 from . import csvio
 from .csvio import ParseError, csv_text
 from .sessions import (  # cli, bench/ and tests take the synthetic depot from here
-    EPOCH,
+    TIME_FIELDS,
     SessionRecord,
     SessionSeries,
     SyntheticDepotSpec,
-    epoch_seconds,
-    format_utc,
     generate_synthetic,
     parse_utc,
 )
@@ -101,7 +99,6 @@ _SPLIT_WRITE_BYTES = 5_000_000
 _FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and merges
 _SCAN = 1 << 17  # bytes _split_at reads at a time: numpy's passes over them stay in cache
 
-_SECOND = timedelta(seconds=1)
 # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
 _FIRST_SECOND, _LAST_SECOND = -62_135_596_800, 253_402_300_799
 
@@ -190,7 +187,7 @@ def _get_float(row: dict, key: str) -> float | None:
     return out
 
 
-def _get_time(row: dict, key: str) -> datetime | None:
+def _get_time(row: dict, key: str) -> int | None:
     value = row.get(key)
     if value is None:
         return None
@@ -235,11 +232,11 @@ def _session_columns(cells, absent) -> tuple[list[list], np.ndarray]:
             values.append(csvio.texts(column))
             if absent is None:  # JSON: a null or another type is str()'d by the rules
                 suspect |= np.array([type(v) is not str for v in values[-1]], bool)
-        elif name.endswith(("_time", "_departure")):
-            fields, odd = _canonical_fields(column)
+        elif name in TIME_FIELDS:
+            t, odd = _canonical_seconds(column)
             none = ~_present(column, absent)
             suspect |= odd if name == "connection_time" else odd & ~none  # else absent is None
-            values.append(_datetimes(fields, odd, none))
+            values.append([None if n else v for v, n in zip(t.tolist(), none.tolist())])
         else:
             numbers, odd = float_column(column, absent)
             suspect |= odd
@@ -290,7 +287,7 @@ def _reading(row: dict) -> tuple[str, int, float, float]:
     if current is None and pilot is None:
         raise ValueError(f"sample for {sid} carries neither current nor pilot")
     current, pilot = (math.nan if v is None else v for v in (current, pilot))
-    return sid, epoch_seconds(ts), current, pilot
+    return sid, ts, current, pilot
 
 
 # YYYY-MM-DDTHH:MM:SSZ, the form synth writes: a byte minus _STAMP is at most
@@ -300,11 +297,12 @@ _SLACK = np.frombuffer(b"9999-19-39T29:59:59Z", np.uint8) - _STAMP
 _MONTH_DAYS = np.array([31, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # [m]: month m's
 
 
-def _canonical_fields(stamps) -> tuple[list[np.ndarray], np.ndarray]:
-    """(year, month, day, hour, minute, second) of every cell that is a valid
-    time in the canonical form, and a mask of the other cells, which
-    parse_utc must judge one by one. The form and the fields' ranges are
-    checked on the cells' bytes (years 1-9999, leap days included).
+def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of every cell that is a valid time in the canonical form
+    (0 for the others), and a mask of the other cells, which parse_utc must
+    judge one by one. The form and the fields' ranges are checked on the
+    cells' bytes (years 1-9999, leap days included); dates become days by
+    Hinnant's days_from_civil, the inverse of _stamp_cells' civil_from_days.
     """
     if not isinstance(stamps, np.ndarray):  # text or JSON cells
         stamps = np.array(
@@ -313,7 +311,7 @@ def _canonical_fields(stamps) -> tuple[list[np.ndarray], np.ndarray]:
         )
     n, width = len(stamps), stamps.dtype.itemsize
     if width < 20:
-        return [np.ones(n, np.int32)] * 6, np.ones(n, bool)
+        return np.zeros(n, np.int64), np.ones(n, bool)
     cells = stamps.view(np.uint8).reshape(n, width)
     digits = cells[:, :20] - _STAMP
     bad = (digits > _SLACK).view(np.uint32)  # four bytes of a row at a time
@@ -333,32 +331,13 @@ def _canonical_fields(stamps) -> tuple[list[np.ndarray], np.ndarray]:
     leap = ((year & 3) == 0) & ((year != 100 * century) | ((century & 3) == 0))
     ok &= (year > 0) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24)
     ok &= day <= _MONTH_DAYS[np.where(ok, month, 1)] + (leap & (month == 2))
-    return [year, month, day, hour, number(14, 2), number(17, 2)], ~ok
-
-
-def _canonical_seconds(stamps) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of every cell that is a valid time in the canonical form
-    (0 for the others), and _canonical_fields' mask. Dates become days by
-    Hinnant's days_from_civil, the inverse of _stamp_cells' civil_from_days.
-    """
-    (year, month, day, hour, minute, second), odd = _canonical_fields(stamps)
     y = year - (month <= 2)  # days_from_civil: years from March 1, in 400-year eras
     era = y // 400
     yoe = y - 400 * era
     doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
     days = 146_097 * era + 365 * yoe + yoe // 4 - yoe // 100 + doy - 719_468
-    t = 86_400 * days.astype(np.int64) + 3_600 * hour + 60 * minute + second
-    return np.where(odd, 0, t), odd
-
-
-def _datetimes(fields: list[np.ndarray], odd: np.ndarray, none: np.ndarray) -> list:
-    """The UTC datetime of each row's _canonical_fields, None where none is
-    set. An odd row gets 0001-01-01T01:01:01Z: the per-row rules replace it."""
-    fields = [np.where(odd, 1, column).tolist() for column in fields]
-    times = list(map(datetime, *fields, repeat(0), repeat(timezone.utc)))
-    for i in np.flatnonzero(none).tolist():
-        times[i] = None
-    return times
+    t = 86_400 * days.astype(np.int64) + 3_600 * hour + 60 * number(14, 2) + number(17, 2)
+    return np.where(ok, t, 0), ~ok
 
 
 def float_column(cells, absent) -> tuple[np.ndarray, np.ndarray]:
@@ -548,41 +527,40 @@ def _rising(codes: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def write_sessions(path, sessions: list[SessionRecord]) -> None:
-    """One row per session. A CSV file is written a column at a time
-    (_session_cells); JSON lines leave absent fields out."""
+    """One row per session, times as _stamp_cells writes them. A CSV file is
+    written a column at a time (_session_cells); JSON lines leave absent
+    fields out. A time outside years 1-9999, which the parser would reject,
+    raises ValueError naming its session before any write."""
     path = Path(path)
     columns = [list(map(attrgetter(c), sessions)) for c in SESSION_COLUMNS]
+    for j in map(SESSION_COLUMNS.index, TIME_FIELDS):
+        t = [v for v in columns[j] if v is not None]
+        if t and not _FIRST_SECOND <= min(t) <= max(t) <= _LAST_SECOND:
+            i = next(i for i, v in enumerate(columns[j])
+                     if v is not None and not _FIRST_SECOND <= v <= _LAST_SECOND)
+            raise ValueError(f"cannot write session {sessions[i].session_id!r}: "
+                             f"{SESSION_COLUMNS[j]}={columns[j][i]} is not in years 1-9999")
+        texts = iter(_stamp_cells(np.array(t, np.int64)).view("S20").ravel().astype("U20").tolist())
+        columns[j] = [None if v is None else next(texts) for v in columns[j]]
     if _is_csv(path):
         csvio.write(path, SESSION_COLUMNS, list(map(_session_cells, columns)))
         return
     with open(path, "w", encoding="utf-8") as fh:
         for row in zip(*columns):
-            obj = {c: format_utc(v) if isinstance(v, datetime) else v
-                   for c, v in zip(SESSION_COLUMNS, row) if v is not None}
+            obj = {c: v for c, v in zip(SESSION_COLUMNS, row) if v is not None}
             fh.write(json.dumps(obj) + "\n")
 
 
 def _session_cells(values: list) -> list | np.ndarray:
     """A session column as csvio.write takes it, for the bytes that writing
-    each value, a datetime by format_utc, gives: floats and None as a float
-    array when no value is NaN (which is written nan, not empty), and
-    datetimes with a time zone and None as _stamp_cells' text of their
-    epoch seconds and "".
-    """
+    each value gives: floats and None as a float array when no value is NaN
+    (which is written nan, not empty), any other column as it is, None as ""."""
     kinds = set(map(type, values)) - {type(None)}
     if kinds == {float}:
         floats = np.array(values, float)  # None becomes NaN
         if np.count_nonzero(np.isnan(floats)) == values.count(None):
             return floats
-    elif kinds == {datetime}:
-        times = [v for v in values if v is not None]
-        with suppress(TypeError):  # a naive time, which format_utc reads as local
-            t = np.array(list(map(floordiv, map(sub, times, repeat(EPOCH)), repeat(_SECOND))),
-                         np.int64)  # epoch_seconds of each
-            if _FIRST_SECOND <= t.min() and t.max() <= _LAST_SECOND:
-                texts = iter(_stamp_cells(t).view("S20").ravel().astype("U20").tolist())
-                return ["" if v is None else next(texts) for v in values]
-    return [format_utc(v) if isinstance(v, datetime) else v for v in values]
+    return ["" if v is None else v for v in values]
 
 
 def write_timeseries(path, index: dict[str, SessionSeries]) -> None:

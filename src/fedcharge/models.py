@@ -42,7 +42,8 @@ class ParamLayout:
         return sum(self.sizes)
 
     @cached_property
-    def _slices(self) -> MappingProxyType:
+    def slices(self) -> MappingProxyType:
+        """name -> (slice of the flat vector, shape), computed once."""
         out = {}
         offset = 0
         for (name, shape), size in zip(self.segments, self.sizes):
@@ -50,13 +51,9 @@ class ParamLayout:
             offset += size
         return MappingProxyType(out)
 
-    def slices(self) -> MappingProxyType:
-        """name -> (slice of the flat vector, shape), computed once."""
-        return self._slices
-
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each segment of `flat` in its own shape, sharing flat's memory."""
-        return {name: flat[sl].reshape(shape) for name, (sl, shape) in self._slices.items()}
+        return {name: flat[sl].reshape(shape) for name, (sl, shape) in self.slices.items()}
 
 
 @dataclass(frozen=True)
@@ -158,6 +155,9 @@ def load_checkpoint(path, spec_dict: dict, layout: ParamLayout) -> ModelParamete
 # Adam
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates; arrays share the parameter layout."""
@@ -165,14 +165,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray             # adam_step's two intermediates, (2, *m.shape)
+    lr: float
     step: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(n_params: int, lr: float = 1e-3) -> AdamState:
+def init_adam(n_params: int, lr: float) -> AdamState:
     return AdamState(m=np.zeros(n_params), v=np.zeros(n_params),
                      scratch=np.empty((2, n_params)), lr=lr)
 
@@ -188,17 +185,17 @@ def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
     state.step += 1
     m, v = state.m, state.v
     a, b = state.scratch
-    m *= state.beta1
-    m += np.multiply(grads, 1.0 - state.beta1, out=a)
-    v *= state.beta2
+    m *= BETA1
+    m += np.multiply(grads, 1.0 - BETA1, out=a)
+    v *= BETA2
     np.multiply(grads, grads, out=a)
-    a *= 1.0 - state.beta2
+    a *= 1.0 - BETA2
     v += a
-    np.divide(m, 1.0 - state.beta1**state.step, out=a)
+    np.divide(m, 1.0 - BETA1**state.step, out=a)
     a *= state.lr
-    np.divide(v, 1.0 - state.beta2**state.step, out=b)
+    np.divide(v, 1.0 - BETA2**state.step, out=b)
     np.sqrt(b, out=b)
-    b += state.eps
+    b += EPS
     a /= b
     values -= a
     return values
@@ -375,7 +372,7 @@ class MlpRegressor(_BoundParams):
         self._init_values(rng_from(seed, STREAM_INIT))
 
     def _init_values(self, rng) -> None:
-        for name, (sl, shape) in self.layout.slices().items():
+        for name, (sl, shape) in self.layout.slices.items():
             if name == "embed":
                 self._values[sl] = rng.normal(0.0, 0.1, size=shape).ravel()
             else:

@@ -16,41 +16,53 @@ import numpy as np
 from .seeding import STREAM_SYNTH, rng_from
 
 
-def parse_utc(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp, normalize to UTC, truncate to seconds."""
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
+
+def parse_utc(text: str) -> int:
+    """UTC epoch seconds of an ISO-8601 timestamp, its fraction of a second
+    dropped; a timestamp without an offset is UTC. Files hold canonical
+    stamps, which ingest converts a column at a time; this is the rule for
+    any other form."""
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).replace(microsecond=0)
+    return (dt.astimezone(timezone.utc) - _EPOCH) // _SECOND
 
 
-def format_utc(dt: datetime) -> str:
-    """Render a UTC timestamp as YYYY-MM-DDTHH:MM:SSZ (the year zero-padded,
-    which strftime does not do on every platform)."""
-    dt = dt.astimezone(timezone.utc)
-    return f"{dt.year:04d}{dt:-%m-%dT%H:%M:%S}Z"
+TIME_FIELDS = ("connection_time", "disconnect_time", "requested_departure")  # SessionRecord's
 
 
 @dataclass(frozen=True, slots=True)
 class SessionRecord:
-    """One charging session: metadata, optional user inputs, target energy."""
+    """One charging session: metadata, optional user inputs, target energy.
+
+    Times are int UTC epoch seconds, as SessionSeries.t holds them; a time
+    of another type (a datetime, say) raises TypeError naming its field.
+    """
 
     session_id: str
     site_id: str
     station_id: str
-    connection_time: datetime
-    disconnect_time: datetime | None = None
+    connection_time: int
+    disconnect_time: int | None = None
     delivered_energy_kwh: float | None = None
     requested_energy_kwh: float | None = None
     available_minutes: float | None = None
-    requested_departure: datetime | None = None
+    requested_departure: int | None = None
 
     def __post_init__(self):
         if not self.session_id:
             raise ValueError("session_id must be nonempty")
+        for name in TIME_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and (value is not None or name == "connection_time"):
+                raise TypeError(f"{name} of {self.session_id} must be int epoch seconds, "
+                                f"not {type(value).__name__}")
         if self.delivered_energy_kwh is not None and self.delivered_energy_kwh < 0:
             raise ValueError(f"delivered_energy_kwh < 0 for {self.session_id}")
         if self.requested_energy_kwh is not None and self.requested_energy_kwh < 0:
@@ -138,14 +150,7 @@ class SessionSeries:
         )
 
 
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SYNTH_EPOCH = datetime(2019, 1, 1, tzinfo=timezone.utc)  # synthetic sessions start in its year
-_MICROSECOND = timedelta(microseconds=1)
-
-
-def epoch_seconds(dt: datetime) -> int:
-    """Whole seconds since 1970-01-01T00:00:00Z, rounded down."""
-    return (dt - EPOCH) // timedelta(seconds=1)
+_SYNTH_EPOCH = 1_546_300_800  # 2019-01-01T00:00:00Z: synthetic sessions start in its year
 
 
 def early_window_bounds(
@@ -154,13 +159,14 @@ def early_window_bounds(
     """Index range [lo, hi) of the readings in the closed interval
     [t_conn, t_conn + W]; lo is the number of readings before connection.
 
-    Bounds are exact in integer microseconds, the resolution of the
-    timedelta that W becomes.
+    The end is exact in integer microseconds, the resolution of the
+    timedelta that W becomes: a reading is in when its seconds past t_conn
+    are at most W's whole seconds.
     """
-    start_us = (session.connection_time - EPOCH) // _MICROSECOND
-    end_us = start_us + timedelta(minutes=cfg.early_window_minutes) // _MICROSECOND
-    lo = int(series.t.searchsorted(-(-start_us // 1_000_000), "left"))
-    hi = int(series.t.searchsorted(end_us // 1_000_000, "right"))
+    start = session.connection_time
+    end = start + timedelta(minutes=cfg.early_window_minutes) // _SECOND
+    lo = int(series.t.searchsorted(start, "left"))
+    hi = int(series.t.searchsorted(end, "right"))
     return lo, max(lo, hi)
 
 
@@ -309,7 +315,7 @@ def generate_synthetic(
 
     counts = n_steps + 1
     ends = np.cumsum(counts)
-    start = epoch_seconds(_SYNTH_EPOCH) + second - (ends - counts) * spec.sample_period_s
+    start = _SYNTH_EPOCH + second - (ends - counts) * spec.sample_period_s
     t = np.arange(ends[-1]) * spec.sample_period_s + np.repeat(start, counts)
     current, pilot = np.repeat(current, counts), np.repeat(pilot, counts)
     for column in (t, current, pilot):
@@ -321,9 +327,9 @@ def generate_synthetic(
     for sid, station_id, at, m, kwh, ask, avail, departs in zip(
             sids, stations, second.tolist(), minutes.tolist(), delivered.tolist(),
             requested.tolist(), available.tolist(), leave.tolist()):
-        conn = _SYNTH_EPOCH + timedelta(seconds=at)
+        conn = _SYNTH_EPOCH + at
         sessions.append(SessionRecord(
-            sid, "SYN", station_id, conn, conn + timedelta(minutes=m), kwh,
+            sid, "SYN", station_id, conn, conn + 60 * m, kwh,
             None if ask != ask else ask, float(m) if avail else None,
-            None if departs != departs else conn + timedelta(minutes=departs)))
+            None if departs != departs else conn + 60 * int(departs)))
     return sessions, index

@@ -6,7 +6,7 @@ import glob
 import os
 import signal
 from contextlib import suppress
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -17,11 +17,19 @@ from fedcharge.sessions import (
     DatasetConfig,
     SessionRecord,
     SessionSeries,
-    epoch_seconds,
     retain_sessions,
 )
 
-T0 = datetime(2019, 1, 7, 8, 30, 0, tzinfo=timezone.utc)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def utc(*fields: int) -> int:
+    """UTC epoch seconds of datetime(*fields) in UTC, as SessionRecord holds
+    times: utc(2019, 1, 7, 8, 30) is 2019-01-07T08:30:00Z."""
+    return (datetime(*fields, tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
+
+
+T0 = utc(2019, 1, 7, 8, 30)
 
 
 def make_session(
@@ -58,7 +66,7 @@ def make_series(
             return np.full(n, float(values))
         return np.array([np.nan if v is None else float(v) for v in values])
 
-    t = epoch_seconds(start) + np.array([int(off) for off in offsets_s], dtype=np.int64)
+    t = start + np.array([int(off) for off in offsets_s], dtype=np.int64)
     return SessionSeries(t, column(current), column(pilot))
 
 

@@ -17,7 +17,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from fedcharge.features import (
 )
 from fedcharge.csvio import csv_text
 from fedcharge.sessions import (
-    EPOCH,
     DatasetConfig,
     SessionRecord,
     SessionSeries,
@@ -87,10 +86,14 @@ def early_energy(times_s, currents_a, voltage_v: float) -> float:
     return float(np.sum((power_kw[:-1] + power_kw[1:]) / 2.0 * np.diff(t)) / 3600.0)
 
 
-def calendar_features(connection_time: datetime) -> dict[str, float]:
-    """Raw calendar fields (weekday: Monday = 0; month and day of year count
-    from 1), their sin/cos encodings and the weekend flag."""
-    tt = connection_time.timetuple()
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def calendar_features(connection_time: int) -> dict[str, float]:
+    """Raw calendar fields of a time in UTC epoch seconds (weekday: Monday =
+    0; month and day of year count from 1), their sin/cos encodings and the
+    weekend flag. The fields are the UTC datetime's."""
+    tt = (EPOCH + timedelta(seconds=connection_time)).timetuple()
     out = {"hour": tt.tm_hour, "weekday": tt.tm_wday}
     out.update(month=tt.tm_mon, day_of_year=tt.tm_yday)
     for name, (period, start) in _CALENDAR.items():
@@ -122,8 +125,9 @@ def early_window_features(
     lo, hi = early_window_bounds(session, series, cfg)
     t = series.t[lo:hi]
     # Seconds since connection, as timedelta.total_seconds() gives them.
-    start_us = (session.connection_time - EPOCH) // timedelta(microseconds=1)
-    seconds = (t * 1_000_000 - start_us) / 1e6
+    start = EPOCH + timedelta(seconds=session.connection_time)
+    seconds = np.array([(EPOCH + timedelta(seconds=int(ti)) - start).total_seconds()
+                        for ti in t.tolist()], dtype=float)
     out = {}
     for name, values in (("current", series.current[lo:hi]), ("pilot", series.pilot[lo:hi])):
         present = ~np.isnan(values)
@@ -192,7 +196,6 @@ def build_feature_table(
         station_ids.append(vec.station_id)
     X = np.vstack(rows) if rows else np.empty((0, len(FEATURE_COLUMNS)))
     return FeatureTable(
-        feature_names=FEATURE_COLUMNS,
         X=X,
         y=np.asarray(targets, dtype=float),
         session_ids=session_ids,
@@ -205,7 +208,7 @@ def write_features(path, table: FeatureTable) -> None:
     """features.csv through csv.writer, one row at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["session_id", "station_id", "target", *table.feature_names])
+        writer.writerow(["session_id", "station_id", "target", *FEATURE_COLUMNS])
         for i in range(len(table)):
             cells = [table.session_ids[i], table.station_ids[i], repr(float(table.y[i]))]
             for v in table.X[i]:
@@ -218,7 +221,7 @@ def write_features_by_column(path, table: FeatureTable) -> None:
     columns = [list(map(csv_text, ids)) for ids in (table.session_ids, table.station_ids)]
     columns.append(_float_texts(table.y, "nan"))
     columns += (_float_texts(values, "") for values in table.X.T)  # NaN is missing
-    rows = [",".join(("session_id", "station_id", "target", *table.feature_names))]
+    rows = [",".join(("session_id", "station_id", "target", *FEATURE_COLUMNS))]
     rows += map(",".join, zip(*columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(rows) + "\r\n")
@@ -266,7 +269,6 @@ def read_features(path) -> FeatureTable:
         i, j = bad[0].tolist()
         raise ValueError(f"{path}:{lines[i]}: {header[2 + j]} is not finite")
     return FeatureTable(
-        feature_names=FEATURE_COLUMNS,
         X=X,
         y=y,
         session_ids=session_ids,

@@ -9,6 +9,7 @@ lines) and apply the row rules in the same order; the time-series parser
 merges duplicates in a dict keyed by timestamp and converts its result to
 SessionSeries at the end, so that it compares with ``==``. Line numbers are
 the reader's physical line, which is what the batched parsers report.
+The sessions writer formats each time through a datetime.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import csv
 import io
 import json
 import math
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -33,13 +34,26 @@ from fedcharge.ingest import (
     TimeSeriesParseResult,
     _is_csv,
 )
-from fedcharge.sessions import (
-    SessionRecord,
-    SessionSeries,
-    epoch_seconds,
-    format_utc,
-    parse_utc,
-)
+from fedcharge.sessions import SessionRecord, SessionSeries, parse_utc
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+TIME_COLUMNS = ("connection_time", "disconnect_time", "requested_departure")
+
+
+def epoch_seconds(dt: datetime) -> int:
+    """Whole seconds since 1970-01-01T00:00:00Z, rounded down."""
+    return (dt - EPOCH) // timedelta(seconds=1)
+
+
+def format_utc(dt: datetime) -> str:
+    """Render a timestamp as YYYY-MM-DDTHH:MM:SSZ in UTC (the year
+    zero-padded, which strftime does not do on every platform)."""
+    dt = dt.astimezone(timezone.utc)
+    return f"{dt.year:04d}{dt:-%m-%dT%H:%M:%S}Z"
+
+
+FIRST_SECOND = epoch_seconds(datetime.min.replace(tzinfo=timezone.utc))  # 0001-01-01T00:00:00Z
+LAST_SECOND = epoch_seconds(datetime.max.replace(tzinfo=timezone.utc))  # 9999-12-31T23:59:59Z
 
 
 def iter_rows(path: Path):
@@ -83,7 +97,7 @@ def get_float(row: dict, key: str) -> float | None:
     return out
 
 
-def get_time(row: dict, key: str) -> datetime | None:
+def get_time(row: dict, key: str) -> int | None:
     value = row.get(key)
     if value is None:
         return None
@@ -95,7 +109,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     issues: list[tuple[int, str]] = []
     n_clamped = 0
     n_duplicates = 0
-    per_session: dict[str, dict[datetime, tuple]] = {}
+    per_session: dict[str, dict[int, tuple]] = {}
     for lineno, row in iter_rows(path):
         if isinstance(row, Exception):
             if strict:
@@ -136,7 +150,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     for sid, bucket in per_session.items():
         stamps = sorted(bucket)
         index[sid] = SessionSeries(
-            t=np.array([epoch_seconds(ts) for ts in stamps], dtype=np.int64),
+            t=np.array(stamps, dtype=np.int64),
             current=column(bucket[ts][0] for ts in stamps),
             pilot=column(bucket[ts][1] for ts in stamps),
         )
@@ -219,10 +233,21 @@ def format_floats(x: np.ndarray, label: str) -> list[str]:
 
 
 def write_sessions(path, sessions: list[SessionRecord]) -> None:
-    """Each value formatted one at a time, datetimes by format_utc."""
+    """Each value formatted one at a time, times by format_utc of their
+    datetime. A time outside years 1-9999 raises ValueError naming its
+    session, the first in column order, before any write."""
     path = Path(path)
-    columns = [[format_utc(v) if isinstance(v, datetime) else v
-                for v in (getattr(s, c) for s in sessions)] for c in SESSION_COLUMNS]
+    columns = []
+    for c in SESSION_COLUMNS:
+        values = [getattr(s, c) for s in sessions]
+        if c in TIME_COLUMNS:
+            for s, v in zip(sessions, values):
+                if v is not None and not FIRST_SECOND <= v <= LAST_SECOND:
+                    raise ValueError(f"cannot write session {s.session_id!r}: {c}={v} is not "
+                                     "in years 1-9999")
+            values = [None if v is None else format_utc(EPOCH + timedelta(seconds=v))
+                      for v in values]
+        columns.append(values)
     if _is_csv(path):
         csvio.write(path, SESSION_COLUMNS, columns)
         return

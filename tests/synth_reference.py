@@ -3,25 +3,32 @@ fedcharge.sessions.generate_synthetic replaced, kept as its oracle.
 
 Each session makes its draws in the documented order and computes its
 current, pilot and energies with Python floats (max, min, math.ceil), then
-builds its own SessionSeries through the checked constructor.
+builds its own SessionSeries through the checked constructor. Its times
+are datetimes, turned into epoch seconds where a record or series takes them.
 """
 
 from __future__ import annotations
 
 import math
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from fedcharge.seeding import STREAM_SYNTH, rng_from
 from fedcharge.sessions import (
-    _SYNTH_EPOCH,
     DatasetConfig,
     SessionRecord,
     SessionSeries,
     SyntheticDepotSpec,
-    epoch_seconds,
 )
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+SYNTH_START = datetime(2019, 1, 1, tzinfo=timezone.utc)  # sessions start in its year
+
+
+def epoch_seconds(dt: datetime | None) -> int | None:
+    """Whole seconds since 1970-01-01T00:00:00Z; None stays None."""
+    return None if dt is None else (dt - EPOCH) // timedelta(seconds=1)
 
 
 def generate_synthetic(
@@ -43,7 +50,7 @@ def generate_synthetic(
         n_sessions = int(rng.integers(lo, hi + 1))
         for k in range(n_sessions):
             session_id = f"{station_id}-{k:04d}"
-            conn = _SYNTH_EPOCH + timedelta(seconds=int(rng.integers(0, 365 * 86400)))
+            conn = SYNTH_START + timedelta(seconds=int(rng.integers(0, 365 * 86400)))
             dlo, dhi = spec.session_minutes
             duration_min = int(rng.integers(dlo, dhi + 1))
             duration_s = duration_min * 60
@@ -82,12 +89,12 @@ def generate_synthetic(
                     session_id=session_id,
                     site_id="SYN",
                     station_id=station_id,
-                    connection_time=conn,
-                    disconnect_time=conn + timedelta(seconds=duration_s),
+                    connection_time=epoch_seconds(conn),
+                    disconnect_time=epoch_seconds(conn + timedelta(seconds=duration_s)),
                     delivered_energy_kwh=delivered,
                     requested_energy_kwh=requested,
                     available_minutes=available,
-                    requested_departure=departure,
+                    requested_departure=epoch_seconds(departure),
                 )
             )
             index[session_id] = readings

@@ -138,6 +138,32 @@ class TestExitCodes:
             f"error: early_window_minutes={float(minutes)!r} is longer than a timedelta "
             "holds (999999999 days, 23:59:59.999999)\n")
 
+    @pytest.mark.parametrize("case", ["voltage", "current"])
+    def test_a_feature_that_overflows_is_refused(self, depot_dir, tmp_path, case):
+        """featurize writes no features.csv that analyze and train would
+        reject: an energy or a std past the float range exits 1 naming the
+        session and the column, with no numpy warning (a fresh interpreter
+        shows them as the CLI's user would see them)."""
+        argv = ["featurize", "--in", str(depot_dir), "--nominal-voltage-v", "1e308"]
+        expected = "error: session 'ST000-0000': early_energy_kwh is not finite\n"
+        if case == "current":  # a current whose square overflows the std
+            depot = tmp_path / "depot"
+            depot.mkdir()
+            (depot / "sessions.csv").write_text(
+                "session_id,site_id,station_id,connection_time,disconnect_time,"
+                "delivered_energy_kwh,requested_energy_kwh,available_minutes,requested_departure\n"
+                "ok,x,ST1,2019-01-07T08:30:00Z,,9.0,,,\ns1,x,ST1,2019-01-07T08:30:00Z,,9.0,,,\n")
+            rows = [f"{sid},2019-01-07T08:3{k}:00Z,{current},32.0\n" for sid, currents in
+                    (("ok", [16.0] * 5), ("s1", [1e200, 3e200, 1e200, 2e200, 1e200]))
+                    for k, current in enumerate(currents)]
+            (depot / "timeseries.csv").write_text(
+                "session_id,timestamp,current_a,pilot_a\n" + "".join(rows))
+            argv = ["featurize", "--in", str(depot)]
+            expected = "error: session 's1': current_std is not finite\n"
+        proc = run_module([*argv, "--out", str(tmp_path / "feats")])
+        assert (proc.returncode, proc.stderr) == (1, expected)
+        assert not (tmp_path / "feats" / "features.csv").exists()
+
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
         assert dispatch(["train", "--help"]) == 0

@@ -23,7 +23,8 @@
   refuses values its parser would reject. Writing then parsing any index
   gives it back.
 * Retention is idempotent, and the early window matches a brute-force scan
-  with datetimes for any window length.
+  with datetimes for any window length. Session times are whole epoch
+  seconds, as the sessions writer and the window take them.
 * Synth and featurize outputs of one small depot keep the digests they had
   before the columnar rewrite.
 """
@@ -48,7 +49,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ingest_reference
-from conftest import make_series
+from conftest import make_series, utc
 from fedcharge import csvio, ingest
 from fedcharge.cli import dispatch
 from fedcharge.ingest import (
@@ -61,16 +62,14 @@ from fedcharge.ingest import (
     write_timeseries,
 )
 from fedcharge.sessions import (
-    EPOCH,
     DatasetConfig,
     SessionRecord,
     SessionSeries,
     early_window_bounds,
-    epoch_seconds,
-    format_utc,
     parse_utc,
     retain_sessions,
 )
+from ingest_reference import EPOCH, FIRST_SECOND, LAST_SECOND, epoch_seconds, format_utc
 
 BASE = datetime(2019, 1, 7, 8, 30, tzinfo=timezone.utc)
 SESSION_IDS = ["s1", "s2", "ST000-0001", "a,b", 'q"t', "two\nlines", " ", "é"]
@@ -306,7 +305,7 @@ def reading_line(k: int, sid: str = "s1", current: str = "16.0") -> str:
 
 def parse_utc_or_none(stamp: str) -> int | None:
     try:
-        return epoch_seconds(parse_utc(stamp))
+        return parse_utc(stamp)
     except ValueError:
         return None
 
@@ -579,8 +578,6 @@ class TestMemoryBound:
         assert large - small <= 256 * 200
 
 
-# Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
-FIRST_SECOND, LAST_SECOND = -62_135_596_800, 253_402_300_799
 amperes = st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6))
 
 
@@ -736,29 +733,25 @@ class TestWriterOracle:
         assert not path.exists()
 
 
-# Session ids that need quoting; times in any year, with microseconds and
-# offsets other than UTC (from year 1 one can fall before the first UTC
-# second), naive ones where no comparison needs a zone; energies None, NaN
-# (written nan), inf, -0.0 and ints (written as ints).
+# Session ids that need quoting; times in any year, the first and last
+# seconds included; energies None, NaN (written nan), inf, -0.0 and ints
+# (written as ints).
 SESSION_WRITER_IDS = ["s1", "a,b", 'q"t', "two\nlines", "é", " ", "", "x" * 300]
-zones = st.sampled_from([timezone.utc, timezone(timedelta(hours=5, minutes=30)),
-                         timezone(timedelta(hours=-8))])
-aware = st.builds(lambda d, tz: d.replace(tzinfo=tz),
-                  st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
-                  zones)
+anytime = st.one_of(st.integers(FIRST_SECOND, LAST_SECOND),
+                    st.sampled_from([FIRST_SECOND, 0, -1, LAST_SECOND]))
 energies = st.one_of(st.none(), st.floats(min_value=0.0), st.sampled_from(
     [math.nan, -0.0, math.inf, 5e-324, 16.0, 7, np.float64(2.5)]))
 
 
 @st.composite
 def session_records(draw):
-    conn = draw(aware)
-    later = st.builds(lambda step: conn + step, st.timedeltas(timedelta(0), timedelta(days=9)))
+    conn = draw(anytime)
+    later = st.integers(conn, min(conn + 9 * 86_400, LAST_SECOND))
     return SessionRecord(
         draw(st.sampled_from(SESSION_WRITER_IDS[:-2] + SESSION_WRITER_IDS[-1:])),
         draw(st.sampled_from(SESSION_WRITER_IDS)), draw(st.sampled_from(SESSION_WRITER_IDS)),
         conn, draw(st.one_of(st.none(), later)), draw(energies), draw(energies), draw(energies),
-        draw(st.one_of(st.none(), later, aware, later.map(lambda d: d.replace(tzinfo=None)))),
+        draw(st.one_of(st.none(), later, anytime)),
     )
 
 
@@ -782,20 +775,37 @@ class TestSessionColumns:
             written_sessions(ingest_reference.write_sessions, suffix, records)
 
     def test_named_records_match_reference(self):
-        t0 = datetime(2019, 1, 7, 8, 30, 0, 999_999, tzinfo=timezone(timedelta(hours=-8)))
+        t0 = utc(2019, 1, 7, 16, 30)
         records = [
             SessionRecord("s1", "SYN", "ST1", t0),
             SessionRecord('q"t', "a,b", "two\nlines", t0, t0, math.nan, None, -0.0,
-                          datetime(2019, 1, 7, 9)),
-            SessionRecord("s3", "SYN", "ST1", datetime(1, 1, 1, tzinfo=timezone.utc),
-                          None, 3.5, 1e16, 5e-324, datetime(9999, 12, 31, 23, 59, 59,
-                                                            tzinfo=timezone.utc)),
+                          utc(2019, 1, 7, 9)),
+            SessionRecord("s3", "SYN", "ST1", FIRST_SECOND, None, 3.5, 1e16, 5e-324, LAST_SECOND),
         ]
         written = written_sessions(ingest.write_sessions, ".csv", records)
         assert written == written_sessions(ingest_reference.write_sessions, ".csv", records)
-        assert written.split(b"\r\n")[2] == (b'"q""t","a,b","two\nlines",2019-01-07T16:30:00Z,'
-                                           b"2019-01-07T16:30:00Z,nan,,-0.0,"
-                                           + format_utc(records[1].requested_departure).encode())
+        assert written.split(b"\r\n")[2:4] == [
+            b'"q""t","a,b","two\nlines",2019-01-07T16:30:00Z,2019-01-07T16:30:00Z,nan,,-0.0,'
+            b"2019-01-07T09:00:00Z",
+            b"s3,SYN,ST1,0001-01-01T00:00:00Z,,3.5,1e+16,5e-324,9999-12-31T23:59:59Z"]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    @pytest.mark.parametrize("field, t", [
+        ("connection_time", LAST_SECOND + 1), ("disconnect_time", LAST_SECOND + 1),
+        ("requested_departure", FIRST_SECOND - 1), ("requested_departure", 10**30)])
+    def test_a_time_outside_the_years_is_refused(self, tmp_path, suffix, field, t):
+        """Written, such a time would parse to an issue, not to the session."""
+        times = {"connection_time": 0, field: t}
+        records = [SessionRecord("ok", "SYN", "ST1", 0),
+                   SessionRecord("bad,id", "SYN", "ST1", **times)]
+        path = tmp_path / f"sessions{suffix}"
+        with pytest.raises(ValueError) as info:
+            ingest.write_sessions(path, records)
+        assert str(info.value) == \
+            f"cannot write session 'bad,id': {field}={t} is not in years 1-9999"
+        assert not path.exists()
+        assert written_sessions(ingest_reference.write_sessions, suffix, records) == \
+            f"ValueError: {info.value}"
 
     @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
     def test_a_clean_file_never_reaches_the_row_rules(self, tmp_path, suffix):
@@ -814,7 +824,7 @@ def depots(draw):
     sessions, series = [], {}
     for k in range(draw(st.integers(0, 8))):
         sid = f"s{k}"
-        conn = BASE + timedelta(microseconds=draw(st.integers(0, 120_000_000)))
+        conn = epoch_seconds(BASE) + draw(st.integers(0, 120))
         delivered = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
         sessions.append(SessionRecord(sid, "x", "ST1", conn, delivered_energy_kwh=delivered))
         offsets = sorted(draw(st.sets(st.integers(-120, 1500), max_size=12)))
@@ -843,13 +853,13 @@ class TestRetention:
     @settings(max_examples=200, deadline=None)
     @given(
         offsets=st.sets(st.integers(-900, 2400), max_size=30),
-        shift_us=st.integers(0, 2_000_000),
+        shift_s=st.integers(0, 2),
         minutes=st.floats(1e-7, 40.0),
     )
-    def test_early_window_matches_a_datetime_scan(self, offsets, shift_us, minutes):
-        conn = BASE + timedelta(microseconds=shift_us)
+    def test_early_window_matches_a_datetime_scan(self, offsets, shift_s, minutes):
+        conn = BASE + timedelta(seconds=shift_s)
         series = make_series(offsets_s=sorted(offsets), current=16.0)
-        session = SessionRecord("s1", "x", "ST1", conn, delivered_energy_kwh=1.0)
+        session = SessionRecord("s1", "x", "ST1", epoch_seconds(conn), delivered_energy_kwh=1.0)
         end = conn + timedelta(minutes=minutes)
         inside = [
             i for i, t in enumerate(series.t.tolist())

@@ -11,7 +11,6 @@ import io
 import math
 import tempfile
 from collections import Counter
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import features_reference
-from conftest import T0, make_series, make_session
+from conftest import T0, make_series, make_session, utc
 from features_reference import (
     build_feature_vector,
     calendar_features,
@@ -50,7 +49,6 @@ from fedcharge.sessions import (
     DatasetConfig,
     SessionSeries,
     early_window_bounds,
-    epoch_seconds,
     retain_sessions,
 )
 
@@ -200,30 +198,30 @@ class TestEarlyEnergy:
         assert table_row(offsets_s=(0,), current=32.0)["early_energy_kwh"] == 0.0
 
 
-def calendar_row(when: datetime) -> dict[str, float]:
+def calendar_row(when: int) -> dict[str, float]:
     return table_row(make_session(connection_time=when))
 
 
 class TestCalendar:
     def test_quarter_period_identities(self):
         for features in (calendar_features, calendar_row):
-            six = features(datetime(2019, 1, 7, 6, 0, 0, tzinfo=timezone.utc))
+            six = features(utc(2019, 1, 7, 6))
             assert six["hour_sin"] == pytest.approx(1.0, abs=1e-12)
             assert six["hour_cos"] == pytest.approx(0.0, abs=1e-12)
-            zero = features(datetime(2019, 1, 7, 0, 0, 0, tzinfo=timezone.utc))
+            zero = features(utc(2019, 1, 7, 0))
             assert zero["hour_sin"] == pytest.approx(0.0, abs=1e-12)
             assert zero["hour_cos"] == pytest.approx(1.0, abs=1e-12)
 
     def test_weekend_flag(self):
-        saturday = calendar_features(datetime(2019, 1, 5, 12, 0, 0, tzinfo=timezone.utc))
-        monday = calendar_features(datetime(2019, 1, 7, 12, 0, 0, tzinfo=timezone.utc))
+        saturday = calendar_features(utc(2019, 1, 5, 12))
+        monday = calendar_features(utc(2019, 1, 7, 12))
         assert saturday["is_weekend"] and saturday["weekday"] == 5
         assert not monday["is_weekend"] and monday["weekday"] == 0
-        assert calendar_row(datetime(2019, 1, 5, 12, 0, 0, tzinfo=timezone.utc))["is_weekend"]
-        assert not calendar_row(datetime(2019, 1, 7, 12, 0, 0, tzinfo=timezone.utc))["is_weekend"]
+        assert calendar_row(utc(2019, 1, 5, 12))["is_weekend"]
+        assert not calendar_row(utc(2019, 1, 7, 12))["is_weekend"]
 
     def test_calendar_raw_fields(self):
-        when = datetime(2019, 3, 2, 23, 0, 0, tzinfo=timezone.utc)
+        when = utc(2019, 3, 2, 23)
         cal = calendar_features(when)
         assert (cal["month"], cal["day_of_year"]) == (3, 61)
         # The table keeps only the encodings: month 3 of 12 and day 61 of 366.
@@ -235,8 +233,8 @@ class TestCalendar:
         # One session per hour of a leap year: every hour, weekday, month and
         # day of year the lookup tables hold.
         cfg = DatasetConfig()
-        start = datetime(2020, 1, 1, tzinfo=timezone.utc)
-        sessions = [make_session(session_id=f"s{h}", connection_time=start + timedelta(hours=h))
+        start = utc(2020, 1, 1)
+        sessions = [make_session(session_id=f"s{h}", connection_time=start + 3600 * h)
                     for h in range(0, 366 * 24, 5)]
         series = {s.session_id: make_series(start=s.connection_time) for s in sessions}
         names = [n for n in FEATURE_COLUMNS if n.endswith(("_sin", "_cos")) or n == "is_weekend"]
@@ -248,14 +246,14 @@ class TestCalendar:
 
 class TestDepartureOffset:
     def test_four_hours_is_240_minutes(self):
-        s = make_session(requested_departure=T0 + timedelta(hours=4))
+        s = make_session(requested_departure=T0 + 4 * 3600)
         assert departure_offset(s) == 240.0
 
     def test_absent_is_missing(self):
         assert departure_offset(make_session()) is None
 
     def test_negative_is_missing_and_warned(self, dataset_cfg):
-        s = make_session(requested_departure=T0 - timedelta(minutes=30))
+        s = make_session(requested_departure=T0 - 30 * 60)
         assert departure_offset(s) is None
         table = build_feature_table([s], {"s1": make_series()}, dataset_cfg)
         assert table.warnings["negative_departure_offset"] == 1
@@ -328,7 +326,7 @@ class TestFeatureVector:
         session = make_session(
             requested_energy_kwh=10.0,
             available_minutes=240.0,
-            requested_departure=T0 + timedelta(hours=4),
+            requested_departure=T0 + 4 * 3600,
         )
         for numeric in numerics(session, make_series(), dataset_cfg):
             names = dict(zip(FEATURE_COLUMNS, numeric))
@@ -388,7 +386,7 @@ def assert_identical(got, want):
     assert (got.session_ids, got.station_ids) == (want.session_ids, want.station_ids)
 
 
-def readings(start: datetime, offsets, rng, current="mixed", pilot="mixed"):
+def readings(start: int, offsets, rng, current="mixed", pilot="mixed"):
     """A series at whole seconds start + offset. A column is "mixed" (values,
     NaN, 0.0 and -0.0, repeats), "full" (no NaN), "nan" (absent throughout)
     or "nonpositive" (no value above 0). A reading with neither signal gets
@@ -410,7 +408,7 @@ def readings(start: datetime, offsets, rng, current="mixed", pilot="mixed"):
     cur, pil = column(current), column(pilot)
     neither = np.isnan(cur) & np.isnan(pil)
     (pil if current == "nan" else cur)[neither] = 32.0
-    t = epoch_seconds(start) + np.array(list(offsets), dtype=np.int64)
+    t = start + np.array(list(offsets), dtype=np.int64)
     return SessionSeries(t, cur, pil)
 
 
@@ -425,10 +423,7 @@ def depots(draw):
     )
     sessions, series = [], {}
     for k in range(draw(st.integers(0, 8))):
-        conn = T0 + timedelta(
-            days=draw(st.integers(0, 800)), seconds=draw(st.integers(0, 86_399)),
-            microseconds=draw(st.sampled_from([0, 1, 500_000, 999_999])),
-        )
+        conn = T0 + 86_400 * draw(st.integers(0, 800)) + draw(st.integers(0, 86_399))
         layout = draw(st.sampled_from(["sparse", "dense", "empty", "before", "after"]))
         if layout == "sparse":
             offsets = sorted(draw(st.lists(st.integers(-120, 1000), unique=True, max_size=40)))
@@ -448,7 +443,7 @@ def depots(draw):
             delivered=draw(st.floats(0, 80)),
             requested_energy_kwh=draw(st.one_of(st.none(), st.floats(0, 100))),
             available_minutes=draw(st.one_of(st.none(), st.integers(0, 600), st.floats(0, 600))),
-            requested_departure=None if departure is None else conn + timedelta(minutes=departure),
+            requested_departure=None if departure is None else conn + int(60 * departure),
         ))
         series[f"s{k}"] = readings(conn, offsets, rng, current, pilot)
     return sessions, series, cfg
@@ -488,7 +483,7 @@ class TestTableOracle:
         elif case == "long_window":
             offsets = range(0, 601, 2)  # 301 readings
         elif case == "departure_before_connection":
-            kwargs = {"requested_departure": T0 - timedelta(minutes=1)}
+            kwargs = {"requested_departure": T0 - 60}
         sessions = [make_session(**kwargs), make_session(session_id="s2")]
         series = {"s1": readings(T0, offsets, rng, current, pilot),
                   "s2": make_series(offsets_s=range(0, 300, 30))}
@@ -661,7 +656,7 @@ def feature_tables(draw):
         values = [values[0]] * len(values)
     matrix = np.array(values, dtype=float).reshape(n, d + 1)
     return FeatureTable(
-        feature_names=FEATURE_COLUMNS, X=matrix[:, 1:], y=matrix[:, 0],
+        X=matrix[:, 1:], y=matrix[:, 0],
         session_ids=draw(st.lists(csv_ids, min_size=n, max_size=n)),
         station_ids=draw(st.lists(csv_ids, min_size=n, max_size=n)), warnings=Counter(),
     )
@@ -680,7 +675,7 @@ def bit_table(n: int, bits, session_ids=None) -> FeatureTable:
     row by row."""
     matrix = np.array(bits, np.uint64).view(np.float64).reshape(n, len(FEATURE_COLUMNS) + 1)
     ids = session_ids or [f"s{i}" for i in range(n)]
-    return FeatureTable(feature_names=FEATURE_COLUMNS, X=matrix[:, 1:], y=matrix[:, 0],
+    return FeatureTable(X=matrix[:, 1:], y=matrix[:, 0],
                         session_ids=ids, station_ids=ids, warnings=Counter())
 
 

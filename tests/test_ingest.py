@@ -23,7 +23,8 @@ from fedcharge.ingest import (
     write_sessions,
     write_timeseries,
 )
-from fedcharge.sessions import EPOCH, SessionRecord, SessionSeries
+from fedcharge.sessions import SessionRecord, SessionSeries
+from ingest_reference import EPOCH, format_utc
 
 SESSIONS_CSV = """session_id,site_id,station_id,connection_time,disconnect_time,delivered_energy_kwh,requested_energy_kwh,available_minutes,requested_departure
 s1,caltech,ST001,2019-01-07T08:30:00Z,2019-01-07T12:30:00Z,9.25,,,
@@ -185,7 +186,7 @@ class TestParseTimeseries:
         lines = ["session_id,timestamp,current_a,pilot_a"]
         for sid in ("a", "b"):
             for off in rng.choice(3600, size=50, replace=False):
-                ts = (T0 + timedelta(seconds=int(off))).strftime("%Y-%m-%dT%H:%M:%SZ")
+                ts = format_utc(EPOCH + timedelta(seconds=T0 + int(off)))
                 lines.append(f"{sid},{ts},16.0,32.0")
         path = tmp_path / "timeseries.csv"
         path.write_text("\n".join(lines) + "\n")
@@ -271,7 +272,7 @@ class TestRoundTrip:
         sessions = [
             make_session(session_id="a", requested_energy_kwh=7.5),
             make_session(session_id="b", delivered=0.0,
-                         requested_departure=T0 + timedelta(hours=3)),
+                         requested_departure=T0 + 3 * 3600),
         ]
         series = {
             "a": make_series(pilot=None),
@@ -345,10 +346,7 @@ class TestGenerateSynthetic:
         sessions, series = generate_synthetic(spec)
         for s in sessions:
             readings = series[s.session_id]
-            t = np.array([
-                (EPOCH + timedelta(seconds=x) - s.connection_time).total_seconds()
-                for x in readings.t.tolist()
-            ])
+            t = (readings.t - s.connection_time).astype(float)  # seconds since connection
             p = 208.0 * readings.current / 1000.0
             brute = float(np.sum((p[:-1] + p[1:]) / 2 * np.diff(t)) / 3600.0)
             assert s.delivered_energy_kwh == pytest.approx(brute, abs=1e-9)

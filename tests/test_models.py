@@ -184,7 +184,7 @@ class TestMlp:
         st = np.zeros(6, dtype=int)
         y = rng.uniform(1, 5, size=6)
         _, grad = model.loss_and_grad(X, st, y, rng=None)
-        sl, shape = model.layout.slices()["embed"]
+        sl, shape = model.layout.slices["embed"]
         embed_grad = grad[sl].reshape(shape)
         assert np.any(embed_grad[0] != 0.0)
         np.testing.assert_array_equal(embed_grad[1:], 0.0)
@@ -224,7 +224,7 @@ class TestMlp:
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         values = np.array([1.0, -2.0])
-        state = init_adam(2)
+        state = init_adam(2, lr=1e-3)
         out = adam_step(values, np.zeros(2), state)
         np.testing.assert_array_equal(out, values)
 
@@ -250,7 +250,7 @@ class TestAdam:
 
     def test_layout_mismatch(self):
         with pytest.raises(ValueError):
-            adam_step(np.zeros(3), np.zeros(2), init_adam(3))
+            adam_step(np.zeros(3), np.zeros(2), init_adam(3, lr=1e-3))
 
 
 class TestParamsAndCheckpoints:

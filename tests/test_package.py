@@ -58,6 +58,12 @@ def test_only_csvio_imports_csv():
     assert importers("csv") == ["csvio.py"]
 
 
+def test_only_sessions_imports_datetime():
+    """Times are int epoch seconds everywhere; sessions.py alone parses a
+    stamp that is not canonical and turns the window's minutes into seconds."""
+    assert importers("datetime") == ["sessions.py"]
+
+
 def names_from(path: Path, source: str) -> set[str]:
     """The names a module takes from the module source (os, or the package's
     pool): x for source.x or from source import x (from .source too)."""

@@ -1,6 +1,6 @@
 """Domain types and session-retention rules."""
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from fedcharge.sessions import (
     DatasetConfig,
     SessionSeries,
     early_window_bounds,
-    epoch_seconds,
     parse_utc,
     retain_sessions,
 )
@@ -23,7 +22,22 @@ class TestTypes:
 
     def test_session_rejects_disconnect_before_connect(self):
         with pytest.raises(ValueError):
-            make_session(disconnect_time=T0 - timedelta(seconds=1))
+            make_session(disconnect_time=T0 - 1)
+
+    @pytest.mark.parametrize("field", ["connection_time", "disconnect_time",
+                                       "requested_departure"])
+    def test_session_rejects_a_time_that_is_not_epoch_seconds(self, field):
+        """Times are int UTC epoch seconds; a datetime, as the type once held,
+        is refused by the field's name."""
+        with pytest.raises(TypeError, match=f"{field} of s1 must be int epoch seconds, "
+                                            "not datetime"):
+            make_session(**{field: datetime(2019, 1, 7, 8, 30, tzinfo=timezone.utc)})
+        with pytest.raises(TypeError, match=field):
+            make_session(**{field: float(T0)})
+
+    def test_session_requires_a_connection_time(self):
+        with pytest.raises(TypeError, match="connection_time of s1 .* not NoneType"):
+            make_session(connection_time=None)
 
     def test_session_rejects_empty_id(self):
         with pytest.raises(ValueError):
@@ -31,7 +45,7 @@ class TestTypes:
 
     def test_sample_requires_some_signal(self):
         with pytest.raises(ValueError):
-            SessionSeries(t=[epoch_seconds(T0)], current=[np.nan], pilot=[np.nan])
+            SessionSeries(t=[T0], current=[np.nan], pilot=[np.nan])
 
     @pytest.mark.parametrize("t", [[60, 60], [60, 0], [0, 60, 30]])
     def test_series_requires_strictly_increasing_times(self, t):
@@ -54,8 +68,17 @@ class TestTypes:
     def test_parse_utc_normalizes_offsets(self):
         a = parse_utc("2019-01-07T08:30:00Z")
         b = parse_utc("2019-01-07T10:30:00+02:00")
-        assert a == b and a.tzinfo == timezone.utc
-        assert a == T0
+        assert a == b == T0 and type(a) is int
+
+    @pytest.mark.parametrize("text, expected", [
+        ("2019-01-07T08:30:00.999999Z", 1_546_849_800),  # the fraction is dropped
+        ("1969-12-31T23:59:59.5Z", -1),  # rounded down, before 1970 too
+        ("2019-01-07 08:30:00", 1_546_849_800),  # no offset: UTC
+        ("0001-01-01T00:00:00Z", -62_135_596_800),
+        ("9999-12-31T23:59:59Z", 253_402_300_799),
+    ])
+    def test_parse_utc_gives_whole_epoch_seconds(self, text, expected):
+        assert parse_utc(text) == expected
 
 
 class TestEarlyWindow:
@@ -63,7 +86,7 @@ class TestEarlyWindow:
         session = make_session()
         series = make_series(offsets_s=(-10, 0, 300, 600, 601))
         window = series[slice(*early_window_bounds(session, series, dataset_cfg))]
-        offsets = (window.t - epoch_seconds(T0)).tolist()
+        offsets = (window.t - T0).tolist()
         assert offsets == [0, 300, 600]
 
     def test_all_samples_before_connection(self, dataset_cfg):
@@ -97,11 +120,11 @@ class TestRetention:
         four = make_series(offsets_s=(0, 60, 120, 180, 9000))
         five = make_series(offsets_s=(0, 60, 120, 180, 240))
         for sid, series in (("a", four), ("b", five)):
-            w_end = T0 + timedelta(minutes=10)
+            w_end = T0 + 10 * 60
             brute = sum(
                 1
                 for t, current in zip(series.t.tolist(), series.current.tolist())
-                if T0 <= datetime.fromtimestamp(t, timezone.utc) <= w_end
+                if T0 <= t <= w_end
                 and not np.isnan(current)
             )
             assert brute == (4 if sid == "a" else 5)

@@ -95,7 +95,7 @@ def test_dropout_mask_draws_the_reference_stream():
 
 def test_layout_tables_are_computed_once():
     layout = MlpRegressor(MICRO_SPEC).layout
-    assert layout.slices() is layout.slices()
+    assert layout.slices is layout.slices
     assert layout.sizes is layout.sizes
 
 
