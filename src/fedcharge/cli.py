@@ -137,10 +137,13 @@ def _load_config(path: str | None) -> dict[str, dict]:
     """The config file's sections, every key known and every value checked."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
-        raise ValueError("config file must contain a JSON object")
+        raise ValueError(f"{path}: config file must contain a JSON object")
     cfg.pop("stage", None)  # names the stage that wrote a config.json echo
     out = {}
     for section, values in cfg.items():

@@ -53,6 +53,7 @@ FEATURE_SPEC: tuple[tuple[str, bool], ...] = (
     ("departure_offset_missing", False),
 )
 FEATURE_COLUMNS = tuple(name for name, _ in FEATURE_SPEC)
+CSV_COLUMNS = ["session_id", "station_id", "target", *FEATURE_COLUMNS]  # features.csv's header
 UNSCALED_INDICES = tuple(i for i, (_, scaled) in enumerate(FEATURE_SPEC) if not scaled)
 
 STD_FLOOR = 1e-8
@@ -293,16 +294,16 @@ def fit_scaler(
 
 
 def write_features(path, table: FeatureTable) -> None:
-    """features.csv: session_id, station_id, target, then FEATURE_COLUMNS.
+    """features.csv: CSV_COLUMNS, the two ids and the target, then FEATURE_COLUMNS.
 
     Raw (unimputed, unscaled) values; empty cell = missing. Downstream stages
     fit imputation and scaling on their own training split. The bytes are
     csv.writer's (see csvio.write).
     """
-    header = ["session_id", "station_id", "target", *FEATURE_COLUMNS]
     # A NaN feature is missing, an empty cell; a NaN target is not, so it goes
     # as Python floats, which are written nan.
-    csvio.write(path, header, [table.session_ids, table.station_ids, table.y.tolist(), *table.X.T])
+    csvio.write(path, CSV_COLUMNS,
+                [table.session_ids, table.station_ids, table.y.tolist(), *table.X.T])
 
 
 def read_features(path) -> FeatureTable:
@@ -312,20 +313,20 @@ def read_features(path) -> FeatureTable:
     naming path:line, as bytes that are not UTF-8 and a field over the csv
     module's limit do (csvio.ParseError).
     """
-    header = ["session_id", "station_id", "target", *FEATURE_COLUMNS]
-    rows = csvio.Reader(path).rows(header)
-    if next(rows) != header:
+    rows = csvio.Reader(path).rows(CSV_COLUMNS)
+    if next(rows) != CSV_COLUMNS:
         raise ValueError(f"unexpected features.csv header in {path}")
-    ids, lines, values = ([], []), [], [np.empty((0, len(header) - 2))]
+    ids, lines, values = ([], []), [], [np.empty((0, len(CSV_COLUMNS) - 2))]
     for block_lines, cells, widths in rows:
         columns, bad = zip(*(float_column(c, "") for c in cells[2:]))
         values.append(np.column_stack(columns))
-        suspect = np.isnan(columns[0]) | np.any(bad, axis=0) | (np.array(widths) != len(header))
+        suspect = (np.isnan(columns[0]) | np.any(bad, axis=0)
+                   | (np.array(widths) != len(CSV_COLUMNS)))
         for i in np.flatnonzero(suspect).tolist():  # the first faulty row, named row by row
             row = [v.decode() if isinstance(v, bytes) else v for v in (c[i] for c in cells)]
             try:
-                if widths[i] != len(header):
-                    raise ValueError(f"expected {len(header)} cells, got {widths[i]}")
+                if widths[i] != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} cells, got {widths[i]}")
                 for cell in [row[2], *filter(None, row[3:])]:  # an empty feature is missing
                     float(cell)
             except ValueError as exc:
@@ -338,7 +339,7 @@ def read_features(path) -> FeatureTable:
     bad[:, 0] |= np.isnan(values[:, 0])
     if bad.any():
         i, j = np.argwhere(bad)[0].tolist()
-        raise ValueError(f"{path}:{lines[i]}: {header[2 + j]} is not finite")
+        raise ValueError(f"{path}:{lines[i]}: {CSV_COLUMNS[2 + j]} is not finite")
     return FeatureTable(X=values[:, 1:].copy(),
                         y=values[:, 0].copy(), session_ids=ids[0], station_ids=ids[1],
                         warnings=Counter())

@@ -3,6 +3,8 @@
 Divergences use natural log, so Jensen-Shannon values live in [0, ln 2].
 Histograms share one set of equal-width bin edges built from the global
 target range; the bin count is a config knob recorded in every report.
+One kernel, _client_js, scores the observed partition and each permutation
+of the null; tests/heterogeneity_reference.py holds its scalar oracle.
 """
 
 from __future__ import annotations
@@ -16,22 +18,6 @@ from .seeding import STREAM_PERM, rng_from
 
 DEFAULT_BINS = 50
 DEFAULT_PERMUTATIONS = 200
-
-
-@dataclass(frozen=True)
-class HistogramDensity:
-    """Empirical probabilities over shared, strictly increasing bin edges."""
-
-    bin_edges: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.bin_edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
-        if abs(float(self.probabilities.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-        if np.any(self.probabilities < 0):
-            raise ValueError("probabilities must be nonnegative")
 
 
 def global_bin_edges(targets, n_bins: int = DEFAULT_BINS) -> np.ndarray:
@@ -48,52 +34,12 @@ def global_bin_edges(targets, n_bins: int = DEFAULT_BINS) -> np.ndarray:
     return np.linspace(lo, hi, n_bins + 1)
 
 
-def fit_histogram(targets, edges: np.ndarray) -> HistogramDensity:
-    """Counts per bin normalized to probabilities; upper edge falls in the last bin."""
-    arr = np.asarray(targets, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot fit a histogram on an empty target list")
-    counts, _ = np.histogram(arr, bins=edges)
-    return HistogramDensity(bin_edges=edges, probabilities=counts / arr.size)
-
-
-def kl_divergence(p: HistogramDensity, q: HistogramDensity) -> float:
-    """Sum of p_b * ln(p_b / q_b) over bins with p_b > 0."""
-    pv, qv = p.probabilities, q.probabilities
-    mask = pv > 0
-    if np.any(qv[mask] == 0):
-        raise ValueError("KL undefined: q vanishes where p has mass")
-    return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
-
-
-def js_divergence(p_k: HistogramDensity, p: HistogramDensity) -> float:
-    """0.5*KL(p_k, M) + 0.5*KL(p, M) with M the bin-wise average of the pair."""
-    if not np.array_equal(p_k.bin_edges, p.bin_edges):
-        raise ValueError("histograms must share bin edges")
-    m = HistogramDensity(
-        bin_edges=p_k.bin_edges,
-        probabilities=(p_k.probabilities + p.probabilities) / 2.0,
-    )
-    return 0.5 * kl_divergence(p_k, m) + 0.5 * kl_divergence(p, m)
-
-
-def weighted_js(partition: ClientPartition, per_client_js: dict[str, float]) -> float:
-    """Sample-size weighted average of per-client divergences."""
-    weights = partition.weights
-    return float(
-        sum(
-            w * per_client_js[cid]
-            for w, cid in zip(weights, partition.client_ids)
-        )
-    )
-
-
 def _binned(arr: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Each target's bin, by np.histogram's rule, and the global probabilities."""
     edges = global_bin_edges(arr, n_bins)
     # Bin b holds [e_b, e_b+1); the top edge falls in the last bin.
     bins = np.minimum(np.searchsorted(edges, arr, side="right") - 1, n_bins - 1)
-    return bins, fit_histogram(arr, edges).probabilities
+    return bins, np.bincount(bins, minlength=n_bins) / arr.size
 
 
 def _row_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -120,8 +66,9 @@ def _client_js(
 
     Each row of ``assignments`` lists target indices client by client, client
     k taking the next ``sizes[k]``. Returns an (assignments, clients) array
-    whose every value equals js_divergence(fit_histogram(...), global) bit for
-    bit: the same elementwise operations, and each KL summed by np.sum.
+    whose every value equals the scalar JS of the client's histogram against
+    the global one bit for bit: the same elementwise operations, and each KL
+    summed by np.sum.
     """
     n_assign, n_clients, n_bins = assignments.shape[0], sizes.size, global_probs.size
     row_of = np.arange(n_assign)[:, None] * n_clients + np.repeat(np.arange(n_clients), sizes)
@@ -196,36 +143,6 @@ class HeterogeneityReport:
     client_sizes: dict[str, int]
 
 
-def classify(
-    partition: ClientPartition,
-    per_client_js: dict[str, float],
-    mu_iid: float,
-    sigma_iid: float,
-    tau_iid: float,
-    n_permutations: int,
-    seed: int,
-    n_bins: int,
-) -> HeterogeneityReport:
-    """Assemble the report; non-IID iff weighted JS strictly exceeds tau."""
-    jsw = weighted_js(partition, per_client_js)
-    sizes = partition.sizes
-    return HeterogeneityReport(
-        per_client_js=dict(per_client_js),
-        js_weighted=jsw,
-        js_max=max(per_client_js.values()),
-        mu_iid=mu_iid,
-        sigma_iid=sigma_iid,
-        tau_iid=tau_iid,
-        classification="non-IID" if jsw > tau_iid else "IID",
-        n_permutations=n_permutations,
-        seed=seed,
-        n_bins=n_bins,
-        client_sizes={
-            cid: int(n) for cid, n in zip(partition.client_ids, sizes)
-        },
-    )
-
-
 def analyze_partition(
     targets,
     partition: ClientPartition,
@@ -233,13 +150,26 @@ def analyze_partition(
     n_permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
 ) -> HeterogeneityReport:
-    """Full pipeline: per-client JS, permutation null, classification."""
+    """Per-client JS, the permutation null, and the classification: non-IID
+    iff the weighted JS strictly exceeds tau."""
     arr = np.asarray(targets, dtype=float)
     bins, global_probs = _binned(arr, n_bins)
     observed = np.concatenate(partition.indices)[None, :]
     js = _client_js(bins, observed, partition.sizes, global_probs)[0]
     per_client = dict(zip(partition.client_ids, js.tolist()))
-    mu, sigma, tau = permutation_null(
-        arr, partition.sizes, n_permutations=n_permutations, seed=seed, n_bins=n_bins
+    # Weighted as permutation_null weights each permutation's clients.
+    js_weighted = float(np.cumsum(partition.weights * js)[-1])
+    mu, sigma, tau = permutation_null(arr, partition.sizes, n_permutations, seed, n_bins)
+    return HeterogeneityReport(
+        per_client_js=per_client,
+        js_weighted=js_weighted,
+        js_max=max(per_client.values()),
+        mu_iid=mu,
+        sigma_iid=sigma,
+        tau_iid=tau,
+        classification="non-IID" if js_weighted > tau else "IID",
+        n_permutations=n_permutations,
+        seed=seed,
+        n_bins=n_bins,
+        client_sizes={cid: int(n) for cid, n in zip(partition.client_ids, partition.sizes)},
     )
-    return classify(partition, per_client, mu, sigma, tau, n_permutations, seed, n_bins)

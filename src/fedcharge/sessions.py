@@ -24,14 +24,18 @@ def parse_utc(text: str) -> int:
     """UTC epoch seconds of an ISO-8601 timestamp, its fraction of a second
     dropped; a timestamp without an offset is UTC. Files hold canonical
     stamps, which ingest converts a column at a time; this is the rule for
-    any other form."""
+    any other form. A stamp whose UTC instant falls outside years 1-9999
+    raises ValueError, as an unparsable one does."""
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return (dt.astimezone(timezone.utc) - _EPOCH) // _SECOND
+    try:
+        return (dt.astimezone(timezone.utc) - _EPOCH) // _SECOND
+    except OverflowError:
+        raise ValueError(f"timestamp {text!r} falls outside years 1-9999 in UTC") from None
 
 
 TIME_FIELDS = ("connection_time", "disconnect_time", "requested_departure")  # SessionRecord's

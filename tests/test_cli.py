@@ -526,6 +526,19 @@ class TestConfigFileChecks:
                "train": {"mode": "federated", "model": "lr"}, **cfg}
         assert named in self._run(tmp_path, capsys, cfg, "train")
 
+    @pytest.mark.parametrize("content, problem", [
+        (b'{"train": {"seed": 1},}', "Expecting property name enclosed in double quotes: "
+                                     "line 1 column 23 (char 22)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[1]", "config file must contain a JSON object"),
+    ], ids=["trailing-comma", "not-utf8", "not-object"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, content, problem):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code = dispatch(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {path}: {problem}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_seed_list_named(self, features_dir, tmp_path, capsys):
         code = dispatch([
             "evaluate", "--features", str(features_dir / "features.csv"), "--mode",
@@ -691,6 +704,39 @@ class TestInvalidUtf8:
         assert capsys.readouterr().err == (
             f"error: {path}:5: not valid UTF-8: b'\\xff' (invalid start byte)\n"
         )
+
+
+class TestStampOutsideYears:
+    """A stamp whose offset carries its UTC instant outside years 1-9999 is a
+    bad row like any other: an issue at its line, or path:line when strict."""
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("name, column, stamp", [
+        ("sessions", 3, "0001-01-01T00:00:00+01:00"),
+        ("timeseries", 1, "9999-12-31T23:59:59-01:00"),
+    ], ids=["sessions", "timeseries"])
+    def test_names_the_line(self, tmp_path, capsys, name, column, stamp, strict):
+        depot = tmp_path / "depot"
+        assert dispatch(["synth", "--seed", "3", "--stations", "2", "--sessions-per-station",
+                         "3:3", "--out", str(depot)]) == 0
+        path = depot / f"{name}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")
+        cells[column] = stamp
+        lines[4] = ",".join(cells)
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "clean"
+        code = dispatch(["ingest", "--in", str(depot), "--out", str(out),
+                         *(["--strict"] if strict else [])])
+        problem = f"timestamp '{stamp}' falls outside years 1-9999 in UTC"
+        if strict:
+            assert (code, capsys.readouterr().err) == (1, f"error: {path}:5: {problem}\n")
+        else:
+            assert code == 0
+            report = json.loads((out / "ingest_report.json").read_text())
+            assert report["first_issues"] == [[5, problem]]
+            assert report["n_session_issues" if name == "sessions" else "n_series_issues"] == 1
 
 
 class TestFieldSizeLimit:

@@ -8,19 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcharge import heterogeneity
-from fedcharge.heterogeneity import (
-    HistogramDensity,
-    analyze_partition,
-    classify,
-    fit_histogram,
-    global_bin_edges,
-    js_divergence,
-    kl_divergence,
-    permutation_null,
-    weighted_js,
-)
+from fedcharge.heterogeneity import analyze_partition, global_bin_edges, permutation_null
 from fedcharge.partition import partition_by_station
 from fedcharge.seeding import STREAM_PERM, rng_from
+from heterogeneity_reference import (
+    HistogramDensity,
+    fit_histogram,
+    js_divergence,
+    kl_divergence,
+    weighted_js,
+)
 
 # The upper bound of a natural-log Jensen-Shannon divergence.
 LN2 = math.log(2.0)
@@ -174,29 +171,35 @@ class TestPermutationNull:
 
 
 class TestClassify:
-    def _report(self, jsw, tau):
-        part = partition_by_station(["a", "b"])
-        return classify(
-            part,
-            {"a": jsw, "b": jsw},
-            mu_iid=max(tau - 0.002, 0.0),
-            sigma_iid=0.001,
-            tau_iid=tau,
-            n_permutations=200,
-            seed=0,
-            n_bins=50,
-        )
+    """analyze_partition's classification: non-IID iff the weighted JS
+    strictly exceeds tau."""
 
     def test_observed_exceeding_tau_is_non_iid(self):
-        # Reported depot-scale values: weighted divergence 0.0169 vs
-        # threshold 0.0069 classifies as non-IID.
-        assert self._report(0.0169, 0.0069).classification == "non-IID"
+        # Two stations on disjoint halves of the range: the observed weighted
+        # divergence clears the permutation threshold.
+        targets = np.concatenate([np.arange(10.0), np.arange(100.0, 110.0)])
+        report = analyze_partition(targets, partition_by_station(["lo"] * 10 + ["hi"] * 10),
+                                   n_permutations=50, seed=0)
+        assert report.js_weighted > report.tau_iid > 0.0
+        assert report.classification == "non-IID"
 
     def test_zero_divergence_is_iid(self):
-        assert self._report(0.0, 0.0069).classification == "IID"
+        # One shared histogram (an ascending repeat per station): every client's
+        # JS is zero, below the null's spread.
+        targets = np.tile(np.arange(10.0), 4)
+        stations = np.repeat(["a", "b", "c", "d"], 10)
+        report = analyze_partition(targets, partition_by_station(list(stations)),
+                                   n_permutations=50, seed=0)
+        assert report.js_weighted == 0.0 < report.tau_iid
+        assert report.classification == "IID"
 
     def test_boundary_is_iid_strict_inequality(self):
-        assert self._report(0.0069, 0.0069).classification == "IID"
+        # Constant targets: every histogram is the one bin, so the observed
+        # weighted JS equals tau at 0.0, and equal is IID.
+        report = analyze_partition([7.0] * 12, partition_by_station(["a", "b", "b"] * 4),
+                                   n_permutations=20, seed=0)
+        assert report.js_weighted == report.tau_iid == 0.0
+        assert report.classification == "IID"
 
 
 class TestAnalyzePartition:
@@ -304,6 +307,11 @@ class TestKernelMatchesReference:
                 report = analyze_partition(targets, part, n_bins, n_perm, seed)
                 assert (report.mu_iid, report.sigma_iid, report.tau_iid) == want_null
                 assert list(report.per_client_js.values()) == want_js
+                want_jsw = weighted_js(part, dict(zip(part.client_ids, want_js)))
+                assert report.js_weighted == want_jsw
+                assert report.js_max == max(want_js)
+                assert report.classification == (
+                    "non-IID" if want_jsw > want_null[2] else "IID")
 
     def test_one_permutation_per_chunk_floor(self, monkeypatch):
         monkeypatch.setattr(heterogeneity, "_CHUNK_ELEMENTS", 1)
@@ -342,6 +350,8 @@ class TestDivergenceProperties:
     def test_bounds_and_repeatability(self, data, n_bins, n_perm, seed):
         targets, sizes = data
         bins, global_probs = heterogeneity._binned(targets, n_bins)
+        edges = global_bin_edges(targets, n_bins)
+        assert np.array_equal(global_probs, fit_histogram(targets, edges).probabilities)
         assignments = np.stack([
             np.random.default_rng(seed + i).permutation(targets.size) for i in range(n_perm)
         ])

@@ -100,6 +100,43 @@ def test_only_pool_decides_whether_to_fork():
             if names_from(path, "pool") & {"usable_cpus", "blas_threads"}] == []
 
 
+def definitions(path: Path) -> set[str]:
+    """The functions and classes a module defines, methods and nested ones
+    included, dunder methods excepted."""
+    return {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def references(path: Path) -> set[str]:
+    """The names a module uses: each name, attribute and imported name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {name for _, name in imports(path) if name})
+
+
+def test_definitions_finds_what_a_module_defines_and_references_what_it_uses(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from .pool import start_job\nclass A:\n    def __init__(self): pass\n"
+                      "    def run(self): return helper(self.size)\n"
+                      "def helper(x):\n    def inner(): pass\n    return x\n")
+    assert definitions(module) == {"A", "run", "helper", "inner"}
+    assert references(module) == {"start_job", "helper", "self", "size", "x"}
+
+
+# Each name here is defined for a caller that does not exist yet.
+NOT_YET_CALLED = {"load_checkpoint"}  # reproduces a run's predictions from its checkpoint
+
+
+def test_every_definition_is_used_in_the_package():
+    """A function or class that no module refers to is dead code, or a second
+    implementation that only tests call: it belongs in tests/."""
+    used = set().union(*map(references, MODULES))
+    dead = {name for path in MODULES for name in definitions(path)} - used
+    assert dead == NOT_YET_CALLED
+
+
 def test_no_module_imports_a_private_name_of_another():
     private = [(path.name, module, name) for path in MODULES for module, name in imports(path)
                if module.startswith((".", "fedcharge")) and name and name.startswith("_")

@@ -1,5 +1,6 @@
 """Domain types and session-retention rules."""
 
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -79,6 +80,11 @@ class TestTypes:
     ])
     def test_parse_utc_gives_whole_epoch_seconds(self, text, expected):
         assert parse_utc(text) == expected
+
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_parse_utc_names_a_stamp_outside_years_1_to_9999_in_utc(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"timestamp '{text}' falls outside years 1-9999")):
+            parse_utc(text)
 
 
 class TestEarlyWindow:

@@ -121,6 +121,9 @@ def case(name: str) -> str:
     if name == "issues in both halves":  # strict mode fails on both
         rows[3] = ("A", 3, "abc")
         rows[N - 4] = "C,not-a-time,1.0,32.0\r\n"
+    elif name == "stamps outside years 1-9999 in both halves":  # in UTC, once offset
+        rows[3] = "A,0001-01-01T00:00:00+01:00,3.0,32.0\r\n"
+        rows[N - 4] = "C,9999-12-31T23:59:59-01:00,36.0,32.0\r\n"
     elif name == "quote in the front":
         rows[3] = ("A", 3, '"3.0"')
     elif name == "quote in the back":
@@ -145,7 +148,8 @@ def case(name: str) -> str:
 CASES = ["in order", "issues in both halves", "quote in the front", "quote in the back",
          "bare cr in the front", "duplicates across the split",
          "out of order across the split", "new sessions in both halves",
-         "no valid row in the front", "no new session in the back"]
+         "no valid row in the front", "no new session in the back",
+         "stamps outside years 1-9999 in both halves"]
 
 
 def back_line(path: Path, chunk_rows: int = 2) -> int:
