@@ -187,18 +187,12 @@ def _required(conf: dict[str, dict], section: str, name: str):
     return value
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _echo_config(out_dir: Path, stage: str, conf: dict[str, dict]) -> None:
     def text(v):
         return f"{v[0]}:{v[1]}" if isinstance(v, tuple) else v
 
     sections = {s: {name: text(v) for name, v in values.items()} for s, values in conf.items()}
-    _write_json(out_dir / "config.json", {"stage": stage, **sections})
+    evaluation.write_json(out_dir / "config.json", {"stage": stage, **sections})
 
 
 def _outdir(path_str: str) -> Path:
@@ -270,7 +264,7 @@ def _refuse_if_empty(retained, report: dict, path: Path) -> None:
     outputs would be empty files that the later stages reject."""
     if retained.sessions:
         return
-    _write_json(path, report)
+    evaluation.write_json(path, report)
     raise ValueError(f"no session retained from {report['timeseries_path']} "
                      f"({report['n_series_sessions']} sessions with readings): dropped "
                      f"{report['dropped']}; see {path}")
@@ -286,7 +280,7 @@ def _cmd_ingest(args, conf: dict) -> None:
     ingest.write_timeseries(
         out / "timeseries.csv", {k: v for k, v in index.items() if k in kept_ids}
     )
-    _write_json(out / "ingest_report.json", report)
+    evaluation.write_json(out / "ingest_report.json", report)
     print(f"retained {report['n_retained']} sessions (dropped: {report['dropped']})")
 
 
@@ -298,7 +292,7 @@ def _cmd_featurize(args, conf: dict) -> None:
     table = build_feature_table(retained.sessions, index, cfg, retained.windows)
     write_features(out / "features.csv", table)
     report["warnings"] = dict(table.warnings)
-    _write_json(out / "featurize_report.json", report)
+    evaluation.write_json(out / "featurize_report.json", report)
     print(f"wrote {len(table)} feature rows ({table.X.shape[1]} features) to {out}")
 
 
@@ -315,7 +309,7 @@ def _cmd_analyze(args, conf: dict) -> None:
     )
     ranked = sorted(report.per_client_js.items(), key=lambda kv: (-kv[1], kv[0]))
     out = _outdir(args.out)
-    _write_json(out / "heterogeneity.json", {
+    evaluation.write_json(out / "heterogeneity.json", {
         **asdict(report),
         "n_clients": partition.n_clients,
         "ranked_clients": [{"client": cid, "js": value} for cid, value in ranked],
@@ -354,7 +348,8 @@ def _cmd_train(args, conf: dict) -> None:
         artifacts.prepared.data.y_test,
         artifacts.predictions,
     )
-    _write_json(out / "summary.json", {"model": model_kind, "mode": mode, **asdict(seed_result)})
+    evaluation.write_json(out / "summary.json",
+                          {"model": model_kind, "mode": mode, **asdict(seed_result)})
     print(
         f"{model_kind}/{mode} seed={seed}: test MAE {seed_result.test_mae:.4f} "
         f"RMSE {seed_result.test_rmse:.4f}"
@@ -385,7 +380,7 @@ def _cmd_evaluate(args, conf: dict) -> None:
     table, model_kind, mode, training = _training_inputs(conf)
     report = evaluation.multi_seed_run(table, model_kind, mode, seeds, **training)
     out = _outdir(args.out)
-    _write_json(out / "run_report.json", evaluation.report_to_dict(report))
+    evaluation.write_json(out / "run_report.json", evaluation.report_to_dict(report))
     print(
         f"{model_kind}/{mode} over {len(seeds)} seeds: "
         f"MAE {report.mae_mean:.4f} +/- {report.mae_std:.4f}"

@@ -317,10 +317,15 @@ def emit_report(reports: list[RunReport], out_dir) -> tuple[Path, Path]:
     json_path = out_dir / "results.json"
     csvio.write(csv_path, RESULT_COLUMNS, [[getattr(rep, c) for rep in reports]
                                            for c in RESULT_COLUMNS])
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump([report_to_dict(r) for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, [report_to_dict(r) for r in reports])
     return csv_path, json_path
+
+
+def write_json(path, payload) -> None:
+    """Every JSON file the package writes: sorted keys, 2-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_predictions(path, session_ids, y_true, y_pred) -> None:

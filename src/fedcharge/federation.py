@@ -11,7 +11,8 @@ p = 0 for centralized. A single-client, full-participation federated run
 therefore consumes exactly the centralized schedule.
 
 Both trainers train in forked workers (pool.ClientPool) when _pool_size
-allows it and the pool starts, and in this process otherwise. Round
+allows it and the pool starts, and otherwise in this process, with one
+OpenBLAS thread and a worker's heap (pool.serial_training). Round
 (or epoch) r + 1 is dispatched as soon as round r is collected, so it
 trains while round r is evaluated:
 - centralized, one worker holds the model and its Adam state and trains
@@ -29,7 +30,7 @@ order the serial loop would meet it.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -281,7 +282,8 @@ def _run_rounds(wanted: int, n_rounds: int, tasks, combine, train, model, data: 
     train(r, position, task, global_params); combine(tasks, trained) gives
     the round's parameters and the clients to log. The rounds train in
     _pool_size(wanted) forked workers, which with predictors also predict
-    the evaluated splits, or one after another in this process."""
+    the evaluated splits, or one after another in this process, in a
+    worker's environment (pool.serial_training)."""
     def serial(r: int, params: ModelParameters):
         round_tasks = tasks(r)
         trained = [train(r, pos, task, params) for pos, task in enumerate(round_tasks)]
@@ -297,14 +299,14 @@ def _run_rounds(wanted: int, n_rounds: int, tasks, combine, train, model, data: 
         workers.dispatch(r + 1, upcoming, params)  # with predictors, the workers evaluate params
         return params, clients, workers.predictions() if predictors else None
 
+    from .pool import CannotFork, ClientPool, serial_training
+
     n_workers, workers = (_pool_size(wanted) if n_rounds else 0), None
     if n_workers:
-        from .pool import CannotFork, ClientPool
-
         with suppress(CannotFork):  # the rounds then train in this process
             workers = ClientPool(n_workers, model.layout, len(tasks(0)), train, predictors,
                                  mode=mode, unit=unit)
-    with workers or nullcontext():
+    with workers or serial_training():
         return _train(model, data, pooled if workers else serial, n_rounds, mode, unit, lr)
 
 

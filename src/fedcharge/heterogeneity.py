@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import row_groups
 from .partition import ClientPartition
 from .seeding import STREAM_PERM, rng_from
 
@@ -42,20 +43,6 @@ def _binned(arr: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     return bins, np.bincount(bins, minlength=n_bins) / arr.size
 
 
-def _row_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """np.sum of each row's run in the flat, row-major ``terms``.
-
-    np.sum adds pairwise in an order that depends on the run length, so rows
-    are summed in groups of equal length, each one C-contiguous 2-D block.
-    """
-    starts = np.cumsum(lengths) - lengths
-    sums = np.empty(lengths.size)
-    for n in np.flatnonzero(np.bincount(lengths)):
-        rows = np.flatnonzero(lengths == n)
-        sums[rows] = terms[starts[rows, None] + np.arange(n)].sum(axis=1)
-    return sums
-
-
 def _client_js(
     bins: np.ndarray,
     assignments: np.ndarray,
@@ -79,7 +66,10 @@ def _client_js(
     m = (p + global_probs) / 2.0
     has_mass = p > 0
     pv = p[has_mass]
-    kl_client = _row_sums(pv * np.log(pv / m[has_mass]), has_mass.sum(axis=1))
+    terms = pv * np.log(pv / m[has_mass])
+    kl_client = np.zeros(n_assign * n_clients)  # a row with no mass sums to +0.0
+    for _, rows, index in row_groups(has_mass.sum(axis=1)):
+        kl_client[rows] = terms[index].sum(axis=1)
     g = global_probs > 0
     pg = global_probs[g]
     kl_global = np.ascontiguousarray(pg * np.log(pg / m[:, g])).sum(axis=1)
@@ -117,7 +107,8 @@ def permutation_null(
     values = np.empty(n_permutations)
     for start in range(0, n_permutations, per_chunk):
         stop = min(start + per_chunk, n_permutations)
-        perms = np.stack([rng.permutation(arr.size) for _ in range(start, stop)])
+        perms = np.tile(np.arange(arr.size), (stop - start, 1))
+        rng.permuted(perms, axis=1, out=perms)  # each row as rng.permutation(arr.size) draws it
         js = _client_js(bins, perms, sizes, global_probs)
         # cumsum adds clients in order, as a running total would.
         values[start:stop] = np.cumsum(weights * js, axis=1)[:, -1]

@@ -347,13 +347,11 @@ def float_column(cells, absent) -> tuple[np.ndarray, np.ndarray]:
     (math.nan's bits); any other byte array is decoded first, as float(bytes)
     rejects the fullwidth digits that float(str) reads.
     """
+    present = _present(cells, absent)
     if isinstance(cells, np.ndarray) and (cells.view(np.uint8) < 0x80).all():
-        present = cells != b""
         cells = np.where(present, cells, b"nan").tolist()
     else:
-        cells = csvio.texts(cells)
-        present = np.array([v != absent for v in cells], dtype=bool)
-        cells = [v if p else math.nan for v, p in zip(cells, present.tolist())]
+        cells = [v if p else math.nan for v, p in zip(csvio.texts(cells), present.tolist())]
     try:
         out = np.array(list(map(float, cells)), dtype=float)
     except (ValueError, TypeError, OverflowError):

@@ -202,23 +202,6 @@ def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Activations
-
-
-def softplus(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Dummy baselines
 
 
@@ -407,8 +390,9 @@ class MlpRegressor(_BoundParams):
                 else:
                     mask = None
                 cache["masks"].append(mask)
-        preds = softplus(z[:, 0])
-        return preds, cache
+        # Softplus, max(z, 0) + log1p(exp(-|z|)); the backward pass reuses the exp.
+        cache["exp"] = e = np.exp(-np.abs(z[:, 0]))
+        return np.maximum(z[:, 0], 0.0) + np.log1p(e), cache
 
     def predict(self, X, stations) -> np.ndarray:
         """Eval-mode forward: dropout off, deterministic."""
@@ -429,7 +413,9 @@ class MlpRegressor(_BoundParams):
         loss = float(np.mean(residual**2))
 
         self._grad.fill(0.0)
-        dz = ((2.0 / n) * residual * sigmoid(cache["pre"][-1][:, 0]))[:, None]
+        e = cache["exp"]  # softplus' slope, the sigmoid: exp(-|z|) cannot overflow
+        slope = np.where(cache["pre"][-1][:, 0] >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        dz = ((2.0 / n) * residual * slope)[:, None]
         for i in reversed(range(self.n_layers)):
             (w, _), (grad_w, grad_b) = self._layers[i], self._grad_layers[i]
             grad_w += cache["inputs"][i].T @ dz

@@ -40,6 +40,8 @@ round's status.
 Every process runs one OpenBLAS thread while a ClientPool is open, and the
 parent's count is restored when it closes. A client's products are small,
 and an idle BLAS thread of the parent spins on a core the workers need.
+Training that stays in this process runs under serial_training, with a
+worker's thread count and heap.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import os
 import pickle
 import signal
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -92,6 +94,35 @@ def blas_threads():
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
     return None
+
+
+def _pin_heap() -> None:
+    """Keep a trainer's freed memory in glibc's heap. A client's Adam state
+    and gradients are freed at the top of the heap; trimmed off there, they
+    came back as ~700 page faults per client. Keep up to 64 MB of free heap
+    instead. That also fixes the mmap threshold at this process's, which may
+    be 128 KB: then each 256 KB gradient and 1 MB Adam state is mapped anew.
+    Pin it at 16 MB. The settings last for the life of the process."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+        mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+
+
+@contextmanager
+def serial_training():
+    """The environment a ClientPool gives its workers, for training in this
+    process: one OpenBLAS thread where its count can be set, the count
+    restored on leaving, and the pinned heap (_pin_heap)."""
+    get, set_ = blas_threads() or (lambda: None, lambda count: None)
+    before = get()
+    set_(1)
+    _pin_heap()
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _send(fd: int, obj) -> None:
@@ -317,16 +348,7 @@ class ClientPool(Workers):
     def _set_up_worker(self) -> None:
         self._set_threads(1)
         np.seterr(all="ignore")             # as in the parent's round loop
-        # A client's Adam state and gradients are freed at the top of the
-        # worker's heap; trimmed off there, they came back as ~700 page faults
-        # per client. Keep up to 64 MB of free heap instead. That also fixes
-        # the mmap threshold at the parent's, which may be 128 KB: then each
-        # 256 KB gradient and 1 MB Adam state is mapped anew. Pin it at 16 MB.
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-        if mallopt is not None:
-            mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-            mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-            mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+        _pin_heap()
 
     def _serve(self, message):
         """A worker's answer: for a split k, its predictions from row 0; for

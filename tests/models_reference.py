@@ -11,7 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedcharge.models import MlpRegressor, sigmoid, softplus
+from fedcharge.models import MlpRegressor
+
+
+def softplus(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def views(model: MlpRegressor, values: np.ndarray) -> dict[str, np.ndarray]:

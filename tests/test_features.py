@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -614,6 +615,28 @@ class TestImputer:
         X = np.array([[1.0, np.nan], [2.0, np.nan]])
         out = fit_imputer(X).apply(X)
         assert np.all(out[:, 1] == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 1300),  # np.nanmedian changes method at 600 rows
+        cols=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        pool=st.lists(st.sampled_from([np.nan, -0.0, 0.0, 1.0, -2.5, np.inf, -np.inf]),
+                      max_size=4),
+        missing=st.floats(0.0, 1.0),
+    )
+    def test_medians_are_nanmedians_bitwise(self, rows, cols, seed, pool, missing):
+        """Ties, signed zeros, NaN and infinities, and all-missing columns."""
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(rows, cols)) * 3) / 2
+        if pool:
+            X = np.where(rng.random(X.shape) < 0.5, rng.choice(pool, size=X.shape), X)
+        X[rng.random(X.shape) < missing] = np.nan
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+            want = np.nanmedian(X, axis=0)
+        want = np.where(np.isnan(want), 0.0, want)
+        assert fit_imputer(X).medians.tobytes() == want.tobytes()
 
 
 class TestFeaturesCsv:

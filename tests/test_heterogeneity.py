@@ -169,6 +169,19 @@ class TestPermutationNull:
         with pytest.raises(ValueError):
             permutation_null([1.0, 2.0], [3], 10, seed=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 1843])
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_a_chunk_draws_the_rows_of_per_row_permutations(self, n, k):
+        """The null draws a chunk of k permutations in one rng.permuted call:
+        the rows, and the generator state after them, of k rng.permutation
+        calls. A numpy that changes either stream fails here."""
+        rows, one_call = rng_from(3, STREAM_PERM), rng_from(3, STREAM_PERM)
+        want = np.stack([rows.permutation(n) for _ in range(k)])
+        chunk = np.tile(np.arange(n), (k, 1))
+        one_call.permuted(chunk, axis=1, out=chunk)
+        assert np.array_equal(chunk, want)
+        assert one_call.bit_generator.state == rows.bit_generator.state
+
 
 class TestClassify:
     """analyze_partition's classification: non-IID iff the weighted JS

@@ -17,8 +17,8 @@ from fedcharge.models import (
     load_checkpoint,
     save_checkpoint,
     set_params,
-    softplus,
 )
+from models_reference import softplus
 
 MICRO_SPEC = MlpSpec(
     numeric_input_dim=3,

@@ -93,6 +93,29 @@ def test_dropout_mask_draws_the_reference_stream():
         assert bits(got) == bits(expected)
 
 
+@pytest.mark.parametrize("z", [0.0, 745.0, -745.0, 1e308, -1e308, np.nan])
+@pytest.mark.parametrize("n", [1, 2])
+def test_output_layer_matches_reference_bitwise(z, n):
+    """The output layer's one exp against the reference's softplus and
+    sigmoid, where exp(-|z|) is 1, subnormal or 0, and at NaN. The last
+    layer's weights are zero, so its bias is the output pre-activation. (That
+    cannot be -0.0: a product sums from +0.0, and +0.0 + -0.0 is +0.0.)"""
+    model = MlpRegressor(MICRO_SPEC, seed=7)
+    w, b = model.layout.views(model.values)[f"w{model.n_layers - 1}"], model.values[-1:]
+    w[...], b[...] = 0.0, z
+    X, stations, y = batch(MICRO_SPEC, n, 8)
+    with np.errstate(all="ignore"):  # the loss overflows at 1e308
+        _, cache = model.forward_train(X, stations, None)
+        preds = model.predict(X, stations)
+        want_preds = ref.forward(model, X, stations, False, None)[0]
+        loss, grad = model.loss_and_grad(X, stations, y, None)
+        want_loss, want_grad = ref.loss_and_grad(model, X, stations, y, None)
+    assert bits(cache["pre"][-1][:, 0]) == bits(np.full(n, z))
+    assert bits(preds) == bits(want_preds)
+    assert bits(loss) == bits(want_loss)
+    assert bits(grad) == bits(want_grad)
+
+
 def test_layout_tables_are_computed_once():
     layout = MlpRegressor(MICRO_SPEC).layout
     assert layout.slices is layout.slices
