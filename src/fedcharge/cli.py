@@ -18,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
-from . import csvio, evaluation, federation, heterogeneity, ingest, models
+from . import csvio, evaluation, federation, heterogeneity, ingest, models, seeding
 from .features import build_feature_table, read_features, write_features
 from .partition import partition_by_station
 from .sessions import DatasetConfig, retain_sessions
@@ -172,6 +172,8 @@ def _resolve(args: argparse.Namespace, cfg: dict[str, dict]) -> dict[str, dict]:
                 given.get(name, keys[name].default) if flag is None
                 else _value(f"{section}.{name}", keys[name], flag)
             )
+            if name in ("seed", "seeds"):
+                _parse_seeds(f"{section}.{name}", conf[section][name])
     return conf
 
 
@@ -364,19 +366,25 @@ def _write_rounds_csv(path: Path, logs) -> None:
     csvio.write(path, ROUNDS_COLUMNS, [*columns, [";".join(log.clients) for log in logs]])
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(where: str, value) -> list[int]:
+    """The seeds of a seed key's value: one int, or train.seeds' comma-separated
+    text. Each is one of the seeding.SEEDS that rng_from tells apart, once."""
     try:
-        seeds = [int(tok) for tok in text.split(",") if tok != ""]
+        seeds = [value] if isinstance(value, int) else [int(t) for t in value.split(",") if t]
     except ValueError:
         seeds = []
     if not seeds:
-        raise ValueError(f"train.seeds: expected comma-separated integers, got {text!r}")
+        raise ValueError(f"{where}: expected comma-separated integers, got {value!r}")
+    for i, seed in enumerate(seeds):
+        if seed not in seeding.SEEDS or seed in seeds[:i]:
+            problem = "repeated" if seed in seeding.SEEDS else "outside [0, 2**64)"
+            raise ValueError(f"{where}: seed {seed} is {problem}")
     return seeds
 
 
 def _cmd_evaluate(args, conf: dict) -> None:
     """multi-seed experiment for one model and mode"""
-    seeds = _parse_seeds(conf["train"]["seeds"])
+    seeds = _parse_seeds("train.seeds", conf["train"]["seeds"])
     table, model_kind, mode, training = _training_inputs(conf)
     report = evaluation.multi_seed_run(table, model_kind, mode, seeds, **training)
     out = _outdir(args.out)

@@ -10,21 +10,18 @@ stream (seed, STREAM_EPOCH, index, p) with index = r * local_epochs + e and
 p = 0 for centralized. A single-client, full-participation federated run
 therefore consumes exactly the centralized schedule.
 
-Both trainers train in forked workers (pool.ClientPool) when _pool_size
-allows it and the pool starts, and otherwise in this process, with one
-OpenBLAS thread and a worker's heap (pool.serial_training). Round
-(or epoch) r + 1 is dispatched as soon as round r is collected, so it
-trains while round r is evaluated:
-- centralized, one worker holds the model and its Adam state and trains
-  each epoch; this process evaluates the epoch before and keeps the best;
-- federated, the sampled clients of a round (two or more) train in up to
-  MAX_WORKERS workers. Before round r + 1's clients, worker 0 predicts the
-  validation split and worker 1 the test split from round r's parameters,
-  and this process takes the metrics of those predictions. It samples,
-  aggregates in sampled order and evaluates the last round itself.
-A round's work depends only on its streams and the parameters it starts
-from, so every path gives the same bits, and a failure surfaces in the
-order the serial loop would meet it.
+Centralized training runs its epochs in this process, with one OpenBLAS
+thread and a worker's heap (pool.serial_training). FedAvg trains the sampled
+clients of a round (two or more) in up to MAX_WORKERS forked workers
+(pool.ClientPool) when _pool_size allows it and the pool starts, and
+otherwise in this process under serial_training. Round r + 1 is dispatched
+as soon as round r is collected, so it trains while round r is evaluated:
+before round r + 1's clients, worker 0 predicts the validation split and
+worker 1 the test split from round r's parameters, and this process takes
+the metrics of those predictions. It samples, aggregates in sampled order
+and evaluates the last round itself. A round's work depends only on its
+streams and the parameters it starts from, so both paths give the same bits,
+and a failure surfaces in the order the serial loop would meet it.
 """
 
 from __future__ import annotations
@@ -264,8 +261,9 @@ def _train(model, data: SplitData, step, n_rounds: int, mode: str, unit: str,
     return TrainResult(best, params, logs, best_round, best_mae if logs else None)
 
 
-def _pool_size(wanted: int) -> int:
-    """The workers a trainer asked for, or 0 to train in this process.
+def _pool_size(m: int) -> int:
+    """The workers that train FedAvg rounds of m clients, or 0 to train them
+    in this process: min(MAX_WORKERS, m), and none for one client a round.
 
     The training functions this module looks up must be its own (_OWN): when
     something in this process wraps one (a tracer, a test spy), a forked
@@ -273,60 +271,29 @@ def _pool_size(wanted: int) -> int:
     stay here. Whether this host can run workers at all is pool.ClientPool's
     call (CannotFork).
     """
-    return wanted if (local_train, train_one_epoch, adam_step) == _OWN else 0
-
-
-def _run_rounds(wanted: int, n_rounds: int, tasks, combine, train, model, data: SplitData,
-                mode: str, unit: str, lr: float, predictors=()) -> TrainResult:
-    """_train over n_rounds rounds of tasks(r), each task trained by
-    train(r, position, task, global_params); combine(tasks, trained) gives
-    the round's parameters and the clients to log. The rounds train in
-    _pool_size(wanted) forked workers, which with predictors also predict
-    the evaluated splits, or one after another in this process, in a
-    worker's environment (pool.serial_training)."""
-    def serial(r: int, params: ModelParameters):
-        round_tasks = tasks(r)
-        trained = [train(r, pos, task, params) for pos, task in enumerate(round_tasks)]
-        return *combine(round_tasks, trained), None
-
-    def pooled(r: int, params: ModelParameters):
-        if r == 0:
-            workers.dispatch(0, tasks(0), params)
-        upcoming = tasks(r + 1) if r + 1 < n_rounds else None  # while round r trains
-        params, clients = combine(*workers.collect())
-        if upcoming is None:
-            return params, clients, None
-        workers.dispatch(r + 1, upcoming, params)  # with predictors, the workers evaluate params
-        return params, clients, workers.predictions() if predictors else None
-
-    from .pool import CannotFork, ClientPool, serial_training
-
-    n_workers, workers = (_pool_size(wanted) if n_rounds else 0), None
-    if n_workers:
-        with suppress(CannotFork):  # the rounds then train in this process
-            workers = ClientPool(n_workers, model.layout, len(tasks(0)), train, predictors,
-                                 mode=mode, unit=unit)
-    with workers or serial_training():
-        return _train(model, data, pooled if workers else serial, n_rounds, mode, unit, lr)
+    own = (local_train, train_one_epoch, adam_step) == _OWN
+    return min(MAX_WORKERS, m) if m > 1 and own else 0
 
 
 def run_centralized(data: SplitData, model, cfg: CentralConfig) -> TrainResult:
-    """Mini-batch Adam over the pooled training split, one epoch per round
-    (see the module docstring for when the epochs train in a forked worker)."""
+    """Mini-batch Adam over the pooled training split, one epoch per round,
+    in this process with one OpenBLAS thread (pool.serial_training)."""
     interval = cfg.optimizer_reset_interval
     adam = None
 
-    def epoch(t: int, pos, task, params) -> ModelParameters:
+    def epoch(t: int, params: ModelParameters):
         """Epoch t, on the model's own parameters: it trained params."""
         nonlocal adam
         if t == 0 or (interval is not None and t % interval == 0):
             adam = init_adam(model.layout.total, cfg.lr)
         rng = rng_from(cfg.seed, STREAM_EPOCH, t, 0)
         train_one_epoch(model, data.X_train, data.st_train, data.y_train, cfg.batch_size, adam, rng)
-        return get_params(model)
+        return get_params(model), (), None
 
-    return _run_rounds(1, cfg.epochs, lambda t: (None,), lambda tasks, trained: (trained[0], ()),
-                       epoch, model, data, "centralized", "epoch", cfg.lr)
+    from .pool import serial_training
+
+    with serial_training():
+        return _train(model, data, epoch, cfg.epochs, "centralized", "epoch", cfg.lr)
 
 
 def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
@@ -354,10 +321,32 @@ def run_federated(data: SplitData, model, cfg: FedConfig) -> TrainResult:
         updates = [(p, len(client_data[cid][2])) for cid, p in zip(clients, trained)]
         return aggregate(updates), clients
 
+    def serial(r: int, params: ModelParameters):
+        clients = sampled(r)
+        trained = [train_client(r, pos, cid, params) for pos, cid in enumerate(clients)]
+        return *combine(clients, trained), None
+
+    def pooled(r: int, params: ModelParameters):
+        if r == 0:
+            workers.dispatch(0, sampled(0), params)
+        upcoming = sampled(r + 1) if r + 1 < cfg.rounds else None  # while round r trains
+        params, clients = combine(*workers.collect())
+        if upcoming is None:
+            return params, clients, None
+        workers.dispatch(r + 1, upcoming, params)  # the workers first evaluate params
+        return params, clients, workers.predictions()
+
+    from .pool import CannotFork, ClientPool, serial_training
+
     m = _clients_per_round(partition.n_clients, cfg.client_fraction)
-    predictors = [partial(_predict, model, X, stations) for X, stations in data.evaluated]
-    return _run_rounds(min(MAX_WORKERS, m) if m > 1 else 0, cfg.rounds, sampled, combine,
-                       train_client, model, data, "federated", "round", cfg.lr, predictors)
+    n_workers, workers = (_pool_size(m) if cfg.rounds else 0), None
+    if n_workers:
+        predictors = [partial(_predict, model, X, stations) for X, stations in data.evaluated]
+        with suppress(CannotFork):  # the rounds then train in this process
+            workers = ClientPool(n_workers, model.layout, m, train_client, predictors)
+    with workers or serial_training():
+        return _train(model, data, pooled if workers else serial, cfg.rounds, "federated",
+                      "round", cfg.lr)
 
 
 def detect_convergence(

@@ -1,15 +1,15 @@
 """Forked worker processes, and the pool that trains FedAvg clients on them.
 
 Workers is the package's one fork implementation. Its users are ClientPool
-(below), which trains federation's FedAvg clients or centralized epochs,
-and start_job, whose one worker converts or formats the back half of a
-large time-series file for ingest's parse or writer. Workers raises
-CannotFork, leaving no worker, where this process cannot fork: with fewer
-than two usable CPUs, no os.fork, in a daemonic multiprocessing process or
-when a fork raises OSError. ClientPool also raises it, before it forks or
-sets a thread count, where the OpenBLAS thread count cannot be set
-(blas_threads() is None). Each user then does all of its work here; every
-such condition of the host is decided in this module.
+(below), which trains federation's FedAvg clients, and start_job, whose one
+worker converts or formats the back half of a large time-series file for
+ingest's parse or writer. Workers raises CannotFork, leaving no worker,
+where this process cannot fork: with fewer than two usable CPUs, no
+os.fork, in a daemonic multiprocessing process or when a fork raises
+OSError. ClientPool also raises it, before it forks or sets a thread count,
+where the OpenBLAS thread count cannot be set (blas_threads() is None).
+Each user then does all of its work here; every such condition of the host
+is decided in this module.
 
 A worker is forked by os.fork with SIGINT blocked and then ignores it, so a
 ^C reaches only the parent, which kills its workers. stdout and stderr are
@@ -32,16 +32,16 @@ shared (1 + m, P) float64 buffer of anonymous mmap memory: row 0 holds the
 global parameters, row 1 + p the update of the client at sampled position p.
 A pipe carries only (round, [(position, client)]) to a worker and a status
 back: None, or the first position that failed with its exception. Row 0
-of every round after the first holds the last round's result: given
-predictors, the workers first predict the evaluated splits from it, split k
-on worker k mod n_workers, and those predictions come back before the
-round's status.
+of every round after the first holds the last round's result: the workers
+first predict the evaluated splits from it, split k on worker
+k mod n_workers, and those predictions come back before the round's status.
 
 Every process runs one OpenBLAS thread while a ClientPool is open, and the
 parent's count is restored when it closes. A client's products are small,
 and an idle BLAS thread of the parent spins on a core the workers need.
-Training that stays in this process runs under serial_training, with a
-worker's thread count and heap.
+Training that stays in this process (every centralized run, and FedAvg
+where no pool starts) runs under serial_training, with a worker's thread
+count and heap.
 """
 
 from __future__ import annotations
@@ -311,20 +311,19 @@ class _Job(Workers):
 
 class ClientPool(Workers):
     """n_workers forked processes, each calling train(r, position, client,
-    global_params) -> ModelParameters for its share of one round's clients.
-    predictors[k](params) gives the predictions of evaluated split k.
+    global_params) -> ModelParameters for its share of one FedAvg round's
+    clients. predictors[k](params) gives the predictions of evaluated split k.
     CannotFork where Workers raises it or no OpenBLAS thread count can be set.
 
     dispatch() starts a round and returns at once; collect() waits for it. A
     round's positions go to the workers in turn (position p to worker
-    p mod n_workers), and each worker trains its positions in order. mode and
-    unit name the run and its rounds when a worker dies. Leaving the pool's
-    with-block stops the workers: at once when an exception leaves it (a
-    round may still be in flight), after their current message otherwise.
+    p mod n_workers), and each worker trains its positions in order. A worker
+    that dies is named with the round. Leaving the pool's with-block stops
+    the workers: at once when an exception leaves it (a round may still be in
+    flight), after their current message otherwise.
     """
 
-    def __init__(self, n_workers: int, layout, slots: int, train, predictors=(), *,
-                 mode: str, unit: str):
+    def __init__(self, n_workers: int, layout, slots: int, train, predictors):
         threads = blas_threads()
         if threads is None:
             raise CannotFork
@@ -339,7 +338,7 @@ class ClientPool(Workers):
         self._set_threads(1)
         try:
             super().__init__(n_workers, self._serve, self._set_up_worker, lambda pid, code: (
-                f"{mode} training worker {pid} exited with code {code} in {unit} "
+                f"federated training worker {pid} exited with code {code} in round "
                 f"{self._round[0] + 1}"))
         except BaseException:
             self._set_threads(self._threads_before)

@@ -10,6 +10,9 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# The seeds rng_from tells apart: it masks every seed to its low 64 bits.
+SEEDS = range(_MASK64 + 1)
+
 # Stream identifiers. Values are part of the on-disk reproducibility contract:
 # changing them changes every seeded output.
 STREAM_INIT = 0      # model parameter initialization

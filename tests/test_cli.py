@@ -580,6 +580,47 @@ class TestConfigFileChecks:
         )
 
 
+# Every key that seeds a stream, and the subcommand that reads it.
+SEED_KEYS = [("synth", "seed", "synth"), ("heterogeneity", "seed", "analyze"),
+             ("fed", "seed", "train"), ("central", "seed", "train"),
+             ("train", "seeds", "evaluate")]
+
+
+class TestSeeds:
+    """rng_from tells 2^64 seeds apart, so a seed outside [0, 2^64) would
+    give the run of another seed: every such seed exits 1 naming its key."""
+
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    @pytest.mark.parametrize("section, name, command", SEED_KEYS,
+                             ids=[f"{s}.{k}" for s, k, _ in SEED_KEYS])
+    def test_a_seed_outside_the_streams_is_named(self, tmp_path, capsys, section, name,
+                                                 command, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {name: f"0,{value}" if name == "seeds" else value}}))
+        code = dispatch([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {section}.{name}: seed {value} is outside [0, 2**64)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_only_one_seed_of_a_stream_is_accepted(self, features_dir, tmp_path, capsys):
+        """-1 and 2^64 - 1 once gave the same run."""
+        features = str(features_dir / "features.csv")
+        for seed, code in [("18446744073709551615", 0), ("-1", 1)]:
+            assert dispatch(["train", "--features", features, "--mode", "centralized",
+                             "--model", "dummy-gauss", "--seed", seed,
+                             "--out", str(tmp_path / seed)]) == code
+        assert "error: fed.seed: seed -1 is outside" in capsys.readouterr().err
+        assert dispatch(["evaluate", "--features", features, "--mode", "centralized",
+                         "--model", "dummy-gauss", "--seeds", "0,18446744073709551615",
+                         "--out", str(tmp_path / "evaluate")]) == 0
+
+    def test_a_repeated_seed_is_named(self, features_dir, tmp_path, capsys):
+        code = dispatch(["evaluate", "--features", str(features_dir / "features.csv"),
+                         "--mode", "centralized", "--model", "dummy-mean", "--seeds", "0,0,1",
+                         "--out", str(tmp_path)])
+        assert (code, capsys.readouterr().err) == (1, "error: train.seeds: seed 0 is repeated\n")
+
+
 class TestTooFewSessions:
     @pytest.mark.parametrize("command", [
         ["train"], ["evaluate", "--seeds", "0,1"],

@@ -1,10 +1,10 @@
-"""FedAvg rounds and centralized epochs trained in forked workers against the
-same rounds trained one after another in this process: bit for bit, on
-every failure path, where this process cannot fork, and with no process
-left behind.
+"""FedAvg rounds trained in forked workers against the same rounds trained
+one after another in this process: bit for bit, on every failure path,
+where this process cannot fork, and with no process left behind. Centralized
+runs train every epoch in this process and start no process.
 
-A wrapped federation.local_train keeps both trainers serial (as a traced
-run's wrappers do), so every pooled result here has a serial oracle.
+A wrapped federation.local_train keeps FedAvg serial (as a traced run's
+wrappers do), so every pooled result here has a serial oracle.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def prepared(small_table):
 
 
 def train_serially(monkeypatch) -> None:
-    """Makes both trainers train every round in this process."""
+    """Makes FedAvg train every round in this process."""
     own = federation.local_train
     monkeypatch.setattr(federation, "local_train", lambda *args: own(*args))
 
@@ -387,6 +387,13 @@ def central(features, out, *flags: str) -> int:
                      *flags, "--out", str(out)])
 
 
+def central_evaluate(features, out, *flags: str) -> int:
+    """A centralized evaluate of two seeds in this process; its exit code."""
+    return dispatch(["evaluate", "--features", str(features), "--mode", "centralized",
+                     "--model", "mlp", "--epochs", "4", "--batch-size", "16", "--seeds", "4,5",
+                     *flags, "--out", str(out)])
+
+
 def with_reset(monkeypatch, interval: int | None) -> None:
     """Makes the CLI's centralized runs reset Adam every interval epochs."""
     cls, keys = cli.SCHEMA["central"]
@@ -395,8 +402,7 @@ def with_reset(monkeypatch, interval: int | None) -> None:
 
 
 class TestCentralized:
-    """One forked worker trains the epochs and holds the Adam state while this
-    process evaluates the epoch before."""
+    """Every epoch trains in this process, which evaluates it after."""
 
     @pytest.mark.parametrize("kind, dropout", [("mlp", "0"), ("mlp", "0.2"), ("lr", "0.2"),
                                                ("dummy-mean", "0.2"), ("dummy-gauss", "0.2")])
@@ -404,40 +410,26 @@ class TestCentralized:
     @pytest.mark.parametrize("epochs", [0, 1, 5])
     def test_pooled_epochs_equal_serial_epochs(self, features, tmp_path, monkeypatch, dispatched,
                                                kind, dropout, reset, epochs):
+        """No centralized run hands an epoch to a pool; each trained epoch is
+        logged."""
         # About 50 training rows in batches of 16: every epoch ends on a partial batch.
         with_reset(monkeypatch, reset)
         flags = ["--model", kind, "--dropout", dropout, "--epochs", str(epochs)]
-        assert central(features, tmp_path / "pooled", *flags) == 0
+        assert central(features, tmp_path, *flags) == 0
         trained = epochs if kind in ("mlp", "lr") else 0  # the dummies are fitted, not trained
-        assert dispatched == [(t, (None,)) for t in range(trained)]
-        train_serially(monkeypatch)
-        assert central(features, tmp_path / "serial", *flags) == 0
-        assert len(dispatched) == trained
-        assert run_files(tmp_path / "pooled") == run_files(tmp_path / "serial")
-
-    @staticmethod
-    def failures(prepared, monkeypatch, kind: str, cfg: CentralConfig, *counters: list) -> str:
-        """The failure of a pooled run, which must be a serial run's too;
-        the counters of poison() start from 0 in each."""
-        pooled = failure(prepared, kind, cfg)
-        train_serially(monkeypatch)
-        for counter in counters:
-            counter.clear()
-        assert failure(prepared, kind, cfg) == pooled
-        return pooled
+        assert len((tmp_path / "rounds.csv").read_text().splitlines()) == 1 + trained
+        assert dispatched == []
 
     @pytest.mark.parametrize("kind", ["mlp", "lr"])
-    def test_diverging_batch_in_the_first_epoch(self, prepared, monkeypatch, dispatched, kind):
+    def test_diverging_batch_in_the_first_epoch(self, prepared, kind):
         cfg = CentralConfig(epochs=4, batch_size=10, lr=1e200, seed=3)
-        message = self.failures(prepared, monkeypatch, kind, cfg)
+        message = failure(prepared, kind, cfg)
         assert re.fullmatch(CENTRAL_DIVERGED.format(1, r"1e\+200", "batch loss"), message)
-        assert [t for t, _ in dispatched] == [0]
 
     @staticmethod
-    def poison(monkeypatch, cls, method: str, after: int, value=float("nan")) -> list:
+    def poison(monkeypatch, cls, method: str, after: int, value=float("nan")) -> None:
         """Makes cls.method give value (a loss, or every prediction) from its
-        call after `after` on, in whichever process calls it; returns the
-        list that counts the calls."""
+        call after `after` on."""
         original, calls = getattr(cls, method), []
 
         def poisoned(self, *args):
@@ -448,113 +440,81 @@ class TestCentralized:
             return (value, out[1]) if method == "loss_and_grad" else np.full_like(out, value)
 
         monkeypatch.setattr(cls, method, poisoned)
-        return calls
 
     @pytest.mark.parametrize("kind, cls", [("mlp", MlpRegressor), ("lr", LinearRegressor)])
     def test_diverging_batch_in_a_later_epoch(self, prepared, monkeypatch, kind, cls):
         batches = -(-len(prepared.data.y_train) // 10)
-        calls = self.poison(monkeypatch, cls, "loss_and_grad", 2 * batches + 1)  # epoch 3's 2nd
-        cfg = CentralConfig(epochs=5, batch_size=10, seed=3)
-        message = self.failures(prepared, monkeypatch, kind, cfg, calls)
+        self.poison(monkeypatch, cls, "loss_and_grad", 2 * batches + 1)  # epoch 3's 2nd
+        message = failure(prepared, kind, CentralConfig(epochs=5, batch_size=10, seed=3))
         assert message == "centralized training diverged in epoch 3 at lr 0.001: " \
                           "the batch loss is nan"
 
-    def test_validation_failure_in_the_first_epoch(self, prepared, monkeypatch, dispatched):
-        # One step leaves a finite loss and parameters out of range; epoch 2
-        # is already training when epoch 1's validation fails.
+    def test_validation_failure_in_the_first_epoch(self, prepared):
+        # One step leaves a finite loss and parameters out of range.
         cfg = CentralConfig(epochs=4, batch_size=10_000, lr=1e200, seed=3)
-        message = self.failures(prepared, monkeypatch, "mlp", cfg)
+        message = failure(prepared, "mlp", cfg)
         assert re.fullmatch(CENTRAL_DIVERGED.format(1, r"1e\+200", "validation MAE"), message)
-        assert [t for t, _ in dispatched] == [0, 1]
 
     @pytest.mark.parametrize("then", ["nothing", "a diverging batch"])
     def test_validation_failure_in_a_later_epoch(self, prepared, monkeypatch, then):
-        """Epoch 3's validation fails while epoch 4 trains; a batch of epoch
-        4 that diverges too does not come first."""
-        counters = [self.poison(monkeypatch, MlpRegressor, "predict", 4)]  # epoch 3's val split
+        """Epoch 3's validation fails; a batch of epoch 4 that would diverge
+        is never trained."""
+        self.poison(monkeypatch, MlpRegressor, "predict", 4)  # epoch 3's val split
         if then == "a diverging batch":
             batches = -(-len(prepared.data.y_train) // 10)
-            counters.append(self.poison(monkeypatch, MlpRegressor, "loss_and_grad", 3 * batches))
-        cfg = CentralConfig(epochs=5, batch_size=10, seed=3)
-        message = self.failures(prepared, monkeypatch, "mlp", cfg, *counters)
+            self.poison(monkeypatch, MlpRegressor, "loss_and_grad", 3 * batches)
+        message = failure(prepared, "mlp", CentralConfig(epochs=5, batch_size=10, seed=3))
         assert message == "centralized training diverged in epoch 3 at lr 0.001: " \
                           "the validation MAE is nan"
 
-    @pytest.mark.parametrize("epoch", [1, 3])
-    def test_dead_worker_names_the_epoch(self, prepared, monkeypatch, epoch):
-        parent, original, calls = os.getpid(), MlpRegressor.loss_and_grad, []
-        batches = -(-len(prepared.data.y_train) // 10)
-
-        def dying(self, *args):
-            calls.append(None)
-            if os.getpid() != parent and len(calls) > (epoch - 1) * batches:
-                os._exit(3)
-            return original(self, *args)
-
-        monkeypatch.setattr(MlpRegressor, "loss_and_grad", dying)
-        message = failure(prepared, "mlp", CentralConfig(epochs=5, batch_size=10, seed=3),
-                          RuntimeError)
-        assert re.fullmatch(rf"centralized training worker \d+ exited with code 3 in epoch "
-                            rf"{epoch}", message)
-
     @pytest.mark.parametrize("end", ["success", "error", "interrupt"])
     def test_no_child_outlives_a_train(self, features, tmp_path, monkeypatch, end):
+        """A centralized train or evaluate never has a child, and leaves the
+        BLAS thread count as it found it."""
         get_threads, _ = pool.blas_threads()
         threads, seen, evaluate = get_threads(), [], federation._evaluate
 
         def spy(*args):
-            seen.extend(children())
+            seen.append(children())
             if end == "interrupt":
                 raise KeyboardInterrupt
             return evaluate(*args)
 
         monkeypatch.setattr(federation, "_evaluate", spy)
-        if end == "interrupt":
-            with pytest.raises(KeyboardInterrupt):
-                central(features, tmp_path)
-        else:
-            flags = ["--lr", "1e200", "--batch-size", "10000"] if end == "error" else []
-            assert central(features, tmp_path, *flags) == (1 if end == "error" else 0)
-        assert seen
-        assert not set(seen) & set(children())
-        assert children() == []
-        assert get_threads() == threads
-
-    @pytest.mark.parametrize("blocker", ["one usable CPU", "no settable BLAS",
-                                         "wrapped train_one_epoch", "wrapped adam_step"])
-    def test_fallbacks_train_in_this_process(self, prepared, monkeypatch, dispatched, blocker):
-        if blocker == "one usable CPU":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        elif blocker == "no settable BLAS":
-            monkeypatch.setattr(pool, "blas_threads", lambda: None)
-        else:
-            name = blocker.split()[1]
-            own = getattr(federation, name)
-            monkeypatch.setattr(federation, name, lambda *args: own(*args))
-        result, _ = fit(prepared, "mlp", CentralConfig(epochs=2, seed=2))
-        assert len(result.logs) == 2 and dispatched == []
+        flags = ["--lr", "1e200", "--batch-size", "10000"] if end == "error" else []
+        code = 1 if end == "error" else 0
+        for run in (central, central_evaluate):
+            if end == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    run(features, tmp_path / run.__name__)
+            else:
+                assert run(features, tmp_path / run.__name__, *flags) == code
+            assert seen and all(pids == [] for pids in seen)
+            assert children() == []
+            assert get_threads() == threads
+            seen.clear()
 
 
 class TestRefusedFork:
-    """A run whose process cannot fork trains its rounds in that process,
-    with the bytes of a serial run and exit 0."""
+    """A FedAvg run whose process cannot fork trains its rounds in that
+    process, with the bytes of a serial run and exit 0."""
 
     @pytest.fixture
     def serial(self, features, tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             train_serially(patch)
-            for run in (train, central):
-                assert run(features, tmp_path / "serial" / run.__name__) == 0
-        return {run: run_files(tmp_path / "serial" / run.__name__) for run in (train, central)}
+            assert train(features, tmp_path / "serial") == 0
+        return run_files(tmp_path / "serial")
 
-    @staticmethod
-    def in_a_daemonic_process(run, features, out: Path) -> None:
+    def test_in_a_daemonic_process(self, features, tmp_path, serial):
+        """multiprocessing lets no daemonic process, such as a Pool's worker,
+        start a child."""
         fork = multiprocessing.get_context("fork")
         here, there = fork.Pipe(duplex=False)
 
         def train_in_child():
             try:
-                there.send(run(features, out))
+                there.send(train(features, tmp_path / "daemonic"))
             except BaseException as exc:
                 there.send(repr(exc))
 
@@ -566,16 +526,7 @@ class TestRefusedFork:
         finally:
             child.join(5)
         assert child.exitcode == 0
-
-    def test_in_a_daemonic_process(self, features, tmp_path, serial):
-        """multiprocessing lets no daemonic process, such as a Pool's worker,
-        start a child."""
-        self.in_a_daemonic_process(train, features, tmp_path / "daemonic")
-        assert run_files(tmp_path / "daemonic") == serial[train]
-
-    def test_centralized_in_a_daemonic_process(self, features, tmp_path, serial):
-        self.in_a_daemonic_process(central, features, tmp_path / "daemonic")
-        assert run_files(tmp_path / "daemonic") == serial[central]
+        assert run_files(tmp_path / "daemonic") == serial
 
     @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
     def test_fork_fails(self, features, tmp_path, monkeypatch, serial, dispatched, code):
@@ -583,23 +534,20 @@ class TestRefusedFork:
             raise OSError(code, os.strerror(code))
 
         monkeypatch.setattr(os, "fork", fails)
-        for run in (train, central):
-            assert run(features, tmp_path / "refused") == 0
-            assert run_files(tmp_path / "refused") == serial[run]
+        assert train(features, tmp_path / "refused") == 0
+        assert run_files(tmp_path / "refused") == serial
         assert dispatched == []
 
     def test_one_usable_cpu(self, features, tmp_path, monkeypatch, serial, dispatched):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        for run in (train, central):
-            assert run(features, tmp_path / "one-cpu") == 0
-            assert run_files(tmp_path / "one-cpu") == serial[run]
+        assert train(features, tmp_path / "one-cpu") == 0
+        assert run_files(tmp_path / "one-cpu") == serial
         assert dispatched == []
 
 
-# Of a pooled 150-round train or 300-epoch centralized train, the main
-# process and its workers together; a worker whose malloc maps its gradients
-# and Adam state afresh each time takes several hundred page faults a
-# client, and a centralized run in this process about 170 an epoch.
+# Of a pooled 150-round train, the main process and its workers together; a
+# worker whose malloc maps its gradients and Adam state afresh each time
+# takes several hundred page faults a client.
 MINOR_FAULTS = 50_000
 
 
@@ -634,18 +582,21 @@ def test_pooled_train_workers_keep_their_heap(features, tmp_path, length):
     assert faults < MINOR_FAULTS
 
 
-@pytest.mark.parametrize("length", [16, 61])
-def test_the_centralized_worker_keeps_its_heap(features, tmp_path, length):
-    out = "o" * length
-    faults = train_faults(features, tmp_path, out, "--mode", "centralized", "--epochs", "300")
-    assert len((tmp_path / out / "rounds.csv").read_text().splitlines()) == 301
-    assert faults < MINOR_FAULTS
-
-
 # A train of no rounds here takes about 5,800 minor faults. A run in this
 # process whose malloc maps each 256 KB gradient afresh adds at least 64 a
 # step: 1,350 steps federated below, and 300 centralized.
 SERIAL_FAULTS = 12_000
+
+
+@pytest.mark.parametrize("length", [16, 61])
+def test_the_centralized_worker_keeps_its_heap(features, tmp_path, length):
+    """Centralized training runs in the train process at any CPU count; its
+    heap must not depend on where it stood, which the --out path's length
+    moves."""
+    out = "o" * length
+    faults = train_faults(features, tmp_path, out, "--mode", "centralized", "--epochs", "300")
+    assert len((tmp_path / out / "rounds.csv").read_text().splitlines()) == 301
+    assert faults < SERIAL_FAULTS
 
 
 @pytest.mark.parametrize("flags", [

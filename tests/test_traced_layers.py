@@ -77,9 +77,8 @@ def test_traced_run_with_several_clients_a_round_stays_whole(features, tmp_path)
 
 
 def test_traced_centralized_run_stays_in_this_process(features, tmp_path, monkeypatch):
-    """Untraced, the epochs train in a forked worker. A traced run wraps
-    adam_step and local_train, so they train in this process, where every
-    forward, backward and Adam step is recorded."""
+    """A centralized run, traced or not, trains its epochs in this process,
+    where every forward, backward and Adam step is recorded."""
     dispatched, original = [], pool.ClientPool.dispatch
 
     def spy(self, *args):
