@@ -301,9 +301,10 @@ def _cmd_featurize(args, conf: dict) -> None:
 def _cmd_analyze(args, conf: dict) -> None:
     """station-level heterogeneity report"""
     het = conf["heterogeneity"]
-    table = read_features(_required(conf, "paths", "features"))
+    features_path = _required(conf, "paths", "features")
+    table = read_features(features_path)
     if len(table) == 0:
-        raise ValueError("features file contains no rows")
+        raise ValueError(f"{features_path}: features file contains no rows")
     partition = partition_by_station(table.station_ids)
     report = heterogeneity.analyze_partition(
         table.y, partition,
@@ -324,10 +325,15 @@ def _cmd_analyze(args, conf: dict) -> None:
 
 def _training_inputs(conf: dict):
     """The features table, model kind, mode and training keywords of train
-    and evaluate."""
+    and evaluate. A table too small for every split is refused, naming its
+    file, before anything trains."""
     features_path = _required(conf, "paths", "features")
     model_kind, mode = _required(conf, "train", "model"), _required(conf, "train", "mode")
     table = read_features(features_path)
+    try:
+        evaluation.split(len(table)).require_nonempty()  # the sizes depend only on n
+    except ValueError as exc:
+        raise ValueError(f"{features_path}: {exc}") from None
     return table, model_kind, mode, {
         "fed_cfg": _build(conf, "fed"),
         "central_cfg": _build(conf, "central"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from .federation import (
 )
 from .metrics import mae, rmse
 from .models import (
+    MODEL_KINDS,
     DummyGaussianModel,
     DummyMeanModel,
     LinearRegressor,
@@ -29,7 +31,7 @@ from .models import (
     MlpSpec,
     set_params,
 )
-from .seeding import STREAM_SPLIT, rng_from
+from .seeding import SEEDS, STREAM_SPLIT, rng_from
 
 FRACTIONS = (0.70, 0.15, 0.15)  # train, validation, test
 DEFAULT_SEEDS = tuple(range(10))
@@ -302,8 +304,25 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_from_dict(payload: dict) -> RunReport:
-    """The RunReport that report_to_dict wrote; aggregates are recomputed."""
+    """The RunReport that report_to_dict wrote; aggregates are recomputed.
+    A field that report_to_dict could not have written raises ValueError
+    naming it: model, mode or per_seed[i].<field>."""
     per_seed = [SeedResult(**entry) for entry in payload["per_seed"]]
+    for name, allowed in (("model", MODEL_KINDS), ("mode", MODES)):
+        if payload[name] not in allowed:
+            raise ValueError(f"{name}: expected one of {', '.join(allowed)}, "
+                             f"got {payload[name]!r}")
+    for i, result in enumerate(per_seed):
+        for name, value in vars(result).items():  # type(), so that a bool is no int
+            if name == "seed":
+                ok, kind = type(value) is int and value in SEEDS, "an integer in [0, 2**64)"
+            elif name.startswith("test_"):
+                ok, kind = type(value) in (int, float) and math.isfinite(value), "a finite number"
+            else:
+                ok = value is None or type(value) is int and value >= 0
+                kind = "an integer >= 0 or null"
+            if not ok:
+                raise ValueError(f"per_seed[{i}].{name}: expected {kind}, got {value!r}")
     return RunReport(model=payload["model"], mode=payload["mode"], per_seed=per_seed)
 
 

@@ -39,13 +39,9 @@ here. The back's line numbers are shifted by the front's lines and its
 session codes mapped onto the front's, so the result, issues and first
 error are a serial parse's. Each half reads the blocks a serial parse
 reads, so a byte that is not UTF-8 stops a parse before the rows of its
-block are converted, split or not. JSON lines stay serial. The time-series
-writer splits too, in either format: rows whose estimated bytes come to at
-least _SPLIT_WRITE_BYTES are cut at their middle row, a worker formats the
-back half into an unnamed temporary file beside the output, and this
-process appends it after the front. Every check of the writer's input runs
-before the fork. A file whose worker pool.start_job cannot fork is parsed
-or written serially, with the same result.
+block are converted, split or not. JSON lines stay serial, and so does
+every write. A file whose worker pool.start_job cannot fork is parsed
+serially, with the same result.
 
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
@@ -53,9 +49,7 @@ one block. A worker's pieces reach the parent as arrays of their own, with
 no second copy. When every row's (session, time) key is above the row
 before's, as synth and ingest write files, the rows are grouped and distinct
 already, and the sort and merge are skipped. The writer holds one block of
-rows, and so does its worker: the back half crosses no pipe and is copied
-from file to file in the kernel (os.copy_file_range), or through a 1 MB
-buffer where that fails.
+rows.
 """
 
 from __future__ import annotations
@@ -63,8 +57,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
-from contextlib import ExitStack, nullcontext, suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -86,15 +79,12 @@ SESSION_COLUMNS = [f.name for f in fields(SessionRecord)]
 TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 SUFFIXES = (".csv", ".jsonl", ".ndjson", ".json")  # CSV, then the JSON-lines ones
 
-# A CSV time-series file at least _SPLIT_BYTES long is parsed in two halves,
-# and one whose rows write_timeseries estimates at _SPLIT_WRITE_BYTES or more
-# is written in two, when this process can fork. Starting the worker (the
-# fork, its pipes and reaping it) costs about 4 ms in a fresh process, which
-# the second core wins back from about 2.1 MB of depot-style CSV on in a
-# parse and from about 5 MB in a write: below, serial is as fast or faster
-# (timed in fresh featurize and synth processes).
+# A CSV time-series file at least _SPLIT_BYTES long is parsed in two halves
+# when this process can fork. Starting the worker (the fork, its pipes and
+# reaping it) costs about 4 ms in a fresh process, which the second core wins
+# back from about 2.1 MB of depot-style CSV on: below, serial is as fast or
+# faster (timed in fresh featurize processes).
 _SPLIT_BYTES = 2_100_000
-_SPLIT_WRITE_BYTES = 5_000_000
 
 _FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and merges
 _SCAN = 1 << 17  # bytes _split_at reads at a time: numpy's passes over them stay in cache
@@ -565,15 +555,7 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
     """One row per reading, sessions in index order, built as bytes by _rows
     a block at a time. An empty session id, a time outside years 1-9999 or an
     infinite reading, which the parser would reject, raises ValueError naming
-    its session before any write.
-
-    Each row's bytes depend on that row alone, so rows whose estimated bytes
-    come to at least _SPLIT_WRITE_BYTES are written in two halves when this
-    process can fork and make a file beside path: a worker formats the back
-    half of the rows into an unnamed temporary file there while this process
-    writes the header and the front half, and then appends the worker's
-    bytes (_append).
-    """
+    its session before any write."""
     path = Path(path)
     if "" in index:
         raise ValueError("cannot write session '': session_id is required")
@@ -597,63 +579,25 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
             raise ValueError(f"cannot write session {sid!r}: t={s.t[i]}, current_a="
                              f"{s.current[i]}, pilot_a={s.pilot[i]} (not in years 1-9999, or "
                              f"not finite)")
-    lengths = np.array(list(map(len, series)), np.int64)
-    n = int(lengths.sum())
-    # The id, the stamp, the separators and labels, and 10 bytes a reading.
-    fixed = 20 + 20 + len("".join(map("".join, floats)))
-    size = int(lengths @ np.array(list(map(len, ids)), np.int64)) + fixed * n
-
-    def write(out, start: int, stop: int) -> None:
-        """Rows start..stop-1 into the binary file out, flushed."""
-        for session, t, current, pilot in _blocks_of(series, step, start, stop):
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for session, t, current, pilot in _blocks_of(series, step):
             parts = [_run_cells(session, session, ids.__getitem__), (_stamp_cells(t), [20])]
             for x, (before, label, after) in zip((current, pilot), floats):
                 parts.append(_run_cells(x.view(np.int64), x, lambda v: (
                     before + ("" if v != v else label + repr(v)) + after).encode()))
-            out.write(_rows(parts))
-        out.flush()
-
-    with ExitStack() as stack:
-        halves, cut = None, n // 2
-        if size >= _SPLIT_WRITE_BYTES:
-            import tempfile  # a serial write loads neither
-            from . import pool
-
-            with suppress(OSError):  # no file can be made beside path: write serially
-                back = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                halves = stack.enter_context(pool.start_job(
-                    lambda rows: write(back, *rows), (cut, n),
-                    f"{path}: the worker writing its back half") or nullcontext())
-        fh = stack.enter_context(open(path, "wb"))
-        fh.write(header.encode())
-        write(fh, 0, cut if halves else n)
-        if halves:
-            halves.result()
-            _append(fh, back)
+            fh.write(_rows(parts))
 
 
-def _append(out, back) -> None:
-    """Copy the flushed bytes of file back to the end of file out: in the
-    kernel by os.copy_file_range, through a buffer from where that fails."""
-    size, at = os.fstat(back.fileno()).st_size, 0
-    with suppress(OSError, AttributeError):  # AttributeError: no os.copy_file_range
-        while at < size and (copied := os.copy_file_range(back.fileno(), out.fileno(),
-                                                          size - at, at)):
-            at += copied
-    back.seek(at)
-    while block := back.read(1 << 20):
-        out.write(block)
-
-
-def _blocks_of(series: list[SessionSeries], step: int, start: int, stop: int):
-    """(session codes, t, current, pilot) of readings start..stop-1 of all
-    sessions in order, `step` rows at a time; each block is gathered from the
-    sessions it spans, so memory stays one block's."""
+def _blocks_of(series: list[SessionSeries], step: int):
+    """(session codes, t, current, pilot) of the readings of all sessions in
+    order, `step` rows at a time; each block is gathered from the sessions it
+    spans, so memory stays one block's."""
     lengths = np.array([len(s) for s in series], dtype=np.int64)
     ends = np.cumsum(lengths)
-    starts = ends - lengths
+    starts, stop = ends - lengths, int(lengths.sum())
     columns = [[s.t for s in series], [s.current for s in series], [s.pilot for s in series]]
-    for lo in range(start, stop, step):
+    for lo in range(0, stop, step):
         hi = min(lo + step, stop)
         # Sessions first..last hold rows lo..hi-1; empty ones among them add none.
         first, last = int(np.searchsorted(ends, lo, "right")), int(np.searchsorted(ends, hi))

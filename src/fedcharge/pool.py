@@ -2,14 +2,13 @@
 
 Workers is the package's one fork implementation. Its users are ClientPool
 (below), which trains federation's FedAvg clients, and start_job, whose one
-worker converts or formats the back half of a large time-series file for
-ingest's parse or writer. Workers raises CannotFork, leaving no worker,
-where this process cannot fork: with fewer than two usable CPUs, no
-os.fork, in a daemonic multiprocessing process or when a fork raises
-OSError. ClientPool also raises it, before it forks or sets a thread count,
-where the OpenBLAS thread count cannot be set (blas_threads() is None).
-Each user then does all of its work here; every such condition of the host
-is decided in this module.
+worker converts the back half of a large CSV time-series file for ingest's
+parse. Workers raises CannotFork, leaving no worker, where this process
+cannot fork: with fewer than two usable CPUs, no os.fork, in a daemonic
+multiprocessing process or when a fork raises OSError. ClientPool also
+raises it, before it forks or sets a thread count, where the OpenBLAS thread
+count cannot be set (blas_threads() is None). Each user then does all of its
+work here; every such condition of the host is decided in this module.
 
 A worker is forked by os.fork with SIGINT blocked and then ignores it, so a
 ^C reaches only the parent, which kills its workers. stdout and stderr are

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -625,8 +626,11 @@ class TestTooFewSessions:
     @pytest.mark.parametrize("command", [
         ["train"], ["evaluate", "--seeds", "0,1"],
     ], ids=["train", "evaluate"])
-    @pytest.mark.parametrize("n, empty", [(3, "validation"), (4, "test"), (5, "test")])
+    @pytest.mark.parametrize("n, empty", [
+        (0, None), (1, None), (2, None), (3, "validation"), (4, "test"), (5, "test"),
+    ])
     def test_empty_split_named(self, features_dir, tmp_path, capsys, command, n, empty):
+        """Too few rows for any split (no empty split named), or for one."""
         lines = (features_dir / "features.csv").read_text().splitlines()
         path = tmp_path / "features.csv"
         path.write_text("\n".join(lines[: 1 + n]) + "\n")
@@ -634,12 +638,69 @@ class TestTooFewSessions:
             *command, "--features", str(path), "--mode", "federated", "--model", "lr",
             "--rounds", "2", "--out", str(tmp_path / "run"),
         ])
+        problem = (f"{n} sessions leave the {empty} split empty" if empty
+                   else "dataset must contain at least 3 sessions")
         assert code == 1
-        assert f"{n} sessions leave the {empty} split empty" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {path}: {problem}")
         assert not (tmp_path / "run").exists()
+
+    def test_analyze_without_rows_names_the_file(self, features_dir, tmp_path, capsys):
+        path = tmp_path / "features.csv"
+        path.write_text((features_dir / "features.csv").read_text().splitlines()[0] + "\n")
+        code = dispatch(["analyze", "--features", str(path), "--out", str(tmp_path / "het")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {path}: features file contains no rows\n")
+        assert not (tmp_path / "het").exists()
 
 
 class TestReportInputs:
+    @pytest.fixture(scope="class")
+    def run_report(self, features_dir, tmp_path_factory) -> dict:
+        """The run_report.json of a one-seed evaluate."""
+        run = tmp_path_factory.mktemp("eval")
+        assert dispatch([
+            "evaluate", "--features", str(features_dir / "features.csv"), "--mode",
+            "centralized", "--model", "dummy-mean", "--seeds", "0", "--out", str(run),
+        ]) == 0
+        return json.loads((run / "run_report.json").read_text())
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("model", 5, "model: expected one of dummy-mean, dummy-gauss, lr, mlp, got 5"),
+        ("mode", "local", "mode: expected one of centralized, federated, got 'local'"),
+        ("seed", "zero", "per_seed[1].seed: expected an integer in [0, 2**64), got 'zero'"),
+        ("seed", True, "per_seed[1].seed: expected an integer in [0, 2**64), got True"),
+        ("seed", -1, "per_seed[1].seed: expected an integer in [0, 2**64), got -1"),
+        ("seed", 2**64, "per_seed[1].seed: expected an integer in [0, 2**64), "
+                        "got 18446744073709551616"),
+        ("test_mae", True, "per_seed[1].test_mae: expected a finite number, got True"),
+        ("test_mae", math.nan, "per_seed[1].test_mae: expected a finite number, got nan"),
+        ("test_rmse", -math.inf, "per_seed[1].test_rmse: expected a finite number, got -inf"),
+        ("test_rmse", "0.5", "per_seed[1].test_rmse: expected a finite number, got '0.5'"),
+        ("best_round", "x", "per_seed[1].best_round: expected an integer >= 0 or null, got 'x'"),
+        ("best_round", 2.0, "per_seed[1].best_round: expected an integer >= 0 or null, got 2.0"),
+        ("convergence_round", -2,
+         "per_seed[1].convergence_round: expected an integer >= 0 or null, got -2"),
+        ("convergence_round", False,
+         "per_seed[1].convergence_round: expected an integer >= 0 or null, got False"),
+    ], ids=["model", "mode", "seed-text", "seed-bool", "seed-negative", "seed-2**64",
+            "mae-bool", "mae-nan", "rmse-inf", "rmse-text", "best-text", "best-float",
+            "convergence-negative", "convergence-bool"])
+    def test_a_bad_field_is_named(self, run_report, tmp_path, capsys, field, value, problem):
+        """A field that evaluate could not have written: the model, the mode, or
+        one of the second seed entry's fields."""
+        payload = json.loads(json.dumps(run_report))
+        payload["per_seed"].append({**payload["per_seed"][0], "seed": 1})
+        if field in ("model", "mode"):
+            payload[field] = value
+        else:
+            payload["per_seed"][1][field] = value
+        path = tmp_path / "run_report.json"
+        path.write_text(json.dumps(payload))
+        code = dispatch(["report", "--reports", str(path), "--out", str(tmp_path / "r")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {path}: not a run report: {problem}\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("payload, problem", [
         ({"stage": "train"}, "missing key 'per_seed'"),
         ({"model": "lr", "mode": "federated", "per_seed": []}, "per_seed is empty"),
@@ -667,13 +728,8 @@ class TestReportInputs:
         (lambda entry: entry.pop("test_rmse"), "test_rmse"),
         (lambda entry: entry.update(extra=1), "extra"),
     ], ids=["missing", "extra"])
-    def test_seed_entry_keys(self, features_dir, tmp_path, capsys, edit, key):
-        run = tmp_path / "eval"
-        assert dispatch([
-            "evaluate", "--features", str(features_dir / "features.csv"), "--mode",
-            "centralized", "--model", "dummy-mean", "--seeds", "0", "--out", str(run),
-        ]) == 0
-        payload = json.loads((run / "run_report.json").read_text())
+    def test_seed_entry_keys(self, run_report, tmp_path, capsys, edit, key):
+        payload = json.loads(json.dumps(run_report))
         edit(payload["per_seed"][0])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

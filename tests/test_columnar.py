@@ -21,7 +21,8 @@
   without the per-row rules. Its timestamps equal
   numpy's datetime_as_string over the whole range of years 1-9999, and it
   refuses values its parser would reject. Writing then parsing any index
-  gives it back.
+  gives it back. A synth whose time series is over 5 MB writes it in its
+  own process, leaving no child, no open file and no temporary file.
 * Retention is idempotent, and the early window matches a brute-force scan
   with datetimes for any window length. Session times are whole epoch
   seconds, as the sessions writer and the window take them.
@@ -36,6 +37,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -731,6 +735,55 @@ class TestWriterOracle:
             write_timeseries(path, {"ok": make_series(), "": make_series()})
         assert str(info.value) == "cannot write session '': session_id is required"
         assert not path.exists()
+
+
+# `python -m fedcharge ARGS`, then a report on stderr: whether a child process
+# is left, how many file descriptors are still open in the output directory,
+# and which modules that a forked or spooled write would need the run loaded
+# (site may load tempfile before the run starts).
+LEFT_BEHIND = r"""
+import os, runpy, sys
+out, code = os.path.realpath(sys.argv[-1]), 0
+before = set(sys.modules)
+sys.argv = ["fedcharge", *sys.argv[1:]]
+try:
+    runpy.run_module("fedcharge", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "a child is left"
+except ChildProcessError:
+    left = "no child is left"
+def target(fd):  # the fd that listed the directory is gone by now
+    try:
+        return os.readlink(f"/proc/self/fd/{fd}")
+    except FileNotFoundError:
+        return ""
+open_there = [fd for fd in os.listdir("/proc/self/fd") if target(fd).startswith(out + os.sep)]
+loaded = sorted({"multiprocessing", "fedcharge.pool", "tempfile"} & set(sys.modules) - before)
+print(f"{left}, {len(open_there)} open in the output, loaded {loaded}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files by /proc")
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_synth_leaves_no_child_or_temporary_file_behind(tmp_path, fmt):
+    """A time-series file of over 5 MB is written in the synth process, a
+    block at a time: no worker, no temporary file."""
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "depot"
+    argv = ["synth", "--seed", "3", "--stations", "10", "--sessions-per-station", "80:100",
+            "--format", fmt, "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", LEFT_BEHIND, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        0, "no child is left, 0 open in the output, loaded []\n")
+    assert sorted(os.listdir(out)) == ["config.json", f"sessions.{fmt}", f"timeseries.{fmt}"]
+    assert (out / f"timeseries.{fmt}").stat().st_size > 6_000_000
 
 
 # Session ids that need quoting; times in any year, the first and last

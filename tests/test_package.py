@@ -95,9 +95,16 @@ def test_only_pool_forks():
 
 def test_only_pool_decides_whether_to_fork():
     """The host's CPUs and BLAS threads are pool.py's to check: no other
-    module takes usable_cpus or blas_threads from it."""
+    module takes usable_cpus or blas_threads from it. Two modules fork through
+    it: ingest's time-series parse and federation's FedAvg pool, so a new
+    fork user has to be added here."""
     assert [path.name for path in MODULES
             if names_from(path, "pool") & {"usable_cpus", "blas_threads"}] == []
+    assert {path.name: names_from(path, "pool") for path in MODULES
+            if names_from(path, "pool")} == {
+        "ingest.py": {"start_job"},
+        "federation.py": {"CannotFork", "ClientPool", "serial_training"},
+    }
 
 
 def definitions(path: Path) -> set[str]:
