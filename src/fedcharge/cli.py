@@ -305,6 +305,13 @@ def _cmd_analyze(args, conf: dict) -> None:
     table = read_features(features_path)
     if len(table) == 0:
         raise ValueError(f"{features_path}: features file contains no rows")
+    # n targets occupy at most n bins; the edges and probabilities grow with bins.
+    if het["bins"] > max(len(table), heterogeneity.DEFAULT_BINS):
+        raise ValueError(f"heterogeneity.bins: {het['bins']} is above both the {len(table)} "
+                         f"rows of {features_path} and the default {heterogeneity.DEFAULT_BINS}")
+    if het["permutations"] < 2:
+        raise ValueError(f"heterogeneity.permutations: need at least 2 permutations, "
+                         f"got {het['permutations']}")
     partition = partition_by_station(table.station_ids)
     report = heterogeneity.analyze_partition(
         table.y, partition,

@@ -88,7 +88,7 @@ def row_groups(counts: np.ndarray):
     the (rows, k) positions of their values when every row's values follow
     the previous row's. values[index] is C-contiguous, so a row reduction on
     it (np.add.reduce, max, min) is bit-equal to the same reduction on each
-    row's own 1-D array. heterogeneity sums its KL terms with it too.
+    row's own 1-D array.
     """
     starts = np.cumsum(counts) - counts
     # Each count k > 0 that occurs (np.unique would import numpy.ma, ~1 MB).

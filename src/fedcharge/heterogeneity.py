@@ -5,6 +5,18 @@ Histograms share one set of equal-width bin edges built from the global
 target range; the bin count is a config knob recorded in every report.
 One kernel, _client_js, scores the observed partition and each permutation
 of the null; tests/heterogeneity_reference.py holds its scalar oracle.
+
+Cost. A client's two KL terms in a bin depend only on its size, its count
+there and the bin's global probability. _Terms tabulates them once per null,
+for each distinct client size and each count up to the largest yet seen,
+over the occupied bins only. An empty bin adds nothing to either KL, so this
+is exact, and the kernel's memory does not grow with the bin count. No log
+is taken per chunk. The table grows when a chunk holds a larger count, up to
+4 * _CHUNK_ELEMENTS cells (0.5 MB); the terms of a larger count come from the
+same _terms, computed at its cells. Each row's terms, gathered by a flat
+take, follow a 0.0, and one np.add.reduceat sums every row's client KL and
+one its global KL: a segment starts from its first element and np.sum from
+0.0, so each equals np.sum of the row bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import row_groups
 from .partition import ClientPartition
 from .seeding import STREAM_PERM, rng_from
 
@@ -43,41 +54,113 @@ def _binned(arr: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     return bins, np.bincount(bins, minlength=n_bins) / arr.size
 
 
-def _client_js(
-    bins: np.ndarray,
-    assignments: np.ndarray,
-    sizes: np.ndarray,
-    global_probs: np.ndarray,
-) -> np.ndarray:
+# Upper bound on the (permutation x client) rows x bins held at once by the null.
+_CHUNK_ELEMENTS = 1 << 14
+
+
+def _terms(c, n, g):
+    """KL terms of a bin holding c of a client's n targets, g the bin's global
+    probability, by the scalar oracle's expressions: the client's
+    p * log(p / m), NaN where c = 0 (no KL keeps it), and the global
+    g * log(g / m), with p = c / n and m = (p + g) / 2."""
+    p = c / n
+    m = (p + g) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p * np.log(p / m), g * np.log(g / m)
+
+
+class _Terms:
+    """One scoring's binned targets, client sizes and table of KL terms.
+
+    table[0] holds the client terms and table[1] the global ones, at
+    [count, index of the client size in n, column]. Column j > 0 is the j-th
+    occupied bin; column 0 holds the 0.0 each row's sums start from. The
+    table holds counts 0 to top in at most 4 * _CHUNK_ELEMENTS cells, or
+    count 0 alone where that row is larger.
+    """
+
+    def __init__(self, targets: np.ndarray, n_bins: int, sizes: np.ndarray):
+        if sizes.sum() != targets.size:
+            raise ValueError("client sizes must sum to the number of targets")
+        bins, global_probs = _binned(targets, n_bins)
+        occupied = global_probs > 0
+        self.sizes, self.g = sizes, global_probs[occupied]
+        self.column = np.cumsum(occupied)[bins]
+        width = self.g.size + 1
+        self.offset = np.repeat(np.arange(sizes.size) * width, sizes)
+        present = np.bincount(sizes) > 0
+        self.n = np.flatnonzero(present)
+        # A client's row in table[:, c] starts at c * n.size * width + key[k, 0].
+        self.key = (np.cumsum(present)[sizes] - 1)[:, None] * width + np.arange(width)
+        self.cap = max(0, 4 * _CHUNK_ELEMENTS // (2 * self.n.size * width) - 1)
+        self.table = np.empty((2, 0, self.n.size, width))
+        self.grow(0)
+
+    @property
+    def top(self) -> int:
+        """The largest count the table holds."""
+        return self.table.shape[1] - 1
+
+    def grow(self, top: int) -> None:
+        """Tabulate every count up to top (no further than the cap)."""
+        old, top = self.table, min(top, self.cap)
+        if top > self.top:
+            self.table = np.zeros((2, top + 1, *old.shape[2:]))
+            self.table[:, : old.shape[1]] = old
+            # One count at a time, so the terms' temporaries stay one row big.
+            for c in range(old.shape[1], top + 1):
+                client, glob = _terms(c, self.n[:, None], self.g)
+                self.table[0, c, :, 1:], self.table[1, c, :, 1:] = client, glob
+
+
+def _client_js(terms: _Terms, assignments: np.ndarray, grow: bool = True) -> np.ndarray:
     """JS divergence of every client from the global histogram, per assignment.
 
     Each row of ``assignments`` lists target indices client by client, client
     k taking the next ``sizes[k]``. Returns an (assignments, clients) array
     whose every value equals the scalar JS of the client's histogram against
     the global one bit for bit: the same elementwise operations, and each KL
-    summed by np.sum.
+    summed as np.sum sums it. With grow, the table first takes in the
+    chunk's largest count.
     """
-    n_assign, n_clients, n_bins = assignments.shape[0], sizes.size, global_probs.size
-    row_of = np.arange(n_assign)[:, None] * n_clients + np.repeat(np.arange(n_clients), sizes)
-    counts = np.bincount(
-        (row_of * n_bins + bins[assignments]).ravel(), minlength=n_assign * n_clients * n_bins
-    ).reshape(n_assign * n_clients, n_bins)
-    p = counts / np.tile(sizes, n_assign)[:, None]
-    m = (p + global_probs) / 2.0
-    has_mass = p > 0
-    pv = p[has_mass]
-    terms = pv * np.log(pv / m[has_mass])
-    kl_client = np.zeros(n_assign * n_clients)  # a row with no mass sums to +0.0
-    for _, rows, index in row_groups(has_mass.sum(axis=1)):
-        kl_client[rows] = terms[index].sum(axis=1)
-    g = global_probs > 0
-    pg = global_probs[g]
-    kl_global = np.ascontiguousarray(pg * np.log(pg / m[:, g])).sum(axis=1)
+    n_assign, (n_clients, width) = assignments.shape[0], terms.key.shape
+    cells = terms.column[assignments]
+    cells += terms.offset
+    cells += (np.arange(n_assign) * (n_clients * width))[:, None]
+    counts = np.bincount(cells.ravel(), minlength=n_assign * n_clients * width)
+    del cells
+    counts = counts.reshape(n_assign * n_clients, width)
+    keep = counts > 0
+    keep[:, 0] = True
+    # The flat cells of each row's 0.0 and its client terms, row after row.
+    kept = np.flatnonzero(keep)
+    del keep
+    top = int(counts.max())
+    if grow and top > terms.top:
+        terms.grow(top)
+    over = None
+    if top > terms.top:
+        over = counts > terms.top
+        rows, cols = np.nonzero(over)
+        extra = _terms(counts[over], terms.sizes[rows % n_clients], terms.g[cols - 1])
+        np.minimum(counts, terms.top, out=counts)
+    # Each count becomes the flat index of its cell in table[0] and table[1].
+    counts *= terms.n.size * width
+    counts.reshape(n_assign, n_clients, width)[...] += terms.key
+    starts = np.arange(0, counts.size, width)
+    glob = terms.table[1].take(counts)
+    if over is not None:
+        glob[over] = extra[1]
+    kl_global = np.add.reduceat(glob.ravel(), starts)
+    del glob
+    # A row's client segment starts at its 0.0, the kept cell in its column 0.
+    starts = np.searchsorted(kept, starts)
+    client = terms.table[0].take(counts.ravel().take(kept))
+    del counts
+    if over is not None:
+        client[over.ravel().take(kept)] = extra[0]
+    kl_client = np.add.reduceat(client, starts)
     return (0.5 * kl_client + 0.5 * kl_global).reshape(n_assign, n_clients)
-
-
-# Upper bound on the (permutation x client) rows x bins held at once by the null.
-_CHUNK_ELEMENTS = 1 << 14
 
 
 def permutation_null(
@@ -92,15 +175,14 @@ def permutation_null(
     Each permutation reshuffles the target-to-client assignment uniformly
     while preserving client sizes; tau = mu + 2*sigma. Replicates run in a
     fixed order so results depend only on the seed. Permutations are scored
-    in chunks of at most _CHUNK_ELEMENTS count cells (at least one each).
+    in chunks of at most _CHUNK_ELEMENTS (permutation x client) x bin cells
+    (at least one permutation each).
     """
     arr = np.asarray(targets, dtype=float)
-    sizes = np.asarray(client_sizes, dtype=int)
-    if sizes.sum() != arr.size:
-        raise ValueError("client sizes must sum to the number of targets")
+    terms = _Terms(arr, n_bins, np.asarray(client_sizes, dtype=int))
     if n_permutations < 2:
         raise ValueError("need at least 2 permutations")
-    bins, global_probs = _binned(arr, n_bins)
+    sizes = terms.sizes
     weights = sizes / sizes.sum()
     per_chunk = max(1, _CHUNK_ELEMENTS // (sizes.size * n_bins))
     rng = rng_from(seed, STREAM_PERM)
@@ -109,7 +191,7 @@ def permutation_null(
         stop = min(start + per_chunk, n_permutations)
         perms = np.tile(np.arange(arr.size), (stop - start, 1))
         rng.permuted(perms, axis=1, out=perms)  # each row as rng.permutation(arr.size) draws it
-        js = _client_js(bins, perms, sizes, global_probs)
+        js = _client_js(terms, perms)
         # cumsum adds clients in order, as a running total would.
         values[start:stop] = np.cumsum(weights * js, axis=1)[:, -1]
     mu = float(values.mean())
@@ -144,9 +226,9 @@ def analyze_partition(
     """Per-client JS, the permutation null, and the classification: non-IID
     iff the weighted JS strictly exceeds tau."""
     arr = np.asarray(targets, dtype=float)
-    bins, global_probs = _binned(arr, n_bins)
     observed = np.concatenate(partition.indices)[None, :]
-    js = _client_js(bins, observed, partition.sizes, global_probs)[0]
+    # One assignment: its counts' terms are computed at their cells, not tabulated.
+    js = _client_js(_Terms(arr, n_bins, partition.sizes), observed, grow=False)[0]
     per_client = dict(zip(partition.client_ids, js.tolist()))
     # Weighted as permutation_null weights each permutation's clients.
     js_weighted = float(np.cumsum(partition.weights * js)[-1])

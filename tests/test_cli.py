@@ -158,6 +158,41 @@ class TestExitCodes:
         assert code == 1
         assert f"bins must be a positive integer, got {bins}" in capsys.readouterr().err
 
+    def test_more_bins_than_rows_names_field(self, features_dir, tmp_path, capsys):
+        # 1e8 bins once asked for a 59.6 GiB count matrix and died with a traceback.
+        features = features_dir / "features.csv"
+        rows = len(features.read_text().splitlines()) - 1
+        assert rows > 50
+        for bins in (rows + 1, 100_000_000):
+            code = dispatch(["analyze", "--features", str(features), "--bins", str(bins),
+                             "--out", str(tmp_path / "het")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: heterogeneity.bins: {bins} is above both the {rows} rows of "
+                f"{features} and the default 50\n")
+        assert not (tmp_path / "het" / "heterogeneity.json").exists()
+
+    def test_the_default_bins_stay_valid_on_a_small_table(self, features_dir, tmp_path,
+                                                          capsys):
+        # 20 rows, fewer than the default 50 bins: analyzed as before.
+        path = tmp_path / "features.csv"
+        lines = (features_dir / "features.csv").read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:21]))
+        assert dispatch(["analyze", "--features", str(path), "--out", str(tmp_path / "a")]) == 0
+        assert dispatch(["analyze", "--features", str(path), "--bins", "51",
+                         "--out", str(tmp_path / "b")]) == 1
+        assert "heterogeneity.bins: 51 is above both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("permutations", ["1", "0", "-2"])
+    def test_too_few_permutations_names_field(self, features_dir, tmp_path, capsys,
+                                              permutations):
+        code = dispatch(["analyze", "--features", str(features_dir / "features.csv"),
+                         "--permutations", permutations, "--out", str(tmp_path / "het")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: heterogeneity.permutations: need at least 2 permutations, "
+            f"got {permutations}\n")
+
     @pytest.mark.parametrize("command", ["featurize", "ingest"])
     @pytest.mark.parametrize("minutes", ["1e308", "1.5e12"])
     def test_window_longer_than_a_timedelta_names_field(self, depot_dir, tmp_path, capsys,

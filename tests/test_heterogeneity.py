@@ -1,6 +1,7 @@
 """Histogram divergences, the permutation null, and IID classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,120 @@ class TestKernelMatchesReference:
         assert permutation_null(targets, sizes, n_perm, seed=4, n_bins=50) == want
 
 
+def test_reduceat_after_a_zero_is_np_sum():
+    """The kernel sums each row as np.add.reduceat over [0.0, *row]: bit-equal
+    to np.sum(row) only while np.sum starts from 0.0 and both run numpy's
+    pairwise sum. Lengths 0-300 cross its sequential path (< 8), its 8-way
+    block (to 128) and its recursion. A numpy that sums otherwise fails here
+    first."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for n in range(301):
+        row = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 4.0, n)
+        row[rng.random(n) < 0.1] = -0.0
+        rows.append(row)
+    rows += [np.array([-0.0]), np.full(9, -0.0)]
+    flat = np.concatenate([np.concatenate([[0.0], row]) for row in rows])
+    starts = np.cumsum([0] + [row.size + 1 for row in rows[:-1]])
+    want = np.array([np.sum(row) for row in rows])
+    assert np.array_equal(np.add.reduceat(flat, starts).view(np.int64), want.view(np.int64))
+
+
+def _spy_on_chunks(monkeypatch):
+    """Records (terms, its largest count, the table's cells) after each
+    _client_js call."""
+    seen = []
+    kernel = heterogeneity._client_js
+
+    def spy(terms, assignments, grow=True):
+        js = kernel(terms, assignments, grow)
+        seen.append((terms, terms.top, terms.table.size))
+        return js
+
+    monkeypatch.setattr(heterogeneity, "_client_js", spy)
+    return seen
+
+
+class TestTermTable:
+    """The table of KL terms at its edges, each bit-equal to the reference."""
+
+    def _check(self, targets, part, n_perm, seed, n_bins):
+        want_js, want_null = reference_analysis(targets, part.indices, n_perm, seed, n_bins)
+        assert permutation_null(targets, part.sizes, n_perm, seed, n_bins) == want_null
+        report = analyze_partition(targets, part, n_bins, n_perm, seed)
+        assert (report.mu_iid, report.sigma_iid, report.tau_iid) == want_null
+        assert list(report.per_client_js.values()) == want_js
+
+    @pytest.mark.parametrize("chunk", [1, 80, 160])
+    def test_counts_past_the_cap(self, chunk, monkeypatch):
+        # Ten distinct sizes over 7 bins: a 30-target client holds 5 or more in
+        # some bin, past a cap of 0, 1 and 3 counts.
+        monkeypatch.setattr(heterogeneity, "_CHUNK_ELEMENTS", chunk)
+        seen = _spy_on_chunks(monkeypatch)
+        for seed in range(3):
+            targets, part = _oracle_inputs("unequal_sizes", seed)
+            self._check(targets, part, 4, seed, 7)
+        terms = seen[-1][0]
+        assert terms.top == terms.cap < 5
+        assert all(cells <= max(4 * chunk, terms.table[:, :1].size) for _, _, cells in seen)
+
+    def test_a_table_grown_chunk_by_chunk_is_the_one_built_at_once(self, monkeypatch):
+        # One permutation a chunk, room for 6 counts: 12 clients of 8-10 targets.
+        monkeypatch.setattr(heterogeneity, "_CHUNK_ELEMENTS", 12 * 10)
+        rng = np.random.default_rng(3)
+        sizes = [8, 9, 10] * 4
+        targets = np.round(rng.uniform(0.0, 40.0, size=sum(sizes)), 1)
+        seen = _spy_on_chunks(monkeypatch)
+        self._check(targets, partition_by_station(
+            list(np.repeat([f"st{k:02d}" for k in range(12)], sizes))), 30, 3, 10)
+        terms = seen[-1][0]  # the null's; analyze_partition scores the observed first
+        tops = [top for t, top, _ in seen if t is terms]
+        assert len(set(tops)) >= 4 and tops == sorted(tops)  # 3, 4, 5, then the cap 6
+        fresh = heterogeneity._Terms(targets, 10, np.array(sizes))
+        fresh.grow(terms.top)
+        assert fresh.table.shape == terms.table.shape
+        assert np.array_equal(fresh.table.view(np.int64), terms.table.view(np.int64))
+
+    def test_most_bins_empty(self):
+        # Small integers and one far outlier: 3 of 200 bins hold every target.
+        rng = np.random.default_rng(3)
+        targets = np.append(rng.integers(0, 10, size=59).astype(float), 1000.0)
+        stations = [f"st{k % 6}" for k in range(60)]
+        part = partition_by_station(stations)
+        assert heterogeneity._Terms(targets, 200, part.sizes).g.size == 3
+        for seed in range(3):
+            self._check(targets, part, 5, seed, 200)
+
+
+class TestNullMemory:
+    def test_peak_of_a_20_client_null(self):
+        # The shape of het-null's 20-station tables: 80-100 rows a client.
+        rng = np.random.default_rng(0)
+        sizes = rng.integers(80, 101, size=20)
+        targets = rng.gamma(2.0, 4.0, size=sizes.sum())
+        permutation_null(targets, sizes, 20, seed=0)
+        tracemalloc.start()
+        try:
+            permutation_null(targets, sizes, 200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1150 * 1024
+
+    def test_a_large_depot_keeps_the_table_under_its_cap(self, monkeypatch):
+        # 54 stations of up to 2,000 rows, 70% of targets on one value.
+        rng = np.random.default_rng(4)
+        sizes = rng.integers(1, 2001, size=54)
+        n = int(sizes.sum())
+        targets = np.where(rng.random(n) < 0.7, 10.0, rng.gamma(2.0, 4.0, size=n))
+        seen = _spy_on_chunks(monkeypatch)
+        want = reference_analysis(targets, _blocks(sizes), 4, 0, 50)[1]
+        assert permutation_null(targets, sizes, 4, seed=0, n_bins=50) == want
+        terms = seen[-1][0]
+        assert terms.top == terms.cap
+        assert max(cells for _, _, cells in seen) <= 4 * heterogeneity._CHUNK_ELEMENTS
+
+
 @st.composite
 def _targets_and_sizes(draw):
     sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
@@ -362,13 +477,14 @@ class TestDivergenceProperties:
     )
     def test_bounds_and_repeatability(self, data, n_bins, n_perm, seed):
         targets, sizes = data
-        bins, global_probs = heterogeneity._binned(targets, n_bins)
+        _, global_probs = heterogeneity._binned(targets, n_bins)
         edges = global_bin_edges(targets, n_bins)
         assert np.array_equal(global_probs, fit_histogram(targets, edges).probabilities)
         assignments = np.stack([
             np.random.default_rng(seed + i).permutation(targets.size) for i in range(n_perm)
         ])
-        js = heterogeneity._client_js(bins, assignments, np.asarray(sizes), global_probs)
+        terms = heterogeneity._Terms(targets, n_bins, np.asarray(sizes))
+        js = heterogeneity._client_js(terms, assignments)
         assert np.all((js >= 0.0) & (js <= LN2))
 
         stations = np.repeat([f"st{k:02d}" for k in range(len(sizes))], sizes)
