@@ -174,6 +174,8 @@ def _resolve(args: argparse.Namespace, cfg: dict[str, dict]) -> dict[str, dict]:
             )
             if name in ("seed", "seeds"):
                 _parse_seeds(f"{section}.{name}", conf[section][name])
+            elif name == "dropout" and not 0.0 <= conf[section][name] < 1.0:
+                raise ValueError(f"train.dropout: {conf[section][name]!r} is outside [0, 1)")
     return conf
 
 
@@ -313,6 +315,9 @@ def _cmd_analyze(args, conf: dict) -> None:
         raise ValueError(f"heterogeneity.permutations: need at least 2 permutations, "
                          f"got {het['permutations']}")
     partition = partition_by_station(table.station_ids)
+    if partition.n_clients < 2:  # the null over one client is identically 0
+        raise ValueError(f"{features_path}: rows from {partition.n_clients} station; the "
+                         f"heterogeneity analysis compares at least 2")
     report = heterogeneity.analyze_partition(
         table.y, partition,
         n_bins=het["bins"], n_permutations=het["permutations"], seed=het["seed"],

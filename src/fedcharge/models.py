@@ -140,14 +140,15 @@ def load_checkpoint(path, spec_dict: dict, layout: ParamLayout) -> ModelParamete
         raise ValueError(f"{path}: checkpoint body is not a whole number of float64 values")
     magic, version, digest, count = _HEADER.unpack(blob[: _HEADER.size])
     if magic != CHECKPOINT_MAGIC:
-        raise ValueError("not a checkpoint file")
+        raise ValueError(f"{path}: not a checkpoint file")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if digest != arch_hash(spec_dict):
-        raise ValueError("checkpoint was written for a different architecture")
+        raise ValueError(f"{path}: checkpoint was written for a different architecture")
     values = np.frombuffer(blob[_HEADER.size :], dtype="<f8")
     if values.size != count or count != layout.total:
-        raise ValueError("checkpoint parameter count mismatch")
+        raise ValueError(f"{path}: checkpoint parameter count mismatch: header {count}, "
+                         f"body {values.size}, model {layout.total}")
     return ModelParameters(layout=layout, values=values.astype(np.float64))
 
 

@@ -16,6 +16,7 @@ import pytest
 import fedcharge
 from fedcharge.cli import SCHEMA, STAGES, _kind, build_parser, dispatch
 from fedcharge.features import read_features
+from fedcharge.models import MODEL_KINDS
 
 
 def run_module(argv):
@@ -192,6 +193,42 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: heterogeneity.permutations: need at least 2 permutations, "
             f"got {permutations}\n")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("model", MODEL_KINDS)
+    @pytest.mark.parametrize("rate", ["1.0", "-0.5", "7"])
+    def test_a_dropout_outside_0_1_names_the_key(self, tmp_path, capsys, command, model,
+                                                 rate):
+        """Refused for every model kind before the features file is read: lr
+        and the dummies once wrote the rate into config.json and exited 0."""
+        code = dispatch([command, "--features", str(tmp_path / "missing.csv"),
+                         "--mode", "centralized", "--model", model, "--dropout", rate,
+                         "--out", str(tmp_path / "run")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: train.dropout: {float(rate)!r} is outside [0, 1)\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_dropout_from_the_config_file_is_checked(self, features_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"dropout": 1}}))
+        code = dispatch(["train", "--config", str(config), "--features",
+                         str(features_dir / "features.csv"), "--mode", "centralized",
+                         "--model", "lr", "--out", str(tmp_path / "run")])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: train.dropout: 1.0 is outside [0, 1)\n")
+
+    def test_analyze_on_one_station_names_the_file(self, features_dir, tmp_path, capsys):
+        """The null over one client is identically 0, so its verdict would be IID
+        whatever the data."""
+        lines = (features_dir / "features.csv").read_text().splitlines(keepends=True)
+        station = lines[1].split(",")[1]
+        path = tmp_path / "features.csv"
+        path.write_text("".join([lines[0], *(l for l in lines[1:] if l.split(",")[1] == station)]))
+        code = dispatch(["analyze", "--features", str(path), "--out", str(tmp_path / "het")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {path}: rows from 1 station; the heterogeneity analysis "
+               "compares at least 2\n")
+        assert not (tmp_path / "het").exists()
 
     @pytest.mark.parametrize("command", ["featurize", "ingest"])
     @pytest.mark.parametrize("minutes", ["1e308", "1.5e12"])

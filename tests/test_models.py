@@ -1,5 +1,7 @@
 """Dummies, linear regression, the MLP, Adam, and the checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,25 @@ class TestParamsAndCheckpoints:
         path.write_bytes(checkpoint_bytes(get_params(model), model.spec_dict())[:-3])
         with pytest.raises(ValueError, match="model.ckpt: checkpoint body is not a whole"):
             load_checkpoint(path, model.spec_dict(), model.layout)
+
+    @pytest.mark.parametrize("refusal, edit", [
+        ("not a checkpoint file", lambda blob: b"NOTCKPT!" + blob[8:]),
+        ("unsupported checkpoint version 2",
+         lambda blob: blob[:8] + struct.pack("<I", 2) + blob[12:]),
+        ("checkpoint was written for a different architecture",
+         lambda blob: blob[:12] + bytes(32) + blob[44:]),
+        ("checkpoint parameter count mismatch: header 6, body 5, model 5",
+         lambda blob: blob[:44] + struct.pack("<Q", 6) + blob[52:]),
+        ("checkpoint parameter count mismatch: header 6, body 6, model 5",
+         lambda blob: blob[:44] + struct.pack("<Q", 6) + blob[52:] + bytes(8)),
+    ], ids=["magic", "version", "architecture", "header-count", "body-count"])
+    def test_each_refusal_names_the_file(self, tmp_path, refusal, edit):
+        model = LinearRegressor(4, seed=2)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(edit(checkpoint_bytes(get_params(model), model.spec_dict())))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path, model.spec_dict(), model.layout)
+        assert str(info.value) == f"{path}: {refusal}"
 
 
 class TestSoftplus:

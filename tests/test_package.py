@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -149,3 +154,89 @@ def test_no_module_imports_a_private_name_of_another():
                if module.startswith((".", "fedcharge")) and name and name.startswith("_")
                and not name.startswith("__")]
     assert private == []
+
+
+# ---------------------------------------------------------------------------
+# The lazy package: `import fedcharge` loads nothing until a name is used.
+
+INIT = Path(fedcharge.__file__)
+SUBMODULES = ("csvio", "features", "federation", "heterogeneity", "ingest", "metrics",
+              "models", "partition", "seeding", "sessions")
+
+
+def fresh(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(INIT.resolve().parents[1]), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    loaded = fresh("import sys, fedcharge\n"
+                   "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+                   "('numpy', 'fedcharge')))").split()
+    assert loaded == ["fedcharge"]
+
+
+def top_level_definers(name: str) -> list[str]:
+    """The package modules whose top level defines name."""
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return {node.name}
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+
+    return [path.stem for path in MODULES if path != INIT and any(
+        name in defined(node) for node in ast.parse(path.read_text(encoding="utf-8")).body)]
+
+
+@pytest.mark.parametrize("name", [n for n in fedcharge.__all__ if n != "__version__"])
+def test_each_public_name_is_its_modules_object(name):
+    definers = top_level_definers(name)
+    assert len(definers) == 1, definers
+    module = importlib.import_module(f"fedcharge.{definers[0]}")
+    assert getattr(fedcharge, name) is getattr(module, name)
+
+
+def test_star_import_binds_every_public_name():
+    bound = fresh("names = set(dir())\nfrom fedcharge import *\n"
+                  "print(*set(dir()) - names - {'names'})").split()
+    assert sorted(bound) == sorted(fedcharge.__all__)
+
+
+def test_submodules_are_attributes_after_a_bare_import():
+    code = ("import fedcharge\nprint(fedcharge.ingest.parse_timeseries.__module__)\n"
+            f"print(*(getattr(fedcharge, m).__name__ for m in {SUBMODULES!r}))")
+    first, names = fresh(code).splitlines()
+    assert first == "fedcharge.ingest"
+    assert names.split() == [f"fedcharge.{m}" for m in SUBMODULES]
+
+
+def test_dir_covers_the_public_names():
+    assert set(fedcharge.__all__) <= set(dir(fedcharge))
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "pool.x", ".x", ""])
+def test_an_unknown_name_is_an_attribute_error_naming_it(name):
+    with pytest.raises(AttributeError, match=f"has no attribute {re.escape(repr(name))}"):
+        getattr(fedcharge, name)
+
+
+def test_a_submodule_missing_its_own_import_is_not_masked():
+    """numpy missing surfaces as numpy missing, not as a missing attribute."""
+    out = fresh("import sys\nsys.modules['numpy'] = None\nimport fedcharge\n"
+                "for name in ('features', 'mae'):\n"
+                "    try:\n        getattr(fedcharge, name)\n"
+                "    except ModuleNotFoundError as exc:\n        print(name, exc.name)")
+    assert out.splitlines() == ["features numpy", "mae numpy"]
+
+
+def test_init_imports_neither_numpy_nor_a_submodule():
+    """__getattr__ imports them through importlib; an import statement in
+    __init__.py would load them with the package."""
+    assert [module for module, _ in imports(INIT)
+            if module.startswith(".") or module.split(".")[0] in ("numpy", "fedcharge")] == []
