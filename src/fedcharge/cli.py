@@ -388,7 +388,7 @@ def _parse_seeds(where: str, value) -> list[int]:
     """The seeds of a seed key's value: one int, or train.seeds' comma-separated
     text. Each is one of the seeding.SEEDS that rng_from tells apart, once."""
     try:
-        seeds = [value] if isinstance(value, int) else [int(t) for t in value.split(",") if t]
+        seeds = [value] if isinstance(value, int) else [int(t) for t in value.split(",")]
     except ValueError:
         seeds = []
     if not seeds:

@@ -324,13 +324,22 @@ def write(path, header, columns) -> None:
         fh.writelines(f"{line}\r\n" for line in lines)
 
 
+def writes_plain(texts) -> bool:
+    """Whether every value is a text that csv.writer writes as it is (a plain
+    or empty one) and that reads back as one field within
+    csv.field_size_limit(): found by one match over the texts joined."""
+    if not set(map(type, texts)) <= {str}:
+        return False
+    joined = "".join(texts)
+    return ((not joined or _PLAIN_TEXT.fullmatch(joined) is not None)
+            and max(map(len, texts), default=0) <= csv.field_size_limit())
+
+
 def _cells(values) -> list[str]:
     """_cell() of each value; a column of texts that csv.writer writes as they
-    are (plain or empty ones) is its own cells, found so by one match."""
+    are is its own cells."""
     values = list(values)
-    if set(map(type, values)) == {str} and _PLAIN_TEXT.fullmatch("".join(values)):
-        return values
-    return list(map(_cell, values))
+    return values if writes_plain(values) else list(map(_cell, values))
 
 
 def _float_texts(values: np.ndarray) -> list[str]:

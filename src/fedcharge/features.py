@@ -6,14 +6,24 @@ binary flags are exempt from standardization. The early-window statistics of
 a table are computed for many sessions at once, grouped by their number of
 readings; tests/features_reference.py keeps the per-session definitions they
 match bit for bit.
+
+features.csv is the table's source of truth. write_features also writes
+features.csv.cache beside it, a binary copy of the table bound to the CSV's
+bytes by their sha256, but only for a table the CSV gives back bit for bit
+and without an error; read_features takes the table from a cache whose hash
+and cheap checks hold, and otherwise parses the CSV. Deleting the cache is
+always safe.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 import time
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -298,12 +308,92 @@ def write_features(path, table: FeatureTable) -> None:
 
     Raw (unimputed, unscaled) values; empty cell = missing. Downstream stages
     fit imputation and scaling on their own training split. The bytes are
-    csv.writer's (see csvio.write).
+    csv.writer's (see csvio.write). Beside it goes features.csv.cache
+    (_write_cache).
     """
     # A NaN feature is missing, an empty cell; a NaN target is not, so it goes
     # as Python floats, which are written nan.
     csvio.write(path, CSV_COLUMNS,
                 [table.session_ids, table.station_ids, table.y.tolist(), *table.X.T])
+    _write_cache(path, table)
+
+
+# features.csv.cache: this header (magic, version, sha256 of the CSV's bytes,
+# rows), then each row's target and FEATURE_COLUMNS as little-endian float64,
+# then the session ids and the station ids as UTF-8, each ended by "\n".
+_CACHE = struct.Struct("<8sI32sQ")
+_CACHE_MAGIC, _CACHE_VERSION = b"fcfeats\n", 1
+_HEADER_LINE = (",".join(CSV_COLUMNS) + "\r\n").encode()  # as csvio.write writes it
+
+
+def _cache_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + ".cache")
+
+
+def _csv_digest(path) -> bytes | None:
+    """sha256 of the bytes of path, read 64 KB at a time (hashlib.file_digest
+    needs Python 3.11); None when its first line is not CSV_COLUMNS as
+    write_features writes them."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        chunk = fh.read(1 << 16)
+        if not chunk.startswith(_HEADER_LINE):
+            return None
+        while chunk:
+            sha.update(chunk)
+            chunk = fh.read(1 << 16)
+    return sha.digest()
+
+
+def _write_cache(path, table: FeatureTable) -> None:
+    """Write path's cache when read_features would read table back from path
+    bit for bit and without an error: every id a text that csvio writes
+    unquoted within the field limit, every target finite and no feature
+    infinite. A NaN feature is written as the NaN an empty cell reads as.
+    For any other table, remove a stale cache."""
+    cache, X, y, n = _cache_path(path), table.X, table.y, len(table.y)
+    ids = [*table.session_ids, *table.station_ids]
+    if not (X.dtype == y.dtype == np.float64 and X.shape == (n, len(FEATURE_COLUMNS))
+            and len(table.session_ids) == len(table.station_ids) == n
+            and csvio.writes_plain(ids) and np.isfinite(y).all() and not np.isinf(X).any()):
+        cache.unlink(missing_ok=True)
+        return
+    values = np.column_stack([y, np.where(np.isnan(X), math.nan, X)]).astype("<f8")
+    with open(cache, "wb") as fh:
+        fh.write(_CACHE.pack(_CACHE_MAGIC, _CACHE_VERSION, _csv_digest(path), n))
+        fh.write(values.tobytes())
+        fh.write("".join(f"{i}\n" for i in ids).encode())
+
+
+def _read_cache(path) -> FeatureTable | None:
+    """The table in path's cache, or None. The cache counts only when its
+    header, length and hash match path's bytes, path's first line is
+    CSV_COLUMNS, and the table passes read_features' checks that need no
+    parse: finite targets, no infinite feature, 2 * rows ids that csvio writes
+    unquoted within the field limit. The hash binds the cache to the CSV
+    (as PEP 552's checked .pyc files are bound to their source), so the
+    values are taken as the writer wrote them."""
+    width = len(CSV_COLUMNS) - 2
+    try:
+        with open(_cache_path(path), "rb") as fh:
+            blob = fh.read()
+        magic, version, digest, n = _CACHE.unpack_from(blob)
+        body = _CACHE.size + 8 * n * width
+        if ((magic, version) != (_CACHE_MAGIC, _CACHE_VERSION) or len(blob) < body
+                or digest != _csv_digest(path)):
+            return None
+        *ids, end = blob[body:].decode().split("\n")
+    except (OSError, ValueError, struct.error):
+        return None
+    values = np.frombuffer(blob, "<f8", n * width, _CACHE.size).reshape(n, width)
+    # CSV_COLUMNS' longest name is longer than any float's repr, so the field
+    # limit holds for every cell of path when it holds for these texts.
+    if (len(ids) != 2 * n or end or not csvio.writes_plain([*ids, *CSV_COLUMNS])
+            or not np.isfinite(values[:, 0]).all() or np.isinf(values).any()):
+        return None
+    return FeatureTable(X=values[:, 1:].astype(np.float64), y=values[:, 0].astype(np.float64),
+                        session_ids=ids[:n], station_ids=ids[n:], warnings=Counter())
 
 
 def read_features(path) -> FeatureTable:
@@ -311,8 +401,13 @@ def read_features(path) -> FeatureTable:
     value. A row of the wrong width, a cell that is not a number, a target
     that is missing or not finite, or an infinite feature raises ValueError
     naming path:line, as bytes that are not UTF-8 and a field over the csv
-    module's limit do (csvio.ParseError).
+    module's limit do (csvio.ParseError). A cache that write_features left
+    and that still holds path's table (_read_cache) is read instead of
+    parsing path; any other cache is ignored.
     """
+    cached = _read_cache(path)
+    if cached is not None:
+        return cached
     rows = csvio.Reader(path).rows(CSV_COLUMNS)
     if next(rows) != CSV_COLUMNS:
         raise ValueError(f"unexpected features.csv header in {path}")

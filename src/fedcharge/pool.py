@@ -185,18 +185,16 @@ class CannotFork(Exception):
 class Workers:
     """n_workers forked processes, each answering the messages sent to it,
     in order, with handle(message); setup(), if given, runs first in each. A
-    worker that exits before it answers is a RuntimeError(died(pid, exit
+    worker that exits before it answers is a RuntimeError(self.died(pid, exit
     code)). close(), or leaving the with-block, stops and reaps them.
     CannotFork: see the module docstring."""
 
-    def __init__(self, n_workers: int, handle, setup=None,
-                 died=lambda pid, code: f"worker {pid} exited with code {code}"):
+    def __init__(self, n_workers: int, handle, setup=None):
         mp = sys.modules.get("multiprocessing")  # a daemonic process has loaded it
         if usable_cpus() < 2 or (mp is not None and mp.current_process().daemon):
             raise CannotFork
         self._pids: list[int | None] = []     # None for a worker reaped
         self._fds: list[tuple[int, int]] = []  # per worker: its answers, its messages
-        self._died = died
         _flush_std_streams()
         # SIGINT stays blocked from each fork until the worker ignores it, so
         # a ^C in between reaches only the parent.
@@ -249,6 +247,11 @@ class Workers:
         self._pids.append(pid)
         self._fds.append((answers, to_worker))
 
+    def died(self, pid: int, code: int) -> str:
+        """The message of the RuntimeError for worker pid, which exited with
+        code before it answered."""
+        return f"worker {pid} exited with code {code}"
+
     def send(self, k: int, message) -> None:
         """Hand worker k a message; a dead worker is reported by recv."""
         with suppress(OSError):
@@ -262,7 +265,7 @@ class Workers:
         except (EOFError, OSError):
             pid, self._pids[k] = self._pids[k], None
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            raise RuntimeError(self._died(pid, code)) from None
+            raise RuntimeError(self.died(pid, code)) from None
         if not ok:
             raise value
         return value
@@ -291,7 +294,7 @@ def start_job(handle, job, name: str) -> "_Job | None":
     """handle(job), started in one forked worker, or None where this process
     cannot fork (CannotFork) and so does the job itself."""
     with suppress(CannotFork):
-        worker = _Job(1, handle, died=lambda pid, code: f"{name} exited with code {code}")
+        worker = _Job(handle, name)
         worker.send(0, job)
         return worker
     return None
@@ -299,6 +302,13 @@ def start_job(handle, job, name: str) -> "_Job | None":
 
 class _Job(Workers):
     """One worker answering one job while this process goes on; its with-block reaps it."""
+
+    def __init__(self, handle, name: str):
+        self._name = name
+        super().__init__(1, handle)
+
+    def died(self, pid: int, code: int) -> str:
+        return f"{self._name} exited with code {code}"
 
     def result(self):
         """handle(job), or the exception it raised; then the pipes close."""
@@ -319,7 +329,10 @@ class ClientPool(Workers):
     p mod n_workers), and each worker trains its positions in order. A worker
     that dies is named with the round. Leaving the pool's with-block stops
     the workers: at once when an exception leaves it (a round may still be in
-    flight), after their current message otherwise.
+    flight), after their current message otherwise. No attribute of the pool
+    refers back to it (died is a method, not a closure over the pool), so a
+    run's pool, rows and model are freed when the run returns, not at the
+    cyclic collector's next pass.
     """
 
     def __init__(self, n_workers: int, layout, slots: int, train, predictors):
@@ -336,12 +349,14 @@ class ClientPool(Workers):
         self._threads_before = self._get_threads()
         self._set_threads(1)
         try:
-            super().__init__(n_workers, self._serve, self._set_up_worker, lambda pid, code: (
-                f"federated training worker {pid} exited with code {code} in round "
-                f"{self._round[0] + 1}"))
+            super().__init__(n_workers, self._serve, self._set_up_worker)
         except BaseException:
             self._set_threads(self._threads_before)
             raise
+
+    def died(self, pid: int, code: int) -> str:
+        return (f"federated training worker {pid} exited with code {code} in round "
+                f"{self._round[0] + 1}")
 
     def _set_up_worker(self) -> None:
         self._set_threads(1)

@@ -178,6 +178,7 @@ def early_window_bounds(
 DROP_MISSING_SERIES = "missing_series"
 DROP_MISSING_TARGET = "missing_target"
 DROP_FEW_EARLY_CURRENT = "insufficient_early_current"
+DROP_REPEATED_ID = "repeated_session_id"
 
 
 @dataclass(frozen=True)
@@ -196,11 +197,18 @@ def retain_sessions(
 ) -> RetentionResult:
     """Keep sessions that exist in both sources, have a target, and carry at
     least cfg.min_early_current_samples current readings in the early window.
+    A session id gives one session: the first in order; each later one is
+    dropped as repeated.
     """
     kept: list[SessionRecord] = []
     dropped: Counter = Counter()
     windows: list[tuple[int, int]] = []
+    seen: set[str] = set()
     for session in sessions:
+        if session.session_id in seen:
+            dropped[DROP_REPEATED_ID] += 1
+            continue
+        seen.add(session.session_id)
         readings = series.get(session.session_id)
         if not readings:
             dropped[DROP_MISSING_SERIES] += 1

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -149,6 +150,22 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "client_fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0,,1", "1,2,", ",1", ","])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_an_empty_seed_entry_is_refused(self, features_dir, tmp_path, capsys, seeds,
+                                            source):
+        """An empty train.seeds entry is not skipped: 0,,1 once ran 2 seeds."""
+        argv = ["evaluate", "--features", str(features_dir / "features.csv"),
+                "--mode", "centralized", "--model", "dummy-mean", "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--seeds", seeds]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"train": {"seeds": seeds}}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert (dispatch(argv), capsys.readouterr().err) == (
+            1, f"error: train.seeds: expected comma-separated integers, got {seeds!r}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_nonpositive_bins_names_field(self, features_dir, tmp_path, capsys, bins):
@@ -412,6 +429,78 @@ class TestBadFeatures:
         assert np.isnan(table.X[0, 2]) and np.isfinite(table.X[1, 2])
 
 
+def _edit_beside_cache(features_dir, tmp_path, line: int, column: int, value: str) -> str:
+    """A copy of features.csv and its cache, then one cell of the copy's line
+    (1-based) set to value in place, every other byte kept."""
+    path = tmp_path / "features.csv"
+    shutil.copy(features_dir / "features.csv", path)
+    shutil.copy(features_dir / "features.csv.cache", tmp_path)
+    assert fedcharge.features._read_cache(path) is not None  # the cache holds the copy's table
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[line - 1].split(b",")
+    cells[column] = value.encode()
+    lines[line - 1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    return str(path)
+
+
+class TestBadFeaturesBesideACache:
+    """A features.csv edited after featurize wrote its cache is parsed, and
+    its faults are named as without a cache."""
+
+    @pytest.mark.parametrize("column, value, message", [
+        (7, "abc", "could not convert string to float: 'abc'"),
+        (5, "inf", "current_min is not finite"),
+    ], ids=["abc", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["train", "--mode", "centralized", "--model", "lr"], ["analyze"],
+    ], ids=["train", "analyze"])
+    def test_an_edited_cell_names_the_line(self, features_dir, tmp_path, capsys, command,
+                                           column, value, message):
+        path = _edit_beside_cache(features_dir, tmp_path, 3, column, value)
+        code = dispatch([*command, "--features", path, "--out", str(tmp_path / "run")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {path}:3: {message}\n")
+
+
+def test_analyze_reads_a_valid_cache_without_parsing(features_dir, tmp_path, monkeypatch):
+    """analyze takes features.csv's table from its cache: no cell goes
+    through float_column, and the report is the one the parse gives."""
+    parsed = tmp_path / "parsed"
+    parsed.mkdir()
+    shutil.copy(features_dir / "features.csv", parsed)
+    assert dispatch(["analyze", "--features", str(parsed / "features.csv"),
+                     "--out", str(tmp_path / "het-parsed")]) == 0
+
+    def refuse(*args):
+        raise AssertionError("features.csv was parsed")
+
+    monkeypatch.setattr(fedcharge.features, "float_column", refuse)
+    monkeypatch.setattr(fedcharge.ingest, "float_column", refuse)
+    assert dispatch(["analyze", "--features", str(features_dir / "features.csv"),
+                     "--out", str(tmp_path / "het")]) == 0
+    _rerun_matches(tmp_path / "het-parsed", tmp_path / "het", ["heterogeneity.json"])
+
+
+def test_a_repeated_session_row_gives_one_feature_row(depot_dir, features_dir, tmp_path):
+    """A second row of a session id, here with another target, is dropped and
+    counted: featurize writes the table of the file without it."""
+    sessions = (depot_dir / "sessions.csv").read_bytes()
+    row = next(line for line in sessions.split(b"\r\n") if line.startswith(b"ST000-0000,"))
+    cells = row.split(b",")
+    cells[5] = b"99.0"
+    (tmp_path / "sessions.csv").write_bytes(sessions + b",".join(cells) + b"\r\n")
+    out = tmp_path / "feats"
+    assert dispatch(["featurize", "--sessions", str(tmp_path / "sessions.csv"),
+                     "--timeseries", str(depot_dir / "timeseries.csv"), "--out", str(out)]) == 0
+    clean = json.loads((features_dir / "featurize_report.json").read_text())
+    report = json.loads((out / "featurize_report.json").read_text())
+    assert clean["dropped"] == {}
+    assert report["dropped"] == {"repeated_session_id": 1}
+    assert (report["n_session_rows"], report["n_retained"]) == (
+        clean["n_session_rows"] + 1, clean["n_retained"])
+    _rerun_matches(features_dir, out, ["features.csv", "features.csv.cache"])
+
+
 def _rerun_matches(first, second, names) -> None:
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
@@ -429,7 +518,7 @@ class TestReproducibility:
                       ["sessions.jsonl", "timeseries.jsonl"]),
             "featurize": (["--in", str(depot_dir), "--min-early-current-samples", "4",
                            "--strict"],
-                          ["features.csv", "featurize_report.json"]),
+                          ["features.csv", "features.csv.cache", "featurize_report.json"]),
             "analyze": (["--features", features, "--permutations", "7", "--bins", "9",
                          "--seed", "2"],
                         ["heterogeneity.json"]),

@@ -27,7 +27,7 @@
   with datetimes for any window length. Session times are whole epoch
   seconds, as the sessions writer and the window take them.
 * Synth and featurize outputs of one small depot keep the digests they had
-  before the columnar rewrite.
+  before the columnar rewrite, and features.csv.cache its first one.
 """
 
 from __future__ import annotations
@@ -924,17 +924,20 @@ class TestRetention:
 
 
 # sha256 of the synth and featurize outputs for `synth --seed 11 --stations 4
-# --sessions-per-station 6:9`, as written by the per-sample implementation.
+# --sessions-per-station 6:9`, as written by the per-sample implementation
+# (features.csv.cache, which came later, as first written).
 PINNED = {
     "csv": {
         "depot/sessions.csv": "9fc23330c72de7b0064467ac28f126c140990cb1497677fd820bc6a270c73afa",
         "depot/timeseries.csv": "e56840f3a60b615eb119b8afcb2ca645e325291f4280d963291042f44b7d5b9c",
         "feats/features.csv": "7e6e82f5b2c8763ab5c0197043dacd314e56798ca830207d1f6e4acde56dfc05",
+        "feats/features.csv.cache": "c25c091a899213b0439acd85b713ba64c2c34e8bbe7ecf7e93adf56b349ef20e",
     },
     "jsonl": {
         "depot/sessions.jsonl": "5f75e70d607a60a7296c418a2baf8a7e7d260ba8573023b14ce0a70ada3fca89",
         "depot/timeseries.jsonl": "d8b15d1d7d5fcf1663f46aa1c7e6729f2b5ad61ccb186bede9b4e27acb0c5c81",
         "feats/features.csv": "7e6e82f5b2c8763ab5c0197043dacd314e56798ca830207d1f6e4acde56dfc05",
+        "feats/features.csv.cache": "c25c091a899213b0439acd85b713ba64c2c34e8bbe7ecf7e93adf56b349ef20e",
     },
 }
 

@@ -7,8 +7,10 @@ and TestBatchedForms names the numpy row forms that equality rests on.
 """
 
 import csv
+import hashlib
 import io
 import math
+import re
 import tempfile
 import warnings
 from collections import Counter
@@ -31,7 +33,7 @@ from features_reference import (
     summary_stats,
     utilization_stats,
 )
-from fedcharge import csvio
+from fedcharge import csvio, features
 from fedcharge.csvio import csv_text
 from fedcharge.features import (
     FEATURE_COLUMNS,
@@ -858,3 +860,217 @@ class TestReaderOracle:
             assert ours == expected
         else:
             assert_identical(ours, expected)
+
+
+# features.csv.cache: magic, version, the CSV's sha256 and the row count, then
+# the target and features as little-endian float64 rows and the ids.
+MAGIC, VERSION, HASH = slice(0, 8), slice(8, 12), slice(12, 44)
+BODY = 52
+# Ids csvio writes unquoted: word characters of any script and _.:-
+plain_ids = st.one_of(
+    st.sampled_from(["s1", "ST000-0001", "x:y.z", "a_b-c.d:e", "é", "站点7", "Ωμέγα", ""]),
+    st.from_regex(r"[\w.:-]{0,8}", fullmatch=True),
+)
+# NaN of any payload (read back as the NaN of an empty cell), -0.0,
+# subnormals and +-1e308.
+cacheable_values = st.one_of(
+    st.floats(allow_infinity=False),
+    st.sampled_from([math.nan, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(0, 2**64 - 1).map(lambda b: np.array(b, np.uint64).view(np.float64).item())
+    .filter(lambda v: not math.isinf(v)),
+)
+
+
+@st.composite
+def cacheable_tables(draw):
+    """Tables read_features reads back from their CSV without an error."""
+    n = draw(st.integers(0, 4))
+    d = len(FEATURE_COLUMNS)
+    X = draw(st.lists(cacheable_values, min_size=n * d, max_size=n * d))
+    y = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
+    return FeatureTable(
+        X=np.array(X, dtype=float).reshape(n, d), y=np.array(y, dtype=float),
+        session_ids=draw(st.lists(plain_ids, min_size=n, max_size=n)),
+        station_ids=draw(st.lists(plain_ids, min_size=n, max_size=n)), warnings=Counter(),
+    )
+
+
+def assert_same_table(got: FeatureTable, want: FeatureTable) -> None:
+    """The same bits in X and y, the same ids, and arrays laid out alike."""
+    assert got.X.shape == want.X.shape and got.y.shape == want.y.shape
+    assert np.array_equal(got.X.view(np.int64), want.X.view(np.int64))
+    assert np.array_equal(got.y.view(np.int64), want.y.view(np.int64))
+    assert (got.session_ids, got.station_ids) == (want.session_ids, want.station_ids)
+    for array in (got.X, got.y):
+        assert array.dtype == np.float64 and array.flags.c_contiguous and array.flags.writeable
+
+
+def parsed(path: Path):
+    """read_features' outcome with the cache beside path deleted."""
+    Path(f"{path}.cache").unlink(missing_ok=True)
+    return read_outcome(read_features, path)
+
+
+def same_outcome(got, want) -> None:
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_table(got, want)
+
+
+def cached_file(tmp_path: Path, table: FeatureTable, name="features.csv") -> Path:
+    """table written to tmp_path / name, with its cache."""
+    path = tmp_path / name
+    write_features(path, table)
+    assert Path(f"{path}.cache").exists()
+    return path
+
+
+class TestCache:
+    """features.csv.cache against the CSV it sits beside: read_features with
+    the cache gives what it gives with the cache deleted, table or error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=cacheable_tables())
+    def test_the_cache_holds_the_csv_table(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = cached_file(Path(tmp), table)
+            cached = read_features(path)
+            assert features._read_cache(path) is not None
+            assert_same_table(cached, parsed(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=st.one_of(feature_tables(), shared_bit_tables(), cacheable_tables()))
+    def test_a_cache_is_written_only_for_a_table_read_back_as_written(self, table):
+        """Ids quoted or not, NaN targets, infinite features: the cache is
+        there exactly when the CSV path reads the table back without an error."""
+        ids = [*table.session_ids, *table.station_ids]
+        readable = (all(re.fullmatch(r"[\w.:-]*", i) for i in ids)
+                    and np.isfinite(table.y).all() and not np.isinf(table.X).any())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            write_features(path, table)
+            assert Path(f"{path}.cache").exists() == readable
+            outcome = read_outcome(read_features, path)
+            same_outcome(outcome, parsed(path))
+        assert isinstance(outcome, FeatureTable) or not readable
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_rows(self, tmp_path, small_table, rows):
+        table = FeatureTable(X=small_table.X[:rows], y=small_table.y[:rows],
+                             session_ids=small_table.session_ids[:rows],
+                             station_ids=small_table.station_ids[:rows], warnings=Counter())
+        path = cached_file(tmp_path, table)
+        assert_same_table(read_features(path), parsed(path))
+
+    def test_the_bytes_are_those_of_the_layout(self, tmp_path, small_table):
+        path = cached_file(tmp_path, small_table)
+        blob = Path(f"{path}.cache").read_bytes()
+        n, d = len(small_table), len(FEATURE_COLUMNS)
+        assert blob[HASH] == hashlib.sha256(path.read_bytes()).digest()
+        assert int.from_bytes(blob[44:BODY], "little") == n
+        values = np.frombuffer(blob, "<f8", n * (d + 1), BODY).reshape(n, d + 1)
+        assert values.tobytes() == np.column_stack([small_table.y, small_table.X]).tobytes()
+        ids = [*small_table.session_ids, *small_table.station_ids]
+        assert blob[BODY + values.nbytes:] == "".join(f"{i}\n" for i in ids).encode()
+
+    @staticmethod
+    def _forge(path: Path, edit) -> None:
+        """Edit the cache's bytes, then bind it to path's bytes again."""
+        cache = Path(f"{path}.cache")
+        blob = bytearray(cache.read_bytes())
+        edit(blob)
+        blob[HASH] = hashlib.sha256(path.read_bytes()).digest()
+        cache.write_bytes(bytes(blob))
+
+    @staticmethod
+    def _plant(value: float, column: int):
+        def edit(blob):
+            blob[BODY + 8 * column : BODY + 8 * column + 8] = np.float64(value).tobytes()
+        return edit
+
+    @pytest.mark.parametrize("case", [
+        "csv edited by one byte", "cache truncated", "wrong magic", "wrong version",
+        "cache of another table", "nan target planted", "inf feature planted",
+        "header not today's", "ids not plain planted", "rows raised",
+    ])
+    def test_a_cache_that_does_not_hold_the_table_is_ignored(self, tmp_path, small_table,
+                                                              case):
+        path = cached_file(tmp_path, small_table)
+        cache = Path(f"{path}.cache")
+        blob = cache.read_bytes()
+        if case == "csv edited by one byte":
+            text = path.read_bytes()
+            at = text.index(b"\r\n") + 2 + text[text.index(b"\r\n") + 2 :].index(b",") - 1
+            path.write_bytes(text[:at] + b"Z" + text[at + 1 :])  # the first session id's last byte
+        elif case == "cache truncated":
+            cache.write_bytes(blob[:-1])
+        elif case == "wrong magic":
+            cache.write_bytes(b"x" + blob[1:])
+        elif case == "wrong version":
+            cache.write_bytes(blob[MAGIC] + (2).to_bytes(4, "little") + blob[12:])
+        elif case == "cache of another table":
+            other = cached_file(tmp_path, FeatureTable(
+                X=small_table.X[1:], y=small_table.y[1:], session_ids=small_table.session_ids[1:],
+                station_ids=small_table.station_ids[1:], warnings=Counter()), "other.csv")
+            cache.write_bytes(Path(f"{other}.cache").read_bytes())
+        elif case == "nan target planted":
+            self._forge(path, self._plant(math.nan, 0))
+        elif case == "inf feature planted":
+            self._forge(path, self._plant(-math.inf, 5))
+        elif case == "header not today's":
+            path.write_bytes(path.read_bytes().replace(b",target,", b",energy,", 1))
+            self._forge(path, lambda blob: None)
+        elif case == "ids not plain planted":
+            self._forge(path, lambda blob: blob.__setitem__(-2, ord(",")))
+        else:  # a row count one higher, the body one row longer
+            width = 8 * (len(FEATURE_COLUMNS) + 1)
+            self._forge(path, lambda blob: blob.__setitem__(
+                slice(44, BODY), (len(small_table) + 1).to_bytes(8, "little")))
+            cache.write_bytes(cache.read_bytes() + bytes(width))
+        assert features._read_cache(path) is None
+        outcome = read_outcome(read_features, path)
+        same_outcome(outcome, parsed(path))
+        if case == "header not today's":
+            assert outcome == f"unexpected features.csv header in {path}"
+        elif case == "csv edited by one byte":
+            assert outcome.session_ids[0].endswith("Z")
+
+    @pytest.mark.parametrize("case", [
+        "comma", "quote", "space", "cr", "nul", "over the field limit", "nan target",
+        "inf feature",
+    ])
+    def test_no_cache_for_a_table_the_csv_would_not_give_back(self, tmp_path, small_table,
+                                                              case):
+        """Each table is written over one with a cache, which goes."""
+        path = cached_file(tmp_path, small_table)
+        X, y, ids = small_table.X.copy(), small_table.y.copy(), list(small_table.session_ids)
+        bad_id = {"comma": "a,b", "quote": 'q"t', "space": "a b", "cr": "cr\r", "nul": "n\0l",
+                  "over the field limit": "s" * (csv.field_size_limit() + 1)}.get(case)
+        if bad_id is not None:
+            ids[1] = bad_id
+        elif case == "nan target":
+            y[1] = math.nan
+        else:
+            X[1, 4] = math.inf
+        write_features(path, FeatureTable(X=X, y=y, session_ids=ids,
+                                          station_ids=small_table.station_ids,
+                                          warnings=Counter()))
+        assert not Path(f"{path}.cache").exists()
+        outcome = read_outcome(read_features, path)
+        if case in ("nan target", "inf feature", "over the field limit"):
+            assert outcome.startswith(f"{path}:3: ")
+        else:
+            assert outcome.session_ids == ids
+
+    def test_a_lower_field_limit_when_reading_ignores_the_cache(self, tmp_path, small_table):
+        ids = ["s" * 40, *small_table.session_ids[1:]]
+        path = cached_file(tmp_path, FeatureTable(
+            X=small_table.X, y=small_table.y, session_ids=ids,
+            station_ids=small_table.station_ids, warnings=Counter()))
+        limit = csv.field_size_limit(39)
+        try:
+            outcome = read_outcome(read_features, path)
+        finally:
+            csv.field_size_limit(limit)
+        assert outcome == f"{path}:2: field larger than field limit (39)"

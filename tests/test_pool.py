@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import gc
 import multiprocessing
 import os
 import re
@@ -19,6 +20,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +171,26 @@ def test_one_blas_thread_while_the_pool_runs(prepared, monkeypatch):
         assert seen == [1, 1] and get_threads() == 2
     finally:
         set_threads(before)
+
+
+def test_a_run_frees_its_pool_without_the_cycle_collector(prepared, monkeypatch):
+    """A federated run's pool, with its rows, model and clients' data, is
+    freed when the run returns: nothing it holds refers back to it. A pool
+    in a reference cycle once stayed until the collector's next pass, and a
+    process reading a cached features.csv held several at once."""
+    pools, init = [], pool.ClientPool.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        pools.append(weakref.ref(self))
+
+    monkeypatch.setattr(pool.ClientPool, "__init__", spy)
+    gc.disable()
+    try:
+        fit(prepared, "mlp", FedConfig(rounds=2, client_fraction=0.3, seed=2))
+        assert len(pools) == 1 and pools[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("blocker", ["one client a round", "one usable CPU", "no settable BLAS",

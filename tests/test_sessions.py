@@ -173,3 +173,15 @@ class TestRetention:
             readings = series[s.session_id]
             assert window == early_window_bounds(s, readings, dataset_cfg)
             assert np.count_nonzero(~np.isnan(readings.current[slice(*window)])) >= 5
+
+    def test_a_repeated_session_id_keeps_the_first(self, dataset_cfg):
+        """One session per id: later rows of an id are dropped and counted,
+        whatever they hold, even when the first is dropped for another reason."""
+        first = make_session(session_id="a", delivered=9.0)
+        later = make_session(session_id="a", delivered=3.0, station_id="ST002")
+        gone = make_session(session_id="b", delivered=None)
+        series = {"a": make_series(), "b": make_series()}
+        result = retain_sessions([first, gone, later, gone, later], series, dataset_cfg)
+        assert result.sessions == [first]
+        assert result.windows == [early_window_bounds(first, series["a"], dataset_cfg)]
+        assert result.dropped == {"repeated_session_id": 3, "missing_target": 1}
