@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 validation/config error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -161,21 +163,35 @@ def _load_config(path: str | None) -> dict[str, dict]:
 
 def _resolve(args: argparse.Namespace, cfg: dict[str, dict]) -> dict[str, dict]:
     """Every key the subcommand reads: its flag, else the config file, else
-    the default."""
+    the default. A bad value is named by its key, or by its flag when that
+    flag sets the keys of two sections. Each section's dataclass is built
+    here, so that its own checks name the key too, before any file is read."""
+    reads = STAGES[args.command][1]
+    shared = {name for names in reads.values() for name in names
+              if sum(name in other for other in reads.values()) > 1}
     conf = {}
-    for section, names in STAGES[args.command][1].items():
+    for section, names in reads.items():
         keys, given = SCHEMA[section][1], cfg.get(section, {})
+        where = {name: _flag(name) if name in shared and getattr(args, name) is not None
+                 else f"{section}.{name}" for name in names}
         conf[section] = {}
         for name in names:
             flag = getattr(args, name)
             conf[section][name] = (
                 given.get(name, keys[name].default) if flag is None
-                else _value(f"{section}.{name}", keys[name], flag)
+                else _value(where[name], keys[name], flag)
             )
             if name in ("seed", "seeds"):
-                _parse_seeds(f"{section}.{name}", conf[section][name])
+                _parse_seeds(where[name], conf[section][name])
             elif name == "dropout" and not 0.0 <= conf[section][name] < 1.0:
                 raise ValueError(f"train.dropout: {conf[section][name]!r} is outside [0, 1)")
+        if SCHEMA[section][0] is not None:
+            try:
+                _build(conf, section)
+            except ValueError as exc:  # its message starts with the field it names
+                field = re.match(r"\w*", str(exc)).group()
+                name = next((n for n in names if keys[n].field == field), None)
+                raise ValueError(f"{where.get(name, section)}: {exc}") from None
     return conf
 
 
@@ -232,11 +248,16 @@ def _resolve_inputs(paths: dict) -> tuple[Path, Path]:
 
 
 def _find_default(base: Path, stem: str) -> Path:
+    """The one stem file under base, of any format; two of them are refused,
+    since either could be the depot meant."""
     names = [stem + suffix for suffix in ingest.SUFFIXES]
-    for name in names:
-        if (base / name).exists():
-            return base / name
-    raise FileNotFoundError(f"no {', '.join(names[:-1])} or {names[-1]} under {base}")
+    found = [name for name in names if (base / name).exists()]
+    if not found:
+        raise FileNotFoundError(f"no {', '.join(names[:-1])} or {names[-1]} under {base}")
+    if len(found) > 1:
+        raise ValueError(f"more than one {stem} file under {base} ({', '.join(found)}); "
+                         f"name the one to read with {_flag(stem)}")
+    return base / found[0]
 
 
 def _parse_and_retain(conf: dict):
@@ -459,7 +480,12 @@ STAGES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: building one
+    leaves hundreds of objects in reference cycles (argparse's formatters
+    and actions) that only the cyclic collector frees. Parsing changes
+    nothing in it."""
     parser = argparse.ArgumentParser(
         prog="fedcharge",
         description="EV charging-session energy prediction pipeline "

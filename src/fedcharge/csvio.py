@@ -21,13 +21,24 @@ naming their line. JSON lines files are read in the same blocks.
 Writing. A file gets the bytes csv.writer writes: None as an empty cell, a
 float (numpy's too) as its repr, any other value as str() of it, quoted as
 csv.writer quotes it (csv_text), and every row ended by \r\n.
+
+Caches. A writer may leave NAME.cache beside a CSV file NAME it wrote: a
+CACHE_HEADER (magic, version, the sha256 of the CSV's bytes, a count), then
+a body of the writer's own. read_cache takes it only when the magic and
+version are the reader's, the CSV's first line is the header it expects and
+the hash is that of the CSV's bytes, as PEP 552's checked hash-based .pyc
+files are bound to their source; any other cache is ignored, so deleting
+one is always safe.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import os
 import re
+import struct
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -42,6 +53,8 @@ _READ = 1 << 16  # bytes read from a file at a time
 
 # Texts csv.writer writes as they are, which csv_text need not run it on.
 _PLAIN_TEXT = re.compile(r"[\w.:-]+")
+
+CACHE_HEADER = struct.Struct("<8sI32sQ")  # magic, version, sha256 of the CSV's bytes, count
 
 
 class ParseError(ValueError):
@@ -355,3 +368,39 @@ def _float_texts(values: np.ndarray) -> list[str]:
     out = np.empty(len(bits), dtype=object)
     out[order] = reprs[np.cumsum(head) - 1]
     return out.tolist()
+
+
+def cache_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + ".cache")
+
+
+def file_digest(path, header: bytes) -> bytes | None:
+    """sha256 of the bytes of path, read _READ bytes at a time into one buffer
+    (hashlib.file_digest needs Python 3.11); None when its first line is not
+    header."""
+    sha, buf = hashlib.sha256(), bytearray(_READ)
+    with open(path, "rb", buffering=0) as fh, memoryview(buf) as view:
+        n = fh.readinto(buf)
+        if n < len(header) or view[: len(header)] != header:
+            return None
+        while n:
+            sha.update(view[:n])
+            n = fh.readinto(buf)
+    return sha.digest()
+
+
+def read_cache(path, magic: bytes, version: int, header: bytes, read):
+    """read(file, count, size) of path's cache, or None. The file stands past
+    the CACHE_HEADER and size is the bytes left after it; read gives None for
+    a body it does not accept. The cache counts only when its magic and
+    version are these, path's first line is header and the hash is that of
+    path's bytes; an unreadable cache or CSV counts as none."""
+    try:
+        with open(cache_path(path), "rb") as fh:
+            got_magic, got_version, digest, count = CACHE_HEADER.unpack(fh.read(CACHE_HEADER.size))
+            if (got_magic, got_version) != (magic, version) or digest != file_digest(path, header):
+                return None
+            return read(fh, count, os.fstat(fh.fileno()).st_size - CACHE_HEADER.size)
+    except (OSError, ValueError, struct.error):
+        return None

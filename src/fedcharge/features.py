@@ -17,9 +17,7 @@ always safe.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -318,32 +316,11 @@ def write_features(path, table: FeatureTable) -> None:
     _write_cache(path, table)
 
 
-# features.csv.cache: this header (magic, version, sha256 of the CSV's bytes,
-# rows), then each row's target and FEATURE_COLUMNS as little-endian float64,
-# then the session ids and the station ids as UTF-8, each ended by "\n".
-_CACHE = struct.Struct("<8sI32sQ")
+# features.csv.cache: a csvio.CACHE_HEADER (this magic and version, the CSV's
+# sha256, rows), then each row's target and FEATURE_COLUMNS as little-endian
+# float64, then the session ids and the station ids as UTF-8, each ended by "\n".
 _CACHE_MAGIC, _CACHE_VERSION = b"fcfeats\n", 1
 _HEADER_LINE = (",".join(CSV_COLUMNS) + "\r\n").encode()  # as csvio.write writes it
-
-
-def _cache_path(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".cache")
-
-
-def _csv_digest(path) -> bytes | None:
-    """sha256 of the bytes of path, read 64 KB at a time (hashlib.file_digest
-    needs Python 3.11); None when its first line is not CSV_COLUMNS as
-    write_features writes them."""
-    sha = hashlib.sha256()
-    with open(path, "rb") as fh:
-        chunk = fh.read(1 << 16)
-        if not chunk.startswith(_HEADER_LINE):
-            return None
-        while chunk:
-            sha.update(chunk)
-            chunk = fh.read(1 << 16)
-    return sha.digest()
 
 
 def _write_cache(path, table: FeatureTable) -> None:
@@ -352,7 +329,7 @@ def _write_cache(path, table: FeatureTable) -> None:
     unquoted within the field limit, every target finite and no feature
     infinite. A NaN feature is written as the NaN an empty cell reads as.
     For any other table, remove a stale cache."""
-    cache, X, y, n = _cache_path(path), table.X, table.y, len(table.y)
+    cache, X, y, n = csvio.cache_path(path), table.X, table.y, len(table.y)
     ids = [*table.session_ids, *table.station_ids]
     if not (X.dtype == y.dtype == np.float64 and X.shape == (n, len(FEATURE_COLUMNS))
             and len(table.session_ids) == len(table.station_ids) == n
@@ -360,33 +337,29 @@ def _write_cache(path, table: FeatureTable) -> None:
         cache.unlink(missing_ok=True)
         return
     values = np.column_stack([y, np.where(np.isnan(X), math.nan, X)]).astype("<f8")
+    digest = csvio.file_digest(path, _HEADER_LINE)
     with open(cache, "wb") as fh:
-        fh.write(_CACHE.pack(_CACHE_MAGIC, _CACHE_VERSION, _csv_digest(path), n))
+        fh.write(csvio.CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest, n))
         fh.write(values.tobytes())
         fh.write("".join(f"{i}\n" for i in ids).encode())
 
 
 def _read_cache(path) -> FeatureTable | None:
-    """The table in path's cache, or None. The cache counts only when its
-    header, length and hash match path's bytes, path's first line is
-    CSV_COLUMNS, and the table passes read_features' checks that need no
-    parse: finite targets, no infinite feature, 2 * rows ids that csvio writes
-    unquoted within the field limit. The hash binds the cache to the CSV
-    (as PEP 552's checked .pyc files are bound to their source), so the
-    values are taken as the writer wrote them."""
+    """The table in path's cache, or None (csvio.read_cache)."""
+    return csvio.read_cache(path, _CACHE_MAGIC, _CACHE_VERSION, _HEADER_LINE, _cached_table)
+
+
+def _cached_table(fh, n: int, size: int) -> FeatureTable | None:
+    """The table in a cache's body, or None unless it passes read_features'
+    checks that need no parse: finite targets, no infinite feature, 2 * rows
+    ids that csvio writes unquoted within the field limit. The hash binds
+    the cache to the CSV, so the values are taken as the writer wrote them."""
     width = len(CSV_COLUMNS) - 2
-    try:
-        with open(_cache_path(path), "rb") as fh:
-            blob = fh.read()
-        magic, version, digest, n = _CACHE.unpack_from(blob)
-        body = _CACHE.size + 8 * n * width
-        if ((magic, version) != (_CACHE_MAGIC, _CACHE_VERSION) or len(blob) < body
-                or digest != _csv_digest(path)):
-            return None
-        *ids, end = blob[body:].decode().split("\n")
-    except (OSError, ValueError, struct.error):
+    if 8 * n * width > size:
         return None
-    values = np.frombuffer(blob, "<f8", n * width, _CACHE.size).reshape(n, width)
+    blob = fh.read()
+    *ids, end = blob[8 * n * width :].decode().split("\n")
+    values = np.frombuffer(blob, "<f8", n * width).reshape(n, width)
     # CSV_COLUMNS' longest name is longer than any float's repr, so the field
     # limit holds for every cell of path when it holds for these texts.
     if (len(ids) != 2 * n or end or not csvio.writes_plain([*ids, *CSV_COLUMNS])

@@ -28,14 +28,21 @@ the columns cannot vouch for goes through the per-row rules (_session,
 _reading, _get_float, parse_utc), in row order, which also give its
 line-numbered issue.
 
-Two cores. A CSV time-series file of at least _SPLIT_BYTES is cut at the
-first start of a serial read's block after _FRONT_SHARE of its bytes,
-unless a quote comes before that: only such a quote can open a field that
-runs on past the cut, so the file is read for one before anything is
-forked, and a file with one is parsed serially. One routine,
-_convert_range, converts the whole file in a serial parse and each half in
-a split one: the back in a worker started by pool.start_job, the front
-here. The back's line numbers are shifted by the front's lines and its
+The cache. Beside a CSV time-series file it writes, write_timeseries leaves
+timeseries.csv.cache (see csvio, "Caches"): the parse's result as binary
+columns, bound to the CSV's sha256. parse_timeseries takes it instead of
+parsing when it still holds the file's parse, and parses as below otherwise,
+so deleting it is always safe. JSON lines get no cache.
+
+Two cores. The split parse runs only for a CSV time-series file without a
+valid cache, such as a hand-written or foreign export. Such a file of at
+least _SPLIT_BYTES is cut at the first start of a serial read's block after
+_FRONT_SHARE of its bytes, unless a quote comes before that: only such a
+quote can open a field that runs on past the cut, so the file is read for
+one before anything is forked, and a file with one is parsed serially. One
+routine, _convert_range, converts the whole file in a serial parse and each
+half in a split one: the back in a worker started by pool.start_job, the
+front here. The back's line numbers are shifted by the front's lines and its
 session codes mapped onto the front's, so the result, issues and first
 error are a serial parse's. Each half reads the blocks a serial parse
 reads, so a byte that is not UTF-8 stops a parse before the rows of its
@@ -48,12 +55,14 @@ are joined a column at a time, so its peak stays under twice its result plus
 one block. A worker's pieces reach the parent as arrays of their own, with
 no second copy. When every row's (session, time) key is above the row
 before's, as synth and ingest write files, the rows are grouped and distinct
-already, and the sort and merge are skipped. The writer holds one block of
-rows.
+already, and the sort and merge are skipped. A cached read holds one
+(3, rows) buffer, of which every series' columns are read-only slices. The
+writer holds one block of rows.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -77,6 +86,7 @@ from .sessions import (  # cli, bench/ and tests take the synthetic depot from h
 
 SESSION_COLUMNS = [f.name for f in fields(SessionRecord)]
 TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
+_HEADER_LINE = (",".join(TIMESERIES_COLUMNS) + "\r\n").encode()  # as write_timeseries writes it
 SUFFIXES = (".csv", ".jsonl", ".ndjson", ".json")  # CSV, then the JSON-lines ones
 
 # A CSV time-series file at least _SPLIT_BYTES long is parsed in two halves
@@ -364,9 +374,13 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     this process can fork: a worker converts the back while this process
     converts the front, and the merge shifts the back's line numbers and
     maps its session codes onto the front's, so the result is the one a
-    serial parse gives.
+    serial parse gives. A CSV file that write_timeseries wrote is not parsed
+    at all when the cache it left beside it still holds its result
+    (_read_cache).
     """
     path = Path(path)
+    if _is_csv(path) and (cached := _read_cache(path)) is not None:
+        return cached
     split, job = _split_at(path), None
     if split is not None:
         from . import pool  # a serial parse never loads it
@@ -555,17 +569,19 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
     """One row per reading, sessions in index order, built as bytes by _rows
     a block at a time. An empty session id, a time outside years 1-9999 or an
     infinite reading, which the parser would reject, raises ValueError naming
-    its session before any write."""
+    its session before any write. Beside a CSV file goes its cache
+    (_SeriesCache) when every id is a text that csvio writes unquoted within
+    the field limit; otherwise a stale one is removed."""
     path = Path(path)
     if "" in index:
         raise ValueError("cannot write session '': session_id is required")
     sids, series = list(index), list(index.values())
     # Separators join the texts beside them; a float's label goes with it.
     if _is_csv(path):  # only a session id can need quoting
-        header, ids = ",".join(TIMESERIES_COLUMNS) + "\r\n", [csv_text(s) + "," for s in sids]
+        header, ids = _HEADER_LINE, [csv_text(s) + "," for s in sids]
         floats = ((",", "", ""), (",", "", "\r\n"))
     else:  # json.dumps of the reading's object
-        header, ids = "", [f'{{"session_id": {json.dumps(s)}, "timestamp": "' for s in sids]
+        header, ids = b"", [f'{{"session_id": {json.dumps(s)}, "timestamp": "' for s in sids]
         floats = (('"', ', "current_a": ', ""), ("", ', "pilot_a": ', "}\n"))
     ids = [sid.encode() for sid in ids]
     # Fewer rows per block when a long session id widens every row.
@@ -579,14 +595,126 @@ def write_timeseries(path, index: dict[str, SessionSeries]) -> None:
             raise ValueError(f"cannot write session {sid!r}: t={s.t[i]}, current_a="
                              f"{s.current[i]}, pilot_a={s.pilot[i]} (not in years 1-9999, or "
                              f"not finite)")
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
+    with open(path, "wb") as fh, (
+            _SeriesCache(path, sids, series) if header else nullcontext()) as cache:
+        fh.write(header)
         for session, t, current, pilot in _blocks_of(series, step):
             parts = [_run_cells(session, session, ids.__getitem__), (_stamp_cells(t), [20])]
             for x, (before, label, after) in zip((current, pilot), floats):
                 parts.append(_run_cells(x.view(np.int64), x, lambda v: (
                     before + ("" if v != v else label + repr(v)) + after).encode()))
-            fh.write(_rows(parts))
+            fh.write(rows := _rows(parts))
+            if cache:
+                cache.add(rows, t, current, pilot)
+
+
+# timeseries.csv.cache: a csvio.CACHE_HEADER (this magic and version, the
+# CSV's sha256, the sessions with readings), then each such session's number
+# of readings as little-endian int64, then every reading's t (int64), current
+# and pilot (float64) as three little-endian columns, then the session ids as
+# UTF-8, each ended by "\n".
+_CACHE_MAGIC, _CACHE_VERSION = b"fcseries", 1
+
+
+class _SeriesCache:
+    """The cache of a CSV file that write_timeseries writes, written with it
+    when every id is a text that csvio writes unquoted within the field
+    limit: the CSV's bytes are hashed as they are written, each block's
+    columns go to their offsets, and the header, which holds the hash, goes
+    last. A NaN reading is stored as the NaN an empty cell reads as.
+    Sessions with no readings are left out, as the parser leaves them out.
+    No cache is left, and a stale one is removed, for ids that are not
+    such texts, for a negative reading (which the parser would clamp and
+    count) and when the write fails."""
+
+    def __init__(self, path: Path, sids: list[str], series: list[SessionSeries]):
+        self.path, self.fh = csvio.cache_path(path), None
+        if not csvio.writes_plain(sids):
+            self.path.unlink(missing_ok=True)
+            return
+        lengths = np.array([len(s) for s in series], dtype="<i8")
+        kept = np.flatnonzero(lengths)
+        self.ids, self.sha = [sids[i] for i in kept.tolist()], hashlib.sha256(_HEADER_LINE)
+        self.n, self.row = int(lengths.sum()), 0
+        self.fh = open(self.path, "wb")
+        self.fh.seek(csvio.CACHE_HEADER.size)
+        self.fh.write(lengths[kept].tobytes())
+        self.start = self.fh.tell()  # of the t column
+
+    def add(self, raw, t: np.ndarray, current: np.ndarray, pilot: np.ndarray) -> None:
+        """Hash a block's bytes and put its readings, the next len(t) of the
+        file, in place."""
+        if self.fh and ((current < 0).any() or (pilot < 0).any()):
+            self._drop()
+        if not self.fh:
+            return
+        self.sha.update(raw)
+        for j, column in enumerate((t, current, pilot)):
+            if j:
+                column = np.where(np.isnan(column), math.nan, column)
+            self.fh.seek(self.start + 8 * (j * self.n + self.row))
+            self.fh.write(column.astype("<f8" if j else "<i8", copy=False))
+        self.row += len(t)
+
+    def _drop(self) -> None:
+        self.fh.close()
+        self.fh = None
+        self.path.unlink(missing_ok=True)
+
+    def __enter__(self) -> _SeriesCache:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if self.fh and kind is not None:
+            self._drop()
+        if not self.fh:
+            return
+        with self.fh:
+            self.fh.seek(self.start + 24 * self.n)
+            self.fh.write("".join(f"{sid}\n" for sid in self.ids).encode())
+            self.fh.seek(0)
+            self.fh.write(csvio.CACHE_HEADER.pack(
+                _CACHE_MAGIC, _CACHE_VERSION, self.sha.digest(), len(self.ids)))
+
+
+def _read_cache(path: Path) -> TimeSeriesParseResult | None:
+    """The parse of path that its cache holds, or None (csvio.read_cache)."""
+    return csvio.read_cache(path, _CACHE_MAGIC, _CACHE_VERSION, _HEADER_LINE, _cached_series)
+
+
+def _cached_series(fh, m: int, size: int) -> TimeSeriesParseResult | None:
+    """The parse result in a cache's body, or None unless the whole depot
+    passes SessionSeries' checks at once, holds no reading that the parser
+    would clamp or refuse, and its m ids are distinct texts that csvio
+    writes unquoted within the field limit. The columns are read into one
+    (3, n) buffer, of which every series' columns are read-only slices."""
+    if not np.little_endian or 8 * m > size:
+        return None
+    lengths = np.frombuffer(fh.read(8 * m), "<i8")
+    if m and not 0 < lengths.min() <= lengths.max() <= size // 24:
+        return None
+    ends = np.cumsum(lengths)
+    n = int(ends[-1]) if m else 0
+    if 8 * m + 24 * n > size:
+        return None
+    columns = np.empty((3, n), np.int64)
+    if fh.readinto(columns) != 24 * n:
+        return None
+    *ids, last = fh.read().decode().split("\n")
+    columns.flags.writeable = False
+    t, readings = columns[0], columns[1:].view(np.float64)
+    current, pilot = readings
+    rising = t[1:] > t[:-1]
+    rising[ends[:-1] - 1] = True  # where a session starts
+    if (len(ids) != m or last or not rising.all() or (np.isnan(current) & np.isnan(pilot)).any()
+            or (readings < 0).any() or np.isinf(readings).any()
+            or not csvio.writes_plain(ids) or len(set(ids)) != m):
+        return None
+    bounds = [0, *ends.tolist()]
+    return TimeSeriesParseResult(index={
+        sid: SessionSeries._unchecked(t[lo:hi], current[lo:hi], pilot[lo:hi])
+        for sid, lo, hi in zip(ids, bounds, bounds[1:])
+    })
 
 
 def _blocks_of(series: list[SessionSeries], step: int):

@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from fedcharge import csvio
 from fedcharge.features import build_feature_table
 from fedcharge.ingest import SyntheticDepotSpec, generate_synthetic
 from fedcharge.sessions import (
@@ -68,6 +69,13 @@ def make_series(
 
     t = start + np.array([int(off) for off in offsets_s], dtype=np.int64)
     return SessionSeries(t, column(current), column(pilot))
+
+
+def uncached(path):
+    """path, with the cache that write_timeseries left beside it removed, so
+    that parse_timeseries parses it."""
+    csvio.cache_path(path).unlink(missing_ok=True)
+    return path
 
 
 def children() -> list[int]:

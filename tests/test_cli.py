@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: composition, exit codes, reproducibility."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -255,8 +256,8 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: early_window_minutes={float(minutes)!r} is longer than a timedelta "
-            "holds (999999999 days, 23:59:59.999999)\n")
+            f"error: dataset.early_window_minutes: early_window_minutes={float(minutes)!r} is "
+            "longer than a timedelta holds (999999999 days, 23:59:59.999999)\n")
 
     @pytest.mark.parametrize("case", ["voltage", "current"])
     def test_a_feature_that_overflows_is_refused(self, depot_dir, tmp_path, case):
@@ -771,7 +772,7 @@ class TestSeeds:
             assert dispatch(["train", "--features", features, "--mode", "centralized",
                              "--model", "dummy-gauss", "--seed", seed,
                              "--out", str(tmp_path / seed)]) == code
-        assert "error: fed.seed: seed -1 is outside" in capsys.readouterr().err
+        assert "error: --seed: seed -1 is outside" in capsys.readouterr().err  # fed and central
         assert dispatch(["evaluate", "--features", features, "--mode", "centralized",
                          "--model", "dummy-gauss", "--seeds", "0,18446744073709551615",
                          "--out", str(tmp_path / "evaluate")]) == 0
@@ -1051,3 +1052,137 @@ class TestFieldSizeLimit:
         assert capsys.readouterr().err == (
             f"error: {path}:{row + 1}: field larger than field limit ({limit})\n"
         )
+
+
+class TestTwoDepotsInOneDirectory:
+    """A directory holding a stem's file in two formats, such as two synth
+    runs with different --format: --in refuses to pick one."""
+
+    @pytest.fixture
+    def mixed(self, tmp_path):
+        depot = tmp_path / "D"
+        assert dispatch(["synth", "--seed", "1", "--stations", "3", "--sessions-per-station",
+                         "5:5", "--out", str(depot)]) == 0
+        assert dispatch(["synth", "--seed", "2", "--stations", "4", "--sessions-per-station",
+                         "6:6", "--format", "jsonl", "--out", str(depot)]) == 0
+        return depot
+
+    @pytest.mark.parametrize("command", ["featurize", "ingest"])
+    def test_both_files_are_named(self, mixed, tmp_path, capsys, command):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert dispatch([command, "--in", str(mixed), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: more than one sessions file under {mixed} (sessions.csv, sessions.jsonl); "
+            f"name the one to read with --sessions\n")
+        assert not out.exists()
+        assert dispatch([command, "--in", str(mixed), "--sessions", str(mixed / "sessions.csv"),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: more than one timeseries file under {mixed} (timeseries.csv, "
+            f"timeseries.jsonl); name the one to read with --timeseries\n")
+
+    def test_naming_the_files_reads_them(self, mixed, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch(["featurize", "--sessions", str(mixed / "sessions.jsonl"),
+                         "--timeseries", str(mixed / "timeseries.jsonl"), "--out", str(out)]) == 0
+        assert json.loads((out / "featurize_report.json").read_text())["n_session_rows"] == 24
+
+
+class TestConfigErrorsNameTheKey:
+    """A value a config dataclass refuses is named by the key the user set, or
+    by the flag when the flag sets keys of two sections; all before any file
+    is read (the features file named here does not exist)."""
+
+    TRAIN = ["--features", "missing.csv", "--model", "mlp"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["synth", "--stations", "0"], "synth.stations: n_stations must be positive"),
+        (["synth", "--sessions-per-station", "5:2"],
+         "synth.sessions_per_station: sessions_per_station must be a positive range"),
+        (["synth", "--std-kwh", "-1"],
+         "synth.std_kwh: station_energy_std_kwh must be finite and nonnegative"),
+        (["synth", "--presence", "1.5"],
+         "synth.presence: user_field_presence must be in [0, 1]"),
+        (["featurize", "--in", "missing", "--min-early-current-samples", "0"],
+         "dataset.min_early_current_samples: min_early_current_samples must be positive"),
+        (["ingest", "--in", "missing", "--nominal-voltage-v", "-208"],
+         "dataset.nominal_voltage_v: nominal_voltage_v must be positive"),
+        (["train", *TRAIN, "--mode", "federated", "--fraction", "0"],
+         "fed.fraction: client_fraction must be in (0, 1]"),
+        (["train", *TRAIN, "--mode", "federated", "--rounds", "-1"],
+         "fed.rounds: rounds must be nonnegative"),
+        (["evaluate", *TRAIN, "--mode", "centralized", "--epochs", "-1"],
+         "central.epochs: epochs must be nonnegative"),
+        (["train", *TRAIN, "--mode", "centralized", "--lr", "nan"],
+         "--lr: nan is not a valid float"),
+        (["train", *TRAIN, "--mode", "centralized", "--lr", "0"], "--lr: lr must be positive"),
+        (["evaluate", *TRAIN, "--mode", "federated", "--batch-size", "0"],
+         "--batch-size: batch_size must be positive"),
+        (["train", *TRAIN, "--mode", "centralized", "--seed", "-1"],
+         "--seed: seed -1 is outside [0, 2**64)"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_a_flag(self, tmp_path, capsys, argv, named):
+        assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    @pytest.mark.parametrize("command, cfg, named", [
+        ("synth", {"synth": {"noise_kwh": -0.5}},
+         "synth.noise_kwh: noise_std_kwh must be finite and nonnegative"),
+        ("featurize", {"paths": {"in": "missing"}, "dataset": {"early_window_minutes": 0}},
+         "dataset.early_window_minutes: early_window_minutes must be positive"),
+        ("train", {"fed": {"local_epochs": -1}},
+         "fed.local_epochs: local_epochs must be nonnegative"),
+        ("train", {"central": {"lr": 0}}, "central.lr: lr must be positive"),
+        ("train", {"central": {"batch_size": 0}},
+         "central.batch_size: batch_size must be positive"),
+    ])
+    def test_a_config_file_key(self, tmp_path, capsys, command, cfg, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += [*self.TRAIN, "--mode", "centralized"]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+
+class TestOneParserPerProcess:
+    def test_a_dispatch_leaves_no_argparse_object_to_the_collector(self, features_dir, tmp_path):
+        argv = ["analyze", "--features", str(features_dir / "features.csv"),
+                "--permutations", "7", "--out", str(tmp_path / "het")]
+        assert dispatch(argv) == 0  # builds the parser
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert dispatch(argv) == 0
+            gc.collect()
+            left = [type(o).__qualname__ for o in gc.garbage if "argparse" in (
+                type(o).__module__, getattr(o, "__module__", None))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
+
+    def test_values_do_not_carry_from_one_dispatch_to_the_next(self, features_dir, tmp_path):
+        features = str(features_dir / "features.csv")
+        assert dispatch(["analyze", "--features", features, "--permutations", "7", "--bins", "9",
+                         "--seed", "2", "--out", str(tmp_path / "a")]) == 0
+        assert dispatch(["analyze", "--features", features, "--out", str(tmp_path / "b")]) == 0
+        echoed = json.loads((tmp_path / "b" / "config.json").read_text())
+        assert echoed["heterogeneity"] == {"bins": 50, "permutations": 200, "seed": 0}
+        assert vars(build_parser().parse_args(["report"])) == {
+            "command": "report", "config": None, "out": "out", "reports": None}
+
+    @pytest.mark.parametrize("command", [None, *STAGES])
+    def test_help_is_that_of_a_new_parser(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [*filter(None, [command]), "--help"]
+        texts = []
+        for _ in range(2):
+            assert dispatch(argv) == 0
+            texts.append(capsys.readouterr().out)
+        fresh = build_parser.__wrapped__()
+        if command:
+            fresh = next(a for a in fresh._actions if a.dest == "command").choices[command]
+        assert texts == [fresh.format_help()] * 2

@@ -27,7 +27,7 @@
   with datetimes for any window length. Session times are whole epoch
   seconds, as the sessions writer and the window take them.
 * Synth and featurize outputs of one small depot keep the digests they had
-  before the columnar rewrite, and features.csv.cache its first one.
+  before the columnar rewrite, and the two caches their first ones.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ingest_reference
-from conftest import make_series, utc
+from conftest import make_series, uncached, utc
 from fedcharge import csvio, ingest
 from fedcharge.cli import dispatch
 from fedcharge.ingest import (
@@ -292,6 +292,7 @@ class TestParserOracle:
         )
         path = tmp_path / f"timeseries{suffix}"
         write_timeseries(path, series)
+        uncached(path)
         expected = ingest_reference.parse_timeseries(path)
         for chunk_rows in (1_000, 32_768):  # 1,356 rows: two blocks, then one
             with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
@@ -562,6 +563,7 @@ class TestMemoryBound:
                                                           shuffled, factor):
         depot, block = tmp_path / "timeseries.csv", tmp_path / "block.csv"
         write_timeseries(depot, synthetic_index(4))
+        uncached(depot)
         if shuffled:
             header, *rows = depot.read_text().splitlines(True)
             order = np.random.default_rng(0).permutation(len(rows))
@@ -610,12 +612,15 @@ class TestRoundTrip:
         suffix=st.sampled_from([".csv", ".jsonl"]),
     )
     def test_write_then_parse_gives_the_index_back(self, index, suffix):
+        """Read from the cache and parsed alike."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"timeseries{suffix}"
             write_timeseries(path, index)
-            parsed = parse_timeseries(path, strict=True)
-        assert parsed.index == index and list(parsed.index) == list(index)
-        assert (parsed.n_negative_clamped, parsed.n_duplicates_merged) == (0, 0)
+            results = [parse_timeseries(path, strict=True),
+                       parse_timeseries(uncached(path), strict=True)]
+        for parsed in results:
+            assert parsed.index == index and list(parsed.index) == list(index)
+            assert (parsed.n_negative_clamped, parsed.n_duplicates_merged) == (0, 0)
 
 
 # Ids that need CSV quoting, non-ASCII ids, NUL bytes (the last at the end,
@@ -782,7 +787,8 @@ def test_synth_leaves_no_child_or_temporary_file_behind(tmp_path, fmt):
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (
         0, "no child is left, 0 open in the output, loaded []\n")
-    assert sorted(os.listdir(out)) == ["config.json", f"sessions.{fmt}", f"timeseries.{fmt}"]
+    assert sorted(os.listdir(out)) == ["config.json", f"sessions.{fmt}", f"timeseries.{fmt}",
+                                       *[f"timeseries.{fmt}.cache"] * (fmt == "csv")]
     assert (out / f"timeseries.{fmt}").stat().st_size > 6_000_000
 
 
@@ -925,13 +931,16 @@ class TestRetention:
 
 # sha256 of the synth and featurize outputs for `synth --seed 11 --stations 4
 # --sessions-per-station 6:9`, as written by the per-sample implementation
-# (features.csv.cache, which came later, as first written).
+# (features.csv.cache and timeseries.csv.cache, which came later, as first
+# written).
 PINNED = {
     "csv": {
         "depot/sessions.csv": "9fc23330c72de7b0064467ac28f126c140990cb1497677fd820bc6a270c73afa",
         "depot/timeseries.csv": "e56840f3a60b615eb119b8afcb2ca645e325291f4280d963291042f44b7d5b9c",
         "feats/features.csv": "7e6e82f5b2c8763ab5c0197043dacd314e56798ca830207d1f6e4acde56dfc05",
         "feats/features.csv.cache": "c25c091a899213b0439acd85b713ba64c2c34e8bbe7ecf7e93adf56b349ef20e",
+        "depot/timeseries.csv.cache":
+            "56d5596afe91f13b9067cadfbae564e03a9bee6604ed66f3d29b689bd54f030c",
     },
     "jsonl": {
         "depot/sessions.jsonl": "5f75e70d607a60a7296c418a2baf8a7e7d260ba8573023b14ce0a70ada3fca89",

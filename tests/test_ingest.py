@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ingest_reference
 import synth_reference
-from conftest import T0, make_series, make_session
+from conftest import T0, make_series, make_session, uncached
 from fedcharge.cli import dispatch
 from fedcharge.ingest import (
     ParseError,
@@ -265,8 +265,9 @@ class TestRoundTrip:
         write_timeseries(tmp_path / f"timeseries.{ext}", series)
         parsed = parse_sessions(tmp_path / f"sessions.{ext}")
         assert parsed.records == sessions
-        parsed_ts = parse_timeseries(tmp_path / f"timeseries.{ext}")
-        assert parsed_ts.index == series
+        path = tmp_path / f"timeseries.{ext}"
+        assert parse_timeseries(path).index == series  # from the cache of a CSV file
+        assert parse_timeseries(uncached(path)).index == series
 
     def test_handwritten_records_roundtrip(self, tmp_path):
         sessions = [
@@ -282,6 +283,7 @@ class TestRoundTrip:
         write_timeseries(tmp_path / "t.csv", series)
         assert parse_sessions(tmp_path / "s.csv").records == sessions
         assert parse_timeseries(tmp_path / "t.csv").index == series
+        assert parse_timeseries(uncached(tmp_path / "t.csv")).index == series
 
 
 class TestGenerateSynthetic:

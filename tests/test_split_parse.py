@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference
-from conftest import children
+from conftest import children, uncached
 from fedcharge import csvio, ingest, pool
 from fedcharge.cli import dispatch
 from fedcharge.ingest import ParseError, parse_timeseries, write_timeseries
@@ -327,6 +327,7 @@ class TestSplitMemoryBound:
                                                           shuffled, factor):
         depot, block = tmp_path / "timeseries.csv", tmp_path / "block.csv"
         write_timeseries(depot, synthetic_index(5))  # over _SPLIT_BYTES
+        uncached(depot)
         lines = depot.read_bytes().splitlines(True)
         if shuffled:
             order = np.random.default_rng(0).permutation(len(lines) - 1)
@@ -501,8 +502,8 @@ def test_featurize_leaves_no_child_behind(tmp_path, strict):
     depot = tmp_path / "depot"
     assert dispatch(["synth", "--seed", "3", "--stations", "2", "--sessions-per-station", "3:3",
                      "--out", str(depot)]) == 0
+    series = uncached(depot / "timeseries.csv")
     if strict:  # a bad row in the back half
-        series = depot / "timeseries.csv"
         series.write_bytes(series.read_bytes() + b"x,not-a-time,1.0,32.0\r\n")
     src = str(Path(ingest.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
