@@ -39,7 +39,7 @@ import io
 import os
 import re
 import struct
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -72,60 +72,46 @@ class ParseError(ValueError):
 
 
 class Reader:
-    """The lines of path's bytes start to end (None: the end of the file),
-    start being 0 or a line start, numbered from 1 at start. .line is the
-    number of the next line to read.
-    """
+    """The lines of the file at path, numbered from 1."""
 
-    def __init__(self, path, start: int = 0, end: int | None = None):
-        self.path, self._span, self.line = Path(path), (start, end), 1
+    def __init__(self, path):
+        self.path = Path(path)
 
     def blocks(self):
         """(first line number, bytes, bare \\r count) per block of CHUNK_ROWS
-        lines, after a file's first line (a CSV header) on its own. The block
-        that runs past end is read whole and then cut there, so that its bytes
-        are checked as in a read of the whole file, whose block it is."""
-        start, end = self._span
+        lines, after a file's first line (a CSV header) on its own."""
+        line = 1
         with open(self.path, "rb", buffering=0) as fh:
-            fh.seek(start)
             lines = _Lines(fh)
-            for size in repeat(CHUNK_ROWS) if start else chain([1], repeat(CHUNK_ROWS)):
-                if end is not None and start >= end:
-                    return
+            for size in chain([1], repeat(CHUNK_ROWS)):
                 raw, breaks, bare = lines.take(size)
-                self._utf8(raw)
-                if end is not None and len(raw) > end - start:
-                    raw = raw[: end - start]
-                    breaks, bare = _line_breaks(raw)
+                self._utf8(raw, line)
                 if not raw:
                     return
-                start += len(raw)
-                yield self.line, raw, bare
-                self.line += breaks
+                yield line, raw, bare
+                line += breaks
 
-    def _utf8(self, raw: bytes) -> None:
-        """Bytes of a block read from line .line that are not UTF-8 raise a
+    def _utf8(self, raw: bytes, line: int) -> None:
+        """Bytes of a block read from line `line` that are not UTF-8 raise a
         ParseError naming the first one's line."""
         if not raw.isascii():
             try:
                 raw.decode()
             except UnicodeDecodeError as exc:
                 raise ParseError(
-                    self.path, self.line + _line_breaks(raw[: exc.start])[0],
+                    self.path, line + _line_breaks(raw[: exc.start])[0],
                     f"not valid UTF-8: {raw[exc.start : exc.end]!r} ({exc.reason})",
                 ) from None
 
     def rows(self, columns: list[str]):
-        """Yield the header, the file's first row whatever start is ([] for an
-        empty file), then (lines, cells, widths) per block of nonblank rows:
-        lines[i] is the line row i ends on, widths[i] its number of fields,
-        and cells[c][i] its field under columns[c] ("" when the header or the
-        row lacks it; a repeated name resolves to its last occurrence). A
-        plain block gives each column as a fixed-width byte array, whose cells
+        """Yield the header, the file's first row ([] for an empty file),
+        then (lines, cells, widths) per block of nonblank rows: lines[i] is
+        the line row i ends on, widths[i] its number of fields, and
+        cells[c][i] its field under columns[c] ("" when the header or the row
+        lacks it; a repeated name resolves to its last occurrence). A plain
+        block gives each column as a fixed-width byte array, whose cells
         decode to that text (texts()); other blocks give lists."""
         blocks = self.blocks()
-        if self._span[0]:  # the header is the file's first line
-            blocks = chain(islice(Reader(self.path).blocks(), 1), blocks)
         head = next(blocks, None)
         if head is None:
             yield []
@@ -162,11 +148,11 @@ def texts(cells) -> list:
 
 def _line_breaks(raw: bytes) -> tuple[int, int]:
     """(line breaks, bare \\r) in raw."""
-    ends, bare = line_ends(raw, 0, len(raw))
+    ends, bare = _line_ends(raw, 0, len(raw))
     return int(np.count_nonzero(ends)), bare
 
 
-def line_ends(raw, start: int, stop: int) -> tuple[np.ndarray, int]:
+def _line_ends(raw, start: int, stop: int) -> tuple[np.ndarray, int]:
     """(a mask of the bytes of raw[start:stop] that end a line, how many of
     them are a bare \\r): the reader's line rule. A \\n ends a line, and so
     does a \\r that no \\n follows in the range."""
@@ -195,11 +181,11 @@ class _Lines:
         while True:
             # A final \r is left for the next read, which may start with \n.
             stop = len(held) - (not self._eof and held.endswith(b"\r"))
-            ends, more_bare = line_ends(held, at, stop)
+            ends, more_bare = _line_ends(held, at, stop)
             found = int(np.count_nonzero(ends))
             if found >= need:
                 cut = at + int(np.flatnonzero(ends)[need - 1]) + 1
-                bare += more_bare and line_ends(held, at, cut)[1]
+                bare += more_bare and _line_ends(held, at, cut)[1]
                 need = 0
                 break
             need, bare = need - found, bare + more_bare

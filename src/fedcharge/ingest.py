@@ -34,30 +34,13 @@ columns, bound to the CSV's sha256. parse_timeseries takes it instead of
 parsing when it still holds the file's parse, and parses as below otherwise,
 so deleting it is always safe. JSON lines get no cache.
 
-Two cores. The split parse runs only for a CSV time-series file without a
-valid cache, such as a hand-written or foreign export. Such a file of at
-least _SPLIT_BYTES is cut at the first start of a serial read's block after
-_FRONT_SHARE of its bytes, unless a quote comes before that: only such a
-quote can open a field that runs on past the cut, so the file is read for
-one before anything is forked, and a file with one is parsed serially. One
-routine, _convert_range, converts the whole file in a serial parse and each
-half in a split one: the back in a worker started by pool.start_job, the
-front here. The back's line numbers are shifted by the front's lines and its
-session codes mapped onto the front's, so the result, issues and first
-error are a serial parse's. Each half reads the blocks a serial parse
-reads, so a byte that is not UTF-8 stops a parse before the rows of its
-block are converted, split or not. JSON lines stay serial, and so does
-every write. A file whose worker pool.start_job cannot fork is parsed
-serially, with the same result.
-
 Memory. A time-series parse holds one block and each column's pieces; they
 are joined a column at a time, so its peak stays under twice its result plus
-one block. A worker's pieces reach the parent as arrays of their own, with
-no second copy. When every row's (session, time) key is above the row
-before's, as synth and ingest write files, the rows are grouped and distinct
-already, and the sort and merge are skipped. A cached read holds one
-(3, rows) buffer, of which every series' columns are read-only slices. The
-writer holds one block of rows.
+one block. When every row's (session, time) key is above the row before's,
+as synth and ingest write files, the rows are grouped and distinct already,
+and the sort and merge are skipped. A cached read holds one (3, rows)
+buffer, of which every series' columns are read-only slices. The writer
+holds one block of rows.
 """
 
 from __future__ import annotations
@@ -89,16 +72,6 @@ TIMESERIES_COLUMNS = ["session_id", "timestamp", "current_a", "pilot_a"]
 _HEADER_LINE = (",".join(TIMESERIES_COLUMNS) + "\r\n").encode()  # as write_timeseries writes it
 SUFFIXES = (".csv", ".jsonl", ".ndjson", ".json")  # CSV, then the JSON-lines ones
 
-# A CSV time-series file at least _SPLIT_BYTES long is parsed in two halves
-# when this process can fork. Starting the worker (the fork, its pipes and
-# reaping it) costs about 4 ms in a fresh process, which the second core wins
-# back from about 2.1 MB of depot-style CSV on: below, serial is as fast or
-# faster (timed in fresh featurize processes).
-_SPLIT_BYTES = 2_100_000
-
-_FRONT_SHARE = 0.47  # this process's share of a split file: it also forks and merges
-_SCAN = 1 << 17  # bytes _split_at reads at a time: numpy's passes over them stay in cache
-
 # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
 _FIRST_SECOND, _LAST_SECOND = -62_135_596_800, 253_402_300_799
 
@@ -125,25 +98,31 @@ def _is_csv(path: Path) -> bool:
     return suffix == ".csv"
 
 
-def _read_chunks(path: Path, columns: list[str], reader: csvio.Reader | None = None):
+def _read_chunks(path: Path, columns: list[str], required: list[tuple[str, ...]]):
     """Yield (lines, cells, absent, errors) per block of nonblank rows, in file
-    order, of the range that reader reads (all of it when None).
+    order.
 
     lines[i] is the physical line that row i ends on; cells[c][i] is the value
     of columns[c] in row i, equal to `absent` when the field is absent: "" for
     CSV (an empty cell or a missing field; cells as csvio.Reader.rows gives
     them), None for JSON lines (null or a missing key). errors maps a row to
     the exception its line raised (malformed JSON); such a row has every
-    field absent.
+    field absent. A CSV header that holds none of the names of a tuple in
+    required, so that no row could be valid, raises a ParseError on line 1
+    in either mode, naming what it lacks and showing the header as read (a
+    byte-order mark included).
     """
-    reader = reader or csvio.Reader(path)
     if _is_csv(path):
-        rows = reader.rows(columns)
-        next(rows)  # the header
+        rows = csvio.Reader(path).rows(columns)
+        header = next(rows)
+        missing = [" or ".join(names) for names in required if not set(names) & set(header)]
+        if missing and path.stat().st_size:  # an empty file has no header and no row
+            lacks = ", ".join(f"no {names} column" for names in missing)
+            raise ParseError(path, 1, f"the header has {lacks}: it reads {header!r}")
         for lines, cells, _ in rows:  # a field a short row lacks reads as absent
             yield lines, cells, "", {}
         return
-    for first, raw, _ in reader.blocks():
+    for first, raw, _ in csvio.Reader(path).blocks():
         numbered = [
             (n, _json_object(obj)) for n, line in
             enumerate(io.StringIO(raw.decode(), newline=None), start=first)
@@ -204,7 +183,8 @@ def parse_sessions(path, strict: bool = False) -> SessionParseResult:
     path = Path(path)
     records: list[SessionRecord] = []
     issues: list[tuple[int, str]] = []
-    for lines, cells, absent, errors in _read_chunks(path, SESSION_COLUMNS):
+    required = [("session_id",), ("connection_time",)]
+    for lines, cells, absent, errors in _read_chunks(path, SESSION_COLUMNS, required):
         values, suspect = _session_columns(cells, absent)
         suspect[list(errors)] = True
         for i, (lineno, row, odd) in enumerate(zip(lines, zip(*values), suspect.tolist())):
@@ -369,39 +349,20 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     timestamp) pairs merge last-write-wins in file order; negative readings
     are clamped to 0. Both are counted in the result.
 
-    _convert_range converts the file, and rows are sorted only if out of
-    order. A CSV file that _split_at cuts is converted in two ranges when
-    this process can fork: a worker converts the back while this process
-    converts the front, and the merge shifts the back's line numbers and
-    maps its session codes onto the front's, so the result is the one a
-    serial parse gives. A CSV file that write_timeseries wrote is not parsed
-    at all when the cache it left beside it still holds its result
-    (_read_cache).
+    Rows are converted a block at a time (_convert) and sorted only if out
+    of order. A CSV file that write_timeseries wrote is not parsed at all
+    when the cache it left beside it still holds its result (_read_cache).
     """
     path = Path(path)
     if _is_csv(path) and (cached := _read_cache(path)) is not None:
         return cached
-    split, job = _split_at(path), None
-    if split is not None:
-        from . import pool  # a serial parse never loads it
-        job = pool.start_job(_convert_range, (path, split, None, strict),
-                             f"{path}: the worker parsing its back half")
-    with job or nullcontext():
-        lines, issues, parts, code_of = _convert_range((path, 0, split if job else None, strict))
-        if job:  # the worker numbers its lines from 1 and codes its ids from 0
-            try:
-                _, back_issues, back, back_ids = job.result()
-            except ParseError as exc:
-                raise ParseError(path, lines + exc.line_number, exc.reason) from None
-            issues += [(lines + line, text) for line, text in back_issues]
-            ranks = np.array([code_of.setdefault(sid, len(code_of)) for sid in back_ids], np.int32)
-            for codes in back[0]:
-                np.take(ranks, codes, out=codes)
-            parts = [mine + theirs for mine, theirs in zip(parts, back)]
-            del back, back_ids  # so that the join frees them
-
-    # One column at a time, its source popped and freed before the next.
-    columns = [np.concatenate(parts.pop(0)) for _ in range(4)]
+    issues, code_of = [], {}  # code_of ranks the ids by their first valid row
+    required = [("session_id",), ("timestamp",), ("current_a", "pilot_a")]
+    blocks = [_convert(path, chunk, strict, issues, code_of)
+              for chunk in _read_chunks(path, TIMESERIES_COLUMNS, required)]
+    # One column at a time, each block's piece popped and freed as it is joined.
+    columns = [np.concatenate([np.empty(0, dtype), *(block.pop(0) for block in blocks)])
+               for dtype in (np.int32, np.int64, float, float)]
     n_rows = len(columns[0])
     n_clamped = 0
     for values in columns[2:]:
@@ -418,7 +379,7 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     codes, t, current, pilot = columns
     for column in columns[1:]:
         column.flags.writeable = False
-    bounds = np.searchsorted(codes, np.arange(len(code_of) + 1)).tolist()
+    bounds = np.searchsorted(codes, np.arange(len(code_of) + 1, dtype=codes.dtype)).tolist()
     index = {
         sid: SessionSeries._unchecked(t[lo:hi], current[lo:hi], pilot[lo:hi])
         for sid, lo, hi in zip(code_of, bounds, bounds[1:])
@@ -431,28 +392,10 @@ def parse_timeseries(path, strict: bool = False) -> TimeSeriesParseResult:
     )
 
 
-def _convert_range(job):
-    """(line count, issues, per column (session code, t, current, pilot) its
-    pieces, {session id: code}) of a time-series file's lines from byte
-    start to end (None: the end of the file), read by the file's header and
-    numbered from 1 at start; codes rank the ids by their first valid row.
-    A serial parse converts the whole file with it, a split parse each half.
-    """
-    path, start, end, strict = job
-    reader, issues, code_of = csvio.Reader(path, start, end), [], {}
-    parts = [[np.empty(0, dtype)] for dtype in (np.int32, np.int64, float, float)]
-    for chunk in _read_chunks(path, TIMESERIES_COLUMNS, reader):
-        heads, lengths, columns = _convert(path, chunk, strict, issues)
-        codes = np.array([code_of.setdefault(sid, len(code_of)) for sid in heads], np.int32)
-        for part, column in zip(parts, (np.repeat(codes, lengths), *columns)):
-            part.append(column)
-    return reader.line - 1, issues, parts, code_of
-
-
-def _convert(path: Path, chunk, strict: bool, issues: list):
-    """(run-head session ids, run lengths, (t, current, pilot)) of a chunk's
-    valid rows. The other rows' issues are appended to issues; in strict
-    mode the first raises a ParseError."""
+def _convert(path: Path, chunk, strict: bool, issues: list, code_of: dict) -> list:
+    """[session code, t, current, pilot] of a chunk's valid rows, each a
+    column; an id new to code_of gets the next code. The other rows' issues
+    are appended to issues; in strict mode the first raises a ParseError."""
     lines, cells, absent, errors = chunk
     sids, stamps, currents, pilots = cells
     t, suspect = _canonical_seconds(stamps)
@@ -480,47 +423,9 @@ def _convert(path: Path, chunk, strict: bool, issues: list):
     head = np.ones(len(kept), dtype=bool)
     head[1:] = kept[1:] != kept[:-1]
     starts = np.flatnonzero(head)
+    codes = [code_of.setdefault(sid, len(code_of)) for sid in csvio.texts(kept[starts])]
     lengths = np.diff(starts, append=len(kept))
-    return csvio.texts(kept[starts]), lengths, (t[rows], current[rows], pilot[rows])
-
-
-def _split_at(path: Path) -> int | None:
-    """Where a split parse of path cuts it: the first start of a serial read's
-    block (line 2 + k * csvio.CHUNK_ROWS) after _FRONT_SHARE of its bytes,
-    so that each half reads the blocks a serial parse reads. None when the
-    file is not CSV, is under _SPLIT_BYTES or has no such block, or when a
-    quote comes before it: only such a quote can open a field that runs on
-    past the cut. Lines are found by csvio.line_ends, the reader's rule, in
-    _SCAN bytes at a time.
-    """
-    if not _is_csv(path):
-        return None
-    size = path.stat().st_size
-    if size < _SPLIT_BYTES:
-        return None
-    share, rows = int(size * _FRONT_SHARE), csvio.CHUNK_ROWS
-    buf, held = bytearray(_SCAN), 0  # buf[:held]: a \r that ended the last read
-    at, seen, target = 0, 0, None  # buf's offset, line ends before it, the line end to cut after
-    with open(path, "rb", buffering=0) as fh:
-        while n := held + fh.readinto(memoryview(buf)[held:]):
-            stop = n - (buf[n - 1] == ord("\r") and at + n < size)  # it may begin a \r\n
-            ends = csvio.line_ends(buf, 0, stop)[0]
-            if target is None and at + stop <= share:
-                found = int(np.count_nonzero(ends))
-            else:
-                ends = np.flatnonzero(ends)
-                found = len(ends)
-                if target is None:  # the last line end of the block that the share is in
-                    before = seen + int(np.searchsorted(ends, share - at))
-                    target = 1 + rows * -(-before // rows)
-                if target - seen <= found:
-                    cut = at + int(ends[target - seen - 1]) + 1
-                    return None if buf.find(b'"', 0, cut - at) >= 0 or cut == size else cut
-            if buf.find(b'"', 0, stop) >= 0:
-                return None
-            buf[: n - stop] = buf[stop:n]
-            at, seen, held = at + stop, seen + found, n - stop
-    return None
+    return [np.repeat(np.array(codes, np.int32), lengths), t[rows], current[rows], pilot[rows]]
 
 
 def _rising(codes: np.ndarray, t: np.ndarray) -> np.ndarray:

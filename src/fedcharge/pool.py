@@ -1,14 +1,14 @@
 """Forked worker processes, and the pool that trains FedAvg clients on them.
 
-Workers is the package's one fork implementation. Its users are ClientPool
-(below), which trains federation's FedAvg clients, and start_job, whose one
-worker converts the back half of a large CSV time-series file for ingest's
-parse. Workers raises CannotFork, leaving no worker, where this process
-cannot fork: with fewer than two usable CPUs, no os.fork, in a daemonic
-multiprocessing process or when a fork raises OSError. ClientPool also
-raises it, before it forks or sets a thread count, where the OpenBLAS thread
-count cannot be set (blas_threads() is None). Each user then does all of its
-work here; every such condition of the host is decided in this module.
+Workers is the package's one fork implementation: n processes answering
+framed messages over pipes. Its one user is ClientPool (below), which trains
+federation's FedAvg clients. Workers raises CannotFork, leaving no worker,
+where this process cannot fork: with fewer than two usable CPUs, no os.fork,
+in a daemonic multiprocessing process or when a fork raises OSError.
+ClientPool also raises it, before it forks or sets a thread count, where the
+OpenBLAS thread count cannot be set (blas_threads() is None). federation
+then trains every client in this process; every such condition of the host
+is decided in this module.
 
 A worker is forked by os.fork with SIGINT blocked and then ignores it, so a
 ^C reaches only the parent, which kills its workers. stdout and stderr are
@@ -270,13 +270,6 @@ class Workers:
             raise value
         return value
 
-    def shut(self) -> None:
-        """Close this process's ends of the pipes: each worker exits when it
-        is done with its current message."""
-        for fd in (fd for ends in self._fds for fd in ends):
-            os.close(fd)
-        self._fds = []
-
     def close(self, clean: bool = True) -> None:
         """Stop the workers and reap them; clean lets each one finish its
         current message first, else they are killed. Closing twice does
@@ -284,38 +277,12 @@ class Workers:
         pids = [pid for pid in self._pids if pid is not None]
         for pid in pids if not clean else ():
             os.kill(pid, signal.SIGKILL)
-        self.shut()
+        for fd in (fd for ends in self._fds for fd in ends):
+            os.close(fd)  # each worker exits when done with its current message
+        self._fds = []
         for pid in pids:
             os.waitpid(pid, 0)
         self._pids = []
-
-
-def start_job(handle, job, name: str) -> "_Job | None":
-    """handle(job), started in one forked worker, or None where this process
-    cannot fork (CannotFork) and so does the job itself."""
-    with suppress(CannotFork):
-        worker = _Job(handle, name)
-        worker.send(0, job)
-        return worker
-    return None
-
-
-class _Job(Workers):
-    """One worker answering one job while this process goes on; its with-block reaps it."""
-
-    def __init__(self, handle, name: str):
-        self._name = name
-        super().__init__(1, handle)
-
-    def died(self, pid: int, code: int) -> str:
-        return f"{self._name} exited with code {code}"
-
-    def result(self):
-        """handle(job), or the exception it raised; then the pipes close."""
-        try:
-            return self.recv(0)
-        finally:
-            self.shut()
 
 
 class ClientPool(Workers):

@@ -101,20 +101,6 @@ def no_stray_processes():
     assert not stray, f"processes left behind: {stray}"
 
 
-@pytest.fixture
-def deadline():
-    """A parent that would wait on its workers forever fails its test instead
-    of hanging the suite."""
-    def expire(signum, frame):
-        raise TimeoutError("the test ran for over 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.fixture(scope="session")
 def dataset_cfg():
     return DatasetConfig()

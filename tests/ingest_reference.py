@@ -1,8 +1,7 @@
 """Reference parsers, writers and block reader: the per-row parsers, the
-per-session time-series writer, the per-value sessions writer, the
-text-mode block reader and the block-by-block search for a split parse's
-cut that the batched ones in fedcharge.ingest and fedcharge.csvio replaced,
-kept as test oracles.
+per-session time-series writer, the per-value sessions writer and the
+text-mode block reader that the batched ones in fedcharge.ingest and
+fedcharge.csvio replaced, kept as test oracles.
 
 They read one row at a time through csv.DictReader (or json.loads for JSON
 lines) and apply the row rules in the same order; the time-series parser
@@ -15,7 +14,6 @@ The sessions writer formats each time through a datetime.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from datetime import datetime, timedelta, timezone
@@ -24,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedcharge import csvio, ingest
+from fedcharge import csvio
 from fedcharge.csvio import csv_text
 from fedcharge.ingest import (
     SESSION_COLUMNS,
@@ -257,27 +255,17 @@ def write_sessions(path, sessions: list[SessionRecord]) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def blocks(path, start: int = 0, end: int | None = None):
-    """csvio.Reader(path, start, end).blocks() read as text: (first line
-    number, bytes, bare \\r count) per block of csvio.CHUNK_ROWS lines, after
-    a file's first line on its own. The text is read with newline="", so
-    that lines end as the csv module ends them, and each block is encoded
-    back to its bytes. The block that runs past end is read whole, checked,
-    and then cut there."""
+def blocks(path):
+    """csvio.Reader(path).blocks() read as text: (first line number, bytes,
+    bare \\r count) per block of csvio.CHUNK_ROWS lines, after a file's first
+    line on its own. The text is read with newline="", so that lines end as
+    the csv module ends them, and each block is encoded back to its bytes."""
     line = 1
-    file = open(path, "rb")
-    file.seek(start)
-    with io.TextIOWrapper(file, encoding="utf-8", errors="surrogateescape",
-                          newline="") as fh:
-        rows = csvio.CHUNK_ROWS
-        for size in repeat(rows) if start else chain([1], repeat(rows)):
-            if end is not None and start >= end:
-                return
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for size in chain([1], repeat(csvio.CHUNK_ROWS)):
             raw = _utf8(path, line, "".join(islice(fh, size)))
-            raw = raw[: None if end is None else end - start]
             if not raw:
                 return
-            start += len(raw)
             breaks, bare = _line_breaks(raw)
             yield line, raw, bare
             line += breaks
@@ -306,31 +294,3 @@ def _line_breaks(raw: bytes) -> tuple[int, int]:
     cr = np.flatnonzero(buf[:-1] == ord("\r"))
     bare = int(np.count_nonzero(buf[cr + 1] != ord("\n"))) + raw.endswith(b"\r")
     return int(np.count_nonzero(buf == ord("\n"))) + bare, bare
-
-
-def block_start(path, after: int) -> int | None:
-    """The first offset past byte `after` at which Reader(path).blocks()
-    starts a block or ends; None when a quote comes before it. The bytes
-    before it are not checked to be UTF-8."""
-    end = 0
-    with open(path, "rb", buffering=0) as fh:
-        lines = csvio._Lines(fh)
-        for size in chain([1], repeat(csvio.CHUNK_ROWS)):
-            raw = lines.take(size)[0]
-            if not raw or b'"' in raw:
-                return None
-            end += len(raw)
-            if end > after:
-                return end
-
-
-def split_at(path: Path) -> int | None:
-    """ingest._split_at through block_start, which cuts the front into the
-    reader's blocks to find the cut."""
-    if not _is_csv(path):
-        return None
-    size = path.stat().st_size
-    if size < ingest._SPLIT_BYTES:
-        return None
-    cut = block_start(path, int(size * ingest._FRONT_SHARE))
-    return cut if cut is not None and cut < size else None

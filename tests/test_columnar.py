@@ -6,6 +6,9 @@
   boundaries. One CSV strategy puts blank or short rows into nearly every
   file, so csv.reader reads them; the other writes mostly plain rows, which
   the byte tokenizer reads, with an occasional line that is not plain.
+  Named files put issues, quotes, a bare CR, duplicates and new sessions in
+  blocks far apart, and the first of a fault and a byte that is not UTF-8
+  is the one a block-by-block read meets first.
 * Session ids are looked up once per run of equal ids; interleaved ids,
   rescued rows, invalid first rows and empty ids inside a run still give the
   reference's index and order.
@@ -22,7 +25,8 @@
   numpy's datetime_as_string over the whole range of years 1-9999, and it
   refuses values its parser would reject. Writing then parsing any index
   gives it back. A synth whose time series is over 5 MB writes it in its
-  own process, leaving no child, no open file and no temporary file.
+  own process, leaving no child, no open file and no temporary file, and a
+  featurize parses a time series without its cache in its own process.
 * Retention is idempotent, and the early window matches a brute-force scan
   with datetimes for any window length. Session times are whole epoch
   seconds, as the sessions writer and the window take them.
@@ -355,7 +359,7 @@ class TestTokenizer:
         with mock.patch.object(csvio, "CHUNK_ROWS", 2):
             chunks = [
                 (list(lines), type(cells[0]).__name__)
-                for lines, cells, _, _ in ingest._read_chunks(path, TIMESERIES_COLUMNS)
+                for lines, cells, _, _ in ingest._read_chunks(path, TIMESERIES_COLUMNS, [])
             ]
         assert chunks == [
             ([2, 3], "ndarray"), ([5], "list"),
@@ -380,7 +384,7 @@ class TestTokenizer:
             mock.patch.object(csvio, "CHUNK_ROWS", 2),
             mock.patch.object(csvio, "_reader_chunks", reader_chunks),
         ):
-            lines = [list(lines) for lines, *_ in ingest._read_chunks(path, TIMESERIES_COLUMNS)]
+            lines = [list(lines) for lines, *_ in ingest._read_chunks(path, TIMESERIES_COLUMNS, [])]
         assert lines == [[2, 3], [4, 5], [6]]
         assert blocks == [("".join(rows[k : k + 2])).encode() for k in (0, 2, 4)]
 
@@ -392,7 +396,7 @@ class TestTokenizer:
         path = tmp_path / "timeseries.csv"
         path.write_text(HEADER + "".join(rows), encoding="utf-8", newline="")
         with mock.patch.object(csvio, "CHUNK_ROWS", 2):
-            chunks = list(ingest._read_chunks(path, TIMESERIES_COLUMNS))
+            chunks = list(ingest._read_chunks(path, TIMESERIES_COLUMNS, []))
             parsed = parse_timeseries(path)
         assert [type(cells[2]).__name__ for _, cells, _, _ in chunks] == ["ndarray", "ndarray"]
         assert parsed.index["s1"].current.tolist() == [16.0, 16.5, 16.0, 16.0]
@@ -408,9 +412,17 @@ class TestTokenizer:
         assert values[-1] == 1.0 and bad.tolist() == [False] * 3 + [True, True, False, True, False]
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 32_768])
-    def test_one_column_file_skips_blank_lines(self, chunk_rows):
+    def test_one_column_file_skips_blank_lines(self, tmp_path, chunk_rows):
         # With one field per line, a blank line has the header's field count.
-        assert_same_as_reference("sessions.csv", "session_id\r\ns1\r\n\r\ns2\n\ns3", chunk_rows)
+        path = tmp_path / "sessions.csv"
+        path.write_bytes(b"session_id\r\ns1\r\n\r\ns2\n\ns3")
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
+            rows = csvio.Reader(path).rows(["session_id"])
+            assert next(rows) == ["session_id"]
+            ours = [(line, sid) for lines, (cells,), _ in rows
+                    for line, sid in zip(lines, csvio.texts(cells))]
+        assert ours == [(line, row["session_id"]) for line, row in ingest_reference.iter_rows(path)]
+        assert ours == [(2, "s1"), (4, "s2"), (6, "s3")]
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 32_768])
     @pytest.mark.parametrize("before", [
@@ -514,6 +526,120 @@ class TestInOrderCheck:
     @pytest.mark.parametrize("name", ["in order", "shuffled"])
     def test_jsonl_matches_reference(self, name):
         assert_same_as_reference("timeseries.jsonl", as_jsonl(order_case(name, 2)), 2)
+
+
+N_NAMED = 40
+
+
+def named_case(name: str) -> str:
+    """N_NAMED readings of sessions A, B and C in order, with a row or two
+    changed near the start, near the end or both, so that what the case
+    names falls in blocks far apart at 1 or 2 lines a block and in one block
+    at 8,192."""
+    n = N_NAMED
+    rows: list = [("ABC"[3 * i // n], i, f"{i}.0") for i in range(n)]
+    if name == "issues near both ends":  # strict mode stops at the first
+        rows[3] = ("A", 3, "abc")
+        rows[n - 4] = "C,not-a-time,1.0,32.0\r\n"
+    elif name == "stamps outside years 1-9999 near both ends":  # in UTC, once offset
+        rows[3] = "A,0001-01-01T00:00:00+01:00,3.0,32.0\r\n"
+        rows[n - 4] = "C,9999-12-31T23:59:59-01:00,36.0,32.0\r\n"
+    elif name == "quote near the start":  # csv.reader reads from its block on
+        rows[3] = ("A", 3, '"3.0"')
+    elif name == "quote near the end":
+        rows[n - 4] = ("C", n - 4, '"36.0"')
+    elif name == "bare cr near the start":  # a line end that no \n counts
+        rows[3] = reading_line(3, "A", "3.0").replace("\r\n", "\r")
+    elif name == "duplicates far apart":  # the later row wins
+        rows += [("A", 2, "-2.0"), ("B", 14, "-14.0")]
+    elif name == "a row far out of order":
+        rows.insert(n - 2, ("A", -5, "-5.0"))
+    elif name == "new sessions near both ends":
+        rows[n - 3], rows[2] = ("Y", 0, "1.0"), ("Z", 0, "1.0")
+        rows.insert(n - 1, ("Z", 1, "2.0"))
+    elif name == "no valid row in the first two thirds":  # B ranks first
+        rows = [(sid, i, "abc" if i < 2 * n // 3 else current) for sid, i, current in rows]
+        rows.append(("D", 0, "1.0"))
+    elif name == "a session that comes back":  # A, B, then A again
+        rows = [("ABA"[3 * i // n], i, current) for _, i, current in rows]
+    return run_lines(rows)
+
+
+NAMED_CASES = ["in order", "issues near both ends", "quote near the start",
+               "quote near the end", "bare cr near the start", "duplicates far apart",
+               "a row far out of order", "new sessions near both ends",
+               "no valid row in the first two thirds", "a session that comes back",
+               "stamps outside years 1-9999 near both ends"]
+
+
+class TestNamedCases:
+    """Named files against the reference, lenient and strict, at 1, 2 and
+    8,192 lines a block; and the first of two faults, in one block or two,
+    when the reference cannot read the file."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
+    @pytest.mark.parametrize("name", NAMED_CASES)
+    def test_matches_reference(self, name, chunk_rows):
+        assert_same_as_reference("timeseries.csv", named_case(name), chunk_rows)
+
+    def test_cases_place_their_rows_as_named(self, tmp_path):
+        path = tmp_path / "timeseries.csv"
+
+        def parsed(name: str):
+            path.write_text(named_case(name), newline="")
+            return parse_timeseries(path)
+
+        assert [line for line, _ in parsed("issues near both ends").issues] == [5, N_NAMED - 2]
+        lenient = parsed("no valid row in the first two thirds")
+        assert [line for line, _ in lenient.issues] == list(range(2, 2 + 2 * N_NAMED // 3))
+        assert list(lenient.index) == ["B", "C", "D"]
+        assert list(parsed("a session that comes back").index) == ["A", "B"]
+
+    @pytest.mark.parametrize("where", ["end of a block", "start of the next block"])
+    def test_a_quote_at_a_block_edge(self, where):
+        """At 2 lines a block, line 22 starts a block: a quote ends line 21
+        or starts line 22, and csv.reader reads from its block on."""
+        lines = named_case("in order").splitlines(True)
+        edge = len("".join(lines[:21]))
+        at = {"end of a block": edge - 3, "start of the next block": edge}[where]
+        text = "".join(lines)
+        assert_same_as_reference("timeseries.csv", text[:at] + '"' + text[at + 1 :], 2)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
+    @pytest.mark.parametrize("bad, line", [([5], 5), ([N_NAMED - 2], N_NAMED - 2),
+                                           ([5, N_NAMED - 2], 5)],
+                             ids=["line 5", "line 38", "lines 5 and 38"])
+    def test_bytes_not_utf8_name_the_first_line(self, tmp_path, bad, line, chunk_rows):
+        lines = named_case("in order").encode().splitlines(True)
+        for k in bad:
+            lines[k - 1] = lines[k - 1].replace(b"32.0", b"3\xff2.0")
+        path = tmp_path / "timeseries.csv"
+        path.write_bytes(b"".join(lines))
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
+            for strict in (False, True):
+                with pytest.raises(ParseError) as info:
+                    parse_timeseries(path, strict=strict)
+                assert str(info.value) == \
+                    f"{path}:{line}: not valid UTF-8: b'\\xff' (invalid start byte)"
+
+    @pytest.mark.parametrize("chunk_rows, first", [(2, "fault"), (4, "byte"), (8192, "byte")])
+    def test_a_fault_and_a_bad_byte(self, tmp_path, chunk_rows, first):
+        """`abc` on line 23 and a byte that is not UTF-8 on line 24. A block's
+        bytes are checked before its rows are converted, so where one block
+        holds both lines (lines 22-25 at 4 a block) the byte stops a strict
+        parse first; at 2 lines a block the fault's block comes first."""
+        lines = named_case("in order").encode().splitlines(True)
+        lines[22] = lines[22].replace(b"32.0", b"abc")
+        lines[23] = lines[23].replace(b"32.0", b"3\xff2.0")
+        path = tmp_path / "timeseries.csv"
+        path.write_bytes(b"".join(lines))
+        byte = f"{path}:24: not valid UTF-8: b'\\xff' (invalid start byte)"
+        fault = f"{path}:23: could not convert string to float: 'abc'"
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk_rows):
+            for strict in (False, True):
+                with pytest.raises(ParseError) as info:
+                    parse_timeseries(path, strict=strict)
+                assert str(info.value) == (fault if strict and first == "fault" else byte)
 
 
 class TestCheckedSeries:
@@ -742,15 +868,18 @@ class TestWriterOracle:
         assert not path.exists()
 
 
-# `python -m fedcharge ARGS`, then a report on stderr: whether a child process
-# is left, how many file descriptors are still open in the output directory,
-# and which modules that a forked or spooled write would need the run loaded
-# (site may load tempfile before the run starts).
+# `python -m fedcharge ARGS` at CHUNK_ROWS lines a block, then a report on
+# stderr: whether a child process is left, how many file descriptors are still
+# open in the output directory, and which modules that a forked or spooled
+# write or parse would need the run loaded (site may load tempfile before the
+# run starts).
 LEFT_BEHIND = r"""
 import os, runpy, sys
 out, code = os.path.realpath(sys.argv[-1]), 0
 before = set(sys.modules)
-sys.argv = ["fedcharge", *sys.argv[1:]]
+from fedcharge import csvio
+csvio.CHUNK_ROWS = int(sys.argv[1])
+sys.argv = ["fedcharge", *sys.argv[2:]]
 try:
     runpy.run_module("fedcharge", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -772,24 +901,49 @@ sys.exit(code)
 """
 
 
+def left_behind(chunk_rows: int, *argv: str) -> subprocess.CompletedProcess:
+    """LEFT_BEHIND run on argv, whose last item is the output directory."""
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", LEFT_BEHIND, str(chunk_rows), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files by /proc")
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_synth_leaves_no_child_or_temporary_file_behind(tmp_path, fmt):
     """A time-series file of over 5 MB is written in the synth process, a
     block at a time: no worker, no temporary file."""
-    src = str(Path(ingest.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = tmp_path / "depot"
-    argv = ["synth", "--seed", "3", "--stations", "10", "--sessions-per-station", "80:100",
-            "--format", fmt, "--out", str(out)]
-    proc = subprocess.run([sys.executable, "-c", LEFT_BEHIND, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = left_behind(csvio.CHUNK_ROWS, "synth", "--seed", "3", "--stations", "10",
+                       "--sessions-per-station", "80:100", "--format", fmt, "--out", str(out))
     assert (proc.returncode, proc.stderr) == (
         0, "no child is left, 0 open in the output, loaded []\n")
     assert sorted(os.listdir(out)) == ["config.json", f"sessions.{fmt}", f"timeseries.{fmt}",
                                        *[f"timeseries.{fmt}.cache"] * (fmt == "csv")]
     assert (out / f"timeseries.{fmt}").stat().st_size > 6_000_000
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files by /proc")
+@pytest.mark.parametrize("strict", [False, True])
+def test_featurize_leaves_no_child_behind(tmp_path, strict):
+    """A time-series file without its cache is parsed in the featurize
+    process, a block of 64 lines at a time, lenient or strict: no worker,
+    and neither multiprocessing nor the pool loaded."""
+    depot = tmp_path / "depot"
+    assert dispatch(["synth", "--seed", "3", "--stations", "2", "--sessions-per-station", "3:3",
+                     "--out", str(depot)]) == 0
+    series = uncached(depot / "timeseries.csv")
+    assert series.read_bytes().count(b"\n") > 4 * 64
+    if strict:  # a bad row on the last line
+        series.write_bytes(series.read_bytes() + b"x,not-a-time,1.0,32.0\r\n")
+    proc = left_behind(64, "featurize", "--in", str(depot), *["--strict"] * strict,
+                       "--out", str(tmp_path / "features"))
+    assert proc.returncode == strict
+    assert proc.stderr.endswith("no child is left, 0 open in the output, loaded []\n")
+    if strict:
+        assert "not-a-time" in proc.stderr
 
 
 # Session ids that need quoting; times in any year, the first and last

@@ -195,6 +195,109 @@ class TestParseTimeseries:
             assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
 
+class TestHeader:
+    """A CSV header without a column that every valid row needs stops the
+    parse on line 1 in either mode, naming the column and showing the header
+    as read; one that only reorders the columns parses as before."""
+
+    SESSIONS = {
+        "a byte-order mark": ("\ufeff", "", "no session_id column"),
+        "no connection_time": ("", "connection_time", "no connection_time column"),
+    }
+    SERIES = {
+        "no timestamp": (("timestamp",), "no timestamp column"),
+        "no current_a or pilot_a": (("current_a", "pilot_a"),
+                                    "no current_a or pilot_a column"),
+        "no session_id or timestamp": (("session_id", "timestamp"),
+                                       "no session_id column, no timestamp column"),
+    }
+
+    @staticmethod
+    def raises(parse, path, message: str) -> None:
+        header = path.read_text(encoding="utf-8").splitlines()[0].split(",")
+        for strict in (False, True):
+            with pytest.raises(ParseError) as info:
+                parse(path, strict=strict)
+            assert str(info.value) == f"{path}:1: the header has {message}: it reads {header!r}"
+
+    @pytest.mark.parametrize("case", sorted(SESSIONS))
+    def test_sessions(self, tmp_path, case):
+        prefix, renamed, message = self.SESSIONS[case]
+        text = prefix + SESSIONS_CSV
+        if renamed:
+            text = text.replace(renamed, "time", 1)
+        path = tmp_path / "sessions.csv"
+        path.write_text(text, encoding="utf-8")
+        self.raises(parse_sessions, path, message)
+
+    @pytest.mark.parametrize("case", sorted(SERIES))
+    def test_timeseries(self, tmp_path, case):
+        renamed, message = self.SERIES[case]
+        text = TIMESERIES_CSV
+        for name in renamed:
+            text = text.replace(name, f"{name[:4]}x", 1)
+        path = tmp_path / "timeseries.csv"
+        path.write_text(text)
+        self.raises(parse_timeseries, path, message)
+
+    def test_one_reading_column_is_enough(self, tmp_path):
+        path = tmp_path / "timeseries.csv"
+        path.write_text(TIMESERIES_CSV.replace("pilot_a", "pilot", 1))
+        assert len(parse_timeseries(path, strict=True).index["s1"]) == 2
+
+    def test_an_empty_file_has_no_header_to_check(self, tmp_path):
+        path = tmp_path / "sessions.csv"
+        path.write_text("")
+        assert parse_sessions(path, strict=True).records == []
+
+    def test_a_blank_first_line_is_a_header_of_no_column(self, tmp_path):
+        path = tmp_path / "timeseries.csv"
+        path.write_text("\n" + TIMESERIES_CSV)
+        with pytest.raises(ParseError, match=r":1: the header has no session_id column, no "
+                                             r"timestamp column, no current_a or pilot_a "
+                                             r"column: it reads \[\]$"):
+            parse_timeseries(path)
+
+    def test_a_quote_that_runs_the_header_on(self, tmp_path):
+        """A quote opening the header runs it on to the end of the file: one
+        field, no column."""
+        path = tmp_path / "timeseries.csv"
+        path.write_text('"' + TIMESERIES_CSV[1:])
+        with pytest.raises(ParseError, match=":1: the header has no session_id column, no "
+                                             "timestamp column, no current_a or pilot_a column"):
+            parse_timeseries(path)
+
+    @pytest.mark.parametrize("name, text, parse", [
+        ("sessions.csv", SESSIONS_CSV, parse_sessions),
+        ("timeseries.csv", TIMESERIES_CSV, parse_timeseries),
+    ])
+    def test_reordered_columns_parse_as_before(self, tmp_path, name, text, parse):
+        path = tmp_path / name
+        path.write_text(text)
+        expected = parse(path, strict=True)
+        rows = [line.split(",") for line in text.splitlines()]
+        path.write_text("".join(",".join(row[::-1]) + "\n" for row in rows))
+        assert parse(path, strict=True) == expected
+
+    def test_featurize_names_the_sessions_file(self, tmp_path, capsys):
+        """A spreadsheet's byte-order mark on sessions.csv and a renamed
+        timestamp column: featurize stops at the first file it parses."""
+        depot, bom = tmp_path / "depot", tmp_path / "bom"
+        assert dispatch(["synth", "--seed", "7", "--stations", "4",
+                         "--sessions-per-station", "10:12", "--out", str(depot)]) == 0
+        bom.mkdir()
+        sessions = (depot / "sessions.csv").read_bytes()
+        (bom / "sessions.csv").write_bytes("\ufeff".encode() + sessions)
+        series = (depot / "timeseries.csv").read_bytes()
+        (bom / "timeseries.csv").write_bytes(series.replace(b"timestamp", b"time", 1))
+        capsys.readouterr()
+        assert dispatch(["featurize", "--in", str(bom), "--out", str(tmp_path / "out")]) == 1
+        header = ("\ufeff" + sessions.decode()).split("\r\n")[0].split(",")
+        assert capsys.readouterr().err == (
+            f"error: {bom / 'sessions.csv'}:1: the header has no session_id column: "
+            f"it reads {header!r}\n")
+
+
 # A JSON integer too large for a float: float() raises OverflowError on it.
 HUGE = "1" + "0" * 400
 HUGE_NUMBER_ROWS = [

@@ -100,14 +100,13 @@ def test_only_pool_forks():
 
 def test_only_pool_decides_whether_to_fork():
     """The host's CPUs and BLAS threads are pool.py's to check: no other
-    module takes usable_cpus or blas_threads from it. Two modules fork through
-    it: ingest's time-series parse and federation's FedAvg pool, so a new
-    fork user has to be added here."""
+    module takes usable_cpus or blas_threads from it. One module forks
+    through it, federation's FedAvg pool, so a new fork user has to be added
+    here."""
     assert [path.name for path in MODULES
             if names_from(path, "pool") & {"usable_cpus", "blas_threads"}] == []
     assert {path.name: names_from(path, "pool") for path in MODULES
             if names_from(path, "pool")} == {
-        "ingest.py": {"start_job"},
         "federation.py": {"CannotFork", "ClientPool", "serial_training"},
     }
 
@@ -130,11 +129,11 @@ def references(path: Path) -> set[str]:
 
 def test_definitions_finds_what_a_module_defines_and_references_what_it_uses(tmp_path):
     module = tmp_path / "module.py"
-    module.write_text("from .pool import start_job\nclass A:\n    def __init__(self): pass\n"
+    module.write_text("from .pool import ClientPool\nclass A:\n    def __init__(self): pass\n"
                       "    def run(self): return helper(self.size)\n"
                       "def helper(x):\n    def inner(): pass\n    return x\n")
     assert definitions(module) == {"A", "run", "helper", "inner"}
-    assert references(module) == {"start_job", "helper", "self", "size", "x"}
+    assert references(module) == {"ClientPool", "helper", "self", "size", "x"}
 
 
 # Each name here is defined for a caller that does not exist yet.

@@ -1,7 +1,8 @@
 """FedAvg rounds trained in forked workers against the same rounds trained
 one after another in this process: bit for bit, on every failure path,
 where this process cannot fork, and with no process left behind. Centralized
-runs train every epoch in this process and start no process.
+runs train every epoch in this process and start no process. A reply's
+array crosses a worker's pipe once.
 
 A wrapped federation.local_train keeps FedAvg serial (as a traced run's
 wrappers do), so every pooled result here has a serial oracle.
@@ -20,8 +21,10 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -515,6 +518,27 @@ class TestCentralized:
             assert children() == []
             assert get_threads() == threads
             seen.clear()
+
+
+class TestWorkers:
+    def test_an_array_crosses_the_pipe_once(self):
+        """The reply's array is read straight into the buffer it is returned
+        in: receiving it costs its own size, not a pickled copy as well."""
+        n = 1 << 20
+        with mock.patch.object(pool, "usable_cpus", lambda: 2):  # a one-CPU runner forks too
+            workers = pool.Workers(1, lambda size: np.arange(size, dtype=float))
+        try:
+            workers.send(0, n)
+            tracemalloc.start()
+            try:
+                reply = workers.recv(0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            workers.close()
+        assert np.array_equal(reply, np.arange(n, dtype=float))
+        assert peak < 1.1 * reply.nbytes
 
 
 class TestRefusedFork:

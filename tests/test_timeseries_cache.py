@@ -3,8 +3,7 @@
 * parse_timeseries with the cache gives what it gives with the cache deleted:
   the same sessions in the same order, the bits, dtypes and read-only flags
   of every column, the issues and both counters, lenient and strict.
-* A valid cache is read without converting a row or starting a worker; with
-  it deleted, the split parse gives the same result.
+* A valid cache is read without converting a row.
 * A cache that does not hold the file's parse is ignored, and the file is
   parsed. A table the CSV would not give back as written, bit for bit and
   without an issue, gets no cache, and a stale one goes.
@@ -26,16 +25,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, make_series, uncached
-from fedcharge import csvio, ingest, pool
+from fedcharge import csvio, ingest
 from fedcharge.cli import dispatch
 from fedcharge.ingest import ParseError, parse_timeseries, write_timeseries
 from fedcharge.sessions import SessionSeries
 from test_columnar import FIRST_SECOND, LAST_SECOND, synthetic_index
-from test_split_parse import bits, parsed_in
-
-pytestmark = pytest.mark.usefixtures("deadline")
 
 BODY = csvio.CACHE_HEADER.size  # where a cache's body starts
+
+
+def bits(result) -> tuple:
+    """Everything a parse returns, each column as its dtype and bytes."""
+    columns = [(sid, *((c.dtype.str, c.tobytes()) for c in (s.t, s.current, s.pilot)))
+               for sid, s in result.index.items()]
+    return columns, result.issues, result.n_negative_clamped, result.n_duplicates_merged
 
 
 def outcome(path: Path, strict: bool):
@@ -143,26 +146,15 @@ class TestOracle:
 
 
 class TestWithoutParsing:
-    def test_a_valid_cache_converts_no_row_and_starts_no_worker(self, tmp_path):
+    def test_a_valid_cache_converts_no_row(self, tmp_path):
         path = tmp_path / "timeseries.csv"
         write_timeseries(path, synthetic_index(2))
         expected = outcomes(path)[1]
         write_timeseries(path, synthetic_index(2))
         refuse = mock.Mock(side_effect=AssertionError("parsed"))
-        with parsed_in("split"), mock.patch.object(ingest, "_convert_range", refuse), \
-                mock.patch.object(pool, "start_job", refuse):
+        with mock.patch.object(ingest, "_convert", refuse):
             assert [outcome(path, strict) for strict in (False, True)] == expected
         refuse.assert_not_called()
-
-    def test_the_split_parse_of_the_file_gives_the_cached_result(self, tmp_path):
-        path = tmp_path / "timeseries.csv"
-        write_timeseries(path, synthetic_index(2))
-        cached = outcome(path, False)
-        uncached(path)
-        with parsed_in("split", 64) as made:
-            split = outcome(path, False)
-        assert len(made) == 1
-        assert split == cached
 
 
 class TestIgnored:
